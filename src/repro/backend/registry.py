@@ -180,17 +180,21 @@ class Backend:
         args: tuple,
         meta: Any,
         label: str = "",
+        updates: tuple[int, ...] = (),
     ) -> Any:
         """Execute (or defer, or skip) a pure array kernel on rank ``p``.
 
         ``fn(*args)`` must be a pure function of its array arguments
         whose result matches ``meta`` (one
-        :class:`~repro.backend.SymbolicArray`, or a tuple of them for a
-        multi-output kernel).  The caller meters any flops separately.
-        Eager backends call ``fn`` now; the symbolic backend returns
-        ``meta`` unevaluated; the parallel backend appends one deferred
-        rank-``p`` task whose data-dependent branches run on concrete
-        values at execution time.
+        :class:`~repro.backend.SymbolicArray`, a tuple of them for a
+        multi-output kernel, or ``None``), apart from writing in place
+        the arguments whose positions ``updates`` names.  The caller
+        meters any flops separately.  Eager backends call ``fn`` now
+        (the writes land in the caller's arrays); the symbolic backend
+        returns ``meta`` unevaluated; the parallel backend appends one
+        deferred rank-``p`` task whose data-dependent branches run on
+        concrete values at execution time and rebinds the written lazy
+        arguments to its outputs.
         """
         return fn(*args)
 
@@ -230,7 +234,7 @@ class SymbolicBackend(Backend):
             return SymbolicArray(A)
         return A
 
-    def run_kernel(self, machine, p, fn, args, meta, label=""):
+    def run_kernel(self, machine, p, fn, args, meta, label="", updates=()):
         return meta
 
 
@@ -272,10 +276,10 @@ class ParallelBackend(Backend):
 
         return ParallelOps(plan)
 
-    def run_kernel(self, machine, p, fn, args, meta, label=""):
+    def run_kernel(self, machine, p, fn, args, meta, label="", updates=()):
         from repro.engine import defer
 
-        return defer(machine.plan, fn, args, meta, rank=p, label=label)
+        return defer(machine.plan, fn, args, meta, rank=p, label=label, updates=updates)
 
 
 class MpBackend(ParallelBackend):

@@ -260,14 +260,18 @@ def cmd_trace(args) -> int:
     """One traced run on the parallel engine: trace.json + drift table."""
     import time
 
+    from repro.engine.executor import LANE_SAMPLES
+    from repro.machine import Machine
     from repro.planner import resolve_profile
     from repro.telemetry import (
+        NULL_RECORDER,
         TelemetryRecorder,
         drift_report,
         metrics_dump,
         recording,
         write_chrome_trace,
     )
+    from repro.workloads import drive
 
     profile = resolve_profile(args.profile)
     A = resolve_backend("parallel").make_input(args.m, args.n, seed=args.seed)
@@ -275,8 +279,10 @@ def cmd_trace(args) -> int:
     rec = TelemetryRecorder()
     t0 = time.perf_counter()
     with recording(rec):
-        r = run_qr(args.alg, A, P=args.P, validate=False, backend="parallel",
-                   workers=args.workers, cost_params=profile, **params)
+        machine = Machine(args.P, params=profile, backend="parallel",
+                          workers=args.workers)
+        factors, _diag, slicer = drive(args.alg, machine, A, params, validate=False)
+        machine.materialize(factors)
     wall = time.perf_counter() - t0
 
     trace = write_chrome_trace(rec, args.out)
@@ -290,15 +296,27 @@ def cmd_trace(args) -> int:
         print(f"wrote {args.metrics_out}")
 
     # The drift join re-runs the identical shape cost-only; the run's
-    # resolved knobs (r.params) keep both sides on the same plan.
+    # resolved knobs (drive filled them into params) keep both sides on
+    # the same plan.
     dr = drift_report(args.alg, args.m, args.n, args.P, rec, wall,
-                      params=r.params, profile=profile)
+                      params=params, profile=profile)
     print()
     print(dr.table())
     waits = rec.metrics.counter("engine.rendezvous.waits")
     tasks = rec.metrics.counter("engine.tasks")
     print(f"[{tasks:.0f} engine tasks, {waits:.0f} rendezvous waits, "
           f"workers={args.workers or 'auto'}]")
+    # The traced (first) execution ran on every worker; what a stream of
+    # such jobs would run on is measured over replays (see
+    # repro.engine.executor), kept out of the trace.
+    engine = machine.engine
+    engine.telemetry = NULL_RECORDER
+    blocks = slicer(A)
+    for _ in range(2 * LANE_SAMPLES if engine.workers > 1 else 0):
+        machine.plan.rebind(blocks)
+        machine.plan.reset()
+        engine.execute(machine.plan)
+    print(engine.lanes_line())
     return 0
 
 

@@ -17,10 +17,18 @@ takes it from there (never from shared state), with a timeout guard
 that raises instead of deadlocking.  Every collective's tree edges,
 pairwise exchanges, and routed bundles synchronize this way.
 
-``workers=1`` bypasses the pool and runs tasks inline in topological
-order -- the fastest mode on a single core and the mode plan *replay*
-(:func:`repro.engine.run_many`) uses to amortize a cached plan over a
-stream of jobs.
+``workers`` is a *cap*, not a promise.  A plan whose tasks are
+Python-bound (small kernels, GIL held) gains nothing from a second
+thread but handoffs, while a plan of large BLAS/LAPACK kernels does --
+and which of the two a recorded plan is depends on the host.  So the
+engine measures: the first execute of a plan runs on ``workers`` lanes;
+the replays that follow (:func:`repro.engine.run_many` streams)
+alternate ``workers`` lanes with **one inline lane** -- the same bound
+steps walked by the caller's thread, no pool, no rendezvous -- and
+after :data:`LANE_SAMPLES` timings of each the engine keeps the faster,
+``workers`` lanes unless one lane wins by 10%.  ``Engine.lanes`` says
+what the last execute ran on.  ``workers=1`` never measures: it is the
+inline lane from the start.
 
 **Failure semantics.**  When any task raises, the engine *aborts* the
 attempt: every wired-but-unpublished rendezvous is poisoned with the
@@ -56,6 +64,12 @@ from repro.machine.exceptions import RankFailure
 from repro.telemetry.recorder import NULL_RECORDER
 
 __all__ = ["Engine", "EngineDeadlockError", "EngineExecutionError", "default_workers"]
+
+#: Replays timed per lane count before the engine settles (min of each).
+LANE_SAMPLES = 2
+#: One lane is chosen only when it takes at most this share of the
+#: ``workers``-lane time (ties and near-ties keep ``workers``).
+LANE_MARGIN = 0.9
 
 
 class EngineDeadlockError(EngineError):
@@ -175,10 +189,19 @@ class Engine:
         #: conformance tests and ``--no-compile`` exercise.
         self.compile = True
         # Compiled-schedule cache: one compile+bind per plan object,
-        # invalidated when the plan grows (incremental materialize).
+        # invalidated when the plan grows (incremental materialize) --
+        # and with it the lane choice and its samples.
         self._cplan: CompiledPlan | None = None
         self._cplan_for: Plan | None = None
         self._bound: list[_BoundStream] = []
+        self._inline: list | None = None
+        #: Lanes the current (or last) compiled execute ran on.
+        self.lanes = self.workers
+        #: Seconds of the cached plan's timed replays, per lane count.
+        self._lane_s: dict[int, list[float]] = {self.workers: [], 1: []}
+        #: True once the cached plan has had one whole execution.
+        self._ran = False
+        self._clock = time.perf_counter
         # Mutable cells shared with the bound fetch closures (the
         # binding outlives any single execute() call).
         self._ctimeout = [self.timeout]
@@ -215,11 +238,20 @@ class Engine:
             if not pending:
                 return
             compiled = self._compiled(plan) if self.compile else None
+            timed = compiled is not None and self._measuring(pending)
             if compiled is None:
                 self._wire_rendezvous(plan, pending)
+            else:
+                self.lanes = self._next_lanes() if timed else self._chosen_lanes()
+            rec = self.telemetry
+            if rec.enabled:
+                rec.metrics.gauge("engine.lanes", self.lanes)
             try:
                 if compiled is not None:
+                    t0 = self._clock()
                     self._execute_compiled(pending, timeout)
+                    if timed:
+                        self._lane_s[self.lanes].append(self._clock() - t0)
                 elif self.workers == 1:
                     self._execute_inline(pending, timeout)
                 else:
@@ -228,7 +260,6 @@ class Engine:
                 # Tasks that finished before the failure stay done; count
                 # them now because the success path below won't run.
                 self.tasks_run += sum(1 for t in pending if t.done)
-                rec = self.telemetry
                 if rec.enabled:
                     rec.fault_detected(failure.rank, failure.step)
                 policy = self.recovery
@@ -248,6 +279,8 @@ class Engine:
                 attempt += 1
                 continue
             self.tasks_run += len(pending)
+            if compiled is not None and len(pending) == compiled.stats["tasks"]:
+                self._ran = True
             return
 
     def _wire_rendezvous(self, plan: Plan, pending: list[Task]) -> None:
@@ -405,7 +438,11 @@ class Engine:
     # Compiled execution (repro.engine.compile)
     # ------------------------------------------------------------------
     def _compiled(self, plan: Plan) -> CompiledPlan | None:
-        """The compiled schedule for ``plan``, rebuilt when it grows."""
+        """The compiled schedule for ``plan``, rebuilt when it grows.
+
+        A rebuild also forgets the lane choice: the new schedule's first
+        execute runs on ``workers`` lanes and measuring starts over.
+        """
         if self._cplan_for is plan and self._cplan.n_tasks == len(plan.tasks):
             return self._cplan
         cplan = compile_plan(plan, self.workers)
@@ -414,16 +451,93 @@ class Engine:
         ]
         self._cplan = cplan
         self._cplan_for = plan
+        self._inline = None
+        self._lane_s = {self.workers: [], 1: []}
+        self._ran = False
         return cplan
+
+    # ------------------------------------------------------------------
+    # Lane selection: measured, per compiled plan, over its replays
+    # ------------------------------------------------------------------
+    def _lane_verdict(self) -> tuple[float, float] | None:
+        """Best ``(one-lane, workers-lane)`` seconds, once both are sampled."""
+        one, full = self._lane_s[1], self._lane_s[self.workers]
+        if self.workers == 1 or min(len(one), len(full)) < LANE_SAMPLES:
+            return None
+        return min(one), min(full)
+
+    def _chosen_lanes(self) -> int:
+        """``workers`` until the samples say one lane is clearly faster."""
+        best = self._lane_verdict()
+        return 1 if best and best[0] <= LANE_MARGIN * best[1] else self.workers
+
+    def _measuring(self, pending: list[Task]) -> bool:
+        """True when this execute is a replay the lane choice may time.
+
+        Only whole-plan replays of the already-executed cached plan
+        count, and never with a fault plan or recovery policy installed:
+        an attempt that may die and resume times nothing comparable
+        (and retry attempts, which only a policy grants, never qualify).
+        """
+        return (
+            self.workers > 1
+            and self._ran
+            and self._lane_verdict() is None
+            and len(pending) == self._cplan.stats["tasks"]
+            and self.fault_plan is None
+            and self.recovery is None
+        )
+
+    def _next_lanes(self) -> int:
+        """Alternate: the lane count with fewer samples, ``workers`` first."""
+        samples = self._lane_s
+        return self.workers if len(samples[self.workers]) <= len(samples[1]) else 1
+
+    def lanes_line(self) -> str:
+        """One line for reports: the chosen lane count and its evidence.
+
+        >>> Engine(workers=1).lanes_line()
+        'lanes: 1 of 1 workers (not measured)'
+        """
+        head = f"lanes: {self._chosen_lanes()} of {self.workers} workers"
+        best = self._lane_verdict()
+        if best is None:
+            return f"{head} (not measured)"
+        return (
+            f"{head} (measured {best[0] * 1e3:.0f} ms on one lane vs "
+            f"{best[1] * 1e3:.0f} ms on {self.workers})"
+        )
+
+    def _inline_steps(self) -> list:
+        """Every stream's bound steps, merged for one thread to walk.
+
+        Ordered by each step's *last* task.  That keeps every stream's
+        own order, and puts each step after the steps it reads from: a
+        value read from outside a step comes from the last task of its
+        own step (the interior of a fused chain has no consumer but the
+        next member), which has a lower tid than the reader.  So every
+        fetch finds its producer done and no rendezvous is needed.
+        """
+        if self._inline is None:
+            self._inline = sorted(
+                (step for bs in self._bound for step in bs.steps),
+                key=lambda step: step.tasks[-1].task.tid,
+            )
+        return self._inline
 
     def _execute_compiled(self, pending: list[Task], timeout: float) -> None:
         """Run the not-done remainder on the compiled worker streams."""
         self._ctimeout[0] = timeout
-        cplan = self._cplan
+        if self.lanes == 1:
+            # One lane, zero rendezvous: run in the caller's thread (no
+            # guard, matching the uncompiled inline mode).
+            steps = self._bound[0].steps if self.workers == 1 else self._inline_steps()
+            self._run_stream(steps, self._bound[0].waits, None)
+            return
         # Wire a rendezvous on every cross-worker producer that has yet
         # to run; one already done (incremental materialize, or a retry
         # resuming past it) is read directly by its consumers.
-        for pub in cplan.publishers:
+        for pub in self._cplan.publishers:
             task = pub.task
             if not task.done and task.rendezvous is None:
                 task.rendezvous = RendezvousGroup(
@@ -434,11 +548,6 @@ class Engine:
                     ),
                     producer=f"t{task.tid}:{task.label} (rank {task.rank})",
                 )
-        if self.workers == 1:
-            # One stream, zero rendezvous: run in the caller's thread
-            # (no guard, matching the uncompiled inline mode).
-            self._run_stream(self._bound[0], None)
-            return
         live = [
             bs for bs in self._bound
             if any(not bt.task.done for step in bs.steps for bt in step.tasks)
@@ -463,7 +572,7 @@ class Engine:
 
         def run(bs: "_BoundStream") -> None:
             try:
-                self._run_stream(bs, progress)
+                self._run_stream(bs.steps, bs.waits, progress)
                 done_q.put(None)
             except BaseException as exc:  # noqa: BLE001 - reported to the driver
                 done_q.put(exc)
@@ -516,8 +625,10 @@ class Engine:
         if deadlock is not None:
             raise deadlock
 
-    def _run_stream(self, bs: "_BoundStream", progress: list[int] | None) -> None:
-        """Walk one bound stream in tid order, skipping done tasks.
+    def _run_stream(
+        self, steps: list, waits: list[float], progress: list[int] | None
+    ) -> None:
+        """Walk bound steps in order, skipping done tasks.
 
         Fused steps execute their members back to back and report one
         telemetry span carrying ``fused_n``; a step interrupted by a
@@ -526,10 +637,9 @@ class Engine:
         fault-injection step counts identical to the uncompiled path.
         """
         fp = self.fault_plan
-        waits = bs.waits
         cur: Task | None = None
         try:
-            for step in bs.steps:
+            for step in steps:
                 rec = self.telemetry
                 enabled = rec.enabled
                 if enabled:
@@ -573,7 +683,7 @@ class Engine:
             raise EngineExecutionError(str(exc)) from exc  # pragma: no cover
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Engine(workers={self.workers})"
+        return f"Engine(workers={self.workers}, lanes={self.lanes})"
 
 
 class _BoundStream:

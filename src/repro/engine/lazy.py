@@ -33,6 +33,7 @@ Paper anchor: Section 3 (deferred construction of the execution DAG).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -100,6 +101,21 @@ def _rank_hint(lazies: list["LazyArray"]) -> int | None:
     return None
 
 
+def _run_updating(fn, updates, copies, splat, *vals):
+    """Thunk of an ``updates=`` kernel: copy shared targets, run, re-emit.
+
+    The task's value is ``(*written arrays, *outputs)``; the written
+    arrays become the new values of the lazy arguments ``defer``
+    rebinds.
+    """
+    vals = list(vals)
+    for i in copies:
+        vals[i] = vals[i].copy()
+    out = fn(*vals)
+    written = tuple(vals[i] for i in updates)
+    return written + (tuple(out) if splat else (out,))
+
+
 def defer(
     plan: Plan,
     fn: Callable[..., Any],
@@ -108,6 +124,7 @@ def defer(
     rank: int | None = None,
     label: str = "",
     mutable: bool = False,
+    updates: tuple[int, ...] = (),
 ) -> Any:
     """Append ``fn(*args)`` to ``plan`` and wrap its output(s) lazily.
 
@@ -118,18 +135,38 @@ def defer(
     a multi-output task (``fn`` must then return a matching tuple).
     When ``rank`` is ``None`` it is inherited from the first lazy
     operand that carries one.
+
+    ``updates`` lists the positions in ``args`` of lazy arrays ``fn``
+    writes in place (``meta`` may then be ``None``: nothing but the
+    writes).  Each is handed to ``fn`` as the buffer itself when it is
+    exclusively held and as a copy otherwise -- the rule of
+    :meth:`LazyArray.__setitem__` -- and is rebound to the task's
+    written output, so the caller's array objects stay current.
     """
     lazies: list[LazyArray] = []
     _scan_lazies(args, lazies)
     if rank is None:
         rank = _rank_hint(lazies)
     exec_args = _map_structure(args, lambda la: la.ref)
+    targets = [args[i] for i in updates]
+    if updates:
+        if not all(isinstance(la, LazyArray) for la in targets):
+            raise EngineError("defer(updates=...) positions must hold lazy arrays")
+        # Exclusivity is read before the new task consumes the producers.
+        copies = tuple(i for i, la in zip(updates, targets) if not la._is_exclusive())
+        fn = partial(_run_updating, fn, tuple(updates), copies, isinstance(meta, tuple))
     task = plan.add(fn, exec_args, rank=rank, label=label)
+    for k, la in enumerate(targets):
+        la.ref = Ref(task, k)
+        la._mutable = True
+    k = len(targets)  # an updating task's outputs follow its written arrays
     if isinstance(meta, tuple):
         return tuple(
-            LazyArray(plan, m, Ref(task, i)) for i, m in enumerate(meta)
+            LazyArray(plan, m, Ref(task, k + i)) for i, m in enumerate(meta)
         )
-    return LazyArray(plan, meta, Ref(task), mutable=mutable)
+    if not updates:
+        return LazyArray(plan, meta, Ref(task), mutable=mutable)
+    return None if meta is None else LazyArray(plan, meta, Ref(task, k))
 
 
 def receive(plan: Plan, dst: int, payload: Any, label: str = "") -> Any:

@@ -505,8 +505,18 @@ def _compiled_worker_loop(
 # Parent-side engine
 # ----------------------------------------------------------------------
 
-def _teardown(procs: list, cmd_qs: list, segments: list) -> None:
-    """Best-effort pool/segment cleanup (close() and the GC finalizer)."""
+def _teardown(owner_pid: int, procs: list, cmd_qs: list, segments: list) -> None:
+    """Best-effort pool/segment cleanup (close() and the GC finalizer).
+
+    Only the process that forked the pool may tear it down.  A worker
+    of a *later* pool inherits this engine's finalizer through fork; if
+    its garbage collector fires it there, stopping the workers, joining
+    them (not its children) and unlinking the segments would sabotage
+    the parent's live pool -- so anywhere but in ``owner_pid`` this is
+    a no-op.
+    """
+    if os.getpid() != owner_pid:
+        return
     for q in cmd_qs:
         try:
             q.put(("stop",))
@@ -584,6 +594,8 @@ class MpEngine:
         self._shipped_len = 0
         self._epoch = 0
         self._finalizer = None
+        #: pid of the process that forked the pool (set when it ships).
+        self._owner_pid = 0
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -606,7 +618,7 @@ class MpEngine:
         self._views.clear()  # views export shm buffers; drop before close
         segments = [seg for seg, _, _ in self._shm.values()]
         if self._pool or segments:
-            _teardown(self._pool, self._cmd_qs, segments)
+            _teardown(self._owner_pid, self._pool, self._cmd_qs, segments)
         self._pool = []
         self._cmd_qs = []
         self._inboxes = []
@@ -626,6 +638,7 @@ class MpEngine:
         self.close()
         from multiprocessing import shared_memory
 
+        self._owner_pid = os.getpid()
         ctx = multiprocessing.get_context("fork")
         for leaf in plan.inputs:
             value = leaf.value
@@ -658,7 +671,7 @@ class MpEngine:
         self._shipped_len = len(plan.tasks)
         self._epoch = 0
         self._finalizer = weakref.finalize(
-            self, _teardown, self._pool, self._cmd_qs,
+            self, _teardown, self._owner_pid, self._pool, self._cmd_qs,
             [seg for seg, _, _ in self._shm.values()],
         )
 

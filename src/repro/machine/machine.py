@@ -232,19 +232,36 @@ class Machine:
         return self.backend_impl.concrete
 
     def kernel(
-        self, p: int | None, fn, args: tuple, meta: Any, label: str = ""
+        self, p: int | None, fn, args: tuple, meta: Any, label: str = "",
+        updates: tuple[int, ...] = (),
     ) -> Any:
         """Run a pure array kernel on processor ``p``, backend-dispatched.
 
         ``fn(*args)`` must compute a result matching ``meta`` (a
-        :class:`~repro.backend.SymbolicArray`, or a tuple of them for a
-        multi-output kernel).  The numeric backend calls ``fn``
-        eagerly; the symbolic backend returns ``meta`` (cost-only); the
-        parallel backend defers ``fn`` as one rank-``p`` plan task --
-        which is how data-dependent scalar logic (reflector
-        coefficients, pivot decisions) stays recordable: its branches
-        run inside the kernel on concrete values at execution time.
-        Flops are metered by the caller, not here.
+        :class:`~repro.backend.SymbolicArray`, a tuple of them for a
+        multi-output kernel, or ``None`` for a kernel that only
+        writes).  The numeric backend calls ``fn`` eagerly; the
+        symbolic backend returns ``meta`` (cost-only); the parallel
+        backend defers ``fn`` as one rank-``p`` plan task -- which is
+        how data-dependent scalar logic (reflector coefficients, pivot
+        decisions) stays recordable: its branches run inside the kernel
+        on concrete values at execution time.  Flops are metered by the
+        caller, not here.
+
+        ``updates`` names the positions in ``args`` of the arrays
+        ``fn`` writes **in place** (block writes).  The numeric backend
+        mutates them directly; the engine backends hand ``fn`` the
+        buffer itself when it is exclusively held and a copy otherwise
+        (the rule of ``LazyArray.__setitem__``) and rebind the lazy
+        argument to the written array; the symbolic backend has nothing
+        to write.  Callers keep using the same argument objects
+        afterwards on every backend.
+
+        ``fn`` must carry its loop variables with it -- bind them when
+        the kernel is dispatched (``functools.partial`` or default
+        arguments).  On the engine backends ``fn`` runs long after the
+        recording loop has moved on, so a closure over a loop variable
+        would read its *last* value.
 
         With telemetry enabled the dispatch is timed: on an eager
         backend that is the kernel's real wall-clock; on the parallel
@@ -259,10 +276,14 @@ class Machine:
         rec = self.telemetry
         if rec.enabled:
             t0 = rec.now()
-            out = self.backend_impl.run_kernel(self, p, fn, args, meta, label=label)
+            out = self.backend_impl.run_kernel(
+                self, p, fn, args, meta, label=label, updates=updates
+            )
             rec.kernel_dispatch(label or "kernel", p, rec.now() - t0, self.backend)
             return out
-        return self.backend_impl.run_kernel(self, p, fn, args, meta, label=label)
+        return self.backend_impl.run_kernel(
+            self, p, fn, args, meta, label=label, updates=updates
+        )
 
     def materialize(self, obj: Any = None, timeout: float | None = None) -> Any:
         """Execute the pending plan; return ``obj`` with values resolved.

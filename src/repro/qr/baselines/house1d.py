@@ -11,12 +11,13 @@ Same I/O contract as tsqr: each participant owns at least ``n`` rows,
 the root owns the leading ``n`` rows; ``V`` comes back distributed,
 ``T`` and ``R`` on the root.
 
-The per-column scalar logic (reflector statistics and coefficients) is
-factored into the pure array kernels of
-:mod:`repro.qr.baselines.panel2d` and dispatched through
-:meth:`~repro.machine.Machine.kernel`, so the control flow is
-LazyArray-recordable and the algorithm runs on every backend --
-numeric, symbolic, and parallel -- with identical metering.
+Each column is one
+:func:`~repro.qr.baselines.panel2d.householder_column` step -- the body
+shared with the d-house-2d panel factorization -- whose per-rank stages
+are pure array kernels dispatched through
+:meth:`~repro.machine.Machine.kernel`, so the algorithm records one
+task per stage per rank and runs on every backend -- numeric, symbolic,
+and the engines -- with identical metering.
 
 Paper anchor: Section 8.1 (d-house-1d); Table 3 row 1.
 """
@@ -27,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import SymbolicArray, solve_triangular
-from repro.collectives import CommContext, all_reduce_binomial
+from repro.backend import SymbolicArray
+from repro.collectives import CommContext
 from repro.dist import DistMatrix
-
 from repro.matmul import mm1d_reduce
-from repro.qr.baselines.panel2d import reflector_coeffs_arrays, reflector_stats_arrays
+from repro.qr.baselines.panel2d import householder_column, panel_t
 from repro.qr.tsqr import check_tsqr_distribution
 
 
@@ -56,65 +56,16 @@ def qr_house_1d(A: DistMatrix, root: int = 0) -> House1DResult:
 
     work = {p: A.local(p).astype(dtype, copy=True) for p in parts}
     V = {p: machine.ops.zeros((A.layout.count(p), n), dtype=dtype) for p in parts}
-    rows = {p: A.layout.rows_of(p) for p in parts}
 
+    locs = [(p, work[p], V[p], A.layout.rows_of(p)) for p in parts]
     for j in range(n):
-        # Form the reflector: all-reduce [alpha_contribution, ||x||^2].
-        contribs = []
-        for p in parts:
-            below = rows[p] >= j
-            x = work[p][below, j]
-            diag = work[p][rows[p] == j, j]
-            contribs.append(machine.kernel(
-                p, lambda xv, dv: reflector_stats_arrays(xv, dv, dtype),
-                (x, diag), SymbolicArray((2,), dtype), label="house1d_stats",
-            ))
-            machine.compute(p, 2.0 * x.size, label="house1d_norm")
-        stat = all_reduce_binomial(ctx, contribs)
-        # Scalar coefficients [alpha - beta, beta, tau]: simulator-side
-        # (every rank holds stat after the all-reduce; recomputing the
-        # three scalars is free by convention).
-        coeffs = machine.kernel(
-            None, lambda sv: reflector_coeffs_arrays(sv, dtype),
-            (stat,), SymbolicArray((3,), dtype), label="house1d_coeffs",
-        )
-        if machine.concrete and coeffs[2] == 0.0:
-            # Exactly-zero column: identity reflector, nothing to update.
-            # Non-concrete backends take the generic-data path (the
-            # deferred kernel yields tau = 0 and the updates vanish).
-            continue
-        denom, beta, tau = coeffs[0], coeffs[1], coeffs[2]
-
-        # Scale v locally; owner of row j sets the unit diagonal and beta.
-        for p in parts:
-            below = rows[p] >= j
-            V[p][below, j] = work[p][below, j] / denom
-            V[p][rows[p] == j, j] = 1.0
-            work[p][rows[p] == j, j] = beta
-            work[p][rows[p] > j, j] = 0.0
-            machine.compute(p, float(np.count_nonzero(below)), label="house1d_scale")
-
-        # Trailing update: w = v^H A[:, j+1:], then A -= conj(tau) v w.
-        if j + 1 < n:
-            partials = []
-            for p in parts:
-                below = rows[p] >= j
-                v = V[p][below, j]
-                partials.append(v.conj() @ work[p][below, j + 1 :])
-                machine.compute(p, 2.0 * v.size * (n - j - 1), label="house1d_w")
-            w = all_reduce_binomial(ctx, partials)
-            for p in parts:
-                below = rows[p] >= j
-                v = V[p][below, j]
-                work[p][below, j + 1 :] -= np.multiply.outer(tau * v, w)
-                machine.compute(p, 2.0 * v.size * (n - j - 1), label="house1d_update")
+        householder_column(machine, ctx, locs, j, j, n, dtype, "house1d")
 
     Vd = DistMatrix(machine, A.layout, n, V, dtype=dtype)
 
     # T on the root from the Gram matrix (one reduce, Puglisi formula).
     G = mm1d_reduce(Vd, Vd, root, conj_a=True)
-    Tinv = np.triu(G, 1) + np.diag(np.diag(G).real) / 2.0
-    T = solve_triangular(Tinv, machine.ops.eye(n, dtype=dtype), lower=False)
+    T = machine.kernel(root, panel_t, (G,), SymbolicArray((n, n), dtype), label="house1d_T")
     machine.compute(root, float(n) ** 3 / 3.0, label="house1d_T")
 
     # Gather R's rows (all held within the leading n rows, on the root

@@ -20,15 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import SymbolicArray
-from repro.collectives import CommContext, all_reduce_binomial
+from repro.collectives import CommContext
 from repro.dist.blockcyclic import BlockCyclic2D, choose_grid_2d
 from repro.machine import ParameterError
 from repro.qr.baselines.panel2d import (
     collect_vrow,
     gram_t_panel,
-    reflector_coeffs_arrays,
-    reflector_stats_arrays,
+    householder_column,
     row_broadcast_panel,
     update_trailing,
 )
@@ -68,77 +66,23 @@ def _panel_factor_house(
 
     Works for any distribution of rows over the processor column
     (processors with no rows below the diagonal simply contribute
-    zeros), which is why blocked d-house has no corner cases.  The
-    per-column scalar logic runs through the
-    :meth:`~repro.machine.Machine.kernel` reflector kernels, so the
-    loop records identically on every backend.
+    zeros), which is why blocked d-house has no corner cases.  Each
+    column is one :func:`~repro.qr.baselines.panel2d.householder_column`
+    step over the processor column, so the loop records identically on
+    every backend.
     """
     machine = A_bc.machine
     jcol = A_bc.pcol_of(j0)
-    colg = A_bc.col_group(jcol)
-    ctx = CommContext(machine, colg) if A_bc.pr > 1 else None
-    dtype = A_bc.dtype
-    all_cols_j = A_bc.cols_of(jcol)
-
+    ctx = CommContext(machine, A_bc.col_group(jcol)) if A_bc.pr > 1 else None
+    col0 = int(np.searchsorted(A_bc.cols_of(jcol), j0))
+    locs = [
+        (A_bc.rank(i, jcol), A_bc.blocks[(i, jcol)], V_bc.blocks[(i, jcol)], A_bc.rows_of(i))
+        for i in range(A_bc.pr)
+    ]
     for c in range(w):
-        g = j0 + c
-        col_idx = int(np.searchsorted(all_cols_j, g))
-        # Reflector statistics: all-reduce [alpha, ||x below||^2].
-        contribs = []
-        sels = {}
-        for i in range(A_bc.pr):
-            rows = A_bc.rows_of(i)
-            below = rows >= g
-            sels[i] = below
-            blk = A_bc.blocks[(i, jcol)]
-            x = blk[below, col_idx]
-            diag = blk[rows == g, col_idx]
-            contribs.append(machine.kernel(
-                A_bc.rank(i, jcol),
-                lambda xv, dv: reflector_stats_arrays(xv, dv, dtype),
-                (x, diag), SymbolicArray((2,), dtype), label="house2d_stats",
-            ))
-            machine.compute(A_bc.rank(i, jcol), 2.0 * x.size, label="house2d_norm")
-        stat = all_reduce_binomial(ctx, contribs) if ctx else contribs[0]
-        coeffs = machine.kernel(
-            None, lambda sv: reflector_coeffs_arrays(sv, dtype),
-            (stat,), SymbolicArray((3,), dtype), label="house2d_coeffs",
+        householder_column(
+            machine, ctx, locs, j0 + c, col0 + c, col0 + w, A_bc.dtype, "house2d"
         )
-        if machine.concrete and coeffs[2] == 0.0:
-            # Exactly-zero column: identity reflector; non-concrete
-            # backends take the generic-data path (tau = 0 deferred).
-            continue
-        denom, beta, tau = coeffs[0], coeffs[1], coeffs[2]
-
-        # Scale v locally; diagonal owner writes beta into the panel.
-        vloc = {}
-        for i in range(A_bc.pr):
-            rows = A_bc.rows_of(i)
-            below = sels[i]
-            blk = A_bc.blocks[(i, jcol)]
-            v = blk[below, col_idx] / denom
-            v[rows[below] == g] = 1.0
-            vloc[i] = v
-            V_bc.blocks[(i, jcol)][below, col_idx] = v
-            blk[rows == g, col_idx] = beta
-            blk[rows > g, col_idx] = 0.0
-            machine.compute(A_bc.rank(i, jcol), float(v.size), label="house2d_scale")
-
-        # Update the rest of the panel: w_vec = v^H A[:, c+1:w].
-        if c + 1 < w:
-            partials = []
-            for i in range(A_bc.pr):
-                below = sels[i]
-                Ap = A_bc.blocks[(i, jcol)][below, col_idx + 1 : col_idx + w - c]
-                partials.append(vloc[i].conj() @ Ap)
-                machine.compute(A_bc.rank(i, jcol), 2.0 * Ap.size, label="house2d_w")
-            wv = all_reduce_binomial(ctx, partials) if ctx else partials[0]
-            for i in range(A_bc.pr):
-                below = sels[i]
-                A_bc.blocks[(i, jcol)][below, col_idx + 1 : col_idx + w - c] -= (
-                    np.multiply.outer(tau * vloc[i], wv)
-                )
-                machine.compute(A_bc.rank(i, jcol), 2.0 * vloc[i].size * wv.size, label="house2d_upd")
 
 
 def qr_house_2d(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -195,6 +196,20 @@ class TestTraceCommand:
         dump = json.loads(metrics.read_text())
         assert dump["enabled"] is True
         assert dump["counters"]["engine.tasks"] > 0
+        # The traced (first) execution ran on every worker; the lanes
+        # line reports what replays of the job then measured.
+        assert dump["gauges"]["engine.lanes"] == 2.0
+        (lanes,) = [ln for ln in text.splitlines() if ln.startswith("lanes: ")]
+        assert re.fullmatch(
+            r"lanes: [12] of 2 workers \(measured \d+ ms on one lane vs \d+ ms on 2\)",
+            lanes,
+        )
+
+    def test_trace_on_one_worker_measures_no_lanes(self, capsys, tmp_path):
+        rc = main(["trace", "tsqr", "--m", "128", "--n", "8", "--P", "4",
+                   "--workers", "1", "--out", str(tmp_path / "t.json")])
+        assert rc == 0
+        assert "lanes: 1 of 1 workers (not measured)" in capsys.readouterr().out
 
     def test_trace_accepts_knobs_and_profile(self, capsys, tmp_path):
         rc = main(["trace", "caqr3d", "--m", "64", "--n", "16", "--P", "8",

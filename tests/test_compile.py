@@ -289,3 +289,195 @@ class TestPlanCacheCompileKey:
             assert base[0].report == off[0].report == explicit_on[0].report
         finally:
             clear_plan_cache()
+
+
+class _ScriptedClock:
+    """An injected engine clock: an execute on ``n`` lanes takes ``cost[n]``.
+
+    Every read advances the clock by the cost of the lane count the
+    engine is on, so the two reads around a timed execute differ by
+    exactly that cost and the test decides which side "is faster".
+    """
+
+    def __init__(self, engine, cost):
+        self.engine, self.cost, self.now, self.reads = engine, cost, 0.0, 0
+        engine._clock = self
+
+    def __call__(self):
+        self.reads += 1
+        self.now += self.cost[self.engine.lanes]
+        return self.now
+
+
+def _fan_in_plan():
+    """Two ranks feeding a third: cross-worker edges on two lanes."""
+    plan = Plan()
+    leaf = plan.add_input(np.array([1.0, 2.0]))
+    a = plan.add(lambda v: v * 2, (Ref(leaf),), rank=0, label="a")
+    b = plan.add(lambda v: v + 1, (Ref(leaf),), rank=1, label="b")
+    out = plan.add(lambda x, y: x + y, (Ref(a), Ref(b)), rank=0, label="sum")
+    return plan, out
+
+
+def _replay(engine, plan, n=1):
+    lanes = []
+    for _ in range(n):
+        plan.reset()
+        engine.execute(plan, timeout=GUARD)
+        lanes.append(engine.lanes)
+    return lanes
+
+
+class TestLaneSelection:
+    """``workers`` is a cap: replays measure one inline lane against it."""
+
+    def test_first_execute_uses_every_worker_then_replays_alternate_and_settle(self):
+        plan, out = _fan_in_plan()
+        eng = Engine(workers=2)
+        _ScriptedClock(eng, {2: 1.0, 1: 0.5})
+        eng.execute(plan, timeout=GUARD)
+        assert eng.lanes == 2 and "not measured" in eng.lanes_line()
+        assert _replay(eng, plan, 4) == [2, 1, 2, 1]
+        assert _replay(eng, plan, 3) == [1, 1, 1]            # settled: one lane won
+        assert eng.lanes_line() == (
+            "lanes: 1 of 2 workers (measured 500 ms on one lane vs 1000 ms on 2)"
+        )
+        assert out.value.tolist() == [4.0, 7.0]
+
+    def test_workers_kept_unless_one_lane_is_ten_percent_faster(self):
+        plan, _ = _fan_in_plan()
+        eng = Engine(workers=2)
+        _ScriptedClock(eng, {2: 1.0, 1: 0.95})
+        eng.execute(plan, timeout=GUARD)
+        assert _replay(eng, plan, 6) == [2, 1, 2, 1, 2, 2]
+        assert eng.lanes_line().startswith("lanes: 2 of 2 workers (measured 950 ms")
+
+    def test_the_faster_sample_of_each_side_decides(self):
+        plan, _ = _fan_in_plan()
+        eng = Engine(workers=2)
+        clock = _ScriptedClock(eng, {2: 1.0, 1: 5.0})       # one noisy one-lane sample
+        eng.execute(plan, timeout=GUARD)
+        _replay(eng, plan, 2)
+        clock.cost = {2: 1.0, 1: 0.5}
+        assert _replay(eng, plan, 3) == [2, 1, 1]
+
+    def test_one_worker_never_measures(self):
+        plan, _ = _fan_in_plan()
+        eng = Engine(workers=1)
+        clock = _ScriptedClock(eng, {1: 1.0})
+        eng.execute(plan, timeout=GUARD)
+        assert _replay(eng, plan, 5) == [1] * 5
+        assert eng.lanes_line() == "lanes: 1 of 1 workers (not measured)"
+        assert eng._lane_s == {1: []} and clock.reads == 6   # never a closing read
+
+    @pytest.mark.parametrize("install", ["fault_plan", "recovery", "no_compile"])
+    def test_no_measuring_with_faults_installed_or_compilation_off(self, install):
+        from repro.faults import FaultPlan, RetryTask
+
+        plan, _ = _fan_in_plan()
+        eng = Engine(workers=2)
+        _ScriptedClock(eng, {2: 1.0, 1: 0.1})
+        if install == "fault_plan":
+            eng.fault_plan = FaultPlan([])
+        elif install == "recovery":
+            eng.recovery = RetryTask(1)
+        else:
+            eng.compile = False
+        eng.execute(plan, timeout=GUARD)
+        assert _replay(eng, plan, 6) == [2] * 6
+        assert "not measured" in eng.lanes_line()
+
+    def test_retry_attempts_are_never_timed(self):
+        from repro.faults import FaultPlan, RetryTask
+
+        plan, out = _fan_in_plan()
+        eng = Engine(workers=2, fault_plan=FaultPlan.kill(1, 0), recovery=RetryTask(1))
+        _ScriptedClock(eng, {2: 1.0, 1: 0.1})
+        eng.execute(plan, timeout=GUARD)                      # dies, retries, completes
+        assert out.value.tolist() == [4.0, 7.0]
+        assert eng._lane_s == {2: [], 1: []}
+        eng.fault_plan = eng.recovery = None
+        # The interrupted execute was no whole run either: the next one
+        # is the plan's first, and only then are replays timed.
+        assert _replay(eng, plan, 6) == [2, 2, 1, 2, 1, 1]
+
+    def test_choice_is_reset_when_the_plan_grows(self):
+        plan, out = _fan_in_plan()
+        eng = Engine(workers=2)
+        _ScriptedClock(eng, {2: 1.0, 1: 0.5})
+        eng.execute(plan, timeout=GUARD)
+        assert _replay(eng, plan, 5)[-1] == 1
+        late = plan.add(lambda v: v * 10, (Ref(out),), rank=1, label="late")
+        eng.execute(plan, timeout=GUARD)                      # incremental: one new task
+        assert eng.lanes == 2 and "not measured" in eng.lanes_line()
+        assert late.value.tolist() == [40.0, 70.0]
+        # The grown plan has had no whole run yet: one untimed replay on
+        # every worker, then it is measured afresh.
+        assert _replay(eng, plan, 6) == [2, 2, 1, 2, 1, 1]
+
+    def test_incremental_executes_are_not_samples(self):
+        plan, out = _fan_in_plan()
+        eng = Engine(workers=2)
+        _ScriptedClock(eng, {2: 1.0, 1: 0.5})
+        eng.execute(plan, timeout=GUARD)
+        out.done = False                                      # a partial re-execution
+        eng.execute(plan, timeout=GUARD)
+        assert eng.lanes == 2 and eng._lane_s == {2: [], 1: []}
+
+    def test_one_lane_replay_needs_no_rendezvous_and_one_thread(self):
+        import threading
+
+        from repro.telemetry import TelemetryRecorder
+
+        plan, _ = _fan_in_plan()
+        eng = Engine(workers=2)
+        _ScriptedClock(eng, {2: 1.0, 1: 0.5})
+        eng.execute(plan, timeout=GUARD)
+        _replay(eng, plan, 4)
+        rec = eng.telemetry = TelemetryRecorder()
+        assert _replay(eng, plan, 2) == [1, 1]
+        spans = [s for s in rec.spans if s.cat == "task"]
+        # Per replay: b, then the fused chain a..sum that reads it.
+        assert [s.name for s in spans] == ["b", "fused:a..sum"] * 2
+        assert {s.worker for s in spans} == {threading.current_thread().name}
+        assert all(s.wait_s == 0.0 for s in spans)
+        assert rec.metrics.counter("engine.rendezvous.waits") == 0
+        assert all(t.rendezvous is None for t in plan.tasks)
+        assert rec.metrics.snapshot()["gauges"]["engine.lanes"] == 1.0
+
+    def test_fused_chains_run_after_their_cross_lane_producers(self):
+        # One lane walks both streams' steps merged by *last* tid: the
+        # chain a0..a2 (rank 0) reads x (rank 1), recorded mid-chain.
+        plan = Plan()
+        a0 = plan.add(lambda: 1.0, rank=0, label="a0")
+        x = plan.add(lambda: 10.0, rank=1, label="x")
+        a1 = plan.add(lambda v, w: v + w, (Ref(a0), Ref(x)), rank=0, label="a1")
+        a2 = plan.add(lambda v: v * 2, (Ref(a1),), rank=0, label="a2")
+        eng = Engine(workers=2)
+        _ScriptedClock(eng, {2: 1.0, 1: 0.5})
+        eng.execute(plan, timeout=GUARD)
+        assert eng._cplan.stats["fused_tasks"] == 3
+        assert _replay(eng, plan, 5)[-1] == 1
+        assert a2.value == 22.0
+
+    def test_stream_that_switches_lanes_matches_serial_every_job(self):
+        from repro.engine import output_tids, resolve
+        from repro.machine import Machine
+        from repro.workloads import drive
+
+        rng = np.random.default_rng(11)
+        jobs = [rng.standard_normal((48, 24)) for _ in range(21)]
+        machine = Machine(6, backend="parallel", workers=2)
+        _ScriptedClock(machine.engine, {2: 1.0, 1: 0.5})
+        factors, _diag, slicer = drive("house2d", machine, jobs[0], {}, validate=False)
+        machine.materialize(factors)
+        lanes = []
+        for A in jobs[1:]:
+            machine.plan.rebind(slicer(A))
+            machine.plan.reset()
+            machine.engine.execute(machine.plan, outputs=output_tids(factors))
+            lanes.append(machine.engine.lanes)
+            want = drive("house2d", Machine(6), A, {}, validate=False)[0]
+            for got, ref in zip(resolve(factors), want):
+                np.testing.assert_array_equal(got, ref)
+        assert lanes == [2, 1, 2, 1] + [1] * 16

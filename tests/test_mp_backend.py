@@ -291,6 +291,67 @@ class TestPoolLifecycle:
         assert not leaked
 
 
+#: A parent that drops one pool without closing it and forks a second:
+#: the second pool's workers inherit the first engine -- finalizer
+#: included -- as uncollected garbage, and collect it (the extra task).
+_SECOND_POOL_SCRIPT = """
+import gc, os, sys
+import numpy as np
+from repro.machine import Machine
+from repro.workloads import drive
+
+def segments():
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+before = segments()
+A = np.random.default_rng(0).standard_normal((64, 4))
+gc.disable()                 # the dropped machine stays uncollected
+first = Machine(4, backend="parallel-mp", workers=2)
+factors, _, _ = drive("tsqr", first, A, {}, validate=False)
+first.materialize(factors)
+assert segments() - before, "the first pool should own shm segments"
+del first, factors           # dropped, never closed
+
+second = Machine(4, backend="parallel-mp", workers=2)
+factors, _, _ = drive("tsqr", second, A, {}, validate=False)
+second.plan.add(lambda: gc.collect() and None, rank=0, label="collect")
+R = second.materialize(factors)[2]
+second.engine.close()
+gc.enable()
+gc.collect()                 # the owner reaps the first pool
+want = drive("tsqr", Machine(4), A, {}, validate=False)[0][2]
+assert np.array_equal(R, want), "second pool computed a wrong R"
+left = segments() - before
+assert not left, f"leaked shm segments: {sorted(left)}"
+print("ok")
+"""
+
+
+@mp_only
+class TestFinalizerAcrossPools:
+    """A forked worker never runs its parent's pool teardown."""
+
+    def test_second_pool_workers_leave_the_dropped_pool_alone(self):
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _SECOND_POOL_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        # Before the pid guard the workers printed "Exception ignored in:
+        # <finalize ...> AssertionError: can only join a child process"
+        # (and had already told the first pool's workers to stop).
+        assert proc.stderr == ""
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "ok"
+
+
 @mp_only
 class TestProcessFailureSemantics:
     """Abort/poison semantics across the process boundary (PR 7 parity)."""

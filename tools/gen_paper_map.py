@@ -70,7 +70,8 @@ MODULE_MAP: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "repro/engine/compile.py": (
         ("tests/test_compile.py", "tests/test_property_based.py"), ("E6",)),
     "repro/engine/executor.py": (
-        ("tests/test_engine.py", "tests/test_faults.py"), ("E1", "E4")),
+        ("tests/test_engine.py", "tests/test_compile.py", "tests/test_faults.py"),
+        ("E1", "E4")),
     "repro/engine/lazy.py": (("tests/test_engine.py",), ("E1",)),
     "repro/engine/mp.py": (
         ("tests/test_mp_backend.py", "tests/test_property_based.py"), ("E5",)),
@@ -117,9 +118,12 @@ MODULE_MAP: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
         ("tests/test_extensions.py", "tests/test_cost_contracts.py"), ()),
     "repro/qr/baselines/__init__.py": (("tests/test_baselines.py",), ()),
     "repro/qr/baselines/caqr2d.py": (("tests/test_baselines.py",), ("T2",)),
-    "repro/qr/baselines/house1d.py": (("tests/test_baselines.py",), ("T3",)),
-    "repro/qr/baselines/house2d.py": (("tests/test_baselines.py",), ("T2",)),
-    "repro/qr/baselines/panel2d.py": (("tests/test_baselines.py",), ()),
+    "repro/qr/baselines/house1d.py": (
+        ("tests/test_baselines.py", "tests/test_panel_kernels.py"), ("T3",)),
+    "repro/qr/baselines/house2d.py": (
+        ("tests/test_baselines.py", "tests/test_panel_kernels.py"), ("T2",)),
+    "repro/qr/baselines/panel2d.py": (
+        ("tests/test_baselines.py", "tests/test_panel_kernels.py"), ()),
     "repro/qr/caqr1d.py": (
         ("tests/test_caqr1d.py", "tests/test_cost_contracts.py"),
         ("T3", "F1", "F3", "A3")),
