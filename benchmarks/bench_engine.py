@@ -367,107 +367,9 @@ def test_mp_speedup():
     save_root_bench("engine", payload)
 
     # Acceptance (multi-core hosts only): >1.5x over serial somewhere,
-    # and -- with the plan compiler on by default -- no E5 row loses to
-    # serial at all.
+    # and no E5 row loses to serial at all.
     if cores >= 2:
         assert any(r["speedup_mp_vs_serial"] > 1.5 for r in rows), rows
-        assert not any(r["regression"] for r in rows), rows
-
-
-def _measure_compiler_point(alg: str, m: int, n: int, P: int,
-                            workers: int) -> dict:
-    """E6: warm replay with the plan compiler on vs off (threads).
-
-    Both modes replay the *same* cached plan shape through the thread
-    engine; the only variable is the :mod:`repro.engine.compile` pass
-    (task fusion + worker-affinity scheduling + argument
-    pre-resolution).  Fusion statistics come straight off the compiled
-    schedule the timed runs executed.
-    """
-    from repro.engine.batch import _PLAN_CACHE
-
-    rng = np.random.default_rng(43)
-    A = rng.standard_normal((m, n))
-    stream = [rng.standard_normal((m, n)) for _ in range(WARM_JOBS)]
-
-    def _warm(compile_flag: bool) -> tuple[float, dict]:
-        clear_plan_cache()
-        run_many([QRJob(alg, A)], P=P, workers=workers, compile=compile_flag)
-        total = _best_of(lambda: run_many(
-            [QRJob(alg, X) for X in stream], P=P, workers=workers,
-            compile=compile_flag,
-        ))
-        (cached,) = _PLAN_CACHE.values()
-        cplan = cached.machine.engine._cplan
-        stats = dict(cplan.stats) if cplan is not None else {}
-        clear_plan_cache()
-        return total / WARM_JOBS, stats
-
-    uncompiled_s, _ = _warm(False)
-    compiled_s, stats = _warm(True)
-
-    return {
-        "alg": alg,
-        "m": m,
-        "n": n,
-        "P": P,
-        "workers": workers,
-        "uncompiled_warm_ms": round(uncompiled_s * 1e3, 2),
-        "compiled_warm_ms": round(compiled_s * 1e3, 2),
-        "speedup_compiled": round(uncompiled_s / compiled_s, 3),
-        "tasks_before": stats.get("tasks", 0),
-        "tasks_after": stats.get("steps", 0),
-        "fused_chains": stats.get("fused_chains", 0),
-        "rendezvous_eliminated": stats.get("elided_edges", 0),
-        "rendezvous_remaining": stats.get("rendezvous_edges", 0),
-        "regression": bool(compiled_s >= uncompiled_s),
-    }
-
-
-def test_compiler_speedup():
-    """E6: the plan compiler's warm-replay win over uncompiled threads.
-
-    On a multi-core host the compiled thread engine must beat the
-    uncompiled one by >=1.3x on at least one E5 TSQR point (fewer
-    scheduling round-trips, no same-worker rendezvous waits).  On a
-    single-core host the rows and fusion statistics are recorded for
-    the trajectory; the wall-clock gate is skipped.
-    """
-    cores = os.cpu_count() or 1
-    workers = max(2, min(4, cores))
-    points = (POINTS[0], POINTS[1])  # the E5 tall-skinny TSQR points
-    rows = [_measure_compiler_point(alg, m, n, P, workers)
-            for alg, m, n, P in points]
-
-    lines = [
-        "E6 / plan compiler: warm replay with the compile pass off vs on",
-        f"cores={cores}, workers={workers}, warm stream of {WARM_JOBS} "
-        f"same-shape jobs, best of {REPS}",
-        "",
-        format_run_table(rows, columns=[
-            "alg", "m", "n", "P", "workers", "uncompiled_warm_ms",
-            "compiled_warm_ms", "speedup_compiled", "tasks_before",
-            "tasks_after", "rendezvous_eliminated",
-        ]),
-    ]
-    save_table("engine_compiler", "\n".join(lines), rows=rows)
-
-    bench_path = REPO_ROOT / "BENCH_engine.json"
-    payload = json.loads(bench_path.read_text()) if bench_path.exists() else {}
-    payload["compiler"] = {
-        "benchmark": "E6",
-        "unit": "milliseconds wall-clock per warm job (best of repetitions)",
-        "cores": cores,
-        "workers": workers,
-        "points": rows,
-    }
-    save_root_bench("engine", payload)
-
-    # Acceptance (multi-core hosts only, like E5): >=1.3x over the
-    # uncompiled thread engine somewhere, and no point slower.  On a
-    # single-core host the rows are recorded without a wall-clock gate.
-    if cores >= 2:
-        assert any(r["speedup_compiled"] >= 1.3 for r in rows), rows
         assert not any(r["regression"] for r in rows), rows
 
 
@@ -475,4 +377,3 @@ if __name__ == "__main__":
     test_engine_speedup()
     test_telemetry_overhead()
     test_mp_speedup()
-    test_compiler_speedup()

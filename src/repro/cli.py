@@ -57,13 +57,6 @@ def _backend_args(p: argparse.ArgumentParser) -> None:
              "summary (see `repro trace` for the full Chrome-trace + "
              "drift workflow)",
     )
-    p.add_argument(
-        "--no-compile", action="store_true",
-        help="disable the plan-compiler pass (task fusion, worker "
-             "affinity, pre-resolved args) on the engine backends; the "
-             "A/B debugging baseline -- results are bit-identical either "
-             "way (see docs/architecture.md, 'Plan compiler')",
-    )
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -74,11 +67,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-validate", action="store_true")
     _backend_args(p)
-
-
-def _compile_from(args) -> bool | None:
-    """--no-compile -> False; otherwise None (the engine default, on)."""
-    return False if getattr(args, "no_compile", False) else None
 
 
 def _params_from(args) -> dict:
@@ -143,7 +131,6 @@ def cmd_run(args) -> int:
                 r = run_coded_qr(args.alg, A, P=args.P, f=policy.f,
                                  fault=fault, recovery=policy,
                                  backend=args.backend, workers=args.workers,
-                                 compile=_compile_from(args),
                                  **_params_from(args))
         except (ParameterError, RankFailure) as exc:
             print(f"run failed: {exc}")
@@ -162,8 +149,7 @@ def cmd_run(args) -> int:
             r = run_qr(args.alg, A, P=args.P, validate=not args.no_validate,
                        backend=args.backend, workers=args.workers,
                        fault_plan=FaultPlan.parse(fault),
-                       recovery=parse_policy(recovery),
-                       compile=_compile_from(args), **_params_from(args))
+                       recovery=parse_policy(recovery), **_params_from(args))
     except RankFailure as exc:
         print(f"run failed: {exc}")
         return 1
@@ -191,7 +177,6 @@ def cmd_sweep(args) -> int:
         for v in values:
             r = run_qr(args.alg, A, P=args.P, validate=not args.no_validate,
                        backend=args.backend, workers=args.workers,
-                       compile=_compile_from(args),
                        **{**_params_from(args), args.knob: v})
             row = r.row()
             row[args.knob] = v
@@ -224,8 +209,7 @@ def cmd_plan(args) -> int:
             try:
                 result, run = plan_and_run(m=args.m, n=args.n, P=args.P,
                                            P_budget=args.P_budget, seed=args.seed,
-                                           backend=args.backend, workers=args.workers,
-                                           compile=_compile_from(args), **kw)
+                                           backend=args.backend, workers=args.workers, **kw)
             except ParameterError as exc:
                 print(exc)
                 return 1

@@ -7,7 +7,8 @@ eagerly, exactly like the serial numeric backend) and the
 pool with blocking rendezvous at every cross-rank edge.  See
 :mod:`repro.engine.plan` (the task DAG), :mod:`repro.engine.lazy` (the
 deferred arrays algorithms transparently operate on),
-:mod:`repro.engine.executor` (the scheduler), and
+:mod:`repro.engine.compile` (the one schedule both engines execute),
+:mod:`repro.engine.executor` (the thread engine), and
 :mod:`repro.engine.batch` (the :func:`run_many` batched driver that
 amortizes cached plans and planner decisions over job streams).
 

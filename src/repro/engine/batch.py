@@ -12,10 +12,16 @@ stream:
   the array kernels.  All of the Python-side simulation -- clock
   updates, collective routing, layout arithmetic, ``words_of`` -- is
   skipped, and the cost report is reused (it is provably identical:
-  same shapes, same plan).  This is what makes the parallel backend's
-  *warm* wall-clock beat the serial numeric driver per job even on a
-  single core (see ``benchmarks/bench_engine.py``).  Every algorithm
-  in :data:`repro.workloads.ALGORITHMS` replays this way; jobs of a
+  same shapes, same plan).  What that buys is measured by the repo
+  benchmark (``BENCHMARK.json``; 2-core host, ``workers=2``, numbers
+  from the README table): a warm thread-engine job
+  (``threads_job_ms_p10``) takes 0.81x / 0.71x / 0.88x of a serial
+  numeric job on ``tallskinny`` / ``squarish3d`` / ``grid2d-percolumn``;
+  ``parallel-mp`` (``mp_job_ms_p10``) wins only on ``tallskinny``
+  (0.88x) and loses on ``squarish3d`` (1.37x) and ``grid2d-percolumn``
+  (3.3x); and the first job of a shape (``threads_cold_ms_p10``) still
+  costs several serial jobs.  Every algorithm in
+  :data:`repro.workloads.ALGORITHMS` replays this way; jobs of a
   *different* shape (even a different leading dimension) build their
   own plan -- rebinding across shapes is refused by
   :meth:`repro.engine.plan.Plan.rebind`.
@@ -99,7 +105,7 @@ def clear_plan_cache() -> None:
 def _job_key(
     alg: str, m: int, n: int, P: int, dtype, params: dict,
     workers: int | None, cost_params: CostParams | None, validate: bool,
-    backend_name: str, compile_plans: bool,
+    backend_name: str,
 ) -> tuple:
     # Every field that changes the cached artifact must be here.
     # workers and cost_params are part of plan identity: a cached plan
@@ -109,23 +115,19 @@ def _job_key(
     # not re-execute on every replay.  The backend name is as well --
     # "parallel" and "parallel-mp" plans carry different engines (thread
     # pool vs forked process pool) and must never alias in the cache.
-    # And so is the compile flag: a cached plan's engine holds a
-    # compiled schedule (or deliberately none), so a compiled stream and
-    # a --no-compile A/B stream must never share an entry.
     return (
         alg, m, n, P, np.dtype(dtype).str, tuple(sorted(params.items())),
-        workers, cost_params, validate, backend_name, compile_plans,
+        workers, cost_params, validate, backend_name,
     )
 
 
 def _build(
     alg: str, A: np.ndarray, P: int, params: dict,
     workers: int | None, cost_params: CostParams | None,
-    backend: Backend, validate: bool, compile: bool | None = None,
+    backend: Backend, validate: bool,
 ) -> _CachedPlan:
     """First job of a shape: run the full driver once, keep the plan."""
-    machine = Machine(P, params=cost_params, backend=backend, workers=workers,
-                      compile=compile)
+    machine = Machine(P, params=cost_params, backend=backend, workers=workers)
     resolved = dict(params)
     factors, diag_fn, slicer = drive(alg, machine, A, resolved, validate=validate)
     n_blocks = len(slicer(A))
@@ -169,7 +171,6 @@ def run_many(
     plan_with: str | CostParams | None = None,
     cost_params: CostParams | None = None,
     backend: str | Backend = "parallel",
-    compile: bool | None = None,
 ) -> list[RunResult]:
     """Factor a stream of matrices, amortizing plans across the stream.
 
@@ -198,10 +199,6 @@ def run_many(
         default ``"parallel"`` amortizes plans by replay; any
         non-parallel backend runs each job through the one-shot
         harness :func:`repro.workloads.run_qr` instead.
-    compile:
-        ``False`` disables the :mod:`repro.engine.compile` pass on the
-        engine backends (the A/B debugging baseline); ``None`` keeps
-        the engine default (on).  Part of the plan-cache key.
     """
     impl = resolve_backend(backend)
     rec = current_recorder()
@@ -238,8 +235,7 @@ def run_many(
             # Eager backends have no plan to amortize: one-shot harness.
             results.append(
                 run_qr(alg, A, P=P_job, cost_params=cost_params,
-                       validate=validate, backend=impl, workers=workers,
-                       compile=compile, **params)
+                       validate=validate, backend=impl, workers=workers, **params)
             )
             if rec.enabled:
                 rec.job_span(
@@ -249,8 +245,7 @@ def run_many(
             continue
 
         key = _job_key(alg, m, n, P_job, A.dtype, params, workers, cost_params,
-                       validate, impl.name,
-                       compile if compile is not None else True)
+                       validate, impl.name)
         cached = _PLAN_CACHE.get(key)
         hit = cached is not None
         if rec.enabled:
@@ -258,8 +253,7 @@ def run_many(
                 "run_many.plan_cache.hits" if hit else "run_many.plan_cache.misses"
             )
         if not hit:
-            cached = _build(alg, A, P_job, params, workers, cost_params, impl,
-                            validate, compile)
+            cached = _build(alg, A, P_job, params, workers, cost_params, impl, validate)
             _PLAN_CACHE[key] = cached
             factors = cached.machine.materialize(cached.lazy_factors)
         else:

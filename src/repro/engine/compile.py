@@ -2,11 +2,12 @@
 
 A recorded :class:`~repro.engine.plan.Plan` is deliberately fine-grained
 -- one task per local kernel -- which makes the DAG faithful to the
-paper but makes the *executor* pay per-task dispatch, ``Ref`` resolution
-(an isinstance chain per argument), and a blocking rendezvous per
-cross-rank edge.  On plans whose kernels are small, that overhead
-dominates the BLAS work and the parallel backends lose to the serial
-numeric driver (the E5 rows in ``BENCH_engine.json`` before this pass).
+paper but would make an executor that interpreted it directly pay
+per-task dispatch, ``Ref`` resolution (an isinstance chain per
+argument), and a blocking rendezvous per cross-rank edge.  On plans
+whose kernels are small, that overhead dominates the BLAS work.  So no
+engine interprets a plan: both execute the schedule compiled here, and
+nothing else.
 
 :func:`compile_plan` runs **once** between plan recording and execution
 (and is reused verbatim by every replay) and applies three
@@ -29,7 +30,7 @@ transformations, none of which changes a single computed value:
    have no cross-worker consumers (their sole consumer shares the rank,
    hence the worker), so fusion eliminates per-task pool dispatch and
    queue traffic without reordering anything: the fused step runs its
-   members in exactly the tid order the uncompiled executor used.  Every
+   members in exactly the tid order they were recorded in.  Every
    member still writes ``task.value`` and flips ``done``, so incremental
    materialization, retry-after-fault (a partially-run chain resumes at
    its first not-``done`` member), and ``CodedRecovery``'s plan surgery
@@ -175,8 +176,8 @@ def _assign_owners(
     Ranked tasks go to ``rank % W``.  In thread mode a rankless task is
     single-owned by its first consumer's worker (resolved in reverse tid
     order -- consumers always have higher tids), defaulting to worker 0,
-    so it runs exactly once and the engine's task counts match the
-    uncompiled executor's.
+    so it runs exactly once and ``Engine.tasks_run`` counts each
+    recorded task once.
     """
     owner: list = [None] * len(plan.tasks)
     for task in plan.tasks:
@@ -227,7 +228,7 @@ def compile_plan(plan: Plan, workers: int, replicate_rankless: bool = False) -> 
     # ranked, b continues the same rank, and a's *only* consumer is b --
     # then a's value cannot be needed anywhere else (same rank => same
     # worker => no cross-worker consumer) and running them back-to-back
-    # is exactly what the uncompiled executor did anyway.
+    # is the rank's program order anyway.
     fused_chains = 0
     fused_tasks = 0
     streams: list[list[Step]] = []

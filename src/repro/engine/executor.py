@@ -1,21 +1,25 @@
 """The engine proper: run an execution plan on a real thread pool.
 
-:class:`Engine` executes a :class:`~repro.engine.plan.Plan` with
-dataflow scheduling: a task becomes eligible when all of its
-dependencies (dataflow edges, program order within its rank's stream,
-barriers) have completed, and eligible tasks of *different* ranks run
-concurrently on a ``ThreadPoolExecutor``.  The local kernels the tasks
-wrap -- LAPACK factorizations, BLAS multiplies -- release the GIL, so
-with ``workers > 1`` on a multi-core host the per-rank streams execute
-genuinely in parallel, which is the machine model's DAG semantics made
-physical.
+:class:`Engine` executes a :class:`~repro.engine.plan.Plan` as compiled
+worker streams.  Before a plan first runs,
+:func:`~repro.engine.compile.compile_plan` partitions its tasks over
+``workers`` lanes (rank ``r`` belongs to lane ``r % workers``), fuses
+sole-consumer chains into single steps and pre-resolves every argument;
+each lane then walks its steps in tid order -- a topological order, so
+the walk is deadlock-free by construction -- on a ``ThreadPoolExecutor``
+thread.  The local kernels the tasks wrap -- LAPACK factorizations,
+BLAS multiplies -- release the GIL, so with ``workers > 1`` on a
+multi-core host the lanes execute genuinely in parallel, which is the
+machine model's DAG semantics made physical.  The schedule is compiled
+and bound once per plan and reused by every replay.
 
-Cross-rank dependencies are *rendezvous* edges: the producer publishes
+Cross-lane dependencies are *rendezvous* edges: the producer publishes
 its value through a one-shot blocking
-:class:`~repro.collectives.rendezvous.Rendezvous` slot and the consumer
-takes it from there (never from shared state), with a timeout guard
-that raises instead of deadlocking.  Every collective's tree edges,
-pairwise exchanges, and routed bundles synchronize this way.
+:class:`~repro.collectives.rendezvous.RendezvousGroup` slot and the
+consumer takes it from there, with a timeout guard that raises instead
+of deadlocking; an edge whose two ends share a lane is a plain read in
+program order.  Every attempt wires fresh slots, so nothing a failed
+attempt poisoned can leak into the next one.
 
 ``workers`` is a *cap*, not a promise.  A plan whose tasks are
 Python-bound (small kernels, GIL held) gains nothing from a second
@@ -53,13 +57,13 @@ import os
 import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any
+from typing import Any, Callable
 
 # The engine guard shares the rendezvous consumer timeout: one value,
 # one diagnostic story.
 from repro.collectives.rendezvous import DEFAULT_TIMEOUT, RendezvousGroup
 from repro.engine.compile import CompiledPlan, bind_stream, compile_plan
-from repro.engine.plan import EngineError, Plan, Ref, Task
+from repro.engine.plan import EngineError, Plan, Task
 from repro.machine.exceptions import RankFailure
 from repro.telemetry.recorder import NULL_RECORDER
 
@@ -80,19 +84,6 @@ class EngineExecutionError(EngineError):
     """A task's thunk raised; the original exception is chained."""
 
 
-def _clear_poison(plan: Plan) -> None:
-    """Strip stale rendezvous from every task before a retry attempt.
-
-    After an aborted attempt the unpublished slots carry the failure as
-    poison, and even a *done* producer may hold an aborted slot (its put
-    lost the race and was dropped).  ``_resolve_args`` would consult
-    those stale slots, so drop them all: done producers are read
-    directly, and re-wiring gives the rest fresh slots.
-    """
-    for task in plan.tasks:
-        task.rendezvous = None
-
-
 def default_workers() -> int:
     """Default worker count: the available cores, capped at 8."""
     try:
@@ -102,57 +93,29 @@ def default_workers() -> int:
     return max(1, min(8, cores))
 
 
-def _resolve_args(
-    obj: Any,
-    consumer_rank: int | None,
-    timeout: float,
-    rec: Any = None,
-    waits: list[float] | None = None,
-) -> Any:
-    """Materialize the :class:`Ref` handles inside a task's arguments.
+def injected_first(failures: list[BaseException]) -> BaseException:
+    """The failure an attempt reports: an injected one wins.
 
-    A cross-rank reference is taken from the producer's rendezvous slot
-    (blocking, with the deadlock-guard timeout); a same-rank or
-    rankless reference reads the producer's value directly -- that edge
-    is ordinary program order, not a message.
-
-    With an enabled telemetry recorder ``rec``, every blocking take is
-    timed: the seconds accumulate into ``waits[0]`` (the consuming
-    task's wait share) and are attributed per producer through
-    :meth:`~repro.telemetry.TelemetryRecorder.rendezvous_wait`.
+    A typed :class:`~repro.machine.exceptions.RankFailure` -- raised by
+    a task-step or chained as the cause of the error that wraps it --
+    is returned unwrapped, so the recovery loop and the caller see the
+    rank and step; otherwise the first failure stands.
     """
-    if isinstance(obj, Ref):
-        task = obj.task
-        if (
-            task.rendezvous is not None
-            and task.rank is not None
-            and task.rank != consumer_rank
-        ):
-            if rec is not None:
-                t0 = time.perf_counter()
-                value = task.rendezvous.get(timeout, consumer=consumer_rank)
-                waited = time.perf_counter() - t0
-                waits[0] += waited
-                rec.rendezvous_wait(task.label, consumer_rank, waited)
-            else:
-                value = task.rendezvous.get(timeout, consumer=consumer_rank)
-        else:
-            value = task.value
-        return value if obj.index is None else value[obj.index]
-    if isinstance(obj, list):
-        return [_resolve_args(o, consumer_rank, timeout, rec, waits) for o in obj]
-    if isinstance(obj, tuple):
-        return tuple(_resolve_args(o, consumer_rank, timeout, rec, waits) for o in obj)
-    if isinstance(obj, dict):
-        return {
-            k: _resolve_args(v, consumer_rank, timeout, rec, waits)
-            for k, v in obj.items()
-        }
-    return obj
+    for exc in failures:
+        for candidate in (exc, exc.__cause__):
+            if isinstance(candidate, RankFailure):
+                return candidate
+    return failures[0]
 
 
-class Engine:
-    """Executes plans on ``workers`` threads with rendezvous handoffs."""
+class EngineBase:
+    """What the thread and the process engine share.
+
+    The constructor state every engine carries at the machine seam and
+    the attempt/recovery loop around one execution of a plan; how an
+    attempt runs (threads and rendezvous, or a forked pool and queues)
+    is the subclass's business.
+    """
 
     def __init__(
         self,
@@ -164,16 +127,18 @@ class Engine:
     ) -> None:
         self.workers = int(workers) if workers is not None else default_workers()
         if self.workers < 1:
-            raise EngineError(f"Engine requires workers >= 1, got {self.workers}")
+            raise EngineError(
+                f"{type(self).__name__} requires workers >= 1, got {self.workers}"
+            )
         self.timeout = float(timeout)
         #: Cumulative tasks executed (across execute() calls), for reports.
         self.tasks_run = 0
         #: Telemetry recorder; the disabled default costs one branch per
-        #: task.  The owning Machine (or run_many) re-points this at the
+        #: step.  The owning Machine (or run_many) re-points this at the
         #: currently installed recorder.
         self.telemetry = telemetry if telemetry is not None else NULL_RECORDER
         #: Deterministic fault injection (duck-typed FaultPlan); consulted
-        #: once per task-step in :meth:`_run_task`.
+        #: once per ranked task-step.
         self.fault_plan = fault_plan
         #: Recovery policy (duck-typed; see repro.faults.policy).  When a
         #: RankFailure escapes an attempt, ``handle(failure, plan, self,
@@ -183,11 +148,49 @@ class Engine:
         #: Checksum context installed by repro.faults.coded.run_coded_qr;
         #: CodedRecovery reads it to reconstruct a dead rank's block.
         self.coded_ctx = None
-        #: Run plans through the :mod:`repro.engine.compile` pass (task
-        #: fusion, worker affinity, pre-resolved args).  Off, the engine
-        #: uses the original dataflow scheduler -- the A/B baseline the
-        #: conformance tests and ``--no-compile`` exercise.
-        self.compile = True
+
+    def _recovering(self, plan: Plan, attempt_once: Callable[[], Any]) -> Any:
+        """Call ``attempt_once()`` until it completes; return its result.
+
+        A :class:`~repro.machine.exceptions.RankFailure` escaping an
+        attempt is offered to the installed recovery policy; when the
+        policy repairs the plan, the next attempt runs what is no longer
+        done.  Without a policy -- or when the policy declines -- the
+        failure is re-raised unwrapped.
+        """
+        attempt = 0
+        while True:
+            try:
+                return attempt_once()
+            except RankFailure as failure:
+                rec = self.telemetry
+                if rec.enabled:
+                    rec.fault_detected(failure.rank, failure.step)
+                policy = self.recovery
+                if policy is None:
+                    raise
+                t0 = rec.now() if rec.enabled else 0.0
+                if not policy.handle(failure, plan, self, attempt):
+                    raise
+                if rec.enabled:
+                    rec.fault_recovered(
+                        failure.rank, type(policy).__name__, t0, rec.now() - t0
+                    )
+                attempt += 1
+
+
+class Engine(EngineBase):
+    """Executes plans on ``workers`` threads with rendezvous handoffs."""
+
+    def __init__(
+        self,
+        workers: int | None = None,
+        timeout: float = DEFAULT_TIMEOUT,
+        telemetry: Any = None,
+        fault_plan: Any = None,
+        recovery: Any = None,
+    ) -> None:
+        super().__init__(workers, timeout, telemetry, fault_plan, recovery)
         # Compiled-schedule cache: one compile+bind per plan object,
         # invalidated when the plan grows (incremental materialize) --
         # and with it the lane choice and its samples.
@@ -195,7 +198,7 @@ class Engine:
         self._cplan_for: Plan | None = None
         self._bound: list[_BoundStream] = []
         self._inline: list | None = None
-        #: Lanes the current (or last) compiled execute ran on.
+        #: Lanes the current (or last) execute ran on.
         self.lanes = self.workers
         #: Seconds of the cached plan's timed replays, per lane count.
         self._lane_s: dict[int, list[float]] = {self.workers: [], 1: []}
@@ -218,11 +221,9 @@ class Engine:
     ) -> None:
         """Run every pending task in ``plan`` to completion.
 
-        A :class:`~repro.machine.exceptions.RankFailure` escaping an
-        attempt is offered to the installed recovery policy; when the
-        policy repairs the plan (resetting tasks to not-done), only that
-        remainder is re-executed.  Without a policy -- or when the policy
-        declines -- the failure is re-raised unwrapped.
+        Failures go through :meth:`EngineBase._recovering`: a typed
+        ``RankFailure`` reaches the recovery policy, and a repaired plan
+        re-executes only its not-done remainder.
 
         ``outputs`` is an optional hint naming the tids the caller will
         resolve afterwards.  The in-process engine ignores it (every
@@ -232,132 +233,32 @@ class Engine:
         """
         del outputs  # every value is local; nothing to ship
         timeout = self.timeout if timeout is None else float(timeout)
-        attempt = 0
-        while True:
-            pending = [t for t in plan.tasks if not t.done]
-            if not pending:
-                return
-            compiled = self._compiled(plan) if self.compile else None
-            timed = compiled is not None and self._measuring(pending)
-            if compiled is None:
-                self._wire_rendezvous(plan, pending)
-            else:
-                self.lanes = self._next_lanes() if timed else self._chosen_lanes()
-            rec = self.telemetry
-            if rec.enabled:
-                rec.metrics.gauge("engine.lanes", self.lanes)
-            try:
-                if compiled is not None:
-                    t0 = self._clock()
-                    self._execute_compiled(pending, timeout)
-                    if timed:
-                        self._lane_s[self.lanes].append(self._clock() - t0)
-                elif self.workers == 1:
-                    self._execute_inline(pending, timeout)
-                else:
-                    self._execute_pool(plan, pending, timeout)
-            except RankFailure as failure:
-                # Tasks that finished before the failure stay done; count
-                # them now because the success path below won't run.
-                self.tasks_run += sum(1 for t in pending if t.done)
-                if rec.enabled:
-                    rec.fault_detected(failure.rank, failure.step)
-                policy = self.recovery
-                if policy is None:
-                    raise
-                t0 = rec.now() if rec.enabled else time.perf_counter()
-                if not policy.handle(failure, plan, self, attempt):
-                    raise
-                _clear_poison(plan)
-                if rec.enabled:
-                    rec.fault_recovered(
-                        failure.rank,
-                        type(policy).__name__,
-                        t0,
-                        rec.now() - t0,
-                    )
-                attempt += 1
-                continue
-            self.tasks_run += len(pending)
-            if compiled is not None and len(pending) == compiled.stats["tasks"]:
-                self._ran = True
+        self._recovering(plan, lambda: self._attempt(plan, timeout))
+
+    def _attempt(self, plan: Plan, timeout: float) -> None:
+        """One pass over the not-done remainder: compile, pick lanes, run."""
+        pending = [t for t in plan.tasks if not t.done]
+        if not pending:
             return
-
-    def _wire_rendezvous(self, plan: Plan, pending: list[Task]) -> None:
-        """Attach a rendezvous slot to every cross-rank-consumed producer.
-
-        A producer with several cross-rank consumers -- the broadcast/
-        reduce-along-a-grid-row fans of the 2D algorithms -- gets a
-        :class:`RendezvousGroup` declaring the consuming ranks, so a
-        starved take names the rank and an undeclared take fails loudly.
-        """
-        fans: dict[int, set[int]] = {}
-        producers: dict[int, Task] = {}
-        for task in pending:
-            for dep in task.deps:
-                if (
-                    dep.rank is not None
-                    and task.rank is not None
-                    and dep.rank != task.rank
-                    and dep.rendezvous is None
-                    # A producer that already ran (incremental
-                    # materialize) will never publish again; its value
-                    # is read directly, like a same-rank edge.
-                    and not dep.done
-                ):
-                    fans.setdefault(dep.tid, set()).add(task.rank)
-                    producers[dep.tid] = dep
-        for tid, consumers in fans.items():
-            dep = producers[tid]
-            dep.rendezvous = RendezvousGroup(
-                consumers,
-                label=(
-                    f"t{dep.tid}:{dep.label} "
-                    f"rank{dep.rank}->ranks{sorted(consumers)}"
-                ),
-                producer=f"t{dep.tid}:{dep.label} (rank {dep.rank})",
-            )
-
-    def _run_task(self, task: Task, timeout: float) -> None:
-        fp = self.fault_plan
-        if fp is not None and task.rank is not None:
-            # Deterministic injection point: counts this rank's task-steps
-            # and raises RankFailure when the plan says this rank dies here.
-            fp.on_task(task.rank, task.label, telemetry=self.telemetry)
+        whole = len(pending) == self._compiled(plan).stats["tasks"]
+        timed = whole and self._measuring()
+        self.lanes = self._next_lanes() if timed else self._chosen_lanes()
         rec = self.telemetry
-        if not rec.enabled:
-            args = _resolve_args(task.args, task.rank, timeout)
-            task.value = task.fn(*args)
-            if task.rendezvous is not None:
-                task.rendezvous.put(task.value)
-            task.done = True
-            return
-        # Telemetry path: the span covers resolve (rendezvous waits) +
-        # kernel + publish; the wait share is recorded separately so the
-        # drift report can attribute blocked time per phase.
-        t0 = rec.now()
-        waits = [0.0]
-        args = _resolve_args(task.args, task.rank, timeout, rec, waits)
-        task.value = task.fn(*args)
-        if task.rendezvous is not None:
-            task.rendezvous.put(task.value)
-        task.done = True
-        rec.task_span(task.label, task.tid, task.rank, t0, rec.now() - t0, waits[0])
-
-    def _execute_inline(self, pending: list[Task], timeout: float) -> None:
-        """Single-worker mode: run in topological (creation) order."""
-        for task in pending:
-            try:
-                self._run_task(task, timeout)
-            except RankFailure:
-                # Typed fault-injection failure: propagate unwrapped so
-                # execute()'s recovery loop (or the caller) sees the rank
-                # and step, not an EngineExecutionError shell.
-                raise
-            except Exception as exc:
-                raise EngineExecutionError(
-                    f"task t{task.tid} ({task.label!r}, rank={task.rank}) failed: {exc}"
-                ) from exc
+        if rec.enabled:
+            rec.metrics.gauge("engine.lanes", self.lanes)
+        t0 = self._clock()
+        try:
+            self._execute_compiled(pending, timeout)
+        except RankFailure:
+            # Tasks that finished before the failure stay done; count
+            # them now because the success path below won't run.
+            self.tasks_run += sum(1 for t in pending if t.done)
+            raise
+        if timed:
+            self._lane_s[self.lanes].append(self._clock() - t0)
+        self.tasks_run += len(pending)
+        if whole:
+            self._ran = True
 
     @staticmethod
     def _abort(pending: list[Task], cause: BaseException) -> None:
@@ -374,70 +275,10 @@ class Engine:
             if rv is not None and not rv.ready:
                 rv.abort(cause)
 
-    def _execute_pool(self, plan: Plan, pending: list[Task], timeout: float) -> None:
-        """Dataflow scheduling onto a thread pool."""
-        waiting: dict[int, int] = {}
-        children: dict[int, list[Task]] = {}
-        for task in pending:
-            open_deps = [d for d in task.deps if not d.done]
-            waiting[task.tid] = len(open_deps)
-            for d in open_deps:
-                children.setdefault(d.tid, []).append(task)
-
-        done_q: "queue.SimpleQueue[tuple[Task, BaseException | None]]" = queue.SimpleQueue()
-
-        def run(task: Task) -> None:
-            try:
-                self._run_task(task, timeout)
-                done_q.put((task, None))
-            except BaseException as exc:  # noqa: BLE001 - reported to the driver
-                done_q.put((task, exc))
-
-        remaining = len(pending)
-        failure: tuple[Task, BaseException] | None = None
-        deadlock: EngineDeadlockError | None = None
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            for task in pending:
-                if waiting[task.tid] == 0:
-                    pool.submit(run, task)
-            while remaining:
-                try:
-                    task, exc = done_q.get(timeout=timeout)
-                except queue.Empty:
-                    deadlock = EngineDeadlockError(
-                        f"no task completed within {timeout}s; "
-                        f"{remaining} tasks outstanding (deadlock guard)"
-                    )
-                    self._abort(pending, deadlock)
-                    break
-                remaining -= 1
-                if exc is not None:
-                    failure = (task, exc)
-                    self._abort(pending, exc)
-                    break
-                for child in children.get(task.tid, ()):
-                    waiting[child.tid] -= 1
-                    if waiting[child.tid] == 0:
-                        pool.submit(run, child)
-        # The `with` block joined every worker: threads woken by the
-        # poison fail fast and none outlive this call.
-        if failure is not None:
-            task, exc = failure
-            injected = exc if isinstance(exc, RankFailure) else (
-                exc.__cause__ if isinstance(exc.__cause__, RankFailure) else None
-            )
-            if injected is not None:
-                raise injected
-            raise EngineExecutionError(
-                f"task t{task.tid} ({task.label!r}, rank={task.rank}) failed: {exc}"
-            ) from exc
-        if deadlock is not None:
-            raise deadlock
-
     # ------------------------------------------------------------------
-    # Compiled execution (repro.engine.compile)
+    # The compiled schedule (repro.engine.compile)
     # ------------------------------------------------------------------
-    def _compiled(self, plan: Plan) -> CompiledPlan | None:
+    def _compiled(self, plan: Plan) -> CompiledPlan:
         """The compiled schedule for ``plan``, rebuilt when it grows.
 
         A rebuild also forgets the lane choice: the new schedule's first
@@ -471,19 +312,18 @@ class Engine:
         best = self._lane_verdict()
         return 1 if best and best[0] <= LANE_MARGIN * best[1] else self.workers
 
-    def _measuring(self, pending: list[Task]) -> bool:
-        """True when this execute is a replay the lane choice may time.
+    def _measuring(self) -> bool:
+        """True when a whole-plan replay is one the lane choice may time.
 
-        Only whole-plan replays of the already-executed cached plan
-        count, and never with a fault plan or recovery policy installed:
-        an attempt that may die and resume times nothing comparable
-        (and retry attempts, which only a policy grants, never qualify).
+        Only replays of the already-executed cached plan count, and
+        never with a fault plan or recovery policy installed: an attempt
+        that may die and resume times nothing comparable (and retry
+        attempts, which only a policy grants, never qualify).
         """
         return (
             self.workers > 1
             and self._ran
             and self._lane_verdict() is None
-            and len(pending) == self._cplan.stats["tasks"]
             and self.fault_plan is None
             and self.recovery is None
         )
@@ -529,25 +369,26 @@ class Engine:
         """Run the not-done remainder on the compiled worker streams."""
         self._ctimeout[0] = timeout
         if self.lanes == 1:
-            # One lane, zero rendezvous: run in the caller's thread (no
-            # guard, matching the uncompiled inline mode).
+            # One lane, zero rendezvous: run in the caller's thread
+            # (nothing can block, so no guard).
             steps = self._bound[0].steps if self.workers == 1 else self._inline_steps()
             self._run_stream(steps, self._bound[0].waits, None)
             return
-        # Wire a rendezvous on every cross-worker producer that has yet
-        # to run; one already done (incremental materialize, or a retry
-        # resuming past it) is read directly by its consumers.
+        # The one wiring site: every cross-worker producer that has yet
+        # to run gets a *fresh* slot per attempt (whatever an aborted
+        # attempt poisoned is dropped here); one already done
+        # (incremental materialize, or a retry resuming past it) is read
+        # directly by its consumers.
         for pub in self._cplan.publishers:
             task = pub.task
-            if not task.done and task.rendezvous is None:
-                task.rendezvous = RendezvousGroup(
-                    pub.consumers,
-                    label=(
-                        f"t{task.tid}:{task.label} "
-                        f"rank{task.rank}->ranks{sorted(pub.consumers)}"
-                    ),
-                    producer=f"t{task.tid}:{task.label} (rank {task.rank})",
-                )
+            task.rendezvous = None if task.done else RendezvousGroup(
+                pub.consumers,
+                label=(
+                    f"t{task.tid}:{task.label} "
+                    f"rank{task.rank}->ranks{sorted(pub.consumers)}"
+                ),
+                producer=f"t{task.tid}:{task.label} (rank {task.rank})",
+            )
         live = [
             bs for bs in self._bound
             if any(not bt.task.done for step in bs.steps for bt in step.tasks)
@@ -564,8 +405,7 @@ class Engine:
         Streams block *inside* rendezvous fetches rather than parking in
         the scheduler, so the deadlock guard watches a per-task progress
         counter: no task completing for ``timeout`` seconds while work
-        is outstanding trips :class:`EngineDeadlockError`, mirroring the
-        uncompiled driver's ``done_q.get(timeout=...)`` guard.
+        is outstanding trips :class:`EngineDeadlockError`.
         """
         progress = self._progress
         done_q: "queue.SimpleQueue[BaseException | None]" = queue.SimpleQueue()
@@ -614,14 +454,7 @@ class Engine:
         # The `with` block joined every worker (poisoned slots release
         # blocked streams in milliseconds).
         if failure is not None:
-            injected = failure if isinstance(failure, RankFailure) else (
-                failure.__cause__
-                if isinstance(failure.__cause__, RankFailure)
-                else None
-            )
-            if injected is not None:
-                raise injected
-            raise failure
+            raise injected_first([failure])
         if deadlock is not None:
             raise deadlock
 
@@ -633,8 +466,9 @@ class Engine:
         Fused steps execute their members back to back and report one
         telemetry span carrying ``fused_n``; a step interrupted by a
         failure resumes at its first not-done member on the next attempt
-        (the per-task ``done`` flags are the resume points), which keeps
-        fault-injection step counts identical to the uncompiled path.
+        (the per-task ``done`` flags are the resume points), so a rank's
+        fault-injection step counter advances once per task, fused or
+        not.
         """
         fp = self.fault_plan
         cur: Task | None = None

@@ -16,11 +16,15 @@ The design, end to end:
   platform offers fork + POSIX shared memory (Linux/macOS do,
   spawn-only platforms do not); the conformance suite skips cleanly
   elsewhere.
-* **Ownership** -- rank ``r``'s stream belongs to worker ``r % W``.
-  Rankless tasks (constants, barriers, harness-side joins) are cheap,
-  pure, and deterministic, so every worker replicates them locally
-  instead of paying IPC for their values.  Each worker walks the plan
-  in tid order -- a topological order -- executing the tasks it owns,
+* **Ownership** -- every worker compiles the inherited plan post-fork
+  with :func:`~repro.engine.compile.compile_plan` (``W`` lanes,
+  ``replicate_rankless=True``): the compile is pure and deterministic,
+  so all workers agree on the schedule without communicating.  Rank
+  ``r``'s stream belongs to worker ``r % W``; rankless tasks
+  (constants, barriers, harness-side joins) are cheap, pure, and
+  deterministic, so every worker replicates them locally instead of
+  paying IPC for their values.  Each worker walks its stream -- fused
+  chains, pre-resolved arguments -- in tid order, a topological order,
   so per-worker execution is sequential and the global order is
   deadlock-free by construction (two blocked workers would each need a
   lower tid than the other, a contradiction).
@@ -81,14 +85,15 @@ from repro.collectives.rendezvous import (
     abort_release_message,
     starvation_message,
 )
+from repro.engine.compile import bind_stream, compile_plan
 from repro.engine.executor import (
+    EngineBase,
     EngineDeadlockError,
     EngineExecutionError,
-    default_workers,
+    injected_first,
 )
-from repro.engine.plan import EngineError, Plan, Ref, Task, _scan_refs
+from repro.engine.plan import EngineError, Plan, Task
 from repro.machine.exceptions import RankFailure
-from repro.telemetry.recorder import NULL_RECORDER
 
 __all__ = ["MpEngine", "mp_supported"]
 
@@ -107,51 +112,6 @@ def mp_supported() -> bool:
     except ImportError:  # pragma: no cover - all supported pythons have it
         return False
     return True
-
-
-# ----------------------------------------------------------------------
-# Ownership model (shared by parent and workers)
-# ----------------------------------------------------------------------
-
-def _executes(task: Task, idx: int, W: int) -> bool:
-    """True when worker ``idx`` runs ``task`` (owner or replicated)."""
-    if task.is_input:
-        return False
-    return task.rank is None or task.rank % W == idx
-
-
-def _send_table(plan: Plan, W: int) -> dict[int, set[int]]:
-    """Producer tid -> destination worker indices needing its value.
-
-    Only rank-tagged producers appear (rankless tasks are replicated in
-    every worker, so their values never cross a process boundary), and
-    each has exactly one executing worker -- the unique sender.
-    """
-    table: dict[int, set[int]] = {}
-    for task in plan.tasks:
-        if task.is_input:
-            continue
-        producers: list[Task] = []
-        _scan_refs(task.args, producers)
-        for dep in producers:
-            if dep.is_input or dep.rank is None:
-                continue
-            for j in range(W):
-                if _executes(task, j, W) and not _executes(dep, j, W):
-                    table.setdefault(dep.tid, set()).add(j)
-    return table
-
-
-def _needed_leaves(plan: Plan, idx: int, W: int) -> set[int]:
-    """Input-leaf tids consumed by tasks worker ``idx`` executes."""
-    needed: set[int] = set()
-    for task in plan.tasks:
-        if not _executes(task, idx, W):
-            continue
-        producers: list[Task] = []
-        _scan_refs(task.args, producers)
-        needed.update(d.tid for d in producers if d.is_input)
-    return needed
 
 
 # ----------------------------------------------------------------------
@@ -195,175 +155,13 @@ def _worker_main(
     result_q: Any,
     shm_specs: dict[int, tuple[Any, tuple, Any]],
     fault_plan: Any,
-    compiled: bool = True,
 ) -> None:
-    """One pool worker: run owned tasks per epoch until told to stop.
+    """One pool worker: run this worker's compiled stream per epoch.
 
     Inherits ``plan`` (and ``fault_plan``) through fork; parent-side
     mutations after the fork are invisible, which is exactly why input
     leaves travel through shared memory and everything else is fixed at
     ship time.
-
-    With ``compiled`` (the default), the worker runs its
-    :func:`repro.engine.compile.compile_plan` stream -- same ownership
-    partition, same tid order, pre-resolved arguments and fused chains
-    -- instead of resolving ``Ref`` trees per task per epoch.  The
-    compile is pure and deterministic, so every worker agrees on the
-    schedule without communicating.
-    """
-    pid = os.getpid()
-    leaf_views = {
-        tid: np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-        for tid, (seg, shape, dtype) in shm_specs.items()
-    }
-    if compiled:
-        _compiled_worker_loop(
-            idx, W, plan, cmd_q, inboxes, result_q, leaf_views, fault_plan, pid
-        )
-        return
-    run_list = [t for t in plan.tasks if _executes(t, idx, W)]
-    sends = {
-        tid: dests - {idx}
-        for tid, dests in _send_table(plan, W).items()
-        if plan.tasks[tid].rank is not None
-        and plan.tasks[tid].rank % W == idx
-        and dests - {idx}
-    }
-    my_inbox = inboxes[idx]
-
-    while True:
-        cmd = cmd_q.get()
-        if cmd[0] == "stop":
-            break
-        _, epoch, output_tids, telem_on, extra_leaves, timeout = cmd
-        values: dict[int, Any] = {}
-        mailbox: dict[int, Any] = {}
-        spans: list[tuple] = []
-        wait_events: list[tuple] = []
-        n_run = 0
-        current: list[Task | None] = [None]
-        waited = [0.0]
-
-        def leaf_value(tid: int) -> Any:
-            if tid in extra_leaves:
-                return extra_leaves[tid]
-            return leaf_views[tid]
-
-        def recv(dep: Task, consumer: Task) -> Any:
-            """Blocking take of a cross-worker value (process rendezvous)."""
-            if dep.tid in mailbox:
-                return mailbox[dep.tid]
-            producer = f"t{dep.tid}:{dep.label} (rank {dep.rank})"
-            label = f"t{dep.tid}:{dep.label} rank{dep.rank}->worker{idx}"
-            start = time.perf_counter()
-            deadline = start + timeout
-            while True:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    raise RendezvousTimeout(
-                        starvation_message(
-                            label, consumer.rank,
-                            time.perf_counter() - start, producer,
-                            flavor="process", pid=pid,
-                        )
-                    )
-                try:
-                    msg = my_inbox.get(timeout=remaining)
-                except queue_mod.Empty:
-                    continue
-                m_epoch, kind = msg[0], msg[1]
-                if m_epoch != epoch:
-                    continue  # stale message from an aborted epoch
-                if kind == "poison":
-                    cause = _decode_exc(msg[2])
-                    raise RendezvousAborted(
-                        abort_release_message(
-                            label, consumer.rank, producer, cause,
-                            flavor="process", pid=pid,
-                        )
-                    ) from cause
-                _, _, tid, value = msg
-                mailbox[tid] = value
-                if tid == dep.tid:
-                    elapsed = time.perf_counter() - start
-                    waited[0] += elapsed
-                    wait_events.append((dep.label, consumer.rank, elapsed))
-                    return value
-
-        def resolve(obj: Any, consumer: Task) -> Any:
-            if isinstance(obj, Ref):
-                dep = obj.task
-                if dep.is_input:
-                    value = leaf_value(dep.tid)
-                elif _executes(dep, idx, W):
-                    value = values[dep.tid]
-                else:
-                    value = recv(dep, consumer)
-                return value if obj.index is None else value[obj.index]
-            if isinstance(obj, list):
-                return [resolve(o, consumer) for o in obj]
-            if isinstance(obj, tuple):
-                return tuple(resolve(o, consumer) for o in obj)
-            if isinstance(obj, dict):
-                return {k: resolve(v, consumer) for k, v in obj.items()}
-            return obj
-
-        try:
-            for task in run_list:
-                current[0] = task
-                if fault_plan is not None and task.rank is not None:
-                    fault_plan.on_task(task.rank, task.label)
-                t0 = time.perf_counter() if telem_on else 0.0
-                waited[0] = 0.0
-                args = resolve(task.args, task)
-                value = task.fn(*args)
-                values[task.tid] = value
-                n_run += 1
-                for j in sends.get(task.tid, ()):
-                    inboxes[j].put((epoch, "val", task.tid, value))
-                if telem_on:
-                    spans.append((
-                        task.label, task.tid, task.rank,
-                        t0, time.perf_counter() - t0, waited[0], 1,
-                    ))
-        except BaseException as exc:  # noqa: BLE001 - reported to the parent
-            enc = _encode_exc(exc, current[0])
-            if not isinstance(exc, RendezvousAborted):
-                # First failure poisons the siblings; a release raised
-                # *by* a poison is secondary and must not re-broadcast.
-                for j, box in enumerate(inboxes):
-                    if j != idx:
-                        box.put((epoch, "poison", enc))
-            result_q.put((
-                "fail", idx, epoch, enc, pid,
-                fault_plan.snapshot() if fault_plan is not None else None,
-            ))
-            continue
-
-        out = {
-            tid: values[tid]
-            for tid in output_tids
-            if tid in values
-            and (plan.tasks[tid].rank is not None or idx == 0)
-        }
-        result_q.put((
-            "done", idx, epoch, out, pid, spans, wait_events, n_run,
-            fault_plan.snapshot() if fault_plan is not None else None,
-        ))
-
-
-def _compiled_worker_loop(
-    idx: int,
-    W: int,
-    plan: Plan,
-    cmd_q: Any,
-    inboxes: list[Any],
-    result_q: Any,
-    leaf_views: dict[int, np.ndarray],
-    fault_plan: Any,
-    pid: int,
-) -> None:
-    """Per-epoch loop over this worker's compiled (bound) stream.
 
     The stream is compiled and bound exactly once per pool lifetime;
     each epoch re-runs every step (the plan's per-task ``done`` flags
@@ -373,8 +171,11 @@ def _compiled_worker_loop(
     (copy-on-write private) ``task.value`` slots; tid order guarantees a
     consumer's same-worker producers re-ran earlier in the same epoch.
     """
-    from repro.engine.compile import bind_stream, compile_plan
-
+    pid = os.getpid()
+    leaf_views = {
+        tid: np.ndarray(shape, dtype=dtype, buffer=seg.buf)
+        for tid, (seg, shape, dtype) in shm_specs.items()
+    }
     cplan = compile_plan(plan, W, replicate_rankless=True)
     my_inbox = inboxes[idx]
     state: dict[str, Any] = {
@@ -539,7 +340,7 @@ def _teardown(owner_pid: int, procs: list, cmd_qs: list, segments: list) -> None
             pass
 
 
-class MpEngine:
+class MpEngine(EngineBase):
     """Executes plans on a persistent pool of forked worker processes.
 
     Drop-in for :class:`~repro.engine.executor.Engine` at the machine
@@ -571,19 +372,7 @@ class MpEngine:
         fault_plan: Any = None,
         recovery: Any = None,
     ) -> None:
-        self.workers = int(workers) if workers is not None else default_workers()
-        if self.workers < 1:
-            raise EngineError(f"MpEngine requires workers >= 1, got {self.workers}")
-        self.timeout = float(timeout)
-        self.tasks_run = 0
-        self.telemetry = telemetry if telemetry is not None else NULL_RECORDER
-        self.fault_plan = fault_plan
-        self.recovery = recovery
-        self.coded_ctx = None
-        #: Run the repro.engine.compile pass in each worker (fused
-        #: chains, pre-resolved args).  Read at ship time: flip it
-        #: before the first execute (Machine and run_many do).
-        self.compile = True
+        super().__init__(workers, timeout, telemetry, fault_plan, recovery)
         self._pool: list = []
         self._cmd_qs: list = []
         self._inboxes: list = []
@@ -660,7 +449,6 @@ class MpEngine:
                 args=(
                     idx, W, plan, self._cmd_qs[idx], self._inboxes,
                     self._result_q, self._shm, self.fault_plan,
-                    bool(self.compile),
                 ),
                 name=f"repro-mp-{idx}",
                 daemon=True,
@@ -726,27 +514,9 @@ class MpEngine:
             or self._shipped_len != len(plan.tasks)
         ):
             self._ship(plan)
-        attempt = 0
-        while True:
-            try:
-                results = self._run_epoch(plan, output_tids, timeout)
-            except RankFailure as failure:
-                rec = self.telemetry
-                if rec.enabled:
-                    rec.fault_detected(failure.rank, failure.step)
-                policy = self.recovery
-                if policy is None:
-                    raise
-                t0 = rec.now() if rec.enabled else time.perf_counter()
-                if not policy.handle(failure, plan, self, attempt):
-                    raise
-                if rec.enabled:
-                    rec.fault_recovered(
-                        failure.rank, type(policy).__name__, t0, rec.now() - t0
-                    )
-                attempt += 1
-                continue
-            break
+        results = self._recovering(
+            plan, lambda: self._run_epoch(plan, output_tids, timeout)
+        )
         self._commit(plan, results)
 
     def _run_epoch(
@@ -785,21 +555,14 @@ class MpEngine:
                 if snap is not None:
                     fp.absorb(snap)
         if failures:
-            primary = self._primary_failure(failures)
-            raise primary
+            # The failure to report: injected > original > poison-release
+            # (a sibling the poison released is secondary).
+            encs = [m[3] for m in failures]
+            originals = [
+                enc for enc in encs if enc[:2] != ("error", "RendezvousAborted")
+            ]
+            raise injected_first([_decode_exc(enc) for enc in originals or encs])
         return replies
-
-    @staticmethod
-    def _primary_failure(failures: list[tuple]) -> BaseException:
-        """The failure to report: injected > original > poison-release."""
-        encs = [m[3] for m in failures]
-        for enc in encs:
-            if enc[0] == "rankfail":
-                return _decode_exc(enc)
-        for enc in encs:
-            if not (enc[0] == "error" and enc[1] == "RendezvousAborted"):
-                return _decode_exc(enc)
-        return _decode_exc(encs[0])
 
     def _commit(self, plan: Plan, replies: list[tuple]) -> None:
         """Bind shipped outputs, mark the plan done, replay telemetry."""

@@ -14,10 +14,10 @@ appended here as a :class:`Task` instead of being computed.  A task is
   honors (cross-rank edges additionally pass through a blocking
   :class:`~repro.collectives.rendezvous.Rendezvous` at run time).
 
-Tasks within one rank's stream execute in program order (each task
-implicitly depends on its rank's previous task); tasks of different
-ranks run concurrently whenever their dataflow allows -- which is the
-paper's DAG semantics executed for real instead of simulated.
+Tasks within one rank's stream execute in program order (the engine
+walks each stream in recording order); tasks of different ranks run
+concurrently whenever their dataflow allows -- which is the paper's DAG
+semantics executed for real instead of simulated.
 
 Input leaves (:meth:`Plan.add_input`) hold the distributed input blocks
 and are the replay boundary: :meth:`Plan.rebind` swaps in a new job's
@@ -68,7 +68,7 @@ class Task:
     """
 
     __slots__ = (
-        "tid", "rank", "label", "fn", "args", "deps",
+        "tid", "rank", "label", "fn", "args",
         "value", "done", "is_input", "rendezvous",
     )
 
@@ -79,19 +79,18 @@ class Task:
         label: str,
         fn: Callable[..., Any] | None,
         args: tuple,
-        deps: list["Task"],
     ) -> None:
         self.tid = tid
         self.rank = rank
         self.label = label
         self.fn = fn
         self.args = args
-        self.deps = deps
         self.value: Any = None
         self.done = False
         self.is_input = False
-        #: Set lazily by the executor when a cross-rank consumer exists;
-        #: the value handoff then goes through this blocking slot.
+        #: Set by the executor, per attempt, when a consumer runs on
+        #: another worker; the value handoff then goes through this
+        #: blocking slot.
         self.rendezvous = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -135,10 +134,12 @@ class Plan:
     ) -> Task:
         """Append a task computing ``fn(*args)`` on ``rank``'s stream.
 
-        Dependencies are inferred from the :class:`Ref` handles inside
-        ``args``; a task with a rank additionally depends on that
-        rank's previous task (program order), and every task depends on
-        the most recent barrier.
+        Dataflow edges are the :class:`Ref` handles inside ``args``,
+        which the plan compiler reads off the arguments; program order
+        within a rank is the order of its stream.  The tasks this one
+        follows -- its producers, its rank's previous task, the most
+        recent barrier -- leave the frontier, which is what
+        ``LazyArray``'s exclusive-buffer rule consults.
         """
         deps: list[Task] = []
         _scan_refs(args, deps)
@@ -147,7 +148,7 @@ class Plan:
             deps.append(prev)
         if self._barrier_task is not None and self._barrier_task not in deps:
             deps.append(self._barrier_task)
-        task = Task(len(self.tasks), rank, label, fn, args, deps)
+        task = Task(len(self.tasks), rank, label, fn, args)
         self.tasks.append(task)
         if rank is not None:
             self._tails[rank] = task
@@ -158,7 +159,7 @@ class Plan:
 
     def add_input(self, value: Any, label: str = "input") -> Task:
         """Append an input leaf holding ``value`` (the replay boundary)."""
-        task = Task(len(self.tasks), None, label, None, (), [])
+        task = Task(len(self.tasks), None, label, None, ())
         task.value = value
         task.done = True
         task.is_input = True
@@ -170,24 +171,24 @@ class Plan:
         self, fn: Callable[..., Any], args: tuple = (), label: str = "const"
     ) -> Task:
         """Append a dependency-free constant-producing task (e.g. zeros)."""
-        task = Task(len(self.tasks), None, label, fn, args, [])
+        task = Task(len(self.tasks), None, label, fn, args)
         self.tasks.append(task)
-        if self._barrier_task is not None:
-            task.deps.append(self._barrier_task)
         self._frontier[task.tid] = task
         return task
 
     def barrier(self) -> Task | None:
-        """Join every open stream: later tasks follow everything so far.
+        """Record a phase boundary: every later task follows this one.
 
         Mirrors :meth:`repro.machine.Machine.barrier`'s clock join at
-        the scheduling level.  Returns the join task (``None`` when the
-        plan is empty).
+        the recording level: the frontier collapses to the barrier, so
+        no buffer produced before it counts as exclusively held
+        afterwards.  Execution needs no join -- values cross the
+        boundary as ordinary dataflow.  Returns the barrier task
+        (``None`` when the plan is empty).
         """
         if not self._frontier:
             return None
-        joined = list(self._frontier.values())
-        task = Task(len(self.tasks), None, "barrier", lambda *_: None, (), joined)
+        task = Task(len(self.tasks), None, "barrier", lambda *_: None, ())
         self.tasks.append(task)
         self._frontier = {task.tid: task}
         self._barrier_task = task

@@ -56,6 +56,7 @@ from repro.machine.exceptions import FaultRecoveryError, ParameterError
 from repro.qr.caqr1d import qr_1d_caqr_eg
 from repro.qr.tsqr import tsqr
 from repro.util import balanced_sizes
+from repro.workloads.sweeps import check_knobs
 
 __all__ = [
     "CODED_ALGORITHMS",
@@ -312,7 +313,6 @@ def run_coded_qr(
     backend: str = "parallel",
     workers: int | None = None,
     cost_params=None,
-    compile: bool | None = None,
     **params,
 ) -> CodedRunResult:
     """Run a checksum-protected TSQR / CAQR-1D factorization.
@@ -325,8 +325,11 @@ def run_coded_qr(
     fault and no explicit policy, ``CodedRecovery(f)`` is assumed.
     Returns the factors ``(V, T, R)`` plus the machine's exact
     :class:`~repro.machine.CostReport` (checksum overhead included) and
-    the recovery evidence (triggers fired, groups recovered).
+    the recovery evidence (triggers fired, groups recovered).  ``params``
+    takes the harness knobs (:data:`repro.workloads.sweeps.KNOBS`; caqr1d
+    reads ``b`` and ``eps``); any other name raises ``ParameterError``.
     """
+    check_knobs(params)
     if algorithm not in CODED_ALGORITHMS:
         raise ParameterError(
             f"run_coded_qr supports {CODED_ALGORITHMS}, got {algorithm!r}"
@@ -346,7 +349,6 @@ def run_coded_qr(
         workers=workers,
         fault_plan=fault_plan,
         recovery=policy,
-        compile=compile,
     )
     layout = BlockRowLayout(balanced_sizes(m, P))
     dA = DistMatrix.from_global(machine, A, layout)

@@ -80,8 +80,8 @@ class RetryTask(RecoveryPolicy):
     ``backoff`` seconds are slept before attempt ``k`` as
     ``backoff * (k + 1)`` (linear).  Retrying repairs nothing -- it
     relies on the fault being transient (fire-once triggers) and on the
-    plan's not-done tasks being safely re-runnable, which the engine's
-    poison-clearing guarantees.
+    plan's not-done tasks being safely re-runnable, which the engine
+    guarantees by wiring fresh rendezvous slots for every attempt.
     """
 
     needs_engine = True

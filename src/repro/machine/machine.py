@@ -160,7 +160,6 @@ class Machine:
         telemetry=None,
         fault_plan=None,
         recovery=None,
-        compile: bool | None = None,
     ) -> None:
         if P < 1:
             raise MachineError(f"Machine requires P >= 1, got {P}")
@@ -195,11 +194,6 @@ class Machine:
             self.engine.telemetry = self.telemetry
             self.engine.fault_plan = fault_plan
             self.engine.recovery = recovery
-            if compile is not None:
-                # The repro.engine.compile pass (fusion + affinity +
-                # pre-resolved args); engines default it on, so None
-                # means "engine default", False is the A/B baseline.
-                self.engine.compile = bool(compile)
         self.clocks = ClockSet(P, self.params.alpha, self.params.beta, self.params.gamma)
         self.trace: Trace | None = Trace() if trace else None
         # Aggregate (volume) counters; sends only, so volume counts each
@@ -418,8 +412,8 @@ class Machine:
     def barrier(self) -> None:
         """Zero-cost clock join across all processors (phase separation).
 
-        On a parallel machine the barrier is also a scheduling join:
-        every task recorded afterwards runs after everything before it.
+        On a parallel machine the barrier is also recorded in the plan
+        as a phase boundary (see :meth:`repro.engine.plan.Plan.barrier`).
         """
         self.clocks.barrier()
         if self.plan is not None:

@@ -312,7 +312,6 @@ def plan_and_run(
     validate: bool = True,
     backend: str = "numeric",
     workers: int | None = None,
-    compile: bool | None = None,
 ) -> tuple[PlanResult, RunResult]:
     """Plan, then execute the winner on real data.
 
@@ -352,5 +351,5 @@ def plan_and_run(
         A = impl.make_input(m, n, seed=seed)
     run = run_qr(best.candidate.algorithm, A, P=best.candidate.P,
                  validate=validate, backend=backend, workers=workers,
-                 compile=compile, **best.candidate.kwargs())
+                 **best.candidate.kwargs())
     return result, run

@@ -25,7 +25,7 @@ from repro.dist import (
     head_layout,
 )
 from repro.dist.blockcyclic import BlockCyclic2D, choose_grid_2d
-from repro.machine import CostParams, CostReport, Machine
+from repro.machine import CostParams, CostReport, Machine, ParameterError
 from repro.matmul import Operand, mm1d_broadcast, mm1d_reduce, mm3d
 from repro.qr import (
     apply_q_1d,
@@ -47,6 +47,10 @@ QR_ALGORITHMS = ("tsqr", "house1d", "caqr1d", "house2d", "caqr2d", "caqr3d")
 #: Everything runnable by name: the QR factorizations plus the wide-QR
 #: reduction, the Q-application primitive, and the 1D/3D multiplications.
 ALGORITHMS = QR_ALGORITHMS + ("wide", "applyq", "mm1d", "mm3d")
+
+#: The knob names the harness understands.  Each algorithm reads the
+#: subset it has; the CLI ``sweep`` and the planner pass the common set.
+KNOBS = ("b", "bstar", "eps", "delta", "bb", "pr", "pc", "method")
 
 #: Deprecated alias: since the backend registry landed, every algorithm
 #: runs on the parallel engine (capability gating, if a backend needs
@@ -171,6 +175,20 @@ def _grid_slicer(A_bc: BlockCyclic2D):
     return slicer
 
 
+def check_knobs(params: dict) -> None:
+    """Reject a keyword outside :data:`KNOBS` instead of ignoring it.
+
+    A misspelt knob (``bstarr=2``) or a removed option would otherwise
+    run with the default and report success.  A *known* knob the chosen
+    algorithm does not read stays accepted.
+    """
+    unknown = sorted(set(params) - set(KNOBS))
+    if unknown:
+        raise ParameterError(
+            f"unknown knob(s) {unknown}; the harness understands {KNOBS}"
+        )
+
+
 def drive(algorithm: str, machine: Machine, A, params: dict, validate: bool):
     """Run ``algorithm`` on ``machine`` with the standard distribution.
 
@@ -180,8 +198,10 @@ def drive(algorithm: str, machine: Machine, A, params: dict, validate: bool):
     ``(factors, diag_fn, slicer)``: the result arrays (lazy on a
     parallel machine), a ``diag_fn(A, factors)`` validation closure,
     and a ``slicer(X)`` producing the input blocks in plan-leaf order
-    (the replay boundary).
+    (the replay boundary).  A ``params`` name outside :data:`KNOBS`
+    raises :class:`~repro.machine.ParameterError`.
     """
+    check_knobs(params)
     m, n = A.shape
     P = machine.P
 
@@ -281,7 +301,6 @@ def run_qr(
     workers: int | None = None,
     fault_plan=None,
     recovery=None,
-    compile: bool | None = None,
     **params,
 ) -> RunResult:
     """Run ``algorithm`` on global array ``A`` over ``P`` simulated processors.
@@ -289,8 +308,10 @@ def run_qr(
     Tall-skinny algorithms (tsqr / house1d / caqr1d / applyq / mm1d) get
     the Section 5 block-row distribution; caqr3d, wide and mm3d get
     row-cyclic (Section 7); the 2D baselines get block-cyclic with the
-    Section 8.1 grid.  Extra keyword arguments (``b``, ``bstar``,
-    ``eps``, ``delta``, ``bb``, ``pr``/``pc``, ``method``) are forwarded.
+    Section 8.1 grid.  Extra keyword arguments are the knobs in
+    :data:`KNOBS` (``b``, ``bstar``, ``eps``, ``delta``, ``bb``,
+    ``pr``/``pc``, ``method``), forwarded to the algorithm that reads
+    them; any other name raises :class:`~repro.machine.ParameterError`.
 
     ``backend`` names any registered
     :class:`~repro.backend.registry.Backend`.  ``"symbolic"`` runs
@@ -310,10 +331,6 @@ def run_qr(
     them (see :mod:`repro.faults.policy`); both are forwarded to the
     :class:`~repro.machine.Machine`.  For checksum-protected runs with
     spare ranks, use :func:`repro.faults.run_coded_qr` instead.
-
-    ``compile=False`` disables the :mod:`repro.engine.compile` pass on
-    the engine backends (the ``--no-compile`` A/B baseline); ``None``
-    keeps the engine default (on).
     """
     impl = resolve_backend(backend)
     A = impl.coerce_global(A)
@@ -325,7 +342,7 @@ def run_qr(
     m, n = A.shape
     machine = Machine(
         P, params=cost_params, backend=backend, workers=workers,
-        fault_plan=fault_plan, recovery=recovery, compile=compile,
+        fault_plan=fault_plan, recovery=recovery,
     )
 
     factors, diag_fn, _slicer = drive(algorithm, machine, A, params, validate)

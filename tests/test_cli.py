@@ -51,18 +51,6 @@ class TestMainInProcess:
         out = capsys.readouterr().out
         assert "tsqr" in out and "residual" in out
 
-    def test_run_no_compile_flag(self, capsys):
-        # --no-compile is the A/B baseline: same run through the
-        # uncompiled engine, same printed costs.
-        args = ["run", "--alg", "tsqr", "--m", "128", "--n", "8", "--P", "4",
-                "--backend", "parallel", "--workers", "2"]
-        assert main(args) == 0
-        on = capsys.readouterr().out
-        assert main(args + ["--no-compile"]) == 0
-        off = capsys.readouterr().out
-        assert "tsqr" in off and "residual" in off
-        assert on == off
-
     def test_run_caqr3d_reports_phase_volume(self, capsys):
         # b < n forces the inductive case, whose dmm redistributions
         # produce the all-to-all phase traffic the CLI reports.
@@ -123,14 +111,6 @@ class TestMainInProcess:
     def test_plan_run_on_parallel_backend(self, capsys):
         rc = main(["plan", "--m", "64", "--n", "8", "--P", "4", "--run",
                    "--backend", "parallel", "--workers", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "winner executed on the parallel backend" in out
-        assert "residual" in out
-
-    def test_plan_run_no_compile(self, capsys):
-        rc = main(["plan", "--m", "64", "--n", "8", "--P", "4", "--run",
-                   "--backend", "parallel", "--workers", "2", "--no-compile"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "winner executed on the parallel backend" in out

@@ -2,11 +2,11 @@
 
 Covers the three compiler transformations in isolation -- fusion
 segmentation, worker-affinity ownership with same-worker edge elision,
-and argument pre-resolution -- plus the engine-level contracts: compiled
-and uncompiled execution produce identical values, the compiled schedule
+and argument pre-resolution -- plus the engine-level contracts: every
+lane count computes the same (pinned) values, the compiled schedule
 cache invalidates when a plan grows, fused steps surface as single
-telemetry spans with ``fused_n``, and the run_many plan cache never
-aliases compiled and uncompiled streams.
+telemetry spans with ``fused_n``, replays measure their lane count, and
+no second execution path or ``compile`` switch grows back.
 """
 
 import numpy as np
@@ -190,27 +190,20 @@ class TestArgPreResolution:
 class TestCompiledEngine:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_compiled_matches_uncompiled_values(self, workers):
-        def build():
-            plan = Plan()
-            outs = []
-            for r in range(5):
-                a = plan.add(lambda r=r: float(r), rank=r, label=f"seed{r}")
-                b = plan.add(lambda v: v * 2, (Ref(a),), rank=r, label=f"dbl{r}")
-                outs.append(plan.add(
-                    lambda v, w: v + w, (Ref(b), Ref(plan.tasks[0])),
-                    rank=(r + 1) % 5, label=f"mix{r}",
-                ))
-            return plan, outs
-
-        plan_c, outs_c = build()
-        eng_c = Engine(workers=workers)
-        eng_c.execute(plan_c, timeout=GUARD)
-        plan_u, outs_u = build()
-        eng_u = Engine(workers=workers)
-        eng_u.compile = False
-        eng_u.execute(plan_u, timeout=GUARD)
-        assert [t.value for t in outs_c] == [t.value for t in outs_u]
-        assert eng_c.tasks_run == eng_u.tasks_run
+        # The oracle is the arithmetic itself: mix_r = 2r + seed_0.
+        plan = Plan()
+        outs = []
+        for r in range(5):
+            a = plan.add(lambda r=r: float(r), rank=r, label=f"seed{r}")
+            b = plan.add(lambda v: v * 2, (Ref(a),), rank=r, label=f"dbl{r}")
+            outs.append(plan.add(
+                lambda v, w: v + w, (Ref(b), Ref(plan.tasks[0])),
+                rank=(r + 1) % 5, label=f"mix{r}",
+            ))
+        eng = Engine(workers=workers)
+        eng.execute(plan, timeout=GUARD)
+        assert [t.value for t in outs] == [0.0, 2.0, 4.0, 6.0, 8.0]
+        assert eng.tasks_run == 15
 
     def test_compiled_schedule_rebuilds_when_plan_grows(self):
         plan, tail = _chain_plan(k=3)
@@ -266,29 +259,6 @@ class TestCompiledEngine:
             }
         Engine(workers=2).execute(plan, timeout=GUARD)
         assert all(t.done for t in plan.tasks)
-
-
-class TestPlanCacheCompileKey:
-    def test_compiled_and_uncompiled_streams_never_share_a_plan(self):
-        # Satellite audit: the compile flag is part of plan identity in
-        # run_many's cache, alongside workers/backend/validate.
-        from repro.engine import QRJob, clear_plan_cache, run_many
-        from repro.engine.batch import _PLAN_CACHE
-
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((96, 8))
-        clear_plan_cache()
-        try:
-            base = run_many([QRJob("tsqr", A)], P=4, workers=1)
-            assert len(_PLAN_CACHE) == 1
-            off = run_many([QRJob("tsqr", A)], P=4, workers=1, compile=False)
-            assert len(_PLAN_CACHE) == 2  # no aliasing across the flag
-            explicit_on = run_many([QRJob("tsqr", A)], P=4, workers=1,
-                                   compile=True)
-            assert len(_PLAN_CACHE) == 2  # None and True mean the same plan
-            assert base[0].report == off[0].report == explicit_on[0].report
-        finally:
-            clear_plan_cache()
 
 
 class _ScriptedClock:
@@ -370,8 +340,8 @@ class TestLaneSelection:
         assert eng.lanes_line() == "lanes: 1 of 1 workers (not measured)"
         assert eng._lane_s == {1: []} and clock.reads == 6   # never a closing read
 
-    @pytest.mark.parametrize("install", ["fault_plan", "recovery", "no_compile"])
-    def test_no_measuring_with_faults_installed_or_compilation_off(self, install):
+    @pytest.mark.parametrize("install", ["fault_plan", "recovery"])
+    def test_no_measuring_with_faults_installed(self, install):
         from repro.faults import FaultPlan, RetryTask
 
         plan, _ = _fan_in_plan()
@@ -379,10 +349,8 @@ class TestLaneSelection:
         _ScriptedClock(eng, {2: 1.0, 1: 0.1})
         if install == "fault_plan":
             eng.fault_plan = FaultPlan([])
-        elif install == "recovery":
-            eng.recovery = RetryTask(1)
         else:
-            eng.compile = False
+            eng.recovery = RetryTask(1)
         eng.execute(plan, timeout=GUARD)
         assert _replay(eng, plan, 6) == [2] * 6
         assert "not measured" in eng.lanes_line()
@@ -481,3 +449,34 @@ class TestLaneSelection:
             for got, ref in zip(resolve(factors), want):
                 np.testing.assert_array_equal(got, ref)
         assert lanes == [2, 1, 2, 1] + [1] * 16
+
+
+class TestOneExecutionPath:
+    def test_no_compile_switch_grows_back(self):
+        """Acceptance pin: the compiled stream is the only engine path,
+        so nothing under src/repro takes a ``compile``/``compiled``
+        parameter and the CLI has no ``--no-compile``."""
+        import ast
+        import pathlib
+
+        from repro.cli import main
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+        offenders = []
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                a = node.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                    if arg.arg in ("compile", "compiled"):
+                        offenders.append(
+                            f"{path.relative_to(src)}:{node.lineno}: "
+                            f"def {node.name}(... {arg.arg} ...)"
+                        )
+        assert not offenders, "\n".join(offenders)
+        assert "--no-compile" not in (src / "cli.py").read_text()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--alg", "tsqr", "--m", "64", "--n", "4", "--P", "4",
+                  "--no-compile"])
+        assert exc.value.code == 2

@@ -395,6 +395,32 @@ class TestTimeoutGuards:
             with pytest.raises(EngineExecutionError, match="kernel exploded"):
                 Engine(workers=workers).execute(plan, timeout=GUARD_TIMEOUT)
 
+    def test_failed_attempt_leaves_no_poison_for_the_next_execute(self):
+        # No recovery policy, no reset(): the caller just executes the
+        # same plan again.  The slot the failed attempt poisoned must
+        # not be what the producer publishes into the second time.
+        from repro.engine import Ref
+
+        plan = Plan()
+        slots = []
+
+        def flaky():
+            slots.append(src.rendezvous)
+            if len(slots) == 1:
+                raise ValueError("transient")
+            return 20
+
+        src = plan.add(flaky, rank=0, label="a")
+        out = plan.add(lambda v: v + 1, (Ref(src),), rank=1, label="b")
+        eng = Engine(workers=2)
+        with pytest.raises(EngineExecutionError, match="transient"):
+            eng.execute(plan, timeout=GUARD_TIMEOUT)
+        stale = src.rendezvous
+        assert stale is slots[0] and stale.aborted
+        eng.execute(plan, timeout=GUARD_TIMEOUT)
+        assert slots[1] is not stale and not slots[1].aborted
+        assert out.value == 21
+
 
 class TestLazyArray:
     def _machine(self):

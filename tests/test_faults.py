@@ -158,8 +158,8 @@ class TestFusedChainFaults:
     into fused steps executing a pre-resolved closure list.  A fault
     firing mid-chain interrupts that list partway through; recovery
     must resume at *task* granularity -- the fused step's done prefix
-    stays done -- and end state must match the uncompiled engine bit
-    for bit.
+    stays done -- and end state must match the fault-free numeric
+    factorization bit for bit.
     """
 
     def test_retry_resumes_inside_fused_chain(self):
@@ -184,12 +184,12 @@ class TestFusedChainFaults:
 
     def test_coded_recovery_compiled_vs_uncompiled_bit_identical(self):
         A = _input()
-        kw = dict(P=P, f=1, fault="1@2", recovery=CodedRecovery(1), workers=1)
-        r_on = run_coded_qr("tsqr", A, **kw)
-        r_off = run_coded_qr("tsqr", A, compile=False, **kw)
-        assert r_on.recoveries == r_off.recoveries == 1
-        assert r_on.fired == r_off.fired
-        for got, want in zip(r_on.factors, r_off.factors):
+        base = _numeric_factors("tsqr", A)
+        r = run_coded_qr("tsqr", A, P=P, f=1, fault="1@2",
+                         recovery=CodedRecovery(1), workers=1)
+        assert r.recoveries == 1
+        assert r.fired == (RankFault(1, 2),)
+        for got, want in zip(r.factors, base):
             assert np.array_equal(got, want)
 
     def test_fault_fires_under_fused_spans(self):

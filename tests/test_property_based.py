@@ -264,39 +264,3 @@ class TestBackendConformanceProperties:
         # Same dataflow, same kernels: residuals match bit for bit.
         assert a.diagnostics.residual == b.diagnostics.residual
         assert a.diagnostics.orthogonality == b.diagnostics.orthogonality
-
-    @pytest.mark.parametrize(
-        "backend",
-        ["parallel",
-         pytest.param("parallel-mp", marks=pytest.mark.mp, id="parallel_mp")],
-    )
-    @given(
-        alg=st.sampled_from(["tsqr", "house1d", "caqr1d"]),
-        P=st.integers(2, 5),
-        n=st.integers(1, 6),
-        extra=st.integers(0, 17),
-        workers=st.integers(1, 3),
-        seed=st.integers(0, 999),
-    )
-    @CONFORMANCE_SETTINGS
-    def test_compiled_equals_uncompiled(self, backend, alg, P, n, extra,
-                                        workers, seed):
-        """The plan compiler is a pure perf pass: zero numeric effect.
-
-        Hypothesis hunts for shapes where fusion, same-worker edge
-        elision, or argument pre-resolution would change execution
-        order in a way that alters a metered cost or a floating-point
-        reduction.  Everything must match bit for bit.
-        """
-        from repro.workloads import run_qr
-
-        m = max(n * P, n) + extra
-        A = gaussian(m, n, seed=seed)
-        a = run_qr(alg, A, P=P, validate=True, backend=backend,
-                   workers=workers)  # compiler on (default)
-        b = run_qr(alg, A, P=P, validate=True, backend=backend,
-                   workers=workers, compile=False)
-        assert a.report == b.report
-        assert a.words_by_label == b.words_by_label
-        assert a.diagnostics.residual == b.diagnostics.residual
-        assert a.diagnostics.orthogonality == b.diagnostics.orthogonality

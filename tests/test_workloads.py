@@ -93,6 +93,27 @@ class TestRunHarness:
         with pytest.raises(KeyError):
             run_qr("bogus", gaussian(8, 2, seed=0), P=2)
 
+    @pytest.mark.parametrize("entry", ["run_qr", "run_many", "run_coded_qr"])
+    def test_unknown_knob_is_rejected_not_swallowed(self, entry):
+        from repro.engine import QRJob, run_many
+        from repro.faults import run_coded_qr
+        from repro.machine import ParameterError
+
+        A = gaussian(64, 4, seed=11)
+        calls = {
+            "run_qr": lambda: run_qr("tsqr", A, P=4, compile=False),
+            "run_many": lambda: run_many(
+                [QRJob("tsqr", A, params={"bstarr": 2})], P=4),
+            "run_coded_qr": lambda: run_coded_qr("tsqr", A, P=4, compile=False),
+        }
+        with pytest.raises(ParameterError, match=r"unknown knob.*'bstar'.*'method'"):
+            calls[entry]()
+
+    def test_known_knob_the_algorithm_ignores_is_tolerated(self):
+        # The CLI sweep and the planner pass the common set to everyone.
+        r = run_qr("tsqr", gaussian(64, 4, seed=12), P=4, bb=2, delta=0.5)
+        assert r.diagnostics.ok()
+
     def test_identity_input_factors(self):
         """[I; 0] stresses the always-reflect tau=2 path end to end."""
         A = identity_tall(32, 4)
