@@ -13,6 +13,16 @@ bounds the bandwidth by ``(B* + P^2) log P`` where ``B*`` is the maximum
 number of words any processor holds before/after -- the bound Section 7
 relies on (and the source of the ``P^2`` term in Eq. 13).
 
+:func:`all_to_all_index` moves tagged bundles hop by hop.  The
+two-phase variant never ships elements (reassembly is exact), so it
+only *accounts*: the chunk traffic of both phases comes from the
+``(source, destination, size)`` vectors of all blocks at once
+(:func:`_dealt_chunks`, sparse difference events rather than a
+``P x P`` matrix) and is charged by a per-round numpy walk over
+``(holder, destination, words)`` triplets (:func:`_route_costs`) --
+the same rounds, messages and words as routing every chunk, at
+paper-scale ``P``.
+
 Paper anchor: Table 1 ([HBJ96] index and [BHK+97] two-phase all-to-all).
 """
 
@@ -31,19 +41,16 @@ from repro.util import ilog2
 Item = tuple[int, Any, np.ndarray]
 
 
-def _route_bundles(ctx: CommContext, holding: list[list[list]], words_idx: int, deliver) -> None:
-    """Radix-2 index routing of per-destination bundles (shared core).
+def _route_bundles(ctx: CommContext, holding: list[list[list]], deliver) -> None:
+    """Radix-2 index routing of tagged per-destination bundles.
 
-    ``holding[p]`` lists bundles at group rank ``p``; a bundle is a list
-    whose element 0 is the destination group rank and whose element
-    ``words_idx`` is its precomputed word count.  Each round ``i``
-    forwards to ``(p + 2^i) mod P`` every bundle whose remaining
-    distance has bit ``i`` set, one coalesced message per sender per
-    round.  ``deliver(rank, bundle)`` fires when a bundle reaches its
-    destination (pass ``None`` for cost-only routing).  Because all
-    bundles for one destination travel together, the charged messages,
-    words, and rounds are identical to routing the underlying items one
-    by one.
+    ``holding[p]`` lists bundles ``[dest, tags, arrays, words]`` at group
+    rank ``p``.  Each round ``i`` forwards to ``(p + 2^i) mod P`` every
+    bundle whose remaining distance has bit ``i`` set, one coalesced
+    message per sender per round; ``deliver(rank, bundle)`` fires when a
+    bundle reaches its destination.  Because all bundles for one
+    destination travel together, the charged messages, words, and
+    rounds are identical to routing the underlying items one by one.
     """
     P = ctx.size
     for i in range(ilog2(P)):
@@ -62,7 +69,7 @@ def _route_bundles(ctx: CommContext, holding: list[list[list]], words_idx: int, 
             outgoing.append(go)
             holding[p] = stay
         round_plan = [
-            (p, (p + bit) % P, Counted(sum(b[words_idx] for b in outgoing[p])))
+            (p, (p + bit) % P, Counted(sum(b[3] for b in outgoing[p])))
             for p in range(P)
             if outgoing[p]
         ]
@@ -74,7 +81,7 @@ def _route_bundles(ctx: CommContext, holding: list[list[list]], words_idx: int, 
             for b in outgoing[p]:
                 if b[0] != nxt:
                     holding[nxt].append(b)
-                elif deliver is not None:
+                else:
                     deliver(nxt, b)
     for p in range(P):
         if holding[p]:
@@ -122,54 +129,88 @@ def all_to_all_index(
     if P == 1:
         return received
 
-    _route_bundles(
-        ctx, holding, 3, lambda nxt, b: received[nxt].extend(zip(b[1], b[2]))
-    )
+    _route_bundles(ctx, holding, lambda nxt, b: received[nxt].extend(zip(b[1], b[2])))
     return received
 
 
-def _interval_add(vec: np.ndarray, start: int, count: int, value: int = 1) -> None:
-    """``vec[(start + i) % P] += value`` for ``i < count`` (wrapped)."""
-    if count <= 0:
-        return
-    P = vec.shape[0]
-    end = start + count
-    if end <= P:
-        vec[start:end] += value
-    else:
-        vec[start:] += value
-        vec[: end - P] += value
+def _dealt_chunks(
+    P: int, rows: np.ndarray, base: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chunks of cyclically dealt blocks, summed per ``(row, column)``.
+
+    Block ``k`` (``sizes[k]`` words) belongs to traffic-matrix row
+    ``rows[k]`` and is dealt one word at a time over the columns
+    ``base[k], base[k] + 1, ...`` (mod ``P``): every column gets
+    ``sizes[k] // P`` words and the first ``sizes[k] % P`` one more.
+    Returns the vectors ``(row, column, words)`` of the nonempty chunks
+    -- each ``(row, column)`` once, words summed over the row's blocks
+    -- plus, for a row with a block of ``P`` words or more, every
+    column (such a block deals every column a chunk).
+
+    Sparse throughout: the ``+1`` words a row deals form a sum of cyclic
+    intervals, held as difference events (``+1`` where an interval
+    starts, ``-1`` where it stops; the wrapped-around part of an
+    interval is counted on the row's column-0 and column-``P`` anchors)
+    and expanded only where a chunk exists -- never a dense ``P x P``
+    matrix.
+    """
+    active, ridx = np.unique(rows, return_inverse=True)
+    n_rows = active.size
+    quo, rem = np.divmod(sizes, P)
+    stop = base + rem
+    wraps = stop > P
+    row_quo = np.bincount(ridx, weights=quo, minlength=n_rows).astype(np.int64)
+    row_wraps = np.bincount(ridx, weights=wraps, minlength=n_rows).astype(np.int64)
+
+    stride = P + 1  # column P closes every row
+    anchor = np.arange(n_rows) * stride
+    ones = np.ones(ridx.size, dtype=np.int64)
+    keys = np.concatenate(
+        [ridx * stride + base, ridx * stride + np.where(wraps, stop - P, stop), anchor, anchor + P]
+    )
+    steps = np.concatenate([ones, -ones, row_wraps, -row_wraps])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # The running sum after the last event at a key is the +1 count on
+    # the column segment from that key up to the next key of the row.
+    last = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))
+    seg_row, seg_col = np.divmod(keys[last], stride)
+    seg_ones = np.cumsum(steps[order])[last]
+    keep = np.flatnonzero((seg_col < P) & ((row_quo[seg_row] > 0) | (seg_ones > 0)))
+    length = seg_col[keep + 1] - seg_col[keep]
+    first = np.cumsum(length) - length
+    return (
+        np.repeat(active[seg_row[keep]], length),
+        np.repeat(seg_col[keep] - first, length) + np.arange(int(length.sum())),
+        np.repeat(seg_ones[keep] + row_quo[seg_row[keep]], length),
+    )
 
 
-def _interval_set(vec: np.ndarray, start: int, count: int) -> None:
-    """``vec[(start + i) % P] = True`` for ``i < count`` (wrapped)."""
-    if count <= 0:
-        return
-    P = vec.shape[0]
-    end = start + count
-    if end <= P:
-        vec[start:end] = True
-    else:
-        vec[start:] = True
-        vec[: end - P] = True
+def _route_costs(ctx: CommContext, holder: np.ndarray, dest: np.ndarray, words: np.ndarray) -> None:
+    """Cost-only index all-to-all over ``(holder, dest, words)`` bundles.
 
-
-def _route_pairs(
-    ctx: CommContext, pairs_by_source: dict[int, list[tuple[int, int]]]
-) -> None:
-    """Cost-only index all-to-all over unique ``(source, dest)`` bundles.
-
-    ``pairs_by_source[p]`` lists ``(dest, words)`` with distinct dests.
-    Charges exactly the rounds/messages/words the tagged
-    :func:`all_to_all_index` would for the same traffic.
+    Charges exactly the rounds, messages and words the tagged
+    :func:`all_to_all_index` would for the same traffic: in round ``i``
+    every bundle whose remaining distance has bit ``i`` set hops
+    ``2^i`` ranks on, one coalesced message per sender -- sent even
+    when all its bundles are empty.  Self-addressed bundles do not
+    travel.
     """
     P = ctx.size
-    holding: list[list[list]] = [[] for _ in range(P)]
-    for p, pairs in pairs_by_source.items():
-        for d, w in pairs:
-            if d != p:
-                holding[p].append([d, w])
-    _route_bundles(ctx, holding, 1, None)
+    for i in range(ilog2(P)):
+        bit = 1 << i
+        away = holder != dest
+        holder, dest, words = holder[away], dest[away], words[away]
+        go = (((dest - holder) % P) & bit) != 0
+        sent = np.bincount(holder[go], weights=words[go], minlength=P)
+        senders = np.flatnonzero(np.bincount(holder[go], minlength=P))
+        ctx.exchange_round(
+            [(p, (p + bit) % P, Counted(w)) for p, w in zip(senders.tolist(), sent[senders].tolist())],
+            label=f"alltoall_round{i}",
+        )
+        holder = np.where(go, (holder + bit) % P, holder)
+    if (holder != dest).any():
+        raise MachineError("index all-to-all left undelivered bundles (internal error)")
 
 
 def all_to_all_two_phase(
@@ -189,92 +230,51 @@ def all_to_all_two_phase(
     The reassembly reconstructs each block exactly (every dealt element
     returns to its original flat position), so the simulation never
     ships elements: each destination receives the source's array object
-    directly (the simulator's buffer-sharing convention), and only the
-    chunk *size* matrices are routed.  A block's chunk sizes over the
-    intermediates form a two-valued cyclic interval pattern
-    (``ceil(L/P)`` on ``rem = L mod P`` intermediates starting at
-    ``(p + q) mod P``, ``floor(L/P)`` elsewhere), so the per-phase
-    traffic matrices accumulate with O(1) numpy interval updates per
-    block.  The metered rounds, messages, and words are identical to
-    routing every chunk individually.
+    directly (the simulator's buffer-sharing convention), in
+    deterministic (source rank, position in the source's list) order,
+    and only the chunk *sizes* are routed.  Those come from the vectors
+    ``(source, destination, size)`` of all blocks at once
+    (:func:`_dealt_chunks`): phase 1 moves the chunks of traffic-matrix
+    row ``p`` to the intermediates and phase 2 moves the chunks of
+    column ``q`` home, each phase one cost-only index all-to-all
+    (:func:`_route_costs`).  An empty chunk still costs a message when
+    it travels alone, and one does travel in phase 1: a block too short
+    to reach its destination's own chunk (element ``-p mod P``) sends
+    that chunk empty.  The metered rounds, messages, and words are
+    identical to routing every chunk individually.
     """
     P = ctx.size
     if len(items_by_rank) != P:
         raise MachineError(f"all_to_all needs {P} item lists, got {len(items_by_rank)}")
-    if P == 1:
-        return [[(tag, arr) for _dest, tag, arr in items_by_rank[0]]]
-
-    # Traffic matrices, lazily allocated by active source / destination:
-    # phase 1 moves chunks p -> t (rows), phase 2 moves them t -> dest
-    # (columns).  Existence is tracked separately from word counts: an
-    # empty chunk bound for its destination still travels (and costs a
-    # message when it is the only content).
-    w1_rows: dict[int, np.ndarray] = {}
-    e1_rows: dict[int, np.ndarray] = {}
-    w2_cols: dict[int, np.ndarray] = {}
-    e2_cols: dict[int, np.ndarray] = {}
-    # received entries are keyed for the deterministic (p, serial) order.
-    pending: list[list[tuple[tuple[int, int], Any, np.ndarray]]] = [[] for _ in range(P)]
-
-    for p in range(P):
-        items = items_by_rank[p]
-        if not items:
-            continue
-        w1 = w1_rows.get(p)
-        if w1 is None:
-            w1 = w1_rows[p] = np.zeros(P, dtype=np.int64)
-            e1_rows[p] = np.zeros(P, dtype=bool)
-        e1 = e1_rows[p]
-        for serial, (dest, tag, arr) in enumerate(items):
-            if not (0 <= dest < P):
-                raise MachineError(f"destination {dest} out of range for group of size {P}")
-            arr = asarray(arr)
-            pending[dest].append(((p, serial), tag, arr))
-            w2 = w2_cols.get(dest)
-            if w2 is None:
-                w2 = w2_cols[dest] = np.zeros(P, dtype=np.int64)
-                e2_cols[dest] = np.zeros(P, dtype=bool)
-            e2 = e2_cols[dest]
-            L = int(arr.size)
-            base = (p + dest) % P
-            if L >= P:
-                quo, rem = divmod(L, P)
-                w1 += quo
-                w2 += quo
-                _interval_add(w1, base, rem)
-                _interval_add(w2, base, rem)
-                e1[:] = True
-                e2[:] = True
-            else:
-                if L:
-                    _interval_add(w1, base, L)
-                    _interval_add(w2, base, L)
-                    _interval_set(e1, base, L)
-                    _interval_set(e2, base, L)
-                if (-p) % P >= L:  # dest's own chunk travels even when empty
-                    e1[dest] = True
-
-    # Phase 1: chunks to intermediates (rows of the traffic matrix).
-    phase1 = {
-        p: list(zip(np.flatnonzero(e1_rows[p]).tolist(), w1_rows[p][e1_rows[p]].tolist()))
-        for p in w1_rows
-    }
-    _route_pairs(ctx, phase1)
-
-    # Phase 2: chunks home (columns, re-keyed by intermediate source).
-    phase2: dict[int, list[tuple[int, int]]] = {}
-    for dest, w2 in w2_cols.items():
-        e2 = e2_cols[dest]
-        for t, w in zip(np.flatnonzero(e2).tolist(), w2[e2].tolist()):
-            phase2.setdefault(t, []).append((dest, w))
-    _route_pairs(ctx, phase2)
-
-    # Delivery: every block's chunks are home; hand over the originals in
-    # deterministic (source rank, serial) order.
     received: list[list[tuple[Any, np.ndarray]]] = [[] for _ in range(P)]
-    for q in range(P):
-        for _key, tag, arr in sorted(pending[q], key=lambda kv: kv[0]):
+    source: list[int] = []
+    dest: list[int] = []
+    size: list[int] = []
+    for p, items in enumerate(items_by_rank):
+        for q, tag, arr in items:
+            if not (0 <= q < P):
+                raise MachineError(f"destination {q} out of range for group of size {P}")
+            arr = asarray(arr)
             received[q].append((tag, arr))
+            dest.append(q)
+            size.append(arr.size)
+        source += [p] * len(items)
+    if P == 1 or not source:
+        return received
+
+    source, dest, size = (np.asarray(v, dtype=np.int64) for v in (source, dest, size))
+    base = (source + dest) % P
+    holder, mid, words = _dealt_chunks(P, source, base, size)
+    short = (-source) % P >= size  # the destination's own chunk is empty
+    empty = np.setdiff1d(source[short] * P + dest[short], holder * P + mid)
+    _route_costs(
+        ctx,
+        np.concatenate([holder, empty // P]),
+        np.concatenate([mid, empty % P]),
+        np.concatenate([words, np.zeros_like(empty)]),
+    )
+    home, mid, words = _dealt_chunks(P, dest, base, size)
+    _route_costs(ctx, mid, home, words)
     return received
 
 

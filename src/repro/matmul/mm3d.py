@@ -21,36 +21,145 @@ the paper's analysis charges them.  Cost shape for cube-ish multiplies
 (Lemma 4): ``gamma IJK/P + beta (IJK/P)^(2/3) + alpha log P`` plus the
 all-to-all terms.
 
-The routing arithmetic is all shape-level (index vectors, balanced
-partitions); values only flow through the collectives and
-:func:`~repro.matmul.local_mm`, so the whole pipeline records on the
-parallel engine and runs cost-only symbolically -- exposed as the
+Steps 1 and 5 are each split in two.  *What moves* is a route: pure
+index arithmetic on the layouts
+(:func:`~repro.matmul.operands.route_faces`), which touches no array
+and yields, per piece, a source, a destination and two compact
+descriptors.  *Moving it* is two pure kernels dispatched through
+:meth:`~repro.machine.Machine.kernel` -- :func:`pack` on the source
+rank, :func:`assemble` per destination buffer -- around one all-to-all
+that meters the traffic and delivers the pieces
+(:func:`_redistribute`).  One code path serves every backend: numeric
+runs the kernels now, the engines record one task per kernel
+(``alltoall_pack`` / ``alltoall_assemble``), and the symbolic backend
+returns their metas, so a cost-only run never builds a position
+vector.  Values otherwise only flow through the fiber collectives and
+:func:`~repro.matmul.local_mm`.  The pipeline is exposed as the
 ``"mm3d"`` harness algorithm, pinned bit-identical across backends by
-``tests/test_engine.py``.
+``tests/test_engine.py``; ``tests/test_mm3d_route.py`` pins the route,
+the kernels and the metering.
 
 Paper anchor: Section 4, Lemma 4, Appendix B (3D brick multiplication).
 """
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Any, NamedTuple
+
 import numpy as np
 
+from repro.backend import SymbolicArray
 from repro.collectives import CommContext, all_gather, reduce_scatter
 from repro.collectives.alltoall import Item, all_to_all_index, all_to_all_two_phase
 from repro.dist import DistMatrix, RowLayout
 from repro.machine import DistributionError
 from repro.matmul.grid import Grid3D, make_grid
 from repro.matmul.local import local_mm
-from repro.matmul.operands import Operand, check_conformable
-from repro.util import balanced_partition
+from repro.matmul.operands import BlockRange, Lattice, Operand, check_conformable, route_faces
+from repro.util import balanced_partition, balanced_sizes
+
+_ALLTOALL = {"two_phase": all_to_all_two_phase, "index": all_to_all_index}
 
 
-def _run_alltoall(ctx: CommContext, items, method: str):
-    if method == "two_phase":
-        return all_to_all_two_phase(ctx, items)
-    if method == "index":
-        return all_to_all_index(ctx, items)
-    raise ValueError(f"unknown all-to-all method {method!r}")
+# ----------------------------------------------------------------------
+# Moving the data: pack / assemble kernels behind one all-to-all
+# ----------------------------------------------------------------------
+
+def pack(*buffers, takes) -> tuple:
+    """One flat piece per ``(buffer slot, descriptor)``, read on the source.
+
+    >>> from repro.matmul.operands import BlockRange
+    >>> blk = np.arange(6.0).reshape(3, 2)
+    >>> [p.tolist() for p in pack(blk, takes=(
+    ...     (0, BlockRange(1, 3, 0, 2, "N", 1, 4)), (0, BlockRange(0, 3, 1, 2, "T", 0, 2))))]
+    [[3.0, 4.0, 5.0], [1.0, 3.0]]
+    """
+    return tuple(take.read(buffers[k]) for k, take in takes)
+
+
+def assemble(*pieces, puts, shape, dtype) -> np.ndarray:
+    """A destination buffer from the pieces delivered for it.
+
+    >>> from repro.matmul.operands import Lattice
+    >>> assemble(np.array([7.0, 8.0]), puts=(
+    ...     Lattice(np.array([1]), np.arange(2), 2, 0, 2, 1),), shape=(3,), dtype=float).tolist()
+    [0.0, 7.0, 8.0]
+    """
+    out = np.zeros(shape, dtype=dtype)
+    for piece, put in zip(pieces, puts):
+        put.write(out, piece)
+    return out
+
+
+class Move(NamedTuple):
+    """One routed piece: where it is read, where it is written."""
+
+    src: int        # machine rank holding buffer ``source``
+    dest: int       # machine rank assembling buffer ``target``
+    source: Any     # key of the buffer ``take`` reads
+    target: Any     # key of the buffer ``put`` writes
+    take: BlockRange | Lattice
+    put: BlockRange | Lattice
+
+
+def _redistribute(
+    machine, ctx: CommContext, alltoall, moves: list[Move],
+    sources: dict, targets: dict[Any, tuple[int, tuple[int, ...]]], dtype,
+) -> dict:
+    """Carry out a route: pack, one all-to-all, assemble.
+
+    ``sources`` maps buffer keys to the arrays the moves read;
+    ``targets`` maps buffer keys to ``(owning rank, shape)`` of the
+    buffers to build (in ``dtype``).  One ``pack`` kernel runs per
+    source rank, with one output per move, and one ``assemble`` kernel
+    per target buffer.  (A pack per (source, destination) pair ships
+    less on the process engine, whose cross-worker edges carry a
+    task's whole value, but costs four times the edges at ``P = 8``;
+    measured on ``squarish3d``, the per-source pack is the faster one
+    on every backend.)  The all-to-all sees one item per move, in
+    ``moves`` order per source; it meters the traffic and hands each
+    destination the pieces addressed to it.  Returns
+    ``{target key: buffer}``.
+    """
+    by_src: dict[int, list[int]] = {}
+    for i, mv in enumerate(moves):
+        by_src.setdefault(mv.src, []).append(i)
+    g = ctx.group_rank
+    items: list[list[Item]] = [[] for _ in range(ctx.size)]
+    flat: dict[tuple, SymbolicArray] = {}  # metas are immutable: share them
+    for src, members in by_src.items():
+        keys = list(dict.fromkeys(moves[i].source for i in members))
+        takes, metas = [], []
+        for i in members:
+            mv = moves[i]
+            takes.append((keys.index(mv.source), mv.take))
+            sig = (mv.take.hi - mv.take.lo, sources[mv.source].dtype)
+            meta = flat.get(sig)
+            if meta is None:
+                meta = flat[sig] = SymbolicArray(sig[:1], sig[1])
+            metas.append(meta)
+        pieces = machine.kernel(
+            src, partial(pack, takes=tuple(takes)), tuple(sources[k] for k in keys),
+            tuple(metas), label="alltoall_pack",
+        )
+        items[g(src)] = [(g(moves[i].dest), i, piece) for i, piece in zip(members, pieces)]
+
+    arrived: dict[Any, list] = {}
+    for got in alltoall(ctx, items):
+        for i, piece in got:
+            arrived.setdefault(moves[i].target, []).append((piece, moves[i].put))
+
+    out = {}
+    for key, (rank, shape) in targets.items():
+        got = arrived.get(key, ())
+        out[key] = machine.kernel(
+            rank,
+            partial(assemble, puts=tuple(put for _, put in got), shape=shape, dtype=dtype),
+            tuple(piece for piece, _ in got), SymbolicArray(shape, dtype),
+            label="alltoall_assemble",
+        )
+    return out
 
 
 def mm3d(
@@ -68,6 +177,9 @@ def mm3d(
     automatic choice; ``dims`` overrides only the grid dimensions.
     ``method`` selects the redistribution all-to-all variant.
     """
+    if method not in _ALLTOALL:
+        raise ValueError(f"unknown all-to-all method {method!r}")
+    alltoall = _ALLTOALL[method]
     if isinstance(A, DistMatrix):
         A = Operand(A)
     if isinstance(B, DistMatrix):
@@ -90,63 +202,30 @@ def mm3d(
 
     all_ranks = sorted(set(A.sources()) | set(B.sources()) | set(grid.ranks) | set(out_layout.participants()))
     ctx = CommContext(machine, all_ranks)
-    g = {r: i for i, r in enumerate(all_ranks)}  # machine rank -> group rank
 
     # ------------------------------------------------------------------
     # Phase 1: both operands -> dmm layout, in ONE all-to-all.
     # ------------------------------------------------------------------
-    items: list[list[Item]] = [[] for _ in range(ctx.size)]
-
-    def emit_operand(op: Operand, name: str, row_parts, col_parts, split_ways: int, owner_of_part):
-        """Split each brick face among its fiber and emit routed pieces."""
-        for a, rows in enumerate(row_parts):
-            for b, cols in enumerate(col_parts):
-                L = len(rows) * len(cols)
-                if L == 0:
-                    continue
-                splits = balanced_partition(L, split_ways)
-                starts = [sp.start for sp in splits] + [L]
-                for src in op.sources():
-                    got = op.entries_in_rect(src, rows, cols)
-                    if got is None:
-                        continue
-                    positions, values = got
-                    cut = np.searchsorted(positions, starts)
-                    for w in range(split_ways):
-                        lo, hi = cut[w], cut[w + 1]
-                        if hi <= lo:
-                            continue
-                        dest = owner_of_part(a, b, w)
-                        tag = (name, a, b, w, positions[lo:hi])
-                        items[g[src]].append((g[dest], tag, values[lo:hi]))
-
-    emit_operand(Operand(A.dm, A.op), "A", Iparts, Kparts, R, lambda q, s, r: grid.rank(q, r, s))
-    emit_operand(Operand(B.dm, B.op), "B", Kparts, Jparts, Q, lambda s, r, q: grid.rank(q, r, s))
-
-    received = _run_alltoall(ctx, items, method)
-
-    # Assemble each grid processor's face-part buffers.
-    # part_key: (name, q_or_s, s_or_r, w) -> flat buffer
-    buffers: dict[tuple, np.ndarray] = {}
+    # Face part keys: ("A", q, s, r) and ("B", s, r, q) -> flat buffer.
+    moves = [
+        Move(p.owner, grid.rank(p.a, p.way, p.b), ("A", p.owner), ("A", p.a, p.b, p.way), p.block, p.part)
+        for p in route_faces(A.dm.layout, A.op, Iparts, Kparts, R)
+    ] + [
+        Move(p.owner, grid.rank(p.way, p.b, p.a), ("B", p.owner), ("B", p.a, p.b, p.way), p.block, p.part)
+        for p in route_faces(B.dm.layout, B.op, Kparts, Jparts, Q)
+    ]
+    sources = {("A", p): A.dm.local(p) for p in A.sources()}
+    sources.update({("B", p): B.dm.local(p) for p in B.sources()})
+    targets = {}
     for q in range(Q):
         for s in range(S):
-            L = len(Iparts[q]) * len(Kparts[s])
-            for r, sp in enumerate(balanced_partition(L, R)):
-                buffers[("A", q, s, r)] = machine.ops.zeros(len(sp), dtype=dtype)
+            for r, size in enumerate(balanced_sizes(len(Iparts[q]) * len(Kparts[s]), R)):
+                targets[("A", q, s, r)] = (grid.rank(q, r, s), (size,))
     for s in range(S):
         for r in range(R):
-            L = len(Kparts[s]) * len(Jparts[r])
-            for q, sp in enumerate(balanced_partition(L, Q)):
-                buffers[("B", s, r, q)] = machine.ops.zeros(len(sp), dtype=dtype)
-
-    for gr_rank in range(ctx.size):
-        for tag, values in received[gr_rank]:
-            name, a, b, w, positions = tag
-            L_ab = (
-                len(Iparts[a]) * len(Kparts[b]) if name == "A" else len(Kparts[a]) * len(Jparts[b])
-            )
-            sp = balanced_partition(L_ab, R if name == "A" else Q)[w]
-            buffers[(name, a, b, w)][positions - sp.start] = values
+            for q, size in enumerate(balanced_sizes(len(Kparts[s]) * len(Jparts[r]), Q)):
+                targets[("B", s, r, q)] = (grid.rank(q, r, s), (size,))
+    buffers = _redistribute(machine, ctx, alltoall, moves, sources, targets, dtype)
 
     # ------------------------------------------------------------------
     # Phase 2: all-gathers along fibers replicate the face blocks.
@@ -213,49 +292,10 @@ def mm3d(
     # ------------------------------------------------------------------
     # Phase 5: C -> requested row layout, in ONE all-to-all.
     # ------------------------------------------------------------------
-    out_owners = out_layout.owners()
-    items2: list[list[Item]] = [[] for _ in range(ctx.size)]
-    for q in range(Q):
-        rows = Iparts[q]
-        row_owners = out_owners[rows.start : rows.stop]
-        dests = np.unique(row_owners)
-        for r in range(R):
-            cols = Jparts[r]
-            W = len(cols)
-            L = len(rows) * W
-            splits = balanced_partition(L, S)
-            for s in range(S):
-                sp = splits[s]
-                part = Cparts[(q, r, s)]
-                src = grid.rank(q, r, s)
-                for t in dests:
-                    ii = np.flatnonzero(row_owners == t)
-                    positions = (ii[:, None] * W + np.arange(W)[None, :]).reshape(-1)
-                    lo = np.searchsorted(positions, sp.start)
-                    hi = np.searchsorted(positions, sp.stop)
-                    if hi <= lo:
-                        continue
-                    pos_sel = positions[lo:hi]
-                    tag = ("C", q, r, pos_sel)
-                    items2[g[src]].append((g[int(t)], tag, part[pos_sel - sp.start]))
-
-    received2 = _run_alltoall(ctx, items2, method)
-
-    out_blocks: dict[int, np.ndarray] = {
-        t: machine.ops.zeros((out_layout.count(t), J), dtype=dtype)
-        for t in out_layout.participants()
-    }
-    for t in out_layout.participants():
-        rows_t = out_layout.rows_of(t)
-        blk = out_blocks[t]
-        for tag, values in received2[g[t]]:
-            _name, q, r, pos = tag
-            rows = Iparts[q]
-            cols = Jparts[r]
-            W = len(cols)
-            ii = pos // W
-            jj = pos % W
-            lrows = np.searchsorted(rows_t, rows.start + ii)
-            blk[lrows, cols.start + jj] = values
-
+    moves = [
+        Move(grid.rank(p.a, p.b, p.way), p.owner, (p.a, p.b, p.way), p.owner, p.part, p.block)
+        for p in route_faces(out_layout, "N", Iparts, Jparts, S)
+    ]
+    targets = {t: (t, (out_layout.count(t), J)) for t in out_layout.participants()}
+    out_blocks = _redistribute(machine, ctx, alltoall, moves, Cparts, targets, dtype)
     return DistMatrix(machine, out_layout, J, out_blocks, dtype=dtype)

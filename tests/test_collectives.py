@@ -280,3 +280,14 @@ class TestCollectiveValidation:
         ctx = ctx_of(2)
         with pytest.raises(MachineError):
             all_to_all_index(ctx, [[(5, "t", np.zeros(1))], []])
+
+    @pytest.mark.parametrize("P", [1, 4])
+    @pytest.mark.parametrize("variant", ["index", "two_phase"])
+    def test_alltoall_destination_checked_at_every_size(self, variant, P):
+        # The two-phase variant used to return before validating at P == 1.
+        from repro.collectives import all_to_all_index, all_to_all_two_phase
+
+        run = all_to_all_index if variant == "index" else all_to_all_two_phase
+        items = [[(5, "t", np.ones(3))]] + [[] for _ in range(P - 1)]
+        with pytest.raises(MachineError, match=f"destination 5 out of range for group of size {P}"):
+            run(ctx_of(P), items)

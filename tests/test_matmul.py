@@ -171,6 +171,17 @@ class TestMM3D:
         C = mm3d(Operand(dV, "H"), dX, CyclicRowLayout(6, 4))
         assert np.allclose(C.to_global(), V.conj().T @ X)
 
+    def test_unknown_method_is_rejected_before_any_work(self, rng):
+        # Used to surface from the first all-to-all, after phase 1 had
+        # appended 36 tasks to the caller's plan.
+        m = Machine(4, backend="parallel", workers=1)
+        dA = DistMatrix.from_global(m, rng.standard_normal((8, 4)), CyclicRowLayout(8, 4))
+        dB = DistMatrix.from_global(m, rng.standard_normal((4, 3)), CyclicRowLayout(4, 4))
+        before = len(m.plan.tasks)
+        with pytest.raises(ValueError, match="unknown all-to-all method 'bogus'"):
+            mm3d(dA, dB, CyclicRowLayout(8, 4), method="bogus")
+        assert len(m.plan.tasks) == before
+
     def test_explicit_grid(self, rng):
         m = Machine(8)
         A = rng.standard_normal((16, 16))

@@ -156,3 +156,29 @@ class TestNoStringDispatch:
                 if pattern.search(line):
                     offenders.append(f"{path.relative_to(src)}:{i}: {line.strip()}")
         assert not offenders, "\n".join(offenders)
+
+    def test_redistribution_code_never_asks_which_backend_runs_it(self):
+        """mm3d's route, its kernels and the all-to-all accounting are one
+        path for every backend: symbolic runs are cheap because
+        ``run_kernel`` returns the metas, not because the code looks."""
+        import pathlib
+        import re
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+        files = ["matmul/mm3d.py", "matmul/operands.py", "collectives/alltoall.py"]
+        asks = re.compile(
+            r"\.(symbolic|parallel|concrete|backend_impl)\b|\b(machine|ops)\.backend\b"
+            r"|is_symbolic|_repro_lazy_"
+            r"|isinstance\([^)]*(SymbolicArray|LazyArray)"
+        )
+        gone = re.compile(r"entries_in_rect|emit_operand|_interval_add|_interval_set|_route_pairs")
+        offenders = []
+        for name in files:
+            for i, line in enumerate((src / name).read_text().splitlines(), 1):
+                if asks.search(line):
+                    offenders.append(f"{name}:{i}: {line.strip()}")
+        for path in src.rglob("*.py"):
+            for i, line in enumerate(path.read_text().splitlines(), 1):
+                if gone.search(line):
+                    offenders.append(f"{path.relative_to(src)}:{i}: {line.strip()}")
+        assert not offenders, "\n".join(offenders)

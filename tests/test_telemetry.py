@@ -380,6 +380,7 @@ class TestDrift:
         assert phase_of("tsqr_lu") == "tsqr"
         assert phase_of("tsqr:leaf") == "tsqr"
         assert phase_of("alltoall_fwd") == "alltoall"
+        assert phase_of("alltoall_pack") == phase_of("alltoall_round3") == "alltoall"
         assert phase_of("all_gather") == "dmm"
         assert phase_of("reduce_scatter_add") == "dmm"
         assert phase_of("T_from_V") == "t"
@@ -408,6 +409,22 @@ class TestDrift:
         assert dr.measured_wall_s == pytest.approx(wall)
         table = dr.table()
         assert "critical path" in table and "wall-clock" in table
+
+    def test_alltoall_phase_has_a_measured_side(self):
+        # The redistributions' runtime work used to record as anonymous
+        # getitem / setitem / reshape tasks: 1.8e5 predicted words, 574
+        # messages, and not one task or second measured against them.
+        A = gaussian(256, 64, seed=7)
+        rec = TelemetryRecorder()
+        with recording(rec):
+            r = run_qr("caqr3d", A, P=8, backend="parallel", workers=2,
+                       validate=False, delta=0.5)
+        labels = {s.name for s in rec.spans if s.cat == "task"}
+        assert {"alltoall_pack", "alltoall_assemble"} <= labels
+        dr = drift_report("caqr3d", 256, 64, 8, rec, 1.0, params=r.params)
+        alltoall = {p.phase: p for p in dr.phases}["alltoall"]
+        assert alltoall.words > 0 and alltoall.messages > 0
+        assert alltoall.tasks > 0 and alltoall.measured_s > 0
 
     def test_unmodeled_phase_has_infinite_ratio(self):
         from repro.telemetry.drift import PhaseDrift

@@ -54,7 +54,8 @@ MODULE_MAP: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
         ("tests/test_symbolic.py", "tests/test_backend_equivalence.py"), ("F4b",)),
     "repro/collectives/__init__.py": (("tests/test_collectives.py",), ("T1",)),
     "repro/collectives/alltoall.py": (
-        ("tests/test_collectives.py", "tests/test_collective_costs.py"), ("T1", "A1")),
+        ("tests/test_collectives.py", "tests/test_collective_costs.py",
+         "tests/test_mm3d_route.py"), ("T1", "A1")),
     "repro/collectives/bidirectional.py": (
         ("tests/test_collectives.py", "tests/test_collective_costs.py"), ("T1", "A2")),
     "repro/collectives/binomial.py": (
@@ -101,8 +102,10 @@ MODULE_MAP: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "repro/matmul/mm1d.py": (
         ("tests/test_matmul.py", "tests/test_cost_contracts.py"), ()),
     "repro/matmul/mm3d.py": (
-        ("tests/test_matmul.py", "tests/test_cost_contracts.py"), ("A4",)),
-    "repro/matmul/operands.py": (("tests/test_matmul.py",), ()),
+        ("tests/test_matmul.py", "tests/test_cost_contracts.py",
+         "tests/test_mm3d_route.py"), ("A4",)),
+    "repro/matmul/operands.py": (
+        ("tests/test_matmul.py", "tests/test_mm3d_route.py"), ()),
     "repro/planner/__init__.py": (("tests/test_planner.py",), ("P1",)),
     "repro/planner/candidates.py": (("tests/test_planner.py",), ("P1",)),
     "repro/planner/measure.py": (("tests/test_planner.py",), ("P1",)),
