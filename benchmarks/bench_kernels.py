@@ -1,7 +1,8 @@
 """K1 -- local kernel throughput: blocked vs unblocked Householder QR.
 
 The numeric backend's ``local_geqrt`` routes real panels through LAPACK
-``geqrf`` plus the blocked T accumulation instead of the per-column
+``dgeqrt`` (the recursive Elmroth-Gustavson QR, compact-WY ``T``
+included; see ``repro.backend.lapack``) instead of the per-column
 reference loop (which is kept for complex dtypes and as the convention
 oracle).  This bench measures both paths on benchmark-suite-scale
 panels, asserts the blocked kernel is >= 3x faster once panels are

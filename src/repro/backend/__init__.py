@@ -1,15 +1,18 @@
 """Execution backends: numeric arrays, cost-only shapes, deferred plans.
 
 See :mod:`repro.backend.symbolic` for the cost-only data model,
-:mod:`repro.backend.ops` for the creation/kernel indirection layer, and
+:mod:`repro.backend.ops` for the creation/kernel indirection layer,
 :mod:`repro.backend.registry` for the :class:`Backend` protocol that
-unifies the execution modes behind one dispatch point.  The backend is
+unifies the execution modes behind one dispatch point, and
+:mod:`repro.backend.lapack` for the GIL-free ``dgeqrt`` / ``dtrsm``
+entry points the numeric kernels call.  The backend is
 selected per :class:`~repro.machine.Machine`
 (``Machine(P, backend="symbolic")``); algorithms are backend-agnostic.
 
 Paper anchor: Section 3 (the cost model every backend meters identically).
 """
 
+from repro.backend import lapack
 from repro.backend.symbolic import SymbolicArray, dtype_of, is_symbolic
 from repro.backend.ops import (
     NumericOps,
@@ -47,6 +50,7 @@ __all__ = [
     "get_backend",
     "get_ops",
     "is_symbolic",
+    "lapack",
     "register_backend",
     "resolve_backend",
     "solve_triangular",

@@ -110,7 +110,9 @@ def _run_updating(fn, updates, copies, splat, *vals):
     """
     vals = list(vals)
     for i in copies:
-        vals[i] = vals[i].copy()
+        # order="K": the kernel sees the memory order it would have been
+        # handed in place (a column-major buffer stays column-major).
+        vals[i] = vals[i].copy(order="K")
     out = fn(*vals)
     written = tuple(vals[i] for i in updates)
     return written + (tuple(out) if splat else (out,))

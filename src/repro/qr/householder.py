@@ -1,10 +1,26 @@
 """Householder QR kernels (paper Section 2.3).
 
-From-scratch larfg/geqrt-style routines: reflector generation, panel
-factorization returning the Householder representation ``(V, T, R)``
-with ``V`` unit lower trapezoidal and ``T`` upper triangular, and
-metered application of block reflectors.  numpy supplies the scalar
-arithmetic; every operation is charged to the simulated machine.
+Reflector generation, panel factorization returning the Householder
+representation ``(V, T, R)`` with ``V`` unit lower trapezoidal and ``T``
+upper triangular, and metered application of block reflectors.  Every
+operation is charged to the simulated machine.
+
+Two implementations of the panel factorization share one metering:
+
+* the **reference loop** (:func:`larfg` per column plus
+  :func:`t_from_v`): from scratch, real and complex, the test oracle;
+* the **LAPACK kernel** (:func:`_geqrt_blocked`, real panels of three or
+  more columns): ``dgeqrt`` on one column-major copy of the panel --
+  the recursive Elmroth-Gustavson QR, i.e. the sequential form of the
+  recursion the paper's qr-eg parallelises, BLAS-3 at every width and
+  compact-WY ``T`` included -- reached through
+  :mod:`repro.backend.lapack`, which calls it without holding the GIL.
+  Its output is patched to this library's always-reflect convention,
+  and ``tests/test_householder.py`` holds it to the reference loop.
+
+:func:`apply_wy_padded` is the downsweep form of :func:`apply_wy`: the
+operand ``[B; 0]`` is never built and the product against its zero rows
+never computed, for the same charged flops.
 
 Conventions (verified by the test suite for float64 and complex128):
 
@@ -27,10 +43,11 @@ Paper anchor: Section 2.3 (Householder kernels).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from repro.backend import SymbolicArray, dtype_of, is_symbolic, solve_triangular
+from repro.backend import SymbolicArray, dtype_of, is_symbolic, lapack, solve_triangular
 from repro.engine import defer, is_lazy
 from repro.machine import Machine
 
@@ -94,13 +111,24 @@ class PanelQR:
     R: np.ndarray
 
 
-#: Narrowest real panel routed to the LAPACK-backed blocked kernel; below
-#: this the per-column reference loop is faster than the LAPACK call.
-_BLOCKED_MIN_N = 8
+#: Narrowest real panel routed to the LAPACK ``geqrt`` kernel; below
+#: this the per-column reference loop runs.  Measured on the sizing host
+#: (2 vCPU Xeon 2.6 GHz, BLAS pinned to 1, p10 of 200-300 calls, loop vs
+#: kernel in ms): n = 1: 0.029 vs 0.042 at 64 rows, 0.033 vs 0.051 at
+#: 1024; n = 2: 0.063 vs 0.050 at 64 rows but 0.055 vs 0.067 at 2 x 2;
+#: n = 3: 0.088 vs 0.052 at 8 rows, 0.081 vs 0.070 at 3 x 3; n = 8:
+#: 0.207 vs 0.059 at 32 rows.  The foreign call and the triangle
+#: extraction cost ~0.04 ms whatever the size: one larfg is cheaper, two
+#: tie, and from three columns on the kernel won at every shape tried.
+_BLOCKED_MIN_N = 3
 
 #: Narrowest kernel whose T accumulation uses the triangular-solve form;
 #: below this the Schreiber-Van Loan recurrence loop has less overhead.
 _T_SOLVE_MIN_N = 24
+
+#: Rows per strip of :func:`_column_major_copy`: 64 rows x 8 B is one
+#: 512 B run per destination column (32 and 128 measured no better).
+_COPY_STRIP = 64
 
 
 def _geqrt_factor_flops(m: int, n: int, update_mask: np.ndarray | None = None) -> float:
@@ -159,7 +187,7 @@ def local_geqrt(
     Charges the standard ``~2mn^2`` factorization flops plus the
     ``~mn^2 + n^3/3`` T-accumulation flops on processor ``p``.
 
-    Three execution paths share identical metering:
+    Four execution paths share identical metering:
 
     * **symbolic machine** -- cost-only: the closed-form flop counts are
       charged (assuming generic data, i.e. every ``tau != 0``) and
@@ -168,13 +196,19 @@ def local_geqrt(
       eagerly and the whole panel factorization is deferred as one
       rank-``p`` task of the execution plan (the unit of real
       concurrency across panels);
-    * **blocked** (numeric default for real dtypes) -- LAPACK ``geqrf``
-      via ``scipy.linalg.qr(..., mode='raw')``, post-corrected to this
-      library's always-reflect convention, plus the blocked T
-      accumulation of :func:`t_from_v`;
-    * **unblocked** (reference; numeric default for complex dtypes,
-      whose Hermitian-reflector convention LAPACK does not share) --
-      the original column-by-column loop.
+    * **blocked** (numeric default for real panels of width
+      ``>= _BLOCKED_MIN_N``) -- LAPACK ``dgeqrt``, the recursive
+      Elmroth-Gustavson QR, on one column-major copy of the panel; it
+      yields the compact-WY ``T`` with the factorization, and the result
+      is post-corrected to this library's always-reflect convention
+      (:func:`_geqrt_blocked`);
+    * **unblocked** (the reference and test oracle; numeric default for
+      complex dtypes, whose Hermitian-reflector convention LAPACK does
+      not share) -- the column-by-column loop plus :func:`t_from_v`.
+
+    A panel holding a NaN or an infinity raises ``ValueError`` (on an
+    engine: from inside the panel's task): a non-finite entry always
+    reaches a ``tau``, so the ``n x n`` kernel ``T`` is what is checked.
     """
     if is_symbolic(A):
         m, n = A.shape
@@ -208,7 +242,7 @@ def local_geqrt(
         )
         V, T, R = defer(
             machine.plan,
-            lambda a: _geqrt_arrays(a, blocked),
+            partial(_geqrt_arrays, blocked=blocked),
             (A,),
             metas,
             rank=p,
@@ -220,22 +254,28 @@ def local_geqrt(
     m, n = A.shape
     if m < n:
         raise ValueError(f"local_geqrt requires m >= n, got {A.shape}")
-    work = A.astype(np.result_type(A.dtype, np.float64), copy=True)
-    dtype = work.dtype
+    dtype = np.result_type(A.dtype, np.float64)
     if blocked is None:
-        # LAPACK wins for real panels once they are big enough to
-        # amortize the wrapper overhead; complex panels always take the
+        # LAPACK's kernel is float64 (every real input dtype the library
+        # meets promotes to it); complex panels always take the
         # reference loop (Hermitian-reflector convention).
-        blocked = dtype.kind != "c" and n >= _BLOCKED_MIN_N
+        blocked = dtype == np.float64 and n >= _BLOCKED_MIN_N
+    elif blocked and dtype != np.float64:
+        raise TypeError(
+            f"the LAPACK kernel (blocked=True) factors float64 panels only, got {dtype}"
+        )
 
     if blocked:
-        V, taus, R_full = _geqrt_blocked(work)
+        V, T, R, taus = _geqrt_blocked(A)
+        _require_finite(T, A.shape)
+        reflected = taus != 0
         machine.compute(
-            p, _geqrt_factor_flops(m, n, update_mask=taus != 0), label="geqrt_factor"
+            p, _geqrt_factor_flops(m, n, update_mask=reflected), label="geqrt_factor"
         )
-        T = t_from_v(machine, p, V, taus)
-        return PanelQR(V=V, T=T, R=np.triu(R_full))
+        machine.compute(p, _t_from_v_flops(m, n, mask=reflected), label="t_from_v")
+        return PanelQR(V=V, T=T, R=R)
 
+    work = A.astype(dtype, copy=True)
     V = np.zeros((m, n), dtype=dtype)
     taus = np.zeros(n, dtype=dtype)
     flops = 0.0
@@ -256,8 +296,17 @@ def local_geqrt(
     machine.compute(p, flops, label="geqrt_factor")
 
     T = t_from_v(machine, p, V, taus)
+    _require_finite(T, A.shape)
     R = np.triu(work[:n, :])
     return PanelQR(V=V, T=T, R=R)
+
+
+def _require_finite(T: np.ndarray, panel_shape: tuple[int, int]) -> None:
+    """Reject a panel whose kernel ``T`` picked up a NaN or an infinity."""
+    if not np.isfinite(T).all():
+        raise ValueError(
+            f"array must not contain infs or NaNs (panel of shape {panel_shape})"
+        )
 
 
 class _Unmetered:
@@ -288,39 +337,68 @@ def _geqrt_arrays(
     return pan.V, pan.T, pan.R
 
 
-def _geqrt_blocked(work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LAPACK-backed panel factorization in this library's convention.
+def _column_major_copy(A: np.ndarray) -> np.ndarray:
+    """``A`` as a fresh column-major float64 array.
 
-    Runs ``geqrf`` (blocked, BLAS-3) and converts the output to the
-    always-reflect convention of :func:`larfg`: LAPACK skips the
-    reflection of an already-reduced column (``x[1:] = 0`` gives
-    ``tau = 0``), whereas this library reflects with ``v = e1``,
-    ``tau = 2``, negating the column's diagonal and its row of R.  The
-    sign flip commutes with all later reflectors (they act strictly
-    below row ``j``), so patching ``tau``, ``V`` and row ``j`` of R
-    after the fact reproduces the reference factorization exactly.
-    Columns that are entirely zero (``beta = 0``) keep ``tau = 0`` in
-    both conventions.
+    A tall row-major source is transposed strip by strip.  numpy's
+    one-shot strided copy writes one element into each of the ``n``
+    destination columns per source row; once those ``n`` lines, ``8m``
+    bytes apart, outgrow a cache set it misses on every write (0.91 ms
+    at 4096 x 64 on the sizing host, 1.9 ms at 2048 x 256).  Strips of
+    ``_COPY_STRIP`` rows keep the destination lines resident (0.24 /
+    0.62 ms); below 16 columns or 256 rows the one-shot copy is faster.
     """
-    from scipy.linalg import get_lapack_funcs
+    m, n = A.shape
+    if n < 16 or m < 4 * _COPY_STRIP or not A.flags.c_contiguous:
+        return np.array(A, dtype=np.float64, order="F")
+    out = np.empty((m, n), dtype=np.float64, order="F")
+    for i in range(0, m, _COPY_STRIP):
+        out[i : i + _COPY_STRIP] = A[i : i + _COPY_STRIP]
+    return out
 
-    m, n = work.shape
-    (geqrf,) = get_lapack_funcs(("geqrf",), (work,))
-    qr_raw, taus, _lwork, info = geqrf(work, overwrite_a=1)
-    if info != 0:  # pragma: no cover - lapack input errors
-        raise ValueError(f"geqrf failed with info={info}")
-    taus = taus.astype(work.dtype, copy=True)
-    V = np.tril(qr_raw[:, :n], -1)
-    np.fill_diagonal(V, 1.0)
-    R_full = np.triu(qr_raw[:n, :]) if n else qr_raw[:n, :].copy()
 
-    skipped = np.flatnonzero(taus == 0)
-    for j in skipped:
-        if R_full[j, j] != 0:  # already-reduced column: flip, don't skip
-            taus[j] = 2.0
-            R_full[j, j:] = -R_full[j, j:]
-        # else: exactly-zero column, identity reflector in both conventions
-    return V, taus, R_full
+def _geqrt_blocked(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """LAPACK-backed real panel factorization: ``(V, T, R, taus)``.
+
+    One column-major copy of the panel, ``dgeqrt`` in place with a
+    single block (``nb = n``, i.e. the recursive ``dgeqrt3``: BLAS-3 all
+    the way down, where ``geqrf`` below its crossover ``NX = 128`` is
+    the BLAS-2 ``geqr2`` sweep), and the copy *is* ``V`` once ``R`` has
+    been taken out of its top triangle; ``T`` comes back with the
+    factorization, so nothing is rebuilt from ``V``.
+
+    The output is converted to the always-reflect convention of
+    :func:`larfg`: LAPACK skips the reflection of an already-reduced
+    column (``x[1:] = 0`` gives ``tau = 0``), whereas this library
+    reflects with ``v = e1``, ``tau = 2``, negating the column's
+    diagonal and its row of R.  The sign flip commutes with all later
+    reflectors (they act strictly below row ``j``), so patching ``tau``
+    and row ``j`` of R after the fact reproduces the reference
+    factorization exactly.  In ``T`` only column ``j`` changes: it is
+    :func:`t_from_v`'s recurrence with ``v_j = e_j``, i.e.
+    ``T[:j, j] = -2 T[:j, :j] V[j, :j]^T``, and because every later
+    ``v_k`` is zero in row ``j`` no other column sees it.  Columns that
+    are entirely zero (``beta = 0``) keep ``tau = 0`` in both
+    conventions.
+    """
+    n = A.shape[1]
+    V = _column_major_copy(A)
+    t = lapack.geqrt(V)
+    top = V[:n]
+    upper = ~np.tri(n, n, -1, dtype=bool)  # one mask for the three triangles
+    T = np.where(upper, t, 0.0)
+    R = np.where(upper, top, 0.0)
+    np.copyto(top, 0.0, where=upper)
+    np.fill_diagonal(top, 1.0)
+
+    taus = np.diag(T).copy()
+    if not taus.all():
+        skipped = np.flatnonzero((taus == 0) & (np.diag(R) != 0))
+        for j in skipped:  # already-reduced columns: flip, don't skip
+            taus[j] = T[j, j] = 2.0
+            R[j, j:] = -R[j, j:]
+            T[:j, j] = -2.0 * (T[:j, :j] @ V[j, :j])
+    return V, T, R, taus
 
 
 def t_from_v(machine: Machine, p: int, V: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -371,6 +449,21 @@ def reconstruct_t(machine: Machine, p: int, V: np.ndarray) -> np.ndarray:
     return T
 
 
+def _apply_wy_flops(m: int, n: int, k: int) -> float:
+    """Flops of Eq. 4 evaluated right to left on an ``m x k`` operand."""
+    return (
+        Machine.flops_gemm(n, k, m) + Machine.flops_gemm(n, k, n)
+        + Machine.flops_gemm(m, k, n) + m * k
+    )
+
+
+def _apply_wy_arrays(V: np.ndarray, T: np.ndarray, C: np.ndarray, adjoint: bool) -> np.ndarray:
+    """``C - V (T (V^H C))`` (``T^H`` when ``adjoint``): :func:`apply_wy`'s kernel."""
+    M1 = V.conj().T @ C
+    M2 = (T.conj().T if adjoint else T) @ M1
+    return C - V @ M2
+
+
 def apply_wy(
     machine: Machine,
     p: int,
@@ -387,30 +480,71 @@ def apply_wy(
     rank-``p`` task.
     """
     m, n = V.shape
-    k = C.shape[1]
-    flops = (
-        Machine.flops_gemm(n, k, m) + Machine.flops_gemm(n, k, n)
-        + Machine.flops_gemm(m, k, n) + m * k
-    )
+    flops = _apply_wy_flops(m, n, C.shape[1])
     if machine.parallel:
         machine.compute(p, flops, label="apply_wy")
         meta = SymbolicArray(
-            (C.shape[0], k),
-            np.result_type(dtype_of(V), dtype_of(T), dtype_of(C)),
+            C.shape, np.result_type(dtype_of(V), dtype_of(T), dtype_of(C))
         )
         return defer(
             machine.plan,
-            lambda Vv, Tv, Cv: Cv - Vv @ ((Tv.conj().T if adjoint else Tv) @ (Vv.conj().T @ Cv)),
+            partial(_apply_wy_arrays, adjoint=adjoint),
             (V, T, C),
             meta,
             rank=p,
             label="apply_wy",
         )
-    M1 = V.conj().T @ C
-    M2 = (T.conj().T if adjoint else T) @ M1
-    out = C - V @ M2
+    out = _apply_wy_arrays(V, T, C, adjoint)
     machine.compute(p, flops, label="apply_wy")
     return out
+
+
+def _apply_wy_padded_arrays(
+    V: np.ndarray, T: np.ndarray, B: np.ndarray, adjoint: bool
+) -> np.ndarray:
+    """``(I - V T V^H) [B; 0]`` into one fresh array, zeros never formed.
+
+    With ``k = B.shape[0]`` only ``V[:k]`` meets ``B``:
+    ``out = -V (T (V[:k]^H B))``, then ``out[:k] += B``.  ``matmul``
+    writes the product straight into ``out`` (and releases the GIL);
+    ``out`` is column-major like the ``V`` LAPACK produced, which is the
+    layout the in-place solve that follows in TSQR is fastest on.
+    """
+    k = B.shape[0]
+    M = (T.conj().T if adjoint else T) @ (V[:k].conj().T @ B)
+    np.negative(M, out=M)
+    out = np.empty((V.shape[0], B.shape[1]), dtype=M.dtype, order="F")
+    np.matmul(V, M, out=out)
+    out[:k] += B
+    return out
+
+
+def apply_wy_padded(
+    machine: Machine,
+    p: int,
+    V: np.ndarray,
+    T: np.ndarray,
+    B: np.ndarray,
+    adjoint: bool = False,
+) -> np.ndarray:
+    """Apply ``(I - V T V^H)`` (or its adjoint) to ``[B; 0]`` on processor ``p``.
+
+    ``B`` is the leading ``k x c`` block of an ``m x c`` operand whose
+    other rows are zero -- TSQR's downsweep applies every tree node to
+    such a block (Appendix C).  Equal to :func:`apply_wy` on the padded
+    operand, and charged **the same flops** (Lemma 5 fixes no constant:
+    a cheaper implementation is not a cheaper model), but the padding is
+    never built and the ``m x n x c`` product against its zero rows is
+    not computed.
+    """
+    m, n = V.shape
+    c = B.shape[1]
+    machine.compute(p, _apply_wy_flops(m, n, c), label="apply_wy")
+    meta = SymbolicArray((m, c), np.result_type(dtype_of(V), dtype_of(T), dtype_of(B)))
+    return machine.kernel(
+        p, partial(_apply_wy_padded_arrays, adjoint=adjoint), (V, T, B), meta,
+        label="apply_wy",
+    )
 
 
 def explicit_q(V: np.ndarray, T: np.ndarray, n_cols: int | None = None) -> np.ndarray:

@@ -19,6 +19,16 @@ The [BDG+15] variant the paper's Lemma 5 depends on:
 Costs (Lemma 5): ``gamma (max_p m_p n^2 + n^3 log P) + beta n^2 log P +
 alpha log P``.
 
+The ``max_p m_p n^2`` term is three local kernels per processor, and on
+real data they stay in one memory order with one allocation each: the
+leaf QR is LAPACK's ``dgeqrt`` on a column-major copy of the block
+(:func:`repro.qr.householder.local_geqrt`), the downsweep applies each
+node to ``[B; 0]`` without forming the zeros, into a column-major
+``W_p`` (:func:`repro.qr.householder.apply_wy_padded`), and
+``V_p = W_p U^{-1}`` is a right-side ``dtrsm`` in place on ``W_p``
+(:func:`_solve_upper_inplace`).  The flops charged are those of the
+straightforward formulation -- Lemma 5 fixes no constant.
+
 The algorithm iterates over ``layout.participants()`` only, so it runs
 unchanged on a machine with extra idle ranks -- which is how the
 fault-tolerance layer protects it: :func:`repro.faults.run_coded_qr`
@@ -32,15 +42,15 @@ Paper anchor: Section 5, Appendix C (TSQR with Householder reconstruction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from repro.backend import SymbolicArray, is_symbolic, solve_triangular
+from repro.backend import SymbolicArray, is_symbolic, lapack, solve_triangular
 from repro.dist import DistMatrix
 from repro.engine import defer, is_lazy
 from repro.machine import DistributionError
-from repro.qr.householder import PanelQR, apply_wy, local_geqrt, sgn
+from repro.qr.householder import PanelQR, apply_wy_padded, local_geqrt, sgn
 from repro.util import ceil_div
 
 
@@ -88,7 +98,7 @@ def unpack_triu(packed: np.ndarray, n: int) -> np.ndarray:
     if is_lazy(packed):
         return defer(
             packed.plan,
-            lambda pv: _unpack_triu_arrays(pv, n),
+            partial(_unpack_triu_arrays, n=n),
             (packed,),
             SymbolicArray((n, n), packed.dtype),
             label="unpack_triu",
@@ -136,6 +146,21 @@ def _reconstruct_arrays(
     T = U @ M.conj().T
     R = -S[:, None] * R_tree
     return U, Lfac, T, R
+
+
+def _solve_upper_inplace(W: np.ndarray, U: np.ndarray) -> None:
+    """``W <- W U^-1`` in place (``U`` upper triangular): the ``tsqr_V`` kernel.
+
+    Real data: a right-side ``dtrsm`` on the column-major ``W`` the
+    downsweep produced, against ``U^T`` read through the column-major
+    view ``U.T`` of the row-major ``U`` -- no transposed copy going in,
+    none coming out, GIL released.  Complex data keeps scipy's solver
+    and writes its result back.
+    """
+    if W.dtype == np.float64 and U.dtype == np.float64:
+        lapack.trsm(np.asfortranarray(U.T), W, trans=True, lower=True)
+    else:
+        W[...] = solve_triangular(U, W.T, trans="T", lower=False).T
 
 
 def check_tsqr_distribution(A: DistMatrix, root: int) -> list[int]:
@@ -207,16 +232,16 @@ def tsqr(A: DistMatrix, root: int = 0) -> TSQRResult:
     # ------------------------------------------------------------------
     B: dict[int, np.ndarray] = {root: machine.ops.eye(n, dtype=dtype)}
     for r, r2, pan in reversed(merges):
-        stacked = np.vstack([B[r], machine.ops.zeros((n, n), dtype=dtype)])
-        out = apply_wy(machine, r, pan.V, pan.T, stacked)
+        out = apply_wy_padded(machine, r, pan.V, pan.T, B[r])
         B[r] = out[:n]
-        B[r2] = machine.transfer(r, r2, out[n:], label="tsqr_down")
+        # A row slice of the column-major ``out`` is strided; what is
+        # shipped is packed, so the receiver multiplies the same layout
+        # on every backend (a process boundary would compact it anyway).
+        B[r2] = machine.transfer(r, r2, out[n:].copy(), label="tsqr_down")
 
-    W: dict[int, np.ndarray] = {}
-    for p in parts:
-        mp = A.layout.count(p)
-        stacked = np.vstack([B[p], machine.ops.zeros((mp - n, n), dtype=dtype)])
-        W[p] = apply_wy(machine, p, panels[p].V, panels[p].T, stacked)
+    W: dict[int, np.ndarray] = {
+        p: apply_wy_padded(machine, p, panels[p].V, panels[p].T, B[p]) for p in parts
+    }
 
     # ------------------------------------------------------------------
     # Householder reconstruction on the root ([BDG+15]).
@@ -240,7 +265,7 @@ def tsqr(A: DistMatrix, root: int = 0) -> TSQRResult:
         nn = SymbolicArray((n, n), dtype)
         U, Lfac, T, R = defer(
             machine.plan,
-            lambda Xv, Rv: _reconstruct_arrays(Xv, Rv, n, dtype),
+            partial(_reconstruct_arrays, n=n, dtype=dtype),
             (X, R_tree),
             (nn, nn, nn, nn),
             rank=root,
@@ -262,21 +287,22 @@ def tsqr(A: DistMatrix, root: int = 0) -> TSQRResult:
         ctx = CommContext(machine, parts)
         broadcast_binomial(ctx, parts.index(root), U)
 
+    # The solve runs in place (``updates=``): a numeric machine writes
+    # the buffer the downsweep allocated; an engine hands it over when it
+    # is exclusively held and an order-preserving copy otherwise.  The
+    # root solves only the rows below X, which stays as the
+    # reconstruction read it.
     Vblocks: dict[int, np.ndarray] = {}
     for p in parts:
-        Wp = W[p]
-        if p == root:
-            bottom = Wp[n:]
-            if bottom.shape[0]:
-                solved = solve_triangular(U, bottom.T, trans="T", lower=False).T
-                machine.compute(p, float(bottom.shape[0]) * n * n, label="tsqr_V")
-                Vblocks[p] = np.vstack([Lfac, solved])
-            else:
-                Vblocks[p] = Lfac
-        else:
-            solved = solve_triangular(U, Wp.T, trans="T", lower=False).T
-            machine.compute(p, float(Wp.shape[0]) * n * n, label="tsqr_V")
-            Vblocks[p] = solved
+        rows = W[p][n:] if p == root else W[p]
+        if rows.shape[0]:
+            machine.kernel(
+                p, _solve_upper_inplace, (rows, U), None, label="tsqr_V", updates=(0,)
+            )
+            machine.compute(p, float(rows.shape[0]) * n * n, label="tsqr_V")
+        Vblocks[p] = rows
+    below = Vblocks[root]
+    Vblocks[root] = np.vstack([Lfac, below]) if below.shape[0] else Lfac
 
     V = DistMatrix(machine, A.layout, n, Vblocks, dtype=dtype)
     return TSQRResult(V=V, T=T, R=R, root=root)

@@ -176,3 +176,57 @@ class TestDegenerateInputsStillWork:
 
         d = qr_diagnostics(A, res.V.to_global(), res.T, res.R)
         assert d.residual < 1e-12 and d.orthogonality < 1e-12
+
+
+# ----------------------------------------------------------------------
+# Non-finite input: every QR driver refuses it on every executing backend
+# ----------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's "invalid value" on the way
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("alg,m,n,P", [
+    ("tsqr", 64, 4, 4), ("caqr1d", 64, 8, 4), ("caqr3d", 64, 16, 4), ("house2d", 48, 12, 4),
+])
+class TestNonFiniteInput:
+    """A NaN/Inf anywhere in ``A`` raises; factors are never returned.
+
+    Captured at the commit before the TSQR kernels stopped calling
+    ``scipy.linalg.solve_triangular`` (whose ``check_finite`` was the
+    only thing refusing such input); since then ``local_geqrt`` checks
+    its own ``T``, so the first bad leaf fails.
+    """
+
+    @staticmethod
+    def _input(m, n, bad):
+        A = gaussian(m, n, seed=5)
+        A[m // 2 + 1, n // 2] = bad
+        return A
+
+    def test_numeric_raises_value_error(self, alg, m, n, P, bad):
+        from repro.workloads import run_qr
+
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            run_qr(alg, self._input(m, n, bad), P)
+
+    @pytest.mark.parametrize("backend", [
+        "parallel", pytest.param("parallel-mp", marks=pytest.mark.mp),
+    ])
+    def test_engines_raise_from_the_failing_task(self, alg, m, n, P, bad, backend):
+        from repro.engine import EngineExecutionError
+        from repro.workloads import run_qr
+
+        with pytest.raises(EngineExecutionError, match="must not contain infs or NaNs"):
+            run_qr(alg, self._input(m, n, bad), P, backend=backend, workers=2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_tsqr_fails_at_the_first_bad_leaf_not_at_the_root():
+    from repro.engine import EngineExecutionError
+    from repro.workloads import run_qr
+
+    A = gaussian(64, 4, seed=5)
+    A[33, 2] = np.nan  # rank 2's block
+    with pytest.raises(
+        EngineExecutionError, match=r"'geqrt', rank=2\) failed.*panel of shape \(16, 4\)"
+    ):
+        run_qr("tsqr", A, 4, backend="parallel", workers=2)

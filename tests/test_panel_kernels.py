@@ -160,12 +160,17 @@ def _plain_functions(fn):
 
 
 class TestRecordTimeBinding:
-    @pytest.mark.parametrize("alg,m,n,P", [("house2d", 48, 24, 6), ("house1d", 96, 6, 4)])
+    @pytest.mark.parametrize("alg,m,n,P", [
+        ("house2d", 48, 24, 6), ("house1d", 96, 6, 4), ("tsqr", 512, 16, 4),
+    ])
     def test_kernels_close_over_nothing(self, alg, m, n, P):
         machine, _factors, _slicer = _record(alg, gaussian(m, n, seed=1), P)
-        kernels = [t for t in machine.plan.tasks
-                   if t.label.startswith((alg + "_", "panel_"))]
+        kernels = [t for t in machine.plan.tasks if t.label.startswith(
+            (alg + "_", "panel_", "geqrt", "apply_wy", "unpack_triu"))]
         assert kernels
+        if alg == "tsqr":
+            assert {"geqrt", "apply_wy", "unpack_triu", "tsqr_reconstruct", "tsqr_V"} <= {
+                t.label for t in kernels}
         for task in kernels:
             for fn in _plain_functions(task.fn):
                 # A loop index read from an enclosing scope would be
@@ -174,7 +179,7 @@ class TestRecordTimeBinding:
 
     @pytest.mark.parametrize("alg,m,n,P", [
         ("house2d", 48, 24, 6), ("house2d", 96, 32, 4), ("caqr2d", 48, 24, 6),
-        ("house1d", 96, 6, 4),
+        ("house1d", 96, 6, 4), ("tsqr", 512, 16, 4), ("caqr3d", 256, 64, 8),
     ])
     def test_replay_with_a_second_input_equals_serial(self, alg, m, n, P):
         first, second = gaussian(m, n, seed=2), gaussian(m, n, seed=3)

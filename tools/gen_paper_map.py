@@ -46,6 +46,8 @@ MODULE_MAP: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "repro/analysis/theorems.py": (("tests/test_analysis.py",), ("F3", "F4", "P1")),
     "repro/analysis/tradeoff.py": (("tests/test_analysis.py",), ("F1", "F2", "F6")),
     "repro/backend/__init__.py": (("tests/test_symbolic.py",), ()),
+    "repro/backend/lapack.py": (
+        ("tests/test_householder.py", "tests/test_tsqr.py"), ("K1",)),
     "repro/backend/ops.py": (
         ("tests/test_backend_equivalence.py",), ("K1",)),
     "repro/backend/registry.py": (
@@ -133,7 +135,7 @@ MODULE_MAP: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "repro/qr/caqr3d.py": (
         ("tests/test_caqr3d.py", "tests/test_cost_contracts.py"),
         ("T2", "F2", "F4", "F4b")),
-    "repro/qr/householder.py": (("tests/test_householder.py",), ()),
+    "repro/qr/householder.py": (("tests/test_householder.py",), ("K1",)),
     "repro/qr/params.py": (("tests/test_qreg_params.py",), ("A3",)),
     "repro/qr/qreg.py": (("tests/test_qreg_params.py",), ("A5",)),
     "repro/qr/qreg_iter.py": (("tests/test_qreg_params.py",), ("A5",)),
