@@ -9,24 +9,20 @@ DESIGN.md section 4).  Results are written twice:
   (pass ``rows=``/``data=`` to :func:`save_table`, or call
   :func:`save_json` directly).
 
-On top of the per-benchmark artifacts, a session hook records every
-benchmark test's wall-clock and writes ``BENCH_suite.json`` at the repo
-root, so the perf trajectory of the suite itself is tracked in a
-machine-readable file (the pytest-benchmark fixture additionally times
-each bench's core computation; run with ``--benchmark-json`` for its
-full statistics).
+These benches report the paper's deterministic counts (plus the three
+root ``BENCH_{kernels,planner,theorem1_symbolic}.json`` files written
+through :func:`save_root_bench`).  Engine wall-clock is not measured
+here: the repo benchmark (``BENCHMARK.json``, ``benchmarks/e2e``) is
+the one source of performance numbers.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import time
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPO_ROOT = pathlib.Path(__file__).parent.parent
-
-_session_timings: dict[str, float] = {}
 
 
 def save_table(name: str, text: str, rows: list | None = None, data: dict | None = None) -> None:
@@ -63,38 +59,3 @@ def save_root_bench(name: str, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
     print(f"[saved to {path}]")
 
-
-# ----------------------------------------------------------------------
-# Suite wall-clock tracking -> BENCH_suite.json
-# ----------------------------------------------------------------------
-
-def pytest_runtest_setup(item) -> None:
-    item._bench_t0 = time.perf_counter()
-
-
-def pytest_runtest_teardown(item) -> None:
-    t0 = getattr(item, "_bench_t0", None)
-    if t0 is not None:
-        _session_timings[item.nodeid] = round(time.perf_counter() - t0, 4)
-
-
-def pytest_sessionfinish(session, exitstatus) -> None:
-    if not _session_timings:
-        return
-    # Only refresh the version-controlled trajectory file when the whole
-    # suite ran: a single-bench session must not overwrite it with a
-    # partial (and misleadingly small) record.
-    ran_modules = {nodeid.split("::")[0].split("/")[-1] for nodeid in _session_timings}
-    all_modules = {p.name for p in pathlib.Path(__file__).parent.glob("bench_*.py")}
-    if not all_modules <= ran_modules:
-        print(
-            f"[BENCH_suite.json not updated: partial session "
-            f"({len(ran_modules)}/{len(all_modules)} benchmark modules)]"
-        )
-        return
-    payload = {
-        "unit": "seconds (wall-clock per benchmark test, setup+call+teardown)",
-        "total_s": round(sum(_session_timings.values()), 3),
-        "tests": dict(sorted(_session_timings.items())),
-    }
-    save_root_bench("suite", payload)

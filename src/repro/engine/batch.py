@@ -13,18 +13,17 @@ stream:
   updates, collective routing, layout arithmetic, ``words_of`` -- is
   skipped, and the cost report is reused (it is provably identical:
   same shapes, same plan).  What that buys is measured by the repo
-  benchmark (``BENCHMARK.json``; 2-core host, ``workers=2``, numbers
-  from the README table): a warm thread-engine job
-  (``threads_job_ms_p10``) takes 0.81x / 0.71x / 0.88x of a serial
-  numeric job on ``tallskinny`` / ``squarish3d`` / ``grid2d-percolumn``;
-  ``parallel-mp`` (``mp_job_ms_p10``) wins only on ``tallskinny``
-  (0.88x) and loses on ``squarish3d`` (1.37x) and ``grid2d-percolumn``
-  (3.3x); and the first job of a shape (``threads_cold_ms_p10``) still
-  costs several serial jobs.  Every algorithm in
-  :data:`repro.workloads.ALGORITHMS` replays this way; jobs of a
+  benchmark, not asserted here: ``BENCHMARK.json`` gates a warm
+  thread-engine job (``threads_job_ms_p10``), a warm ``parallel-mp``
+  job (``mp_job_ms_p10``) and the first job of a shape
+  (``threads_cold_ms_p10`` / ``mp_cold_ms_p10``) against a serial
+  numeric job (``serial_job_ms_p10``) on ``tallskinny`` /
+  ``squarish3d`` / ``grid2d-percolumn``; the README's backend table
+  holds the current readings, losing cells included.  Every algorithm
+  in :data:`repro.workloads.ALGORITHMS` replays this way; jobs of a
   *different* shape (even a different leading dimension) build their
-  own plan -- rebinding across shapes is refused by
-  :meth:`repro.engine.plan.Plan.rebind`.
+  own plan -- :meth:`repro.engine.plan.Plan.rebind` rejects a rebind
+  across shapes.
 * **planner caching** -- with ``plan_with`` set, jobs that do not pin
   an algorithm ask :func:`repro.planner.plan` to choose one for the
   target machine profile.  The planner's ranked-plan and measurement

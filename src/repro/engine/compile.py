@@ -1,72 +1,72 @@
-"""Plan compiler: fuse task chains, pin ranks to workers, pre-resolve args.
+"""Plan compiler: pin ranks to workers, decide in-place writes, pre-resolve args.
 
-A recorded :class:`~repro.engine.plan.Plan` is deliberately fine-grained
--- one task per local kernel -- which makes the DAG faithful to the
-paper but would make an executor that interpreted it directly pay
-per-task dispatch, ``Ref`` resolution (an isinstance chain per
-argument), and a blocking rendezvous per cross-rank edge.  On plans
-whose kernels are small, that overhead dominates the BLAS work.  So no
-engine interprets a plan: both execute the schedule compiled here, and
-nothing else.
+An executor that interpreted a recorded :class:`~repro.engine.plan.Plan`
+directly would pay ``Ref`` resolution (an isinstance chain per argument)
+on every task and a blocking rendezvous on every cross-rank edge.  So
+no engine interprets a plan: both execute the schedule compiled here.
 
-:func:`compile_plan` runs **once** between plan recording and execution
-(and is reused verbatim by every replay) and applies three
-transformations, none of which changes a single computed value:
+:func:`compile_plan` runs **once** between recording and execution (every
+replay reuses it).  It builds the engine's one dataflow analysis -- the
+**consumer map**, producer tid -> the tasks that read any of its
+outputs -- and derives the rest from it:
 
 1. **Worker-affinity scheduling** -- rank ``r``'s stream is owned by
    worker ``r % W`` (the partition :mod:`repro.engine.mp` already uses),
-   and each worker walks its owned tasks in tid order.  Every task's
-   dependencies have lower tids, so a blocked worker always waits on a
-   worker that is strictly ahead of it in tid space: a wait cycle would
-   need each participant to sit *below* another's block point, a
-   contradiction -- the schedule is deadlock-free by construction.  A
-   cross-rank edge whose producer and consumer land on the **same
-   worker** becomes a plain ``task.value`` read (program order within
-   the worker's walk); only genuinely cross-worker edges keep a
-   rendezvous slot.
-2. **Task fusion** -- maximal runs of consecutive same-rank tasks whose
-   *only* consumer is the next task in the run collapse into one fused
-   step executing a pre-resolved closure list.  Fused interiors provably
-   have no cross-worker consumers (their sole consumer shares the rank,
-   hence the worker), so fusion eliminates per-task pool dispatch and
-   queue traffic without reordering anything: the fused step runs its
-   members in exactly the tid order they were recorded in.  Every
-   member still writes ``task.value`` and flips ``done``, so incremental
-   materialization, retry-after-fault (a partially-run chain resumes at
-   its first not-``done`` member), and ``CodedRecovery``'s plan surgery
-   all keep working unchanged.
+   and each worker's lane is the flat list of its owned tasks in tid
+   order.  Every task's dependencies have lower tids, so a blocked
+   worker always waits on a worker that is strictly ahead of it in tid
+   space: a wait cycle would need each participant to sit *below*
+   another's block point, a contradiction -- the schedule is
+   deadlock-free by construction.  A cross-rank edge whose producer and
+   consumer land on the **same worker** becomes a plain ``task.value``
+   read (program order within the worker's walk); only genuinely
+   cross-worker edges keep a rendezvous slot (:class:`Publisher`).
+2. **The write rule** -- an ``updates=`` task (``lazy[idx] = value``
+   is one) is handed the producer's own buffer at position ``i`` **iff**
+   (a) the array there is *fresh* (allocated for its holder: ``zeros``
+   / ``eye`` / ``copy`` / a previous write), (b) its producer is not an
+   input leaf, (c) this task is the producer's **only consumer** --
+   counted by tid, so a kernel that returns a view of the block it
+   wrote shares one count with it -- and (d) the producer is not
+   already ``done`` when the schedule is compiled (a done value may
+   have escaped to the caller through ``resolve``).  Every other
+   position is copied first (:attr:`CompiledPlan.copies`); the map sees
+   consumers recorded *after* the writer, which no record-time test can.
 3. **Argument pre-resolution** -- each task's argument tree is walked
    once at bind time and specialized into a flat tuple of zero-argument
    value makers (constant / local read / input fetch / remote fetch),
    so the per-execution hot path is ``fn(*make_args())`` with no dict
-   lookups and no isinstance chains.
+   lookups and no isinstance chains; an ``updates=`` task's ``fn`` is
+   wrapped there, once, with its copies.
 
-The compiled artifact is engine-agnostic: the thread
-:class:`~repro.engine.executor.Engine` binds streams with an in-process
-rendezvous fetch, and :class:`~repro.engine.mp.MpEngine`'s forked
-workers bind the same streams with ``replicate_rankless=True`` and an
-inbox-queue fetch.  Telemetry reports a fused step as one span carrying
-a ``fused_n`` attribute (see ``docs/observability.md``).
+None of the three changes a computed value.  The compiled artifact is
+engine-agnostic: the thread :class:`~repro.engine.executor.Engine`
+binds streams with an in-process rendezvous fetch, and
+:class:`~repro.engine.mp.MpEngine`'s forked workers bind the same
+streams with ``replicate_rankless=True`` and an inbox-queue fetch.
 
-Paper anchor: Section 3 (the execution DAG; compilation only re-blocks
-its schedule, never its dataflow); Section 8.4 (amortizing one plan --
-now one *compiled* plan -- over a stream of jobs).
+Paper anchor: Section 3 (the execution DAG; compilation only places
+its tasks on lanes, never changes its dataflow); Section 8.4
+(amortizing one plan -- one *compiled* plan -- over a stream of jobs).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Iterable
 
 from repro.engine.plan import Plan, Ref, Task, _scan_refs
 
-__all__ = ["REPLICATED", "BoundStep", "BoundTask", "CompiledPlan", "Publisher",
-           "bind_stream", "compile_plan"]
+__all__ = ["REPLICATED", "BoundTask", "CompiledPlan", "Publisher",
+           "bind_stream", "compile_plan", "rearm"]
 
 #: Owner sentinel for rankless tasks replicated in every worker (the
 #: multiprocessing engine's convention; threads single-own them instead).
 REPLICATED = -1
 
 
+@dataclass(slots=True)
 class Publisher:
     """A cross-worker producer and the consumer ranks it must serve.
 
@@ -78,76 +78,31 @@ class Publisher:
     slot unchecked (their ``consumer=None`` get bypasses declaration).
     """
 
-    __slots__ = ("task", "consumers", "dest_workers")
-
-    def __init__(self, task: Task, consumers: frozenset, dest_workers: frozenset) -> None:
-        self.task = task
-        self.consumers = consumers
-        self.dest_workers = dest_workers
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Publisher(t{self.task.tid} -> ranks {sorted(self.consumers)}, "
-            f"workers {sorted(self.dest_workers)})"
-        )
+    task: Task
+    consumers: frozenset
+    dest_workers: frozenset
 
 
-class Step:
-    """One schedulable unit of a worker stream: a task or a fused chain."""
-
-    __slots__ = ("tasks", "label", "tid", "rank")
-
-    def __init__(self, tasks: list[Task]) -> None:
-        self.tasks = tasks
-        first = tasks[0]
-        self.tid = first.tid
-        self.rank = first.rank
-        if len(tasks) > 1:
-            self.label = f"fused:{first.label}..{tasks[-1].label}"
-        else:
-            self.label = first.label
-
-    @property
-    def fused(self) -> bool:
-        return len(self.tasks) > 1
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Step({self.label!r}, n={len(self.tasks)})"
-
-
+@dataclass(slots=True)
 class CompiledPlan:
-    """The once-per-plan schedule: ownership, streams, edges, statistics.
+    """The once-per-plan schedule: ownership, lanes, edges, copies, statistics.
 
     Pure data -- binding it to an engine (closures over that engine's
     fetch primitives) happens per worker in :func:`bind_stream`.
     """
 
-    __slots__ = ("workers", "n_tasks", "replicate_rankless", "owner",
-                 "streams", "publishers", "sends", "stats")
-
-    def __init__(self, workers: int, n_tasks: int, replicate_rankless: bool,
-                 owner: list, streams: list, publishers: list,
-                 sends: dict, stats: dict) -> None:
-        self.workers = workers
-        self.n_tasks = n_tasks
-        self.replicate_rankless = replicate_rankless
-        #: tid -> worker index, REPLICATED, or None (input leaves).
-        self.owner = owner
-        #: Per-worker list of :class:`Step` in tid order.
-        self.streams = streams
-        #: Cross-worker producers (:class:`Publisher` per producer).
-        self.publishers = publishers
-        #: Producer tid -> frozenset of destination worker indices.
-        self.sends = sends
-        self.stats = stats
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        s = self.stats
-        return (
-            f"CompiledPlan(workers={self.workers}, tasks={s['tasks']}, "
-            f"steps={s['steps']}, fused={s['fused_tasks']}, "
-            f"rendezvous={s['rendezvous_edges']}, elided={s['elided_edges']})"
-        )
+    workers: int
+    n_tasks: int
+    #: tid -> worker index, REPLICATED, or None (input leaves).
+    owner: list
+    #: Per-worker list of :class:`~repro.engine.plan.Task` in tid order.
+    streams: list
+    #: Cross-worker producers (:class:`Publisher` per producer).
+    publishers: list
+    #: ``updates=`` task tid -> the ``updates`` positions it copies
+    #: before writing (the rest are written in the producer's buffer).
+    copies: dict
+    stats: dict
 
 
 def _consumers_by_tid(plan: Plan) -> dict[int, list[Task]]:
@@ -165,6 +120,40 @@ def _consumers_by_tid(plan: Plan) -> dict[int, list[Task]]:
             seen.add(dep.tid)
             cons.setdefault(dep.tid, []).append(task)
     return cons
+
+
+def _writable(task: Task, cons: dict[int, list[Task]]) -> list[tuple[int, Task]]:
+    """``(position, producer)`` of every write ``task`` may make in place.
+
+    Conditions (a)-(c) of the write rule (module docstring): the written
+    array is fresh, its producer is no input leaf, and ``task`` is that
+    producer's only consumer.
+    """
+    out = []
+    for i in task.writes.fresh:
+        dep = task.args[i].task
+        if not dep.is_input and cons[dep.tid] == [task]:
+            out.append((i, dep))
+    return out
+
+
+def rearm(plan: Plan, tasks: Iterable[Task]) -> None:
+    """Re-arm ``tasks`` for re-execution, with the buffers they wrote.
+
+    A task that wrote its producer's buffer in place cannot simply run
+    again: the producer still holds the *written* buffer.  So every
+    producer a re-armed task may have written in place is re-armed with
+    it, transitively -- sound, because its only consumer re-runs anyway.
+    """
+    cons = _consumers_by_tid(plan)
+    todo = list(tasks)
+    while todo:
+        task = todo.pop()
+        if task.done and task.writes is not None:
+            todo.extend(dep for _, dep in _writable(task, cons))
+        task.done = False
+        task.value = None
+        task.rendezvous = None
 
 
 def _assign_owners(
@@ -213,51 +202,29 @@ def compile_plan(plan: Plan, workers: int, replicate_rankless: bool = False) -> 
     owner = _assign_owners(plan, W, replicate_rankless, cons)
 
     # Streams: each worker's owned (or replicated) tasks in tid order.
-    raw_streams: list[list[Task]] = [[] for _ in range(W)]
+    streams: list[list[Task]] = [[] for _ in range(W)]
     for task in plan.tasks:
         o = owner[task.tid]
         if o is None:
             continue
         if o == REPLICATED:
-            for lane in raw_streams:
+            for lane in streams:
                 lane.append(task)
         else:
-            raw_streams[o].append(task)
+            streams[o].append(task)
 
-    # Fusion: consecutive stream neighbors (a, b) collapse when a is
-    # ranked, b continues the same rank, and a's *only* consumer is b --
-    # then a's value cannot be needed anywhere else (same rank => same
-    # worker => no cross-worker consumer) and running them back-to-back
-    # is the rank's program order anyway.
-    fused_chains = 0
-    fused_tasks = 0
-    streams: list[list[Step]] = []
-    for lane in raw_streams:
-        steps: list[Step] = []
-        i = 0
-        while i < len(lane):
-            chain = [lane[i]]
-            while i + 1 < len(lane):
-                a, b = lane[i], lane[i + 1]
-                if a.rank is None or a.rank != b.rank:
-                    break
-                a_cons = cons.get(a.tid, ())
-                if len(a_cons) != 1 or a_cons[0] is not b:
-                    break
-                chain.append(b)
-                i += 1
-            i += 1
-            if len(chain) > 1:
-                fused_chains += 1
-                fused_tasks += len(chain)
-            steps.append(Step(chain))
-        streams.append(steps)
+    # The write rule: conditions (a)-(c) from the consumer map, (d) from
+    # the producers' state now.
+    copies: dict[int, tuple[int, ...]] = {}
+    for task in plan.tasks:
+        if task.writes is not None:
+            inplace = {i for i, dep in _writable(task, cons) if not dep.done}
+            copies[task.tid] = tuple(i for i in task.writes.updates if i not in inplace)
 
     # Edge analysis: classify every Ref edge between non-input tasks.
     cross_rank = 0
     elided = 0
-    sends: dict[int, set[int]] = {}
-    pub_ranks: dict[int, set[int]] = {}
+    pubs: dict[int, tuple[set[int], set[int]]] = {}  # tid -> (ranks, workers)
     for dep_tid, consumers in cons.items():
         dep = plan.tasks[dep_tid]
         if dep.is_input:
@@ -280,30 +247,24 @@ def compile_plan(plan: Plan, workers: int, replicate_rankless: bool = False) -> 
                 if is_cross_rank:
                     elided += 1
                 continue
-            sends.setdefault(dep_tid, set()).update(dest)
-            pub_ranks.setdefault(dep_tid, set()).add(
-                -1 if consumer.rank is None else consumer.rank
-            )
+            ranks, dests = pubs.setdefault(dep_tid, (set(), set()))
+            ranks.add(-1 if consumer.rank is None else consumer.rank)
+            dests.update(dest)
     publishers = [
-        Publisher(plan.tasks[tid], frozenset(pub_ranks[tid]), frozenset(dests))
-        for tid, dests in sorted(sends.items())
+        Publisher(plan.tasks[tid], frozenset(ranks), frozenset(dests))
+        for tid, (ranks, dests) in sorted(pubs.items())
     ]
 
-    n_exec = sum(1 for t in plan.tasks if not t.is_input)
     stats = {
         "workers": W,
-        "tasks": n_exec,
-        "steps": sum(len(s) for s in streams),
-        "fused_chains": fused_chains,
-        "fused_tasks": fused_tasks,
+        "tasks": sum(1 for t in plan.tasks if not t.is_input),
+        # One step per lane entry (a replicated task counts once a lane).
+        "steps": sum(len(lane) for lane in streams),
         "cross_rank_edges": cross_rank,
         "rendezvous_edges": len(publishers),
         "elided_edges": elided,
     }
-    return CompiledPlan(
-        W, len(plan.tasks), replicate_rankless, owner, streams,
-        publishers, {tid: frozenset(d) for tid, d in sends.items()}, stats,
-    )
+    return CompiledPlan(W, len(plan.tasks), owner, streams, publishers, copies, stats)
 
 
 # ----------------------------------------------------------------------
@@ -315,22 +276,30 @@ class BoundTask:
 
     __slots__ = ("task", "fn", "make_args")
 
-    def __init__(self, task: Task, make_args: Callable[[], tuple]) -> None:
+    def __init__(self, task: Task, fn: Callable[..., Any],
+                 make_args: Callable[[], tuple]) -> None:
         self.task = task
-        self.fn = task.fn
+        self.fn = fn
         self.make_args = make_args
 
 
-class BoundStep:
-    """A :class:`Step` with every member bound for one specific worker."""
+def _run_updating(fn, updates, copies, splat, *vals):
+    """Thunk of an ``updates=`` task: copy shared targets, run, re-emit.
 
-    __slots__ = ("tasks", "label", "tid", "rank")
-
-    def __init__(self, step: Step, tasks: list[BoundTask]) -> None:
-        self.tasks = tasks
-        self.label = step.label
-        self.tid = step.tid
-        self.rank = step.rank
+    The task's value is ``(*written arrays, *outputs)``; the written
+    arrays are the new values of the lazy arguments ``defer`` rebound.
+    A kernel that only writes (it returns ``None``) has no outputs.
+    """
+    vals = list(vals)
+    for i in copies:
+        # order="K": the kernel sees the memory order it would have been
+        # handed in place (a column-major buffer stays column-major).
+        vals[i] = vals[i].copy(order="K")
+    out = fn(*vals)
+    written = tuple(vals[i] for i in updates)
+    if out is None:
+        return written
+    return written + (tuple(out) if splat else (out,))
 
 
 def _maker(
@@ -410,20 +379,24 @@ def bind_stream(
     widx: int,
     input_fetch: Callable[[Task], Any] | None,
     remote_fetch: Callable[[Task, Task], Any],
-) -> list[BoundStep]:
+) -> list[BoundTask]:
     """Bind worker ``widx``'s stream to an engine's fetch primitives.
 
     ``input_fetch(leaf)`` materializes an input leaf's current value
     (``None`` means "read ``leaf.value`` directly" -- the thread mode);
     ``remote_fetch(dep, consumer)`` blocks on a cross-worker producer.
     The returned closures read producer values at *call* time, so one
-    binding is reused across every replay of the plan.
+    binding is reused across every replay of the plan.  This is the one
+    place an ``updates=`` task's ``fn`` meets its compiled copies.
     """
     owner = cplan.owner
-    return [
-        BoundStep(step, [
-            BoundTask(t, _args_maker(t, widx, owner, input_fetch, remote_fetch))
-            for t in step.tasks
-        ])
-        for step in cplan.streams[widx]
-    ]
+    bound = []
+    for t in cplan.streams[widx]:
+        fn = t.fn
+        if t.writes is not None:
+            fn = partial(_run_updating, fn, t.writes.updates,
+                         cplan.copies[t.tid], t.writes.splat)
+        bound.append(
+            BoundTask(t, fn, _args_maker(t, widx, owner, input_fetch, remote_fetch))
+        )
+    return bound

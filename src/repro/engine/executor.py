@@ -3,15 +3,16 @@
 :class:`Engine` executes a :class:`~repro.engine.plan.Plan` as compiled
 worker streams.  Before a plan first runs,
 :func:`~repro.engine.compile.compile_plan` partitions its tasks over
-``workers`` lanes (rank ``r`` belongs to lane ``r % workers``), fuses
-sole-consumer chains into single steps and pre-resolves every argument;
-each lane then walks its steps in tid order -- a topological order, so
-the walk is deadlock-free by construction -- on a ``ThreadPoolExecutor``
-thread.  The local kernels the tasks wrap -- LAPACK factorizations,
-BLAS multiplies -- release the GIL, so with ``workers > 1`` on a
-multi-core host the lanes execute genuinely in parallel, which is the
-machine model's DAG semantics made physical.  The schedule is compiled
-and bound once per plan and reused by every replay.
+``workers`` lanes (rank ``r`` belongs to lane ``r % workers``), decides
+which writes may go in place and pre-resolves every argument; each lane
+is a flat list of bound tasks, walked in tid order -- a topological
+order, so the walk is deadlock-free by construction -- on a
+``ThreadPoolExecutor`` thread.  The local kernels the tasks wrap --
+LAPACK factorizations, BLAS multiplies -- release the GIL, so with
+``workers > 1`` on a multi-core host the lanes execute genuinely in
+parallel, which is the machine model's DAG semantics made physical.
+The schedule is compiled and bound once per plan and reused by every
+replay.
 
 Cross-lane dependencies are *rendezvous* edges: the producer publishes
 its value through a one-shot blocking
@@ -28,7 +29,7 @@ and which of the two a recorded plan is depends on the host.  So the
 engine measures: the first execute of a plan runs on ``workers`` lanes;
 the replays that follow (:func:`repro.engine.run_many` streams)
 alternate ``workers`` lanes with **one inline lane** -- the same bound
-steps walked by the caller's thread, no pool, no rendezvous -- and
+tasks walked by the caller's thread, no pool, no rendezvous -- and
 after :data:`LANE_SAMPLES` timings of each the engine keeps the faster,
 ``workers`` lanes unless one lane wins by 10%.  ``Engine.lanes`` says
 what the last execute ran on.  ``workers=1`` never measures: it is the
@@ -134,7 +135,7 @@ class EngineBase:
         #: Cumulative tasks executed (across execute() calls), for reports.
         self.tasks_run = 0
         #: Telemetry recorder; the disabled default costs one branch per
-        #: step.  The owning Machine (or run_many) re-points this at the
+        #: task.  The owning Machine (or run_many) re-points this at the
         #: currently installed recorder.
         self.telemetry = telemetry if telemetry is not None else NULL_RECORDER
         #: Deterministic fault injection (duck-typed FaultPlan); consulted
@@ -348,20 +349,16 @@ class Engine(EngineBase):
             f"{best[1] * 1e3:.0f} ms on {self.workers})"
         )
 
-    def _inline_steps(self) -> list:
-        """Every stream's bound steps, merged for one thread to walk.
+    def _inline_tasks(self) -> list:
+        """Every stream's bound tasks, merged by tid for one thread to walk.
 
-        Ordered by each step's *last* task.  That keeps every stream's
-        own order, and puts each step after the steps it reads from: a
-        value read from outside a step comes from the last task of its
-        own step (the interior of a fused chain has no consumer but the
-        next member), which has a lower tid than the reader.  So every
-        fetch finds its producer done and no rendezvous is needed.
+        Every producer has a lower tid than its readers, so each fetch
+        finds its producer done and no rendezvous is needed.
         """
         if self._inline is None:
             self._inline = sorted(
-                (step for bs in self._bound for step in bs.steps),
-                key=lambda step: step.tasks[-1].task.tid,
+                (bt for bs in self._bound for bt in bs.tasks),
+                key=lambda bt: bt.task.tid,
             )
         return self._inline
 
@@ -371,8 +368,8 @@ class Engine(EngineBase):
         if self.lanes == 1:
             # One lane, zero rendezvous: run in the caller's thread
             # (nothing can block, so no guard).
-            steps = self._bound[0].steps if self.workers == 1 else self._inline_steps()
-            self._run_stream(steps, self._bound[0].waits, None)
+            tasks = self._bound[0].tasks if self.workers == 1 else self._inline_tasks()
+            self._run_stream(tasks, self._bound[0].waits, None)
             return
         # The one wiring site: every cross-worker producer that has yet
         # to run gets a *fresh* slot per attempt (whatever an aborted
@@ -389,13 +386,9 @@ class Engine(EngineBase):
                 ),
                 producer=f"t{task.tid}:{task.label} (rank {task.rank})",
             )
-        live = [
-            bs for bs in self._bound
-            if any(not bt.task.done for step in bs.steps for bt in step.tasks)
-        ]
-        if not live:
-            return
-        self._execute_compiled_pool(live, pending, timeout)
+        live = [bs for bs in self._bound if any(not bt.task.done for bt in bs.tasks)]
+        if live:
+            self._execute_compiled_pool(live, pending, timeout)
 
     def _execute_compiled_pool(
         self, live: list["_BoundStream"], pending: list[Task], timeout: float
@@ -412,7 +405,7 @@ class Engine(EngineBase):
 
         def run(bs: "_BoundStream") -> None:
             try:
-                self._run_stream(bs.steps, bs.waits, progress)
+                self._run_stream(bs.tasks, bs.waits, progress)
                 done_q.put(None)
             except BaseException as exc:  # noqa: BLE001 - reported to the driver
                 done_q.put(exc)
@@ -459,76 +452,59 @@ class Engine(EngineBase):
             raise deadlock
 
     def _run_stream(
-        self, steps: list, waits: list[float], progress: list[int] | None
+        self, tasks: list, waits: list[float], progress: list[int] | None
     ) -> None:
-        """Walk bound steps in order, skipping done tasks.
+        """Walk bound tasks in order, skipping done ones.
 
-        Fused steps execute their members back to back and report one
-        telemetry span carrying ``fused_n``; a step interrupted by a
-        failure resumes at its first not-done member on the next attempt
-        (the per-task ``done`` flags are the resume points), so a rank's
-        fault-injection step counter advances once per task, fused or
-        not.
+        The per-task ``done`` flags are the resume points: a stream
+        interrupted by a failure picks up at its first not-done task on
+        the next attempt, and a rank's fault-injection step counter
+        advances once per task run.  One telemetry span per task.
         """
         fp = self.fault_plan
-        cur: Task | None = None
         try:
-            for step in steps:
+            for bt in tasks:
+                task = bt.task
+                if task.done:
+                    continue
                 rec = self.telemetry
                 enabled = rec.enabled
                 if enabled:
                     t0 = rec.now()
                     waits[0] = 0.0
-                ran = 0
-                for bt in step.tasks:
-                    task = bt.task
-                    if task.done:
-                        continue
-                    cur = task
-                    if fp is not None and task.rank is not None:
-                        fp.on_task(task.rank, task.label, telemetry=rec)
-                    task.value = bt.fn(*bt.make_args())
-                    rv = task.rendezvous
-                    if rv is not None:
-                        rv.put(task.value)
-                    task.done = True
-                    ran += 1
-                    if progress is not None:
-                        progress[0] += 1
-                if enabled and ran:
-                    dur = rec.now() - t0
-                    if len(step.tasks) > 1:
-                        rec.task_span(
-                            step.label, step.tid, step.rank, t0, dur,
-                            waits[0], fused_n=ran,
-                        )
-                    else:
-                        rec.task_span(
-                            step.label, step.tid, step.rank, t0, dur, waits[0]
-                        )
+                if fp is not None and task.rank is not None:
+                    fp.on_task(task.rank, task.label, telemetry=rec)
+                task.value = bt.fn(*bt.make_args())
+                rv = task.rendezvous
+                if rv is not None:
+                    rv.put(task.value)
+                task.done = True
+                if progress is not None:
+                    progress[0] += 1
+                if enabled:
+                    rec.task_span(
+                        task.label, task.tid, task.rank, t0, rec.now() - t0, waits[0]
+                    )
         except RankFailure:
             raise
         except Exception as exc:
-            if cur is not None:
-                raise EngineExecutionError(
-                    f"task t{cur.tid} ({cur.label!r}, rank={cur.rank}) "
-                    f"failed: {exc}"
-                ) from exc
-            raise EngineExecutionError(str(exc)) from exc  # pragma: no cover
+            raise EngineExecutionError(
+                f"task t{task.tid} ({task.label!r}, rank={task.rank}) failed: {exc}"
+            ) from exc
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Engine(workers={self.workers}, lanes={self.lanes})"
 
 
 class _BoundStream:
-    """One worker's bound steps plus its rendezvous-wait accumulator.
+    """One worker's bound tasks plus its rendezvous-wait accumulator.
 
     The remote fetch closes over the owning engine's mutable timeout
     cell and reads ``engine.telemetry`` at call time, so a binding is
     valid across replays even as ``run_many`` re-points the recorder.
     """
 
-    __slots__ = ("steps", "waits")
+    __slots__ = ("tasks", "waits")
 
     def __init__(self, engine: Engine, cplan: CompiledPlan, widx: int) -> None:
         waits = [0.0]
@@ -558,4 +534,4 @@ class _BoundStream:
             return value
 
         self.waits = waits
-        self.steps = bind_stream(cplan, widx, None, remote_fetch)
+        self.tasks = bind_stream(cplan, widx, None, remote_fetch)

@@ -18,10 +18,11 @@ inputs).  Because the symbolic backend already mirrors exactly the
 numpy subset the library uses -- pinned by the backend-equivalence
 tests -- the lazy layer inherits that fidelity.
 
-Writes (``lazy[idx] = value``) are functional: they rebind the array's
-ref to a new copy-and-set task, except when the engine can prove the
-buffer is exclusively held (fresh ``zeros``/``copy``/previous set with
-no other consumer), in which case the thunk mutates in place.
+Writes (``lazy[idx] = value``, ``updates=`` kernels) rebind the written
+array's ref to the writing task's output and note which written arrays
+are *fresh* (``zeros`` / ``eye`` / ``copy`` / a previous write).  Whether
+a write touches the producer's buffer or a copy is decided later, by
+the plan compiler, which can see every consumer (:mod:`repro.engine.compile`).
 
 :class:`ParallelOps` is the machine-bound creation backend
 (``machine.ops``) for ``backend="parallel"``: creation returns lazy
@@ -33,13 +34,13 @@ Paper anchor: Section 3 (deferred construction of the execution DAG).
 
 from __future__ import annotations
 
-from functools import partial
+import operator
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.backend.symbolic import SymbolicArray, dtype_of
-from repro.engine.plan import EngineError, Plan, Ref, Task
+from repro.engine.plan import EngineError, Plan, Ref, Writes
 
 __all__ = [
     "LazyArray",
@@ -101,23 +102,6 @@ def _rank_hint(lazies: list["LazyArray"]) -> int | None:
     return None
 
 
-def _run_updating(fn, updates, copies, splat, *vals):
-    """Thunk of an ``updates=`` kernel: copy shared targets, run, re-emit.
-
-    The task's value is ``(*written arrays, *outputs)``; the written
-    arrays become the new values of the lazy arguments ``defer``
-    rebinds.
-    """
-    vals = list(vals)
-    for i in copies:
-        # order="K": the kernel sees the memory order it would have been
-        # handed in place (a column-major buffer stays column-major).
-        vals[i] = vals[i].copy(order="K")
-    out = fn(*vals)
-    written = tuple(vals[i] for i in updates)
-    return written + (tuple(out) if splat else (out,))
-
-
 def defer(
     plan: Plan,
     fn: Callable[..., Any],
@@ -125,7 +109,7 @@ def defer(
     meta: Any,
     rank: int | None = None,
     label: str = "",
-    mutable: bool = False,
+    fresh: bool = False,
     updates: tuple[int, ...] = (),
 ) -> Any:
     """Append ``fn(*args)`` to ``plan`` and wrap its output(s) lazily.
@@ -140,10 +124,11 @@ def defer(
 
     ``updates`` lists the positions in ``args`` of lazy arrays ``fn``
     writes in place (``meta`` may then be ``None``: nothing but the
-    writes).  Each is handed to ``fn`` as the buffer itself when it is
-    exclusively held and as a copy otherwise -- the rule of
-    :meth:`LazyArray.__setitem__` -- and is rebound to the task's
-    written output, so the caller's array objects stay current.
+    writes).  Each is rebound to the task's written output, so the
+    caller's array objects stay current; ``fn`` is recorded raw, and
+    the plan compiler decides per position whether it is handed the
+    producer's buffer or a copy (:class:`~repro.engine.plan.Writes`).
+    ``fresh`` marks a single result as a new allocation of its own.
     """
     lazies: list[LazyArray] = []
     _scan_lazies(args, lazies)
@@ -151,23 +136,25 @@ def defer(
         rank = _rank_hint(lazies)
     exec_args = _map_structure(args, lambda la: la.ref)
     targets = [args[i] for i in updates]
-    if updates:
-        if not all(isinstance(la, LazyArray) for la in targets):
-            raise EngineError("defer(updates=...) positions must hold lazy arrays")
-        # Exclusivity is read before the new task consumes the producers.
-        copies = tuple(i for i, la in zip(updates, targets) if not la._is_exclusive())
-        fn = partial(_run_updating, fn, tuple(updates), copies, isinstance(meta, tuple))
+    if not all(isinstance(la, LazyArray) for la in targets):
+        raise EngineError("defer(updates=...) positions must hold lazy arrays")
     task = plan.add(fn, exec_args, rank=rank, label=label)
+    if updates:
+        task.writes = Writes(
+            tuple(updates),
+            tuple(i for i, la in zip(updates, targets) if la._fresh),
+            isinstance(meta, tuple),
+        )
     for k, la in enumerate(targets):
         la.ref = Ref(task, k)
-        la._mutable = True
+        la._fresh = True
     k = len(targets)  # an updating task's outputs follow its written arrays
     if isinstance(meta, tuple):
         return tuple(
             LazyArray(plan, m, Ref(task, k + i)) for i, m in enumerate(meta)
         )
     if not updates:
-        return LazyArray(plan, meta, Ref(task), mutable=mutable)
+        return LazyArray(plan, meta, Ref(task), fresh=fresh)
     return None if meta is None else LazyArray(plan, meta, Ref(task, k))
 
 
@@ -237,21 +224,22 @@ class LazyArray:
     task per operation.
     """
 
-    __slots__ = ("plan", "meta", "ref", "_mutable")
+    __slots__ = ("plan", "meta", "ref", "_fresh")
 
     #: Duck-typing marker checked by modules that must not import the
     #: engine at module load time (``words_of``, collective dispatch).
     _repro_lazy_ = True
 
     def __init__(
-        self, plan: Plan, meta: SymbolicArray, ref: Ref, mutable: bool = False
+        self, plan: Plan, meta: SymbolicArray, ref: Ref, fresh: bool = False
     ) -> None:
         self.plan = plan
         self.meta = meta
         self.ref = ref
-        #: True when the producing task's buffer is exclusively ours
-        #: (fresh allocation) -- lets ``__setitem__`` mutate in place.
-        self._mutable = mutable
+        #: True when the producing task allocated this array for us
+        #: (``zeros`` / ``copy`` / a previous write): one of the plan
+        #: compiler's conditions for writing it in place.
+        self._fresh = fresh
 
     # ------------------------------------------------------------------
     # Shape attributes (eager, from the meta)
@@ -280,13 +268,9 @@ class LazyArray:
     # ------------------------------------------------------------------
     def _defer(
         self, fn: Callable[..., Any], args: tuple, meta: Any,
-        label: str = "", mutable: bool = False,
+        label: str = "", fresh: bool = False,
     ) -> "LazyArray":
-        return defer(self.plan, fn, args, meta, label=label, mutable=mutable)
-
-    def _is_exclusive(self) -> bool:
-        """True when no later task consumes this array's producing task."""
-        return self._mutable and self.ref.task.tid in self.plan._frontier
+        return defer(self.plan, fn, args, meta, label=label, fresh=fresh)
 
     # ------------------------------------------------------------------
     # Structural ops
@@ -327,7 +311,7 @@ class LazyArray:
 
     def copy(self) -> "LazyArray":
         return self._defer(
-            lambda a: a.copy(), (self,), self.meta, label="copy", mutable=True
+            lambda a: a.copy(), (self,), self.meta, label="copy", fresh=True
         )
 
     def astype(self, dtype, copy: bool = True) -> "LazyArray":
@@ -336,7 +320,7 @@ class LazyArray:
             return self
         return self._defer(
             lambda a: a.astype(dtype, copy=copy), (self,),
-            SymbolicArray(self.shape, dtype), label="astype", mutable=copy,
+            SymbolicArray(self.shape, dtype), label="astype", fresh=copy,
         )
 
     # ------------------------------------------------------------------
@@ -348,19 +332,10 @@ class LazyArray:
 
     def __setitem__(self, idx, value) -> None:
         self.meta[idx]  # validate the index shape eagerly
-        exclusive = self._is_exclusive()
-
-        def run(base, val):
-            out = base if exclusive else base.copy()
-            out[idx] = val
-            return out
-
-        new = defer(
-            self.plan, run, (self, value), self.meta,
-            rank=self.ref.task.rank, label="setitem", mutable=True,
+        defer(
+            self.plan, operator.setitem, (self, idx, value), None,
+            rank=self.ref.task.rank, label="setitem", updates=(0,),
         )
-        self.ref = new.ref
-        self._mutable = True
 
     # ------------------------------------------------------------------
     # Arithmetic (routed through the ufunc protocol)
@@ -455,7 +430,7 @@ class LazyArray:
             target = out[0] if isinstance(out, tuple) else out
             if isinstance(target, LazyArray):
                 target.ref = result.ref
-                target._mutable = False
+                target._fresh = False
                 return target
             return NotImplemented
         return result
@@ -502,15 +477,13 @@ class ParallelOps:
     def __init__(self, plan: Plan) -> None:
         self.plan = plan
 
-    def _leaf(self, fn, meta: SymbolicArray, label: str, mutable: bool) -> LazyArray:
-        task = self.plan.add_constant(fn, label=label)
-        return LazyArray(self.plan, meta, Ref(task), mutable=mutable)
+    def _leaf(self, fn, meta: SymbolicArray, label: str) -> LazyArray:
+        """A rankless constant task whose result is a fresh allocation."""
+        return LazyArray(self.plan, meta, Ref(self.plan.add(fn, label=label)), fresh=True)
 
     def zeros(self, shape, dtype=np.float64):
         meta = SymbolicArray(shape, dtype)
-        return self._leaf(
-            lambda: np.zeros(meta.shape, dtype=meta.dtype), meta, "zeros", True
-        )
+        return self._leaf(lambda: np.zeros(meta.shape, dtype=meta.dtype), meta, "zeros")
 
     def empty(self, shape, dtype=np.float64):
         # Engine buffers are always fully written before use (the
@@ -520,9 +493,7 @@ class ParallelOps:
 
     def eye(self, n, dtype=np.float64):
         meta = SymbolicArray((int(n), int(n)), dtype)
-        return self._leaf(
-            lambda: np.eye(meta.shape[0], dtype=meta.dtype), meta, "eye", True
-        )
+        return self._leaf(lambda: np.eye(meta.shape[0], dtype=meta.dtype), meta, "eye")
 
     def asarray(self, x, dtype=None):
         if isinstance(x, LazyArray):

@@ -21,10 +21,11 @@ The design, end to end:
   ``replicate_rankless=True``): the compile is pure and deterministic,
   so all workers agree on the schedule without communicating.  Rank
   ``r``'s stream belongs to worker ``r % W``; rankless tasks
-  (constants, barriers, harness-side joins) are cheap, pure, and
+  (constants, harness-side joins) are cheap, pure, and
   deterministic, so every worker replicates them locally instead of
-  paying IPC for their values.  Each worker walks its stream -- fused
-  chains, pre-resolved arguments -- in tid order, a topological order,
+  paying IPC for their values.  Each worker walks its stream -- a flat
+  list of bound tasks, arguments pre-resolved, in-place writes decided
+  by the same compile -- in tid order, a topological order,
   so per-worker execution is sequential and the global order is
   deadlock-free by construction (two blocked workers would each need a
   lower tid than the other, a contradiction).
@@ -164,7 +165,7 @@ def _worker_main(
     ship time.
 
     The stream is compiled and bound exactly once per pool lifetime;
-    each epoch re-runs every step (the plan's per-task ``done`` flags
+    each epoch re-runs every task (the plan's per-task ``done`` flags
     live in the parent -- workers own no retry state) with the epoch's
     leaves, timeout, and mailbox threaded through a mutable ``state``
     dict the bound closures read at call time.  Values persist on the
@@ -180,8 +181,9 @@ def _worker_main(
     my_inbox = inboxes[idx]
     state: dict[str, Any] = {
         "extra": {}, "epoch": 0, "timeout": DEFAULT_TIMEOUT,
-        "mailbox": {}, "waited": [0.0], "wait_events": [],
+        "mailbox": {}, "wait_events": [],
     }
+    waited = [0.0]  # seconds the current task spent blocked in fetches
 
     def leaf_fetch(leaf: Task) -> Any:
         extra = state["extra"]
@@ -229,18 +231,17 @@ def _worker_main(
             mailbox[tid] = value
             if tid == dep.tid:
                 elapsed = time.perf_counter() - start
-                state["waited"][0] += elapsed
+                waited[0] += elapsed
                 state["wait_events"].append((dep.label, consumer.rank, elapsed))
                 return value
 
     bound = bind_stream(cplan, idx, leaf_fetch, remote_fetch)
     my_sends = {
-        tid: tuple(sorted(dests))
-        for tid, dests in cplan.sends.items()
-        if cplan.owner[tid] == idx
+        pub.task.tid: tuple(sorted(pub.dest_workers))
+        for pub in cplan.publishers
+        if cplan.owner[pub.task.tid] == idx
     }
-    my_tids = {bt.task.tid for step in bound for bt in step.tasks}
-    waited = state["waited"]
+    my_tids = {bt.task.tid for bt in bound}
 
     while True:
         cmd = cmd_q.get()
@@ -257,24 +258,21 @@ def _worker_main(
         n_run = 0
         current: Task | None = None
         try:
-            for step in bound:
+            for bt in bound:
+                task = current = bt.task
                 t0 = time.perf_counter() if telem_on else 0.0
                 waited[0] = 0.0
-                for bt in step.tasks:
-                    task = bt.task
-                    current = task
-                    if fault_plan is not None and task.rank is not None:
-                        fault_plan.on_task(task.rank, task.label)
-                    value = bt.fn(*bt.make_args())
-                    task.value = value
-                    n_run += 1
-                    for j in my_sends.get(task.tid, ()):
-                        inboxes[j].put((epoch, "val", task.tid, value))
+                if fault_plan is not None and task.rank is not None:
+                    fault_plan.on_task(task.rank, task.label)
+                value = bt.fn(*bt.make_args())
+                task.value = value
+                n_run += 1
+                for j in my_sends.get(task.tid, ()):
+                    inboxes[j].put((epoch, "val", task.tid, value))
                 if telem_on:
                     spans.append((
-                        step.label, step.tid, step.rank,
+                        task.label, task.tid, task.rank,
                         t0, time.perf_counter() - t0, waited[0],
-                        len(step.tasks),
                     ))
         except BaseException as exc:  # noqa: BLE001 - reported to the parent
             enc = _encode_exc(exc, current)
@@ -567,18 +565,14 @@ class MpEngine(EngineBase):
     def _commit(self, plan: Plan, replies: list[tuple]) -> None:
         """Bind shipped outputs, mark the plan done, replay telemetry."""
         rec = self.telemetry
-        pids = {m[1]: m[4] for m in replies}
-        for m in replies:
-            _, idx, _, out, pid, spans, wait_events, _, _ = m
+        for _, _, _, out, pid, spans, wait_events, _, _ in replies:
             for tid, value in out.items():
                 plan.tasks[tid].value = value
             if rec.enabled:
                 base = getattr(rec, "epoch", 0.0)
-                for label, tid, rank, t0, dur, wait_s, fused_n in spans:
-                    extra = {"fused_n": fused_n} if fused_n > 1 else {}
+                for label, tid, rank, t0, dur, wait_s in spans:
                     rec.task_span(
-                        label, tid, rank, t0 - base, dur, wait_s,
-                        worker=f"pid{pids[idx]}", **extra,
+                        label, tid, rank, t0 - base, dur, wait_s, worker=f"pid{pid}"
                     )
                 for producer_label, consumer, seconds in wait_events:
                     rec.rendezvous_wait(producer_label, consumer, seconds)

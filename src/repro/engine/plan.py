@@ -19,6 +19,14 @@ walks each stream in recording order); tasks of different ranks run
 concurrently whenever their dataflow allows -- which is the paper's DAG
 semantics executed for real instead of simulated.
 
+Recording keeps no dataflow state: :meth:`Plan.add` appends and
+returns, and who reads what is analysed once, by the plan compiler's
+consumer map (:mod:`repro.engine.compile`), when every consumer is
+known.  A task that writes arguments in place says so in
+:attr:`Task.writes`; whether a write may touch the producer's buffer is
+the compiler's decision.  :meth:`repro.machine.Machine.barrier` records
+nothing here: it joins the simulated clocks only.
+
 Input leaves (:meth:`Plan.add_input`) hold the distributed input blocks
 and are the replay boundary: :meth:`Plan.rebind` swaps in a new job's
 blocks and :meth:`Plan.reset` re-arms every task, so a stream of
@@ -31,9 +39,9 @@ edges).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
-__all__ = ["EngineError", "Plan", "Ref", "Task"]
+__all__ = ["EngineError", "Plan", "Ref", "Task", "Writes"]
 
 
 class EngineError(RuntimeError):
@@ -58,18 +66,35 @@ class Ref:
         return f"Ref(t{self.task.tid}{sel})"
 
 
+class Writes(NamedTuple):
+    """What an ``updates=`` task knows about its writes at record time.
+
+    ``updates`` are the positions in ``args`` (each a bare :class:`Ref`)
+    of the arrays ``fn`` writes; ``fresh`` the subset whose array was
+    allocated for its holder (``zeros`` / ``eye`` / ``copy`` / a
+    previous write) rather than handed over by a kernel or a transfer;
+    ``splat`` says ``fn`` returns a tuple of outputs.  The task's value
+    is ``(*written arrays, *outputs)``.
+    """
+
+    updates: tuple[int, ...]
+    fresh: tuple[int, ...]
+    splat: bool
+
+
 class Task:
     """One deferred unit of work: ``value = fn(*resolved_args)``.
 
     ``args`` may contain :class:`Ref` handles (also nested inside
     lists/tuples/dicts); the executor resolves them to the producing
     tasks' values before calling ``fn``.  Input leaves have ``fn=None``
-    and carry their value directly.
+    and carry their value directly.  ``writes`` is ``None`` unless the
+    task writes arguments in place (:class:`Writes`).
     """
 
     __slots__ = (
         "tid", "rank", "label", "fn", "args",
-        "value", "done", "is_input", "rendezvous",
+        "value", "done", "is_input", "rendezvous", "writes",
     )
 
     def __init__(
@@ -92,6 +117,7 @@ class Task:
         #: another worker; the value handoff then goes through this
         #: blocking slot.
         self.rendezvous = None
+        self.writes: Writes | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Task(t{self.tid}, rank={self.rank}, {self.label!r})"
@@ -115,12 +141,6 @@ class Plan:
     def __init__(self) -> None:
         self.tasks: list[Task] = []
         self.inputs: list[Task] = []
-        #: Last task of each rank's stream (program-order chaining).
-        self._tails: dict[int, Task] = {}
-        #: Tasks no later task depends on yet (for barrier joins).
-        self._frontier: dict[int, Task] = {}
-        #: Pending barrier join every subsequent task must follow.
-        self._barrier_task: Task | None = None
 
     # ------------------------------------------------------------------
     # Building
@@ -136,25 +156,11 @@ class Plan:
 
         Dataflow edges are the :class:`Ref` handles inside ``args``,
         which the plan compiler reads off the arguments; program order
-        within a rank is the order of its stream.  The tasks this one
-        follows -- its producers, its rank's previous task, the most
-        recent barrier -- leave the frontier, which is what
-        ``LazyArray``'s exclusive-buffer rule consults.
+        within a rank is the order of its stream.  ``rank=None`` is
+        harness-side work (constants such as ``zeros``, joins).
         """
-        deps: list[Task] = []
-        _scan_refs(args, deps)
-        prev = self._tails.get(rank) if rank is not None else None
-        if prev is not None and prev not in deps:
-            deps.append(prev)
-        if self._barrier_task is not None and self._barrier_task not in deps:
-            deps.append(self._barrier_task)
         task = Task(len(self.tasks), rank, label, fn, args)
         self.tasks.append(task)
-        if rank is not None:
-            self._tails[rank] = task
-        for d in deps:
-            self._frontier.pop(d.tid, None)
-        self._frontier[task.tid] = task
         return task
 
     def add_input(self, value: Any, label: str = "input") -> Task:
@@ -165,34 +171,6 @@ class Plan:
         task.is_input = True
         self.tasks.append(task)
         self.inputs.append(task)
-        return task
-
-    def add_constant(
-        self, fn: Callable[..., Any], args: tuple = (), label: str = "const"
-    ) -> Task:
-        """Append a dependency-free constant-producing task (e.g. zeros)."""
-        task = Task(len(self.tasks), None, label, fn, args)
-        self.tasks.append(task)
-        self._frontier[task.tid] = task
-        return task
-
-    def barrier(self) -> Task | None:
-        """Record a phase boundary: every later task follows this one.
-
-        Mirrors :meth:`repro.machine.Machine.barrier`'s clock join at
-        the recording level: the frontier collapses to the barrier, so
-        no buffer produced before it counts as exclusively held
-        afterwards.  Execution needs no join -- values cross the
-        boundary as ordinary dataflow.  Returns the barrier task
-        (``None`` when the plan is empty).
-        """
-        if not self._frontier:
-            return None
-        task = Task(len(self.tasks), None, "barrier", lambda *_: None, ())
-        self.tasks.append(task)
-        self._frontier = {task.tid: task}
-        self._barrier_task = task
-        self._tails = {}
         return task
 
     # ------------------------------------------------------------------

@@ -29,9 +29,11 @@ CodedOverhead(flops=8, words=16, messages=4)
 Recovery (:func:`recover_from_failure`, invoked by
 :class:`~repro.faults.policy.CodedRecovery`) runs harness-side on the
 already-failed attempt: it overwrites the dead rank's *input leaf* with
-the reconstructed block and resets exactly the victim's tasks, so the
-engine's retry replays only the victim's stream (plus whatever was
-still pending) against survivors' already-computed values.
+the reconstructed block and re-arms the victim's tasks -- together
+with every buffer they had written in place
+(:func:`repro.engine.compile.rearm`) -- so the engine's retry replays
+only the victim's stream (plus whatever was still pending) against
+survivors' already-computed values.
 
 Paper anchor: Section 5 (the 1D block-row algorithms being protected);
 Section 3 (the cost model the redundancy is accounted in); arXiv
@@ -166,10 +168,11 @@ def encode_checksums(machine: Machine, dA: DistMatrix, f: int = 1) -> CodedConte
     The data ranks are ``dA``'s participants; the spare for group ``g``
     is rank ``machine.P - f + g``, so the machine must be constructed
     with ``P_data + f`` processors.  Ends with a
-    :meth:`~repro.machine.Machine.barrier`, which on the parallel
-    backend is also a *scheduling* join: every algorithm task recorded
-    afterwards depends on the parity tasks, so a rank cannot die before
-    its group's checksum exists.
+    :meth:`~repro.machine.Machine.barrier`: a join of the simulated
+    clocks, so the encode is charged before the algorithm starts.  The
+    engines schedule by dataflow alone; a rank that dies before its
+    group's parity task has run is unrecoverable
+    (:func:`recover_from_failure` raises ``FaultRecoveryError``).
     """
     parts = list(dA.layout.participants())
     if not 1 <= f <= len(parts):
@@ -246,8 +249,9 @@ def recover_from_failure(ctx: CodedContext, failure, plan) -> np.ndarray:
     Reads only the group's checksum and the *surviving* members' input
     blocks -- never the victim's stored value -- XORs them back into
     the lost block, overwrites the victim's plan input leaf with it,
-    and re-arms every task in the victim's stream.  Returns the
-    reconstructed block.
+    and re-arms every task in the victim's stream plus the producers
+    whose buffers those tasks wrote in place (a ``zeros`` the victim
+    filled must be zeros again).  Returns the reconstructed block.
     """
     victim = failure.rank
     if victim not in ctx.group_of:
@@ -277,11 +281,9 @@ def recover_from_failure(ctx: CodedContext, failure, plan) -> np.ndarray:
             "needs the parallel engine"
         ) from failure
     leaf_handle.ref.task.value = reconstructed
-    for task in plan.tasks:
-        if task.rank == victim and not task.is_input:
-            task.done = False
-            task.value = None
-            task.rendezvous = None
+    from repro.engine.compile import rearm  # the engine sits above faults
+
+    rearm(plan, [t for t in plan.tasks if t.rank == victim and not t.is_input])
     ctx.recovered_groups.add(g)
     return reconstructed
 

@@ -245,8 +245,9 @@ class Machine:
         ``updates`` names the positions in ``args`` of the arrays
         ``fn`` writes **in place** (block writes).  The numeric backend
         mutates them directly; the engine backends hand ``fn`` the
-        buffer itself when it is exclusively held and a copy otherwise
-        (the rule of ``LazyArray.__setitem__``) and rebind the lazy
+        buffer itself when the plan compiler proves nothing else reads
+        it and a copy otherwise (the write rule of
+        :mod:`repro.engine.compile`) and rebind the lazy
         argument to the written array; the symbolic backend has nothing
         to write.  Callers keep using the same argument objects
         afterwards on every backend.
@@ -412,12 +413,10 @@ class Machine:
     def barrier(self) -> None:
         """Zero-cost clock join across all processors (phase separation).
 
-        On a parallel machine the barrier is also recorded in the plan
-        as a phase boundary (see :meth:`repro.engine.plan.Plan.barrier`).
+        A join of the simulated clocks only: an execution plan records
+        nothing for it, and values cross it as ordinary dataflow.
         """
         self.clocks.barrier()
-        if self.plan is not None:
-            self.plan.barrier()
 
     # ------------------------------------------------------------------
     # Flop-cost helpers (library-wide conventions)

@@ -22,7 +22,9 @@ Front doors: ``python -m repro trace <alg> ...`` (one traced run,
     trace = chrome_trace(rec)        # load in https://ui.perfetto.dev
 
 Telemetry is off by default; the disabled path costs one attribute
-check per instrumentation site (guarded by ``benchmarks/bench_engine.py``).
+check per instrumentation site (pinned structurally by
+``tests/test_telemetry.py``; the enabled cost is the repo benchmark's
+``telemetry.overhead_frac``).
 
 Paper anchor: Section 8 (measured evaluation; comparing measured
 against the Section 3 model's predictions).

@@ -20,8 +20,9 @@ Telemetry is **off by default**: the module-level current recorder is
 :data:`NULL_RECORDER`, whose ``enabled`` flag is ``False``, and every
 instrumentation site in the engine/machine/driver guards its timing
 code behind that one attribute check -- the disabled cost is a single
-branch per task (pinned by ``benchmarks/bench_engine.py``).  Enable it
-by installing a recorder::
+branch per task (a disabled recorder whose methods raise completes a
+run: ``tests/test_telemetry.py``).  Enable it by installing a
+recorder::
 
     from repro.telemetry import TelemetryRecorder, recording
 
@@ -239,8 +240,10 @@ class TelemetryRecorder:
         engine records from inside its pool); the multiprocessing engine
         replays its workers' spans from the parent and passes
         ``"pid<N>"`` so the trace keeps one track per worker process.
-        Extra keyword arguments land in the span's meta (the compiled
-        engines pass ``fused_n`` for fused-chain steps).
+        ``wait_s`` is the span's share blocked in rendezvous fetches;
+        the wait *metrics* are recorded per fetch by
+        :meth:`rendezvous_wait`.  Extra keyword arguments land in the
+        span's meta.
         """
         self.span(
             label or f"t{tid}", "task", t0, dur, rank=rank,
@@ -249,13 +252,17 @@ class TelemetryRecorder:
         )
         self.metrics.inc("engine.tasks")
         self.metrics.observe("engine.task_s", dur)
-        if wait_s > 0.0:
-            self.metrics.observe("engine.rendezvous_wait_s", wait_s)
 
     def rendezvous_wait(self, producer_label: str, consumer: int | None, seconds: float) -> None:
-        """A consumer blocked ``seconds`` on ``producer_label``'s slot."""
+        """A consumer blocked ``seconds`` on ``producer_label``'s slot.
+
+        One count and one histogram sample per blocking fetch, so
+        ``engine.rendezvous.waits`` and the ``engine.rendezvous_wait_s``
+        count always agree (a task that blocks on two producers is two).
+        """
         self.metrics.inc("engine.rendezvous.waits")
         self.metrics.inc(f"engine.rendezvous.wait_s.rank{consumer}", seconds)
+        self.metrics.observe("engine.rendezvous_wait_s", seconds)
 
     def kernel_dispatch(self, label: str, rank: int | None, seconds: float, backend: str) -> None:
         """The machine dispatched one kernel (eager run or plan append)."""

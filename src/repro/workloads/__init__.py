@@ -13,7 +13,6 @@ from repro.workloads.matrices import (
 )
 from repro.workloads.sweeps import (
     ALGORITHMS,
-    PARALLEL_ALGORITHMS,
     QR_ALGORITHMS,
     RunResult,
     drive,
@@ -23,7 +22,6 @@ from repro.workloads.sweeps import (
 
 __all__ = [
     "ALGORITHMS",
-    "PARALLEL_ALGORITHMS",
     "QR_ALGORITHMS",
     "GENERATORS",
     "drive",

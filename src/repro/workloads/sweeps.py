@@ -52,11 +52,6 @@ ALGORITHMS = QR_ALGORITHMS + ("wide", "applyq", "mm1d", "mm3d")
 #: subset it has; the CLI ``sweep`` and the planner pass the common set.
 KNOBS = ("b", "bstar", "eps", "delta", "bb", "pr", "pc", "method")
 
-#: Deprecated alias: since the backend registry landed, every algorithm
-#: runs on the parallel engine (capability gating, if a backend needs
-#: it, lives in :class:`repro.backend.registry.Backend` flags).
-PARALLEL_ALGORITHMS = ALGORITHMS
-
 
 @dataclass
 class RunResult:

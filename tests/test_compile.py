@@ -1,12 +1,14 @@
 """Unit tests for the plan compiler (repro.engine.compile).
 
-Covers the three compiler transformations in isolation -- fusion
-segmentation, worker-affinity ownership with same-worker edge elision,
-and argument pre-resolution -- plus the engine-level contracts: every
-lane count computes the same (pinned) values, the compiled schedule
-cache invalidates when a plan grows, fused steps surface as single
-telemetry spans with ``fused_n``, replays measure their lane count, and
-no second execution path or ``compile`` switch grows back.
+Covers what the compiler derives from its consumer map -- flat tid-order
+lanes, worker-affinity ownership with same-worker edge elision, the
+compiled copy map of ``updates=`` tasks -- and argument pre-resolution,
+plus the engine-level contracts: every lane count computes the same
+(pinned) values, the compiled schedule cache invalidates when a plan
+grows, one telemetry span per task, replays measure their lane count,
+and no second execution path, ``compile`` switch or record-time
+dataflow analysis grows back.  (The write rule itself is pinned in
+``tests/test_write_rule.py``.)
 """
 
 import numpy as np
@@ -27,46 +29,44 @@ def _chain_plan(k=4, rank=0):
     return plan, t
 
 
-class TestFusion:
-    def test_sole_consumer_chain_fuses_to_one_step(self):
+class TestFlatLanes:
+    """A lane is its owned tasks in tid order: one step per task."""
+
+    def test_sole_consumer_chain_stays_one_step_per_task(self):
         plan, _ = _chain_plan(k=5)
         cp = compile_plan(plan, workers=1)
-        assert cp.stats["tasks"] == 5
-        assert cp.stats["steps"] == 1
-        assert cp.stats["fused_chains"] == 1
-        assert cp.stats["fused_tasks"] == 5
-        step = cp.streams[0][0]
-        assert step.fused and len(step.tasks) == 5
-        assert step.label.startswith("fused:")
-        assert step.tid == plan.tasks[0].tid
+        assert cp.stats["tasks"] == cp.stats["steps"] == 5
+        assert cp.streams[0] == plan.tasks
 
-    def test_fanout_breaks_the_chain(self):
+    def test_fanout_is_just_three_steps_in_tid_order(self):
         plan = Plan()
         a = plan.add(lambda: 1.0, rank=0, label="a")
         b = plan.add(lambda v: v + 1, (Ref(a),), rank=0, label="b")
-        # Second consumer of `a`: a..b must NOT fuse (a's value is read
-        # again later), but b..c still can.
         c = plan.add(lambda v, w: v + w, (Ref(b), Ref(a)), rank=0, label="c")
-        del c
         cp = compile_plan(plan, workers=1)
-        assert cp.stats["steps"] == 2
-        assert [len(s.tasks) for s in cp.streams[0]] == [1, 2]
+        assert cp.stats["steps"] == 3
+        assert cp.streams == [[a, b, c]]
 
-    def test_cross_rank_consumer_breaks_the_chain(self):
+    def test_cross_rank_consumer_on_one_worker_is_two_steps_and_no_rendezvous(self):
         plan = Plan()
         a = plan.add(lambda: 1.0, rank=0, label="a")
-        plan.add(lambda v: v + 1, (Ref(a),), rank=1, label="b")
+        b = plan.add(lambda v: v + 1, (Ref(a),), rank=1, label="b")
         cp = compile_plan(plan, workers=1)
-        # Different ranks never fuse, even on one worker.
-        assert cp.stats["fused_chains"] == 0
-        assert cp.stats["steps"] == 2
+        assert cp.streams == [[a, b]] and cp.stats["steps"] == 2
+        assert cp.stats["elided_edges"] == 1 and cp.publishers == []
+        # On two workers each rank is its own lane and the edge is real.
+        cp2 = compile_plan(plan, workers=2)
+        assert cp2.streams == [[a], [b]] and cp2.stats["rendezvous_edges"] == 1
 
-    def test_rankless_tasks_never_fuse(self):
+    def test_rankless_task_is_a_step_on_its_first_consumers_lane(self):
         plan = Plan()
-        a = plan.add_constant(lambda: np.zeros(2), label="zeros")
-        plan.add(lambda v: v + 1, (Ref(a),), rank=0, label="use")
-        cp = compile_plan(plan, workers=1)
-        assert cp.stats["fused_chains"] == 0
+        head = plan.add(lambda: 1.0, rank=0, label="head")
+        z = plan.add(lambda: np.zeros(2), label="zeros")
+        use = plan.add(lambda v: v + 1, (Ref(z),), rank=1, label="use")
+        cp = compile_plan(plan, workers=2)
+        assert cp.streams == [[head], [z, use]]
+        assert cp.stats["steps"] == cp.stats["tasks"] == 3
+        assert cp.copies == {}  # nothing here writes in place
 
 
 class TestAffinity:
@@ -132,15 +132,15 @@ class TestAffinity:
 
     def test_mp_mode_replicates_rankless_tasks(self):
         plan = Plan()
-        c = plan.add_constant(lambda: 3.0, label="const")
+        c = plan.add(lambda: 3.0, label="const")
         plan.add(lambda v: v + 1, (Ref(c),), rank=0, label="r0")
         plan.add(lambda v: v + 2, (Ref(c),), rank=1, label="r1")
         cp = compile_plan(plan, workers=2, replicate_rankless=True)
         assert cp.owner[c.tid] == REPLICATED
         # Replicated values are everywhere-local: nothing is sent.
-        assert cp.sends == {}
-        assert all(any(bt is c for s in lane for bt in s.tasks)
-                   for lane in cp.streams)
+        assert cp.publishers == []
+        assert all(c in lane for lane in cp.streams)
+        assert cp.stats["tasks"] == 3 and cp.stats["steps"] == 4
 
     def test_streams_preserve_tid_order(self):
         plan = Plan()
@@ -149,7 +149,7 @@ class TestAffinity:
         del tasks
         cp = compile_plan(plan, workers=2)
         for lane in cp.streams:
-            tids = [t.tid for s in lane for t in s.tasks]
+            tids = [t.tid for t in lane]
             assert tids == sorted(tids)
 
 
@@ -158,8 +158,8 @@ class TestArgPreResolution:
         plan = Plan()
         t = plan.add(lambda a, b: a + b, (2.0, 3.0), rank=0, label="add")
         cp = compile_plan(plan, workers=1)
-        (bound,) = bind_stream(cp, 0, None, None)
-        (bt,) = bound.tasks
+        (bt,) = bind_stream(cp, 0, None, None)
+        assert bt.task is t and bt.fn is t.fn
         assert bt.make_args() is t.args
 
     def test_nested_containers_and_index_refs_resolve(self):
@@ -216,7 +216,7 @@ class TestCompiledEngine:
         assert eng._cplan is not first
         assert late.value == tail.value + 10
 
-    def test_fused_step_emits_one_span_with_fused_n(self):
+    def test_every_task_emits_its_own_span(self):
         from repro.telemetry import TelemetryRecorder, recording
 
         plan, _ = _chain_plan(k=4)
@@ -224,13 +224,12 @@ class TestCompiledEngine:
             eng = Engine(workers=1, telemetry=rec)
             eng.execute(plan, timeout=GUARD)
         spans = [s for s in rec.spans if s.cat == "task"]
-        assert len(spans) == 1
-        (span,) = spans
-        assert span.name.startswith("fused:")
-        assert span.meta.get("fused_n") == 4
-        assert int(rec.metrics.counter("engine.tasks")) == 1
+        assert [s.name for s in spans] == ["seed", "inc0", "inc1", "inc2"]
+        assert [s.meta["tid"] for s in spans] == [0, 1, 2, 3]
+        assert all(set(s.meta) == {"tid"} for s in spans)
+        assert int(rec.metrics.counter("engine.tasks")) == 4
 
-    def test_unfused_steps_carry_no_fused_n(self):
+    def test_cross_lane_tasks_emit_plain_spans(self):
         from repro.telemetry import TelemetryRecorder, recording
 
         plan = Plan()
@@ -239,8 +238,8 @@ class TestCompiledEngine:
         with recording(TelemetryRecorder()) as rec:
             Engine(workers=2, telemetry=rec).execute(plan, timeout=GUARD)
         spans = [s for s in rec.spans if s.cat == "task"]
-        assert len(spans) == 2
-        assert all("fused_n" not in s.meta for s in spans)
+        assert sorted(s.name for s in spans) == ["a", "b"]
+        assert all(set(s.meta) == {"tid"} for s in spans)
 
     def test_more_ranks_than_workers_completes(self):
         # Interleaved multi-rank streams on few workers: the tid-order
@@ -405,17 +404,17 @@ class TestLaneSelection:
         rec = eng.telemetry = TelemetryRecorder()
         assert _replay(eng, plan, 2) == [1, 1]
         spans = [s for s in rec.spans if s.cat == "task"]
-        # Per replay: b, then the fused chain a..sum that reads it.
-        assert [s.name for s in spans] == ["b", "fused:a..sum"] * 2
+        # Per replay: both lanes' tasks merged in tid order.
+        assert [s.name for s in spans] == ["a", "b", "sum"] * 2
         assert {s.worker for s in spans} == {threading.current_thread().name}
         assert all(s.wait_s == 0.0 for s in spans)
         assert rec.metrics.counter("engine.rendezvous.waits") == 0
         assert all(t.rendezvous is None for t in plan.tasks)
         assert rec.metrics.snapshot()["gauges"]["engine.lanes"] == 1.0
 
-    def test_fused_chains_run_after_their_cross_lane_producers(self):
-        # One lane walks both streams' steps merged by *last* tid: the
-        # chain a0..a2 (rank 0) reads x (rank 1), recorded mid-chain.
+    def test_inline_lane_runs_tasks_after_their_cross_lane_producers(self):
+        # One lane walks both streams' tasks merged by tid: a1 (rank 0)
+        # reads x (rank 1), recorded between a0 and a1.
         plan = Plan()
         a0 = plan.add(lambda: 1.0, rank=0, label="a0")
         x = plan.add(lambda: 10.0, rank=1, label="x")
@@ -424,8 +423,9 @@ class TestLaneSelection:
         eng = Engine(workers=2)
         _ScriptedClock(eng, {2: 1.0, 1: 0.5})
         eng.execute(plan, timeout=GUARD)
-        assert eng._cplan.stats["fused_tasks"] == 3
+        assert [t.label for t in eng._cplan.streams[0]] == ["a0", "a1", "a2"]
         assert _replay(eng, plan, 5)[-1] == 1
+        assert [bt.task.label for bt in eng._inline_tasks()] == ["a0", "x", "a1", "a2"]
         assert a2.value == 22.0
 
     def test_stream_that_switches_lanes_matches_serial_every_job(self):
@@ -480,3 +480,33 @@ class TestOneExecutionPath:
             main(["run", "--alg", "tsqr", "--m", "64", "--n", "4", "--P", "4",
                   "--no-compile"])
         assert exc.value.code == 2
+
+    def test_no_record_time_dataflow_or_fusion_grows_back(self):
+        """Acceptance pin: the compiler's consumer map is the engine's
+        only dataflow analysis -- no frontier, no exclusivity test at
+        record time, no fused steps."""
+        import pathlib
+        import re
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+        gone = re.compile(
+            r"_frontier|_tails|_barrier_task|_is_exclusive|fused|class (Bound)?Step"
+        )
+        offenders = [
+            f"{path.relative_to(src)}:{n}: {line.strip()}"
+            for path in sorted(src.rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if gone.search(line)
+        ]
+        assert not offenders, "\n".join(offenders)
+        engine = src / "engine"
+        # One in-place mechanism, applied at one site (bind time).
+        uses = [
+            f"{path.name}:{n}"
+            for path in sorted(engine.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if "_run_updating" in line and not line.startswith("def ")
+        ]
+        assert len(uses) == 1 and uses[0].startswith("compile.py:"), uses
+        assert sum(p.read_text().count("RendezvousGroup(")
+                   for p in engine.glob("*.py")) == 1

@@ -148,21 +148,20 @@ class TestChaosGrid:
 
 
 # ----------------------------------------------------------------------
-# Faults inside compiler-fused chains
+# Faults in the middle of a compiled stream
 # ----------------------------------------------------------------------
 
-class TestFusedChainFaults:
-    """Faults that land *inside* a chain fused by the plan compiler.
+class TestMidStreamFaults:
+    """Faults that land partway through a rank's compiled stream.
 
-    With the compiler on (the default), each rank's stream collapses
-    into fused steps executing a pre-resolved closure list.  A fault
-    firing mid-chain interrupts that list partway through; recovery
-    must resume at *task* granularity -- the fused step's done prefix
-    stays done -- and end state must match the fault-free numeric
-    factorization bit for bit.
+    A lane is a flat list of bound tasks and the per-task ``done``
+    flags are the resume points: a fault firing mid-stream leaves the
+    done prefix done, recovery resumes at the first not-done task, and
+    the end state must match the fault-free numeric factorization bit
+    for bit.
     """
 
-    def test_retry_resumes_inside_fused_chain(self):
+    def test_retry_resumes_at_the_first_not_done_task(self):
         from repro.engine import Engine, Plan, Ref
 
         plan = Plan()
@@ -174,13 +173,15 @@ class TestFusedChainFaults:
         eng = Engine(workers=1, fault_plan=FaultPlan.kill(0, 2),
                      recovery=RetryTask(2))
         eng.execute(plan, timeout=60.0)
-        # The whole rank-0 stream really fused into one step, so the
-        # kill at step 2 fired inside it.
-        assert eng._cplan.stats["fused_chains"] == 1
-        assert eng._cplan.stats["fused_tasks"] == 5
+        # The whole rank-0 stream is one lane of five tasks, so the kill
+        # at step 2 fired inside it.
+        assert [x.label for x in eng._cplan.streams[0]] == [
+            "seed", "inc0", "inc1", "inc2", "inc3"]
+        assert eng.fault_plan.fired == (RankFault(0, 2),)
         assert t.value == 5.0
         # Task-granular resume: the pre-fault prefix did not re-run.
         assert calls == [0, 1, 2, 3]
+        assert eng.tasks_run == 5
 
     def test_coded_recovery_compiled_vs_uncompiled_bit_identical(self):
         A = _input()
@@ -192,7 +193,7 @@ class TestFusedChainFaults:
         for got, want in zip(r.factors, base):
             assert np.array_equal(got, want)
 
-    def test_fault_fires_under_fused_spans(self):
+    def test_fault_fires_under_task_spans(self):
         from repro.telemetry import recording
 
         A = _input()
@@ -200,14 +201,84 @@ class TestFusedChainFaults:
         with recording() as rec:
             r = run_coded_qr("tsqr", A, P=P, f=1, fault="1@2",
                              recovery=RetryTask(2), workers=1)
-        # Fusion was actually active in this run...
-        assert any(s.meta.get("fused_n", 0) > 1 for s in rec.spans)
+        # Every task ran exactly once across the two attempts (the
+        # killed task-step leaves no span)...
+        tids = [s.meta["tid"] for s in rec.spans if s.cat == "task"]
+        assert len(tids) == len(set(tids)) == r.machine.engine.tasks_run
         # ...and the fault was injected, detected, and retried through.
         counters = rec.metrics.snapshot()["counters"]
         assert counters["faults.injected"] == 1
         assert counters["faults.detected"] == 1
         for got, want in zip(r.factors, base):
             assert np.array_equal(got, want)
+
+
+    @pytest.mark.parametrize("kill_step", [0, 1])
+    @pytest.mark.parametrize("policy", ["coded:1", "retry:1"])
+    def test_recovery_does_not_reapply_an_in_place_write(self, policy, kill_step):
+        # Rank 1 accumulates its block into a rankless ``zeros`` *in
+        # place*, then reads the sum.  Re-arming rank 1's stream must
+        # re-arm that zeros too -- it holds the written buffer -- or the
+        # replay adds the block a second time.
+        from repro.backend import SymbolicArray
+
+        def accumulate(z, block):
+            z += block.sum(axis=0)
+
+        A = _input()
+        layout = BlockRowLayout(balanced_sizes(M, P))
+        machine = Machine(P + 1, backend="parallel", workers=1,
+                          fault_plan=FaultPlan.kill(1, kill_step),
+                          recovery=parse_policy(policy))
+        dA = DistMatrix.from_global(machine, A, layout)
+        machine.engine.coded_ctx = encode_checksums(machine, dA, 1)
+        z = machine.ops.zeros((N,))
+        zeros_task = z.ref.task
+        machine.kernel(1, accumulate, (z, dA.local(1)), None, updates=(0,),
+                       label="accumulate")
+        y = machine.kernel(1, np.copy, (z,), SymbolicArray((N,)), label="read")
+        cplan = machine.engine._compiled(machine.plan)
+        assert cplan.copies[z.ref.task.tid] == ()          # written in place
+        want = A[layout.rows_of(1), :].sum(axis=0)
+        z, y = machine.materialize((z, y))
+        assert machine.fault_plan.fired == (RankFault(1, kill_step),)
+        np.testing.assert_array_equal(y, want)
+        np.testing.assert_array_equal(z, want)
+        # The write really went into the zeros task's own buffer.
+        assert zeros_task.value is z
+
+    def test_rearm_follows_in_place_writes_transitively_and_no_further(self):
+        from repro.engine import Plan, Ref, compile_plan
+        from repro.engine.compile import rearm
+        from repro.engine.plan import Writes
+
+        def bump(x):
+            x += 1.0
+
+        plan = Plan()
+        z = plan.add(lambda: np.zeros(2), label="zeros")
+        w0 = plan.add(bump, (Ref(z),), rank=0, label="w0")
+        w1 = plan.add(bump, (Ref(w0, 0),), rank=1, label="w1")
+        shared = plan.add(lambda: np.zeros(2), label="shared")
+        w2 = plan.add(bump, (Ref(shared),), rank=1, label="w2")
+        other = plan.add(lambda v: v + 0.0, (Ref(shared),), rank=0, label="other")
+        for w in (w0, w1, w2):
+            w.writes = Writes((0,), (0,), False)
+        from repro.engine import Engine
+
+        eng = Engine(workers=1)
+        eng.execute(plan, timeout=60.0)
+        assert compile_plan(plan, 1).copies == {w0.tid: (0,), w1.tid: (0,), w2.tid: (0,)}
+        assert eng._cplan.copies == {w0.tid: (), w1.tid: (), w2.tid: (0,)}
+        assert w1.value[0].tolist() == [2.0, 2.0]
+        rearm(plan, [w1, w2])                               # "rank 1 died"
+        # w1 wrote w0's buffer, which is z's buffer: all three run again;
+        # ``shared`` was copied (a second reader), so it stays done.
+        assert [t.label for t in plan.tasks if not t.done] == ["zeros", "w0", "w1", "w2"]
+        assert shared.done and other.done
+        eng.execute(plan, timeout=60.0)
+        assert w1.value[0].tolist() == [2.0, 2.0]
+        assert w2.value[0].tolist() == [1.0, 1.0] and other.value.tolist() == [0.0, 0.0]
 
 
 # ----------------------------------------------------------------------

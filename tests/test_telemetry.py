@@ -203,6 +203,71 @@ class TestRuntimeSpans:
         assert hist is not None and hist.count == waits
         assert any(s.wait_s > 0.0 for s in rec.spans if s.cat == "task")
 
+    @pytest.mark.parametrize(
+        "backend", ["parallel", pytest.param("parallel-mp", marks=pytest.mark.mp)]
+    )
+    def test_one_task_blocked_on_two_producers_counts_two_waits(self, backend):
+        # The counter and the histogram are both per *fetch*: a task on
+        # lane 0 that blocks on two delayed lane-1 producers in turn is
+        # two waits and two samples (a per-span observation reads one).
+        import time
+
+        from repro.engine import Engine, Plan, Ref
+        from repro.engine.mp import MpEngine
+
+        def slow(v):
+            time.sleep(0.05)
+            return v
+
+        plan = Plan()
+        a = plan.add(slow, (1.0,), rank=1, label="a")
+        b = plan.add(slow, (2.0,), rank=1, label="b")
+        c = plan.add(lambda x, y: x + y, (Ref(a), Ref(b)), rank=0, label="c")
+        rec = TelemetryRecorder()
+        eng = (Engine if backend == "parallel" else MpEngine)(workers=2, telemetry=rec)
+        try:
+            eng.execute(plan, timeout=60.0, outputs=[c.tid])
+        finally:
+            if backend == "parallel-mp":
+                eng.close()
+        assert c.value == 3.0
+        hist = rec.metrics.histogram("engine.rendezvous_wait_s")
+        assert hist.count == rec.metrics.counter("engine.rendezvous.waits") == 2
+        assert hist.total == pytest.approx(
+            rec.metrics.counter("engine.rendezvous.wait_s.rank0"))
+        (span,) = [s for s in rec.spans if s.cat == "task" and s.name == "c"]
+        assert span.wait_s == pytest.approx(hist.total)
+
+    def test_disabled_recorder_is_one_guard_per_site(self):
+        # The disabled cost is structural, not a timing: a recorder with
+        # ``enabled = False`` whose every method raises completes a
+        # two-lane run with cross-lane fetches and a one-lane replay,
+        # so no instrumentation site calls past the guard.
+        from repro.engine import Engine, Plan, Ref
+
+        class Tripwire:
+            enabled = False
+
+            def __getattr__(self, name):
+                raise AssertionError(f"disabled recorder touched: {name}")
+
+        plan = Plan()
+        leaf = plan.add_input(np.array([1.0, 2.0]))
+        a = plan.add(lambda v: v * 2, (Ref(leaf),), rank=0, label="a")
+        b = plan.add(lambda v: v + 1, (Ref(leaf),), rank=1, label="b")
+        out = plan.add(lambda x, y: x + y, (Ref(a), Ref(b)), rank=0, label="sum")
+        eng = Engine(workers=2, telemetry=Tripwire())
+        eng.execute(plan, timeout=60.0)
+        assert eng.lanes == 2 and out.value.tolist() == [4.0, 7.0]
+        eng.lanes = 1
+        plan.reset()
+        eng._execute_compiled([t for t in plan.tasks if not t.done], 60.0)
+        assert out.value.tolist() == [4.0, 7.0]
+        machine = Machine(2, backend="parallel", workers=2, telemetry=Tripwire())
+        x = machine.ops.zeros((2,))
+        x[0] = 3.0
+        assert machine.materialize(x).tolist() == [3.0, 0.0]
+
     def test_kernel_dispatch_metrics(self):
         # The 2D baselines dispatch data-dependent kernels through
         # machine.kernel() (TSQR's array work goes through the ops
@@ -273,30 +338,36 @@ class TestExporters:
         on_ranks = sum(1 for e in ranked if e["pid"] == 2)
         assert on_workers == on_ranks > 0
 
-    def test_fused_spans_export_and_pass_schema(self, rec, tmp_path):
-        # The compiled engine (default) fuses chains; the trace must
-        # carry their fused_n args under "fused:"-prefixed names and
-        # tools/check_trace.py must accept them.
+    def test_task_spans_export_one_event_per_task_and_pass_schema(self, rec, tmp_path):
+        # One span per task: every task event on the worker track
+        # carries its own tid (no step groups several), under the
+        # task's recorded label, and tools/check_trace.py accepts it.
         trace = chrome_trace(rec)
-        fused = [e for e in trace["traceEvents"]
-                 if e["ph"] == "X" and "fused_n" in e.get("args", {})]
-        assert fused
-        assert all(e["name"].startswith("fused:") for e in fused)
-        assert all(isinstance(e["args"]["fused_n"], int)
-                   and e["args"]["fused_n"] >= 1 for e in fused)
+        tasks = [e for e in trace["traceEvents"]
+                 if e["ph"] == "X" and e["cat"] == "task" and e["pid"] == 1]
+        tids = [e["args"]["tid"] for e in tasks]
+        assert tasks and len(tids) == len(set(tids))
+        assert len(tasks) == rec.metrics.counter("engine.tasks")
+        assert all(isinstance(t, int) for t in tids)
+        assert {"geqrt", "apply_wy"} <= {e["name"] for e in tasks}
+        path = tmp_path / "trace.json"
+        write_chrome_trace(rec, str(path))
+        assert _load_check_trace().check(str(path)) == []
 
-    def test_check_trace_rejects_malformed_fused_spans(self, tmp_path):
+    def test_check_trace_rejects_malformed_spans(self, tmp_path):
         check = _load_check_trace()
         base = {"ph": "X", "pid": 1, "tid": 0, "ts": 0, "dur": 1}
         bad = {"traceEvents": [
-            {**base, "name": "fused:a..b", "args": {"fused_n": 0}},
-            {**base, "name": "plain_task", "args": {"fused_n": 3}},
+            {**base, "name": "geqrt", "dur": -1},
+            {k: v for k, v in base.items() if k != "tid"} | {"name": "apply_wy"},
         ]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         problems = check.check(str(path))
-        assert any("fused_n must be a positive integer" in p for p in problems)
-        assert any("does not start with 'fused:'" in p for p in problems)
+        assert any("dur must be a nonnegative number" in p for p in problems)
+        assert any("missing 'tid'" in p for p in problems)
+        path.write_text(json.dumps({"traceEvents": [{**base, "ph": "M", "name": "meta"}]}))
+        assert any("no complete" in p for p in check.check(str(path)))
 
     def test_metrics_dump_round_trips(self, rec):
         dump = metrics_dump(rec)

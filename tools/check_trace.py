@@ -8,10 +8,7 @@ Checks the structural contract Perfetto / chrome://tracing rely on:
 * every complete event (``ph == "X"``) has numeric ``ts >= 0`` and
   ``dur >= 0``;
 * at least one complete event exists (a trace of pure metadata means
-  the recorder saw no spans -- instrumentation regressed);
-* fused-task spans (events whose ``args`` carry ``fused_n``, emitted
-  by the plan compiler) declare an integer member count >= 1 and a
-  name starting with ``"fused:"``.
+  the recorder saw no spans -- instrumentation regressed).
 
 Usage: ``python tools/check_trace.py trace.json``.  Exits 0 when the
 file is loadable, 1 with a diagnostic otherwise.
@@ -53,22 +50,6 @@ def check(path: str) -> list[str]:
                         f"event {i} ({ev.get('name')!r}): {key} must be a "
                         f"nonnegative number, got {v!r}"
                     )
-        args = ev.get("args")
-        if isinstance(args, dict) and "fused_n" in args:
-            # Plan-compiler fused spans: a resumed chain may re-run a
-            # single member (fused_n == 1), but never zero or junk.
-            fused_n = args["fused_n"]
-            if not isinstance(fused_n, int) or fused_n < 1:
-                problems.append(
-                    f"event {i} ({ev.get('name')!r}): fused_n must be a "
-                    f"positive integer, got {fused_n!r}"
-                )
-            name = ev.get("name")
-            if not (isinstance(name, str) and name.startswith("fused:")):
-                problems.append(
-                    f"event {i}: fused_n present but name {name!r} does "
-                    f"not start with 'fused:'"
-                )
         if len(problems) > 20:
             problems.append("... (more problems suppressed)")
             break

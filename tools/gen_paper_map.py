@@ -71,7 +71,8 @@ MODULE_MAP: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "repro/engine/__init__.py": (("tests/test_engine.py",), ("E1",)),
     "repro/engine/batch.py": (("tests/test_engine.py",), ("E1",)),
     "repro/engine/compile.py": (
-        ("tests/test_compile.py", "tests/test_property_based.py"), ("E1",)),
+        ("tests/test_compile.py", "tests/test_write_rule.py",
+         "tests/test_property_based.py"), ("E1",)),
     "repro/engine/executor.py": (
         ("tests/test_engine.py", "tests/test_compile.py", "tests/test_faults.py"),
         ("E1", "E4")),
