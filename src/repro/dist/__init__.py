@@ -41,7 +41,7 @@ from repro.dist.layouts import (
     head_layout,
     tail_layout,
 )
-from repro.dist.redistribute import redistribute_rows
+from repro.dist.redistribute import gather_rows, redistribute_rows, scatter_rows
 
 __all__ = [
     "BlockCyclic2D",
@@ -51,7 +51,9 @@ __all__ = [
     "DistMatrix",
     "ExplicitRowLayout",
     "RowLayout",
+    "gather_rows",
     "head_layout",
     "redistribute_rows",
+    "scatter_rows",
     "tail_layout",
 ]

@@ -11,10 +11,12 @@ Cost conventions (paper Section 3): constructing, splitting, and
 reassembling distributed matrices is *harness-side* and free --
 :meth:`DistMatrix.from_global` and :meth:`DistMatrix.to_global` model
 the test harness teleporting data in and out of the machine, not an
-algorithm step.  Anything that moves rows *between processors* is an
-algorithm step and is metered through :class:`~repro.machine.Machine`:
-see :meth:`DistMatrix.gather_to_root` and
-:func:`~repro.dist.redistribute.redistribute_rows`.
+algorithm step.  So is an owner slicing its own block: the two cuts
+:meth:`DistMatrix.cols` and :meth:`DistMatrix.split_rows` return views,
+and :meth:`DistMatrix.from_pieces` pastes row-aligned pieces back.
+Anything that moves rows *between processors* is an algorithm step and
+is metered through :class:`~repro.machine.Machine`: see
+:meth:`DistMatrix.gather_to_root` and :mod:`repro.dist.redistribute`.
 
 >>> import numpy as np
 >>> from repro.dist import BlockRowLayout
@@ -35,11 +37,11 @@ Paper anchor: Section 3 (owner-computes execution); Sections 5 and 7 (row distri
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.dist.layouts import RowLayout
+from repro.dist.layouts import BlockRowLayout, RowLayout, head_layout, tail_layout
 from repro.machine import Machine
 from repro.machine.exceptions import DistributionError, OwnershipError
 
@@ -194,6 +196,63 @@ class DistMatrix:
             dtype=self.dtype,
         )
 
+    @classmethod
+    def from_pieces(
+        cls, layout: RowLayout, ncols: int, pieces: Sequence[tuple["DistMatrix", int, int]]
+    ) -> "DistMatrix":
+        """Zeros with each ``(D, r0, c0)`` written at rows ``r0:``, columns ``c0:`` (free).
+
+        The inverse of the cuts below: ``D`` must be distributed like
+        rows ``r0 : r0 + D.m`` of ``layout``, so every owner writes one
+        contiguous slice of its own block.  Takes the first piece's type.
+        """
+        machine, dtype = pieces[0][0].machine, pieces[0][0].dtype
+        out = cls.zeros(machine, layout, ncols, dtype=dtype)
+        for D, r0, c0 in pieces:
+            for p in D.layout.participants():
+                lo = int(np.searchsorted(layout.rows_of(p), r0))
+                out.blocks[p][lo : lo + D.layout.count(p), c0 : c0 + D.n] = D.local(p)
+        return out
+
+    # ------------------------------------------------------------------
+    # Free cuts (local slicing; the parts are *views* of these blocks)
+    # ------------------------------------------------------------------
+    def cols(self, lo: int, hi: int) -> "DistMatrix":
+        """Columns ``lo:hi`` in the same layout (free: local slicing).
+
+        The blocks of the result are views of this matrix's blocks:
+        read them, never write through them.
+
+        >>> dA = DistMatrix.from_global(
+        ...     Machine(2), np.arange(12.0).reshape(4, 3), BlockRowLayout([2, 2]))
+        >>> dA.cols(1, 3).local(1).tolist()
+        [[7.0, 8.0], [10.0, 11.0]]
+        """
+        blocks = {p: blk[:, lo:hi] for p, blk in self.blocks.items()}
+        return DistMatrix(self.machine, self.layout, hi - lo, blocks, dtype=self.dtype)
+
+    def split_rows(self, k: int) -> tuple["DistMatrix", "DistMatrix"]:
+        """Rows ``< k`` in ``head_layout``, rows ``>= k`` in ``tail_layout`` (free).
+
+        A block's rows ascend, so each side of the cut is one contiguous
+        slice of it -- its first ``head.count(p)`` rows and the rest; a
+        rank with no row on a side does not take part there.  Like
+        :meth:`cols`, the parts are views.
+
+        >>> dA = DistMatrix.from_global(
+        ...     Machine(3), np.arange(5.0).reshape(5, 1), BlockRowLayout([1, 3, 1]))
+        >>> head, tail = dA.split_rows(2)
+        >>> head.layout.participants(), tail.local(1).ravel().tolist()
+        ([0, 1], [2.0, 3.0])
+        """
+        head, tail = head_layout(self.layout, k), tail_layout(self.layout, k)
+        above = {p: self.blocks[p][: head.count(p)] for p in head.participants()}
+        below = {p: self.blocks[p][head.count(p) :] for p in tail.participants()}
+        return (
+            DistMatrix(self.machine, head, self.n, above, dtype=self.dtype),
+            DistMatrix(self.machine, tail, self.n, below, dtype=self.dtype),
+        )
+
     # ------------------------------------------------------------------
     # Local access (owner-computes discipline)
     # ------------------------------------------------------------------
@@ -231,19 +290,10 @@ class DistMatrix:
         tree, so the words/messages appear in the machine's report.
         Returns the assembled ``m x n`` array held by ``root``.
         """
-        from repro.collectives import CommContext, gather
+        from repro.dist.redistribute import gather_rows  # imports this module
 
-        parts = self.layout.participants()
-        ranks = sorted(set(parts) | {root})
-        pieces = [self.blocks.get(r) for r in ranks]
-        if len(ranks) > 1:
-            ctx = CommContext(self.machine, ranks)
-            pieces = gather(ctx, ranks.index(root), pieces)
-        out = self.machine.ops.zeros(self.shape, dtype=self.dtype)
-        for r, piece in zip(ranks, pieces):
-            if piece is not None and self.layout.count(r):
-                out[self.layout.rows_of(r), :] = piece
-        return out
+        team = sorted(set(self.layout.participants()) | {root})
+        return gather_rows(self, BlockRowLayout([self.m], [root]), team, root).local(root)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -78,7 +78,9 @@ class RowLayout:
         self._owners = _validate_owners(owners)
         # rank -> sorted global row indices, built lazily per rank.
         self._rows_cache: dict[int, np.ndarray] = {}
-        self._participants: list[int] | None = None
+        # Rows per rank in one pass: every DistMatrix built over a layout
+        # asks each participant's count, and the algorithms build many.
+        self._counts = np.bincount(self._owners)
 
     # ------------------------------------------------------------------
     # Queries
@@ -109,13 +111,11 @@ class RowLayout:
 
     def count(self, p: int) -> int:
         """Number of rows owned by machine rank ``p`` (0 for non-owners)."""
-        return int(self.rows_of(p).size)
+        return int(self._counts[p]) if 0 <= p < self._counts.size else 0
 
     def participants(self) -> list[int]:
         """Sorted machine ranks owning at least one row."""
-        if self._participants is None:
-            self._participants = [int(r) for r in np.unique(self._owners)]
-        return list(self._participants)
+        return np.flatnonzero(self._counts).tolist()
 
     def same_as(self, other: "RowLayout") -> bool:
         """True iff both layouts assign every row to the same rank."""

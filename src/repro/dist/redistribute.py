@@ -21,21 +21,27 @@ Two variants, matching the all-to-all algorithms of Appendix A.3:
   processors and routed home in a second index all-to-all, bounding the
   per-round message sizes by the row/column sums of the traffic matrix.
 
-Paper anchor: Section 7 (layout redistributions through all-to-all).
+The base case of 3d-caqr-eg (Section 7.1) instead moves rows through a
+root, one binomial gather or scatter over a small *ordered* team per
+step: :func:`gather_rows` and :func:`scatter_rows`.
+
+Paper anchor: Section 7 (layout redistributions through all-to-all; the base case's gathers and scatters).
 """
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
 from repro.backend import ascontiguousarray
-from repro.collectives import CommContext
+from repro.collectives import CommContext, gather, scatter
 from repro.collectives.alltoall import Item, all_to_all_index, all_to_all_two_phase
 from repro.dist.distmatrix import DistMatrix
-from repro.dist.layouts import RowLayout
+from repro.dist.layouts import ExplicitRowLayout, RowLayout
 from repro.machine.exceptions import DistributionError
 
-__all__ = ["redistribute_rows"]
+__all__ = ["gather_rows", "redistribute_rows", "scatter_rows"]
 
 
 def redistribute_rows(
@@ -112,3 +118,78 @@ def redistribute_rows(
             out[np.searchsorted(rows_t, sub_rows), :] = arr.reshape(sub_rows.size, n)
         out_blocks[t] = out
     return DistMatrix(machine, new_layout, n, out_blocks, dtype=A.dtype)
+
+
+def gather_rows(A: DistMatrix, dest: RowLayout, team: Sequence[int], root: int) -> DistMatrix:
+    """Every member of ``team`` sends ``root`` the rows ``dest`` gives the root.
+
+    One binomial :func:`~repro.collectives.gather` over ``team``, whose
+    *order* is the shape of the tree: it changes the critical path,
+    never the result.  All other rows stay put; each changed block is
+    re-sorted by global row.  With nothing to move, returns ``A`` at no
+    charge -- the collective itself would pay one message per tree edge
+    whatever the payload.
+
+    >>> from repro.dist import BlockRowLayout
+    >>> from repro.machine import Machine
+    >>> dA = DistMatrix.from_global(
+    ...     Machine(2), np.arange(8.0).reshape(4, 2), BlockRowLayout([1, 3]))
+    >>> out = gather_rows(dA, BlockRowLayout([3, 1]), [0, 1], 0)   # rows 1 and 2 move
+    >>> out.local(1).tolist(), dA.machine.report().total_words_sent
+    ([[6.0, 7.0]], 4)
+    """
+    return _through_root(A, dest, team, root, gather, [(q, root) for q in team])
+
+
+def scatter_rows(A: DistMatrix, dest: RowLayout, team: Sequence[int], root: int) -> DistMatrix:
+    """``root`` sends every member of ``team`` the rows ``dest`` gives them.
+
+    The mirror image of :func:`gather_rows`: one binomial
+    :func:`~repro.collectives.scatter`, same conventions.
+    """
+    return _through_root(A, dest, team, root, scatter, [(root, q) for q in team])
+
+
+def _through_root(
+    A: DistMatrix, dest: RowLayout, team: Sequence[int], root: int,
+    collective: Callable, ends: list[tuple[int, int]],
+) -> DistMatrix:
+    """Piece ``j`` is the rows of ``src`` that ``dest`` gives ``dst``, ``(src, dst) = ends[j]``."""
+    if dest.m != A.m:
+        raise DistributionError(f"cannot move {A.m} rows towards a layout of {dest.m}")
+    cur, target = A.layout, dest.owners()
+    pieces: list[np.ndarray | None] = [None] * len(team)
+    arrivals: dict[int, list[tuple[np.ndarray, int]]] = {}
+    for j, (src, dst) in enumerate(ends):
+        if src == dst:
+            continue
+        mine = cur.rows_of(src)
+        sel = np.flatnonzero(target[mine] == dst)
+        if sel.size:
+            pieces[j] = A.local(src) if sel.size == mine.size else A.local(src)[sel]
+            arrivals.setdefault(dst, []).append((mine[sel], j))
+    if not arrivals:
+        return A
+    got = collective(CommContext(A.machine, list(team)), team.index(root), pieces)
+
+    owners = cur.owners().copy()
+    for dst, parts in arrivals.items():
+        owners[np.concatenate([moved for moved, _ in parts])] = dst
+    blocks = dict(A.blocks)
+    for p in team:
+        mine = cur.rows_of(p)
+        stay = np.flatnonzero(owners[mine] == p)
+        rows, vals = [], []
+        if stay.size:
+            rows.append(mine[stay])
+            vals.append(A.local(p) if stay.size == mine.size else A.local(p)[stay])
+        for moved, j in arrivals.get(p, ()):
+            rows.append(moved)
+            vals.append(got[j])
+        if not vals:
+            blocks.pop(p, None)
+        elif len(vals) == 1:
+            blocks[p] = vals[0]
+        else:
+            blocks[p] = np.vstack(vals)[np.argsort(np.concatenate(rows))]
+    return DistMatrix(A.machine, ExplicitRowLayout(owners), A.n, blocks, dtype=A.dtype)

@@ -9,14 +9,15 @@ Data distribution (same as tsqr, Section 5): each participating
 processor owns at least ``n`` rows and the root owns the ``n`` leading
 rows.  Output: ``V`` distributed like ``A``; ``T`` and ``R`` on the root.
 
-The inductive case maps Algorithm 2's six multiplications onto 1D dmm:
-
-* lines 6 and 11 (``V^H X``): 1D grids with ``K = m`` -- local partial
-  products reduced to the root (:func:`~repro.matmul.mm1d_reduce`);
-* lines 7, 12, 13: local mms on the root;
-* line 8 (``X - V M2``): 1D grid with ``I = m`` -- the root broadcasts
-  ``M2``, each processor updates its rows
-  (:func:`~repro.matmul.mm1d_broadcast` + local subtraction).
+This module is one instantiation of the qr-eg template
+(:func:`repro.qr.qreg.qr_eg`) and holds no recursion of its own: the
+base case is :func:`~repro.qr.tsqr.tsqr`, and Algorithm 2's six
+multiplications are the 1D dmm of Lemma 3 (Section 6.2,
+:class:`~repro.qr.applyq.Products1D`) -- ``V^H X`` on a 1D grid with
+``K = m``, ``V M`` on one with ``I = m``, the rest local to the root.
+The template keeps ``T`` and ``R`` distributed like the leading ``n``
+rows, which Section 5's distribution puts on the root alone; the result
+hands them back as plain root-held arrays.
 
 Like tsqr, the recursion touches only ``layout.participants()``, so
 spare ranks sit idle and :func:`repro.faults.run_coded_qr` can protect
@@ -31,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dist import DistMatrix, tail_layout
+from repro.dist import DistMatrix
 from repro.machine import ParameterError
-from repro.matmul import local_mm, mm1d_broadcast, mm1d_reduce
+from repro.qr.applyq import Products1D
 from repro.qr.params import choose_b_1d
-from repro.qr.tsqr import TSQRResult, check_tsqr_distribution, tsqr
+from repro.qr.qreg import Factors, qr_eg
+from repro.qr.tsqr import check_tsqr_distribution, tsqr
 
 
 @dataclass
@@ -63,89 +65,13 @@ def qr_1d_caqr_eg(
         b = choose_b_1d(n, len(parts), eps)
     if b < 1:
         raise ParameterError(f"recursion threshold must be >= 1, got b={b}")
-    V, T, R = _rec(A, root, b)
-    return CAQR1DResult(V=V, T=T, R=R, root=root, b=b)
+    products = Products1D(A.machine, root, "caqr1d_{}".format)
 
+    def base(panel: DistMatrix) -> Factors:
+        # Section 5's requirements hold for every panel: the root owns
+        # rows n2..n-1 of the parent panel as the right half's leading rows.
+        res = tsqr(panel, root)
+        return res.V, products.on_root(res.T), products.on_root(res.R)
 
-def _rec(A: DistMatrix, root: int, b: int) -> tuple[DistMatrix, np.ndarray, np.ndarray]:
-    machine = A.machine
-    n = A.n
-
-    if n <= b:
-        res: TSQRResult = tsqr(A, root)
-        return res.V, res.T, res.R
-
-    n2 = n // 2
-    nr = n - n2
-
-    # Line 4: vertical split (free -- local column slicing).
-    A_left = DistMatrix(
-        machine, A.layout, n2, {p: A.local(p)[:, :n2] for p in A.layout.participants()}, dtype=A.dtype
-    )
-    X = DistMatrix(
-        machine, A.layout, nr, {p: A.local(p)[:, n2:] for p in A.layout.participants()}, dtype=A.dtype
-    )
-
-    # Line 5: left recursion (distribution requirements still hold).
-    VL, TL, RL = _rec(A_left, root, b)
-
-    # Line 6: M1 = V_L^H [A12; A22] -- 1D dmm, K = m, result on root.
-    M1 = mm1d_reduce(VL, X, root, conj_a=True)
-    # Line 7: M2 = T_L^H M1 -- local mm on root.
-    M2 = local_mm(machine, root, TL, M1, conj_a=True, label="caqr1d_M2")
-    # Line 8: B = X - V_L M2 -- 1D dmm (root broadcasts M2) + local subtraction.
-    Y = mm1d_broadcast(VL, M2, root)
-    B_blocks = {}
-    for p in X.layout.participants():
-        machine.compute(p, float(X.local(p).size), label="caqr1d_sub")
-        B_blocks[p] = X.local(p) - Y.local(p)
-    B = DistMatrix(machine, X.layout, nr, B_blocks, dtype=X.dtype)
-
-    # Split B at row n2: B12 stays on the root; B22 recurses.
-    B12 = B.local(root)[:n2, :]  # root owns the leading n >= n2 rows
-    t_lay = tail_layout(B.layout, n2)
-    B22_blocks = {}
-    for p in t_lay.participants():
-        # Rows with global index >= n2: the trailing part of p's block.
-        keep = B.layout.rows_of(p) >= n2
-        B22_blocks[p] = B.local(p)[keep, :]
-    B22 = DistMatrix(machine, t_lay, nr, B22_blocks, dtype=B.dtype)
-
-    # Line 9: right recursion (root now owns rows n2..n-1 as its leading rows).
-    VR, TR, RR = _rec(B22, root, b)
-
-    # Line 10: V = [V_L  [0; V_R]] -- local assembly.
-    V_blocks = {}
-    for p in A.layout.participants():
-        rows = A.layout.rows_of(p)
-        blk = machine.ops.zeros((rows.size, n), dtype=VL.dtype)
-        blk[:, :n2] = VL.local(p)
-        keep = rows >= n2
-        if keep.any():
-            blk[keep, n2:] = VR.local(p)
-        V_blocks[p] = blk
-    V = DistMatrix(machine, A.layout, n, V_blocks, dtype=VL.dtype)
-
-    # Line 11: M3 = V_L^H [0; V_R] -- 1D dmm over the trailing rows only.
-    VL_tail_blocks = {}
-    for p in t_lay.participants():
-        keep = A.layout.rows_of(p) >= n2
-        VL_tail_blocks[p] = VL.local(p)[keep, :]
-    VL_tail = DistMatrix(machine, t_lay, n2, VL_tail_blocks, dtype=VL.dtype)
-    M3 = mm1d_reduce(VL_tail, VR, root, conj_a=True)
-    # Lines 12-13: M4 = M3 T_R;  T12 = -T_L M4 -- local mms on root.
-    M4 = local_mm(machine, root, M3, TR, label="caqr1d_M4")
-    T12 = -local_mm(machine, root, TL, M4, label="caqr1d_T12")
-    machine.compute(root, float(n2) * nr, label="caqr1d_negate")
-
-    T = machine.ops.zeros((n, n), dtype=TL.dtype)
-    T[:n2, :n2] = TL
-    T[:n2, n2:] = T12
-    T[n2:, n2:] = TR
-
-    # Line 14: R assembly on the root (it holds RL, B12, RR).
-    R = machine.ops.zeros((n, n), dtype=RL.dtype)
-    R[:n2, :n2] = RL
-    R[:n2, n2:] = B12
-    R[n2:, n2:] = RR
-    return V, T, R
+    V, T, R = qr_eg(A, b, base, products)
+    return CAQR1DResult(V=V, T=T.local(root), R=R.local(root), root=root, b=b)

@@ -1,22 +1,24 @@
 """3d-caqr-eg (paper Section 7): the paper's main contribution.
 
-qr-eg with a 1d-caqr-eg base case and 3D matrix multiplication in the
-inductive case.  Input ``A`` (``m >= n``) is row-cyclic over ``P``
-processors; on output ``V`` is distributed like ``A`` while ``T`` and
-``R`` are distributed like the top ``n x n`` submatrix of ``A``.
+The qr-eg template (:func:`repro.qr.qreg.qr_eg`) with a 1d-caqr-eg base
+case and 3D matrix multiplication in the inductive case.  Input ``A``
+(``m >= n``) is row-cyclic over ``P`` processors; on output ``V`` is
+distributed like ``A`` while ``T`` and ``R`` are distributed like the
+top ``n x n`` submatrix of ``A``.
 
-Base case (Section 7.1): convert row-cyclic to a block-row-like layout
-over ``P* = min(P, floor(m/n))`` *representative* processors via
-simultaneous group gathers, swap rows between representatives so the
-designated root owns the ``n`` leading rows (a gather paired with an
-opposite-pattern scatter), run 1d-caqr-eg with inner threshold ``b*``,
-then reverse every data movement.
+Base case (Section 7.1): three ownerships of the same rows.  ``L0`` is
+the input's; in ``L1`` each *group* of processors has gathered its rows
+on a representative, ``P* = min(P, floor(m/n))`` of them; in ``L2`` the
+root representative also owns the ``n`` leading rows, each paid for
+with one of its other rows (a gather paired with an opposite-pattern
+scatter).  1d-caqr-eg with inner threshold ``b*`` runs on ``L2``, then
+every data movement is reversed.  Each arrow is one
+:func:`~repro.dist.gather_rows` or :func:`~repro.dist.scatter_rows`.
 
 Inductive case (Section 7.2): the six multiplications of Algorithm 2
-run as 3D dmm (Lemma 4), each wrapped in all-to-all redistributions
-between row layouts and the dmm brick layout -- the
-:func:`~repro.matmul.mm3d` routine performs those all-to-alls
-internally.
+run as 3D dmm (Lemma 4, :class:`~repro.qr.applyq.Products3D`), each
+wrapped in all-to-all redistributions between row layouts and the dmm
+brick layout, which :func:`~repro.matmul.mm3d` performs internally.
 
 Tradeoff knobs (Eq. 12): ``b = Theta(n/(nP/m)^delta)`` and
 ``b* = Theta(b/(log P)^eps)``; Theorem 1 takes ``delta in [1/2, 2/3]``
@@ -28,15 +30,16 @@ Paper anchor: Section 7, Lemma 7, Eq. 12-13, Theorem 1 (3d-caqr-eg).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from repro.collectives import CommContext, gather, scatter
-from repro.dist import DistMatrix, ExplicitRowLayout, head_layout, tail_layout
-from repro.machine import DistributionError, Machine, ParameterError
-from repro.matmul import Operand, mm3d
+from repro.dist import DistMatrix, ExplicitRowLayout, gather_rows, head_layout, scatter_rows
+from repro.machine import DistributionError, ParameterError
+from repro.qr.applyq import Products3D
 from repro.qr.caqr1d import qr_1d_caqr_eg
 from repro.qr.params import choose_b_3d, choose_bstar
+from repro.qr.qreg import Factors, qr_eg
 
 
 @dataclass
@@ -78,7 +81,8 @@ def qr_3d_caqr_eg(
         bstar = choose_bstar(b, P, eps)
     if not (1 <= bstar <= b <= n):
         raise ParameterError(f"need 1 <= b*={bstar} <= b={b} <= n={n}")
-    V, T, R = _rec3d(A, b, bstar, method)
+    products = Products3D(method, "caqr3d_{}".format)
+    V, T, R = qr_eg(A, b, partial(_base_case, bstar=bstar), products)
     return CAQR3DResult(V=V, T=T, R=R, b=b, bstar=bstar)
 
 
@@ -96,325 +100,70 @@ def _ordered_participants(layout) -> list[int]:
     return sorted(layout.participants(), key=lambda p: int(layout.rows_of(p)[0]))
 
 
-def _base_case(
-    A: DistMatrix, bstar: int, method: str
-) -> tuple[DistMatrix, DistMatrix, DistMatrix]:
+def _base_case(A: DistMatrix, bstar: int) -> Factors:
     machine = A.machine
     m, n = A.shape
     L0 = A.layout
     parts = _ordered_participants(L0)
-    P_prime = len(parts)
 
     # Choose P* = min(P', floor(m/n)), shrinking further if the dealt
     # groups would leave a representative with fewer than n rows (only
     # possible for tiny, badly divisible cases).
-    P_star = max(1, min(P_prime, m // n))
-    owners0 = L0.owners()
-    number_of = {p: j for j, p in enumerate(parts)}
-    while P_star > 1:
-        group_rows = np.zeros(P_star, dtype=np.int64)
-        for p in parts:
-            group_rows[number_of[p] % P_star] += L0.count(p)
-        if int(group_rows.min()) >= n:
-            break
+    def dealt(k: int) -> list[list[int]]:
+        return [parts[g::k] for g in range(k)]
+
+    P_star = max(1, min(len(parts), m // n))
+    while P_star > 1 and min(sum(map(L0.count, members)) for members in dealt(P_star)) < n:
         P_star -= 1
+    groups = dealt(P_star)
+    reps = [members[0] for members in groups]
+    root = reps[0]
 
-    groups: list[list[int]] = [[] for _ in range(P_star)]
-    for j, p in enumerate(parts):
-        groups[j % P_star].append(p)
-    reps = [g[0] for g in groups]
-
-    # ---- Phase 1: within each group, gather A's rows to the representative.
-    blocks1: dict[int, np.ndarray] = {}
-    owners1 = owners0.copy()
-    for g, members in enumerate(groups):
-        rep = members[0]
-        if len(members) > 1:
-            ctx = CommContext(machine, members)
-            got = gather(ctx, 0, [A.local(p) for p in members])
-        else:
-            got = [A.local(rep)]
-        rows = np.concatenate([L0.rows_of(p) for p in members])
-        vals = np.vstack(got)
-        order = np.argsort(rows)
-        blocks1[rep] = vals[order]
-        for p in members:
-            owners1[L0.rows_of(p)] = rep
+    # L1: every row on the representative of its owner's group.
+    owners1 = L0.owners().copy()
+    for members in groups:
+        for p in members[1:]:
+            owners1[L0.rows_of(p)] = members[0]
     L1 = ExplicitRowLayout(owners1)
 
-    # ---- Phase 2: make the root representative own the n leading rows by
-    # a gather of top-row pieces paired with an opposite-pattern scatter
-    # of replacement rows.
-    root = reps[0]
-    top_owners = [p for p in reps if bool((L1.rows_of(p) < n).any())]
+    # L2: the root also owns the n leading rows, and pays each lender
+    # back with as many of its own highest rows below them -- handed out
+    # in the order of ``top_owners`` (the root first: it owns row 0),
+    # which is also the swap's tree order.
+    top_owners = [p for p in reps if bool((owners1[:n] == p).any())]
+    root_rows = L1.rows_of(root)
+    spare = root_rows[np.searchsorted(root_rows, n) :]
+    debts = [int((owners1[:n] == p).sum()) for p in top_owners[1:]]
+    if sum(debts) > spare.size:
+        raise DistributionError(
+            "base-case swap needs more spare root rows than available "
+            f"(needed {sum(debts)}, have {spare.size})"
+        )
     owners2 = owners1.copy()
-    if len(top_owners) > 1:
-        ctx = CommContext(machine, top_owners)
-        ridx = top_owners.index(root)
-        top_pieces = []
-        for p in top_owners:
-            sel = L1.rows_of(p) < n
-            top_pieces.append(blocks1[p][sel, :])
-        incoming = gather(ctx, ridx, top_pieces)
-
-        # Root gives up an equal number of its highest non-top rows.
-        give_counts = [0 if p == root else int((L1.rows_of(p) < n).sum()) for p in top_owners]
-        root_rows = L1.rows_of(root)
-        spare = np.flatnonzero(root_rows >= n)
-        needed = sum(give_counts)
-        if needed > spare.size:
-            raise DistributionError(
-                "base-case swap needs more spare root rows than available "
-                f"(needed {needed}, have {spare.size})"
-            )
-        chosen = spare[spare.size - needed :]
-        swap_blocks: list[np.ndarray | None] = []
-        pos = 0
-        root_block = blocks1[root]
-        for p, c in zip(top_owners, give_counts):
-            if c == 0:
-                swap_blocks.append(None)
-                continue
-            sel = chosen[pos : pos + c]
-            swap_blocks.append(root_block[sel, :])
-            owners2[root_rows[sel]] = p
-            pos += c
-        delivered = scatter(ctx, ridx, swap_blocks)
-
-        # Rebuild local blocks under the post-swap ownership.
-        owners2[np.arange(n)] = root
-        new_blocks: dict[int, np.ndarray] = {}
-        for i, p in enumerate(top_owners):
-            rows_p1 = L1.rows_of(p)
-            if p == root:
-                keep = np.flatnonzero(~np.isin(np.arange(rows_p1.size), chosen[:needed]))
-                rows = rows_p1[keep]
-                vals = [root_block[keep, :]]
-                for j, q in enumerate(top_owners):
-                    if q == root or incoming[j] is None:
-                        continue
-                    sel = L1.rows_of(q) < n
-                    rows = np.concatenate([rows, L1.rows_of(q)[sel]])
-                    vals.append(incoming[j])
-                stacked = np.vstack(vals)
-            else:
-                sel = rows_p1 >= n
-                rows = rows_p1[sel]
-                vals = [blocks1[p][sel, :]]
-                if delivered[i] is not None:
-                    got_rows = np.flatnonzero(owners2 == p)
-                    new_rows = got_rows[~np.isin(got_rows, rows)]
-                    rows = np.concatenate([rows, new_rows])
-                    vals.append(delivered[i])
-                stacked = np.vstack(vals)
-            order = np.argsort(rows)
-            new_blocks[p] = stacked[order]
-        for p in top_owners:
-            blocks1[p] = new_blocks[p]
+    owners2[:n] = root
+    paid = spare.size - sum(debts)
+    for p, debt in zip(top_owners[1:], debts):
+        owners2[spare[paid : paid + debt]] = p
+        paid += debt
     L2 = ExplicitRowLayout(owners2)
 
-    A2 = DistMatrix(machine, L2, n, {p: blocks1[p] for p in L2.participants()}, dtype=A.dtype)
+    # Forward: L0 -> L1 (gather per group), L1 -> L2 (gather, then scatter).
+    A1 = A
+    for members in groups:
+        A1 = gather_rows(A1, L1, members, members[0])
+    A2 = scatter_rows(gather_rows(A1, L2, top_owners, root), L2, top_owners, root)
 
-    # ---- 1d-caqr-eg over the representatives.
-    res1d = qr_1d_caqr_eg(A2, root=root, b=bstar)
+    res = qr_1d_caqr_eg(A2, root=root, b=min(bstar, n))
 
-    # ---- Reverse phase 2 for V: swapped rows go home.
-    Vb = {p: res1d.V.local(p) for p in L2.participants()}
-    if len(top_owners) > 1:
-        ctx = CommContext(machine, top_owners)
-        ridx = top_owners.index(root)
-        # Root scatters the top-row V pieces back to their L1 owners...
-        back_blocks: list[np.ndarray | None] = []
-        root_rows2 = L2.rows_of(root)
-        for p in top_owners:
-            if p == root:
-                back_blocks.append(None)
-                continue
-            sel = np.isin(root_rows2, L1.rows_of(p)[L1.rows_of(p) < n])
-            back_blocks.append(Vb[root][sel, :])
-        returned = scatter(ctx, ridx, back_blocks)
-        # ... and gathers back the V rows of the rows it lent out.
-        lent_pieces: list[np.ndarray | None] = []
-        for p in top_owners:
-            if p == root:
-                lent_pieces.append(None)
-                continue
-            rows_p2 = L2.rows_of(p)
-            sel = ~np.isin(rows_p2, L1.rows_of(p))
-            lent_pieces.append(Vb[p][sel, :])
-        recovered = gather(ctx, ridx, lent_pieces)
+    # Backward for V, every collective in the opposite direction.
+    V = gather_rows(scatter_rows(res.V, L1, top_owners, root), L1, top_owners, root)
+    for members in groups:
+        V = scatter_rows(V, L0, members, members[0])
 
-        newV: dict[int, np.ndarray] = {}
-        for i, p in enumerate(top_owners):
-            rows_p1 = L1.rows_of(p)
-            if p == root:
-                rows_p2 = L2.rows_of(p)
-                keep = np.isin(rows_p2, rows_p1)
-                rows = rows_p2[keep]
-                vals = [Vb[p][keep, :]]
-                for j, q in enumerate(top_owners):
-                    if q == root or recovered[j] is None or recovered[j].shape[0] == 0:
-                        continue
-                    rows_q2 = L2.rows_of(q)
-                    sel = ~np.isin(rows_q2, L1.rows_of(q))
-                    rows = np.concatenate([rows, rows_q2[sel]])
-                    vals.append(recovered[j])
-            else:
-                rows_p2 = L2.rows_of(p)
-                keep = np.isin(rows_p2, rows_p1)
-                rows = rows_p2[keep]
-                vals = [Vb[p][keep, :]]
-                if returned[i] is not None and returned[i].shape[0]:
-                    sel_rows = rows_p1[rows_p1 < n]
-                    rows = np.concatenate([rows, sel_rows])
-                    vals.append(returned[i])
-            order = np.argsort(rows)
-            newV[p] = np.vstack(vals)[order]
-        for p in top_owners:
-            Vb[p] = newV[p]
-
-    # ---- Reverse phase 1 for V: each representative scatters group rows.
-    Vblocks: dict[int, np.ndarray] = {}
-    for g, members in enumerate(groups):
-        rep = members[0]
-        rep_rows = L1.rows_of(rep)
-        if len(members) > 1:
-            ctx = CommContext(machine, members)
-            pieces: list[np.ndarray | None] = []
-            for p in members:
-                sel = np.isin(rep_rows, L0.rows_of(p))
-                pieces.append(Vb[rep][sel, :])
-            got = scatter(ctx, 0, pieces)
-            for p, piece in zip(members, got):
-                Vblocks[p] = piece
-        else:
-            Vblocks[rep] = Vb[rep]
-    V = DistMatrix(machine, L0, n, Vblocks, dtype=res1d.V.dtype)
-
-    # ---- Scatter T and R rows from the 1d root to the owners of A's
-    # leading n rows (reversing how those rows reached the root).
+    # T and R leave the 1d root for the owners of A's leading n rows.
     Lh = head_layout(L0, n)
-    T = _scatter_rows_from_root(machine, res1d.T, root, Lh)
-    R = _scatter_rows_from_root(machine, res1d.R, root, Lh)
-    return V, T, R
-
-
-def _scatter_rows_from_root(
-    machine: Machine, M: np.ndarray, root: int, layout
-) -> DistMatrix:
-    """Distribute the rows of a root-held matrix into ``layout``."""
-    owners = sorted(set(layout.participants()) | {root})
-    if len(owners) == 1:
-        return DistMatrix(machine, layout, M.shape[1], {root: M[layout.rows_of(root)]}, dtype=M.dtype)
-    ctx = CommContext(machine, owners)
-    blocks = [M[layout.rows_of(p), :] if layout.count(p) else None for p in owners]
-    got = scatter(ctx, owners.index(root), blocks)
-    out = {p: piece for p, piece in zip(owners, got) if layout.count(p)}
-    return DistMatrix(machine, layout, M.shape[1], out, dtype=M.dtype)
-
-
-# ----------------------------------------------------------------------
-# Inductive case (Section 7.2)
-# ----------------------------------------------------------------------
-
-def _rec3d(
-    A: DistMatrix, b: int, bstar: int, method: str
-) -> tuple[DistMatrix, DistMatrix, DistMatrix]:
-    machine = A.machine
-    m, n = A.shape
-
-    if n <= b:
-        return _base_case(A, min(bstar, n), method)
-
-    n2 = n // 2
-    nr = n - n2
-    parts = A.layout.participants()
-
-    # Line 4: free vertical split.
-    A_left = DistMatrix(machine, A.layout, n2, {p: A.local(p)[:, :n2] for p in parts}, dtype=A.dtype)
-    X = DistMatrix(machine, A.layout, nr, {p: A.local(p)[:, n2:] for p in parts}, dtype=A.dtype)
-
-    # Line 5: left recursion.
-    VL, TL, RL = _rec3d(A_left, b, bstar, method)
-
-    small = head_layout(A.layout, n2)  # layout for n2-row intermediates
-
-    # Line 6: M1 = V_L^H [A12; A22] -- 3D dmm (I=n2, J=nr, K=m).
-    M1 = mm3d(Operand(VL, "H"), X, small, method=method)
-    # Line 7: M2 = T_L^H M1 -- 3D dmm (I=K=n2, J=nr).
-    M2 = mm3d(Operand(TL, "H"), M1, small, method=method)
-    # Line 8: B = [A12; A22] - V_L M2 -- 3D dmm (I=m, J=nr, K=n2) + local subtraction.
-    Y = mm3d(VL, M2, A.layout, method=method)
-    B_blocks = {}
-    for p in parts:
-        machine.compute(p, float(X.local(p).size), label="caqr3d_sub")
-        B_blocks[p] = X.local(p) - Y.local(p)
-    B = DistMatrix(machine, A.layout, nr, B_blocks, dtype=X.dtype)
-
-    # Split B at row n2; B12 keeps the head layout, B22 recurses.
-    B12_blocks = {}
-    for p in small.participants():
-        keep = B.layout.rows_of(p) < n2
-        B12_blocks[p] = B.local(p)[keep, :]
-    B12 = DistMatrix(machine, small, nr, B12_blocks, dtype=B.dtype)
-    t_lay = tail_layout(B.layout, n2)
-    B22_blocks = {}
-    for p in t_lay.participants():
-        keep = B.layout.rows_of(p) >= n2
-        B22_blocks[p] = B.local(p)[keep, :]
-    B22 = DistMatrix(machine, t_lay, nr, B22_blocks, dtype=B.dtype)
-
-    # Line 9: right recursion (no leading-row ownership requirement here).
-    VR, TR, RR = _rec3d(B22, b, bstar, method)
-
-    # Line 10: local V assembly.
-    V_blocks = {}
-    for p in parts:
-        rows = A.layout.rows_of(p)
-        blk = machine.ops.zeros((rows.size, n), dtype=VL.dtype)
-        blk[:, :n2] = VL.local(p)
-        keep = rows >= n2
-        if keep.any():
-            blk[keep, n2:] = VR.local(p)
-        V_blocks[p] = blk
-    V = DistMatrix(machine, A.layout, n, V_blocks, dtype=VL.dtype)
-
-    # Line 11: M3 = V_L^H [0; V_R] -- 3D dmm over the trailing rows.
-    VL_tail_blocks = {}
-    for p in t_lay.participants():
-        keep = A.layout.rows_of(p) >= n2
-        VL_tail_blocks[p] = VL.local(p)[keep, :]
-    VL_tail = DistMatrix(machine, t_lay, n2, VL_tail_blocks, dtype=VL.dtype)
-    M3 = mm3d(Operand(VL_tail, "H"), VR, small, method=method)
-    # Line 12: M4 = M3 T_R -- 3D dmm.
-    M4 = mm3d(M3, TR, small, method=method)
-    # Line 13: T12 = -T_L M4 -- 3D dmm + local negation.
-    T12 = mm3d(TL, M4, small, method=method)
-    for p in small.participants():
-        machine.compute(p, float(T12.local(p).size), label="caqr3d_negate")
-        T12.set_local(p, -T12.local(p))
-
-    # Assemble T and R in the head-n layout; all pieces are already
-    # aligned row-by-row with the output distribution, so this is local.
-    out_lay = head_layout(A.layout, n)
-    T_blocks: dict[int, np.ndarray] = {}
-    R_blocks: dict[int, np.ndarray] = {}
-    for p in out_lay.participants():
-        rows = out_lay.rows_of(p)
-        Tp = machine.ops.zeros((rows.size, n), dtype=TL.dtype)
-        Rp = machine.ops.zeros((rows.size, n), dtype=RL.dtype)
-        top = rows < n2
-        bot = ~top
-        if top.any():
-            Tp[top, :n2] = TL.local(p)
-            Tp[top, n2:] = T12.local(p)
-            Rp[top, :n2] = RL.local(p)
-            Rp[top, n2:] = B12.local(p)
-        if bot.any():
-            Tp[bot, n2:] = TR.local(p)
-            Rp[bot, n2:] = RR.local(p)
-        T_blocks[p] = Tp
-        R_blocks[p] = Rp
-    T = DistMatrix(machine, out_lay, n, T_blocks, dtype=TL.dtype)
-    R = DistMatrix(machine, out_lay, n, R_blocks, dtype=RL.dtype)
+    team = sorted(set(Lh.participants()) | {root})
+    held = ExplicitRowLayout([root] * n)
+    T = scatter_rows(DistMatrix(machine, held, n, {root: res.T}), Lh, team, root)
+    R = scatter_rows(DistMatrix(machine, held, n, {root: res.R}), Lh, team, root)
     return V, T, R

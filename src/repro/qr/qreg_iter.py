@@ -18,8 +18,9 @@ analysis:
 
 * :func:`qr_1d_caqr_eg_rightlooking` -- the distributed version of the
   latter on the tsqr/1d layout, applying each panel's update with 1D
-  multiplications; the basis for integrating into workflows that only
-  need ``Q^H b`` (e.g. least squares).
+  multiplications (:func:`~repro.qr.applyq.apply_q`, the same Eq. 4 the
+  recursive template uses); the basis for integrating into workflows
+  that only need ``Q^H b`` (e.g. least squares).
 
 Paper anchor: Sections 2.4 and 8.4 (iterative qr-eg variants).
 """
@@ -31,13 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backend import asarray as _backend_asarray
-from repro.dist import DistMatrix, tail_layout
+from repro.dist import DistMatrix
 from repro.machine import Machine, ParameterError
-from repro.matmul import local_mm, mm1d_broadcast, mm1d_reduce
+from repro.qr.applyq import Products1D, apply_q
 from repro.qr.caqr1d import qr_1d_caqr_eg
 from repro.qr.householder import PanelQR, apply_wy
 from repro.qr.qreg import qr_eg_sequential
-from repro.qr.tsqr import TSQRResult, check_tsqr_distribution, tsqr
+from repro.qr.tsqr import check_tsqr_distribution
 
 
 def qr_eg_hybrid(
@@ -173,37 +174,22 @@ def qr_1d_caqr_eg_rightlooking(
     panels: list[tuple[int, DistMatrix, np.ndarray]] = []
     R = machine.ops.zeros((n, n), dtype=np.result_type(A.dtype, np.float64))
 
+    products = Products1D(machine, root, "rl_{}".format)
     j0 = 0
     while j0 < n:
         w = min(nb, n - j0)
-        left_blocks = {p: cur.local(p)[:, :w] for p in cur.layout.participants()}
-        left = DistMatrix(machine, cur.layout, w, left_blocks, dtype=cur.dtype)
-        if b is None:
-            res: TSQRResult = tsqr(left, root)
-        else:
-            res = qr_1d_caqr_eg(left, root, b=min(b, w))
+        # b >= w *is* tsqr: the template's base case, reached at once.
+        res = qr_1d_caqr_eg(cur.cols(0, w), root, b=w if b is None else min(b, w))
         panels.append((j0, res.V, res.T))
         R[j0 : j0 + w, j0 : j0 + w] = res.R
 
         if j0 + w < n:
-            right_blocks = {p: cur.local(p)[:, w:] for p in cur.layout.participants()}
-            right = DistMatrix(machine, cur.layout, n - j0 - w, right_blocks, dtype=cur.dtype)
-            M1 = mm1d_reduce(res.V, right, root, conj_a=True)
-            M2 = local_mm(machine, root, res.T, M1, conj_a=True, label="rl_M2")
-            Y = mm1d_broadcast(res.V, M2, root)
-            upd_blocks = {}
-            for p in right.layout.participants():
-                machine.compute(p, float(right.local(p).size), label="rl_sub")
-                upd_blocks[p] = right.local(p) - Y.local(p)
-            updated = DistMatrix(machine, right.layout, right.n, upd_blocks, dtype=right.dtype)
-            R[j0 : j0 + w, j0 + w :] = updated.local(root)[:w]
-            # Recurse on the rows below the panel.
-            t_lay = tail_layout(updated.layout, w)
-            nxt_blocks = {}
-            for p in t_lay.participants():
-                keep = updated.layout.rows_of(p) >= w
-                nxt_blocks[p] = updated.local(p)[keep, :]
-            cur = DistMatrix(machine, t_lay, updated.n, nxt_blocks, dtype=updated.dtype)
+            updated = apply_q(
+                res.V, products.on_root(res.T), cur.cols(w, cur.n), products, adjoint=True
+            )
+            # The root holds the panel's w rows of R; the rest recurses.
+            R12, cur = updated.split_rows(w)
+            R[j0 : j0 + w, j0 + w :] = R12.local(root)
         j0 += w
 
     return RightLooking1DResult(panels=panels, R=R, root=root)

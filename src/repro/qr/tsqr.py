@@ -47,11 +47,11 @@ from functools import lru_cache, partial
 import numpy as np
 
 from repro.backend import SymbolicArray, is_symbolic, lapack, solve_triangular
+from repro.collectives.binomial import _split
 from repro.dist import DistMatrix
 from repro.engine import defer, is_lazy
 from repro.machine import DistributionError
 from repro.qr.householder import PanelQR, apply_wy_padded, local_geqrt, sgn
-from repro.util import ceil_div
 
 
 @dataclass
@@ -185,15 +185,6 @@ def check_tsqr_distribution(A: DistMatrix, root: int) -> list[int]:
     return parts
 
 
-def _split(members: list[int], r: int) -> tuple[list[int], list[int], int]:
-    """Binomial-tree split (same shape as the collectives use)."""
-    h = ceil_div(len(members), 2)
-    s1, s2 = members[:h], members[h:]
-    if r in s1:
-        return s1, s2, s2[0]
-    return s2, s1, s1[0]
-
-
 def tsqr(A: DistMatrix, root: int = 0) -> TSQRResult:
     """QR-decompose a tall-skinny distributed matrix (``m/n >= P``).
 
@@ -247,35 +238,16 @@ def tsqr(A: DistMatrix, root: int = 0) -> TSQRResult:
     # Householder reconstruction on the root ([BDG+15]).
     # ------------------------------------------------------------------
     X = W[root][:n]  # rows of W at global indices 0..n-1 (root owns them)
-    if machine.symbolic:
-        machine.compute(root, _lu_flops(n), label="tsqr_lu")
-        U = SymbolicArray((n, n), dtype)
-        Lfac = SymbolicArray((n, n), dtype)
-        machine.compute(root, float(n) ** 3, label="tsqr_T")
-        T: np.ndarray = SymbolicArray((n, n), dtype)
-        machine.compute(root, float(n) * n, label="tsqr_R")
-        R: np.ndarray = SymbolicArray((n, n), dtype)
-    elif machine.parallel:
-        # Same closed-form charges as the numeric loop accumulates
-        # (exact integers); the value-dependent LU loop itself is one
-        # deferred root task -- its branches run on concrete data.
-        machine.compute(root, _lu_flops(n), label="tsqr_lu")
-        machine.compute(root, float(n) ** 3, label="tsqr_T")
-        machine.compute(root, float(n) * n, label="tsqr_R")
-        nn = SymbolicArray((n, n), dtype)
-        U, Lfac, T, R = defer(
-            machine.plan,
-            partial(_reconstruct_arrays, n=n, dtype=dtype),
-            (X, R_tree),
-            (nn, nn, nn, nn),
-            rank=root,
-            label="tsqr_reconstruct",
-        )
-    else:
-        machine.compute(root, _lu_flops(n), label="tsqr_lu")
-        U, Lfac, T, R = _reconstruct_arrays(X, R_tree, n, dtype)
-        machine.compute(root, float(n) ** 3, label="tsqr_T")
-        machine.compute(root, float(n) * n, label="tsqr_R")
+    # Closed-form charges (exact integers); the value-dependent LU loop
+    # itself is one root kernel -- its branches run on concrete data.
+    machine.compute(root, _lu_flops(n), label="tsqr_lu")
+    machine.compute(root, float(n) ** 3, label="tsqr_T")
+    machine.compute(root, float(n) * n, label="tsqr_R")
+    nn = SymbolicArray((n, n), dtype)
+    reconstruct = partial(_reconstruct_arrays, n=n, dtype=dtype)
+    U, Lfac, T, R = machine.kernel(
+        root, reconstruct, (X, R_tree), (nn, nn, nn, nn), label="tsqr_reconstruct"
+    )
 
     # ------------------------------------------------------------------
     # Broadcast U; every processor recovers V_p = W_p U^{-1} (the root's

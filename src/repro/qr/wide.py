@@ -21,9 +21,9 @@ import numpy as np
 
 from repro.dist import DistMatrix
 from repro.machine import Machine, ParameterError
-
+from repro.qr.applyq import apply_q_3d
+from repro.qr.caqr3d import qr_3d_caqr_eg
 from repro.qr.householder import PanelQR, apply_wy, local_geqrt
-
 
 
 @dataclass
@@ -65,29 +65,13 @@ def qr_wide_3d(A: DistMatrix, **caqr3d_kwargs) -> WideQR:
     Returns ``V``/``T``/``R`` all distributed: ``V`` and ``R``
     (``m x n`` upper trapezoidal) like ``A``, ``T`` like ``A``'s rows.
     """
-    from repro.qr.applyq import apply_q_3d
-    from repro.qr.caqr3d import qr_3d_caqr_eg
-
     m, n = A.shape
     if m > n:
         raise ParameterError(f"qr_wide_3d handles m <= n; got {A.shape}")
-    machine = A.machine
-    parts = A.layout.participants()
-    A1 = DistMatrix(machine, A.layout, m, {p: A.local(p)[:, :m] for p in parts}, dtype=A.dtype)
-    res = qr_3d_caqr_eg(A1, **caqr3d_kwargs)
+    res = qr_3d_caqr_eg(A.cols(0, m), **caqr3d_kwargs)
+    # The trapezoid is assembled locally: R1 and R2 share A's row layout.
+    pieces = [(res.R, 0, 0)]
     if n > m:
-        A2 = DistMatrix(
-            machine, A.layout, n - m, {p: A.local(p)[:, m:] for p in parts}, dtype=A.dtype
-        )
-        R2 = apply_q_3d(res.V, res.T, A2, adjoint=True)
-    # Assemble the trapezoid locally: R1 and R2 share A's row layout.
-    blocks = {}
-    for p in parts:
-        rows = A.layout.rows_of(p)
-        blk = machine.ops.zeros((rows.size, n), dtype=res.R.dtype)
-        blk[:, :m] = res.R.local(p)
-        if n > m:
-            blk[:, m:] = R2.local(p)
-        blocks[p] = blk
-    R = DistMatrix(machine, A.layout, n, blocks, dtype=res.R.dtype)
+        pieces.append((apply_q_3d(res.V, res.T, A.cols(m, n), adjoint=True), 0, m))
+    R = DistMatrix.from_pieces(A.layout, n, pieces)
     return WideQR(V=res.V, T=res.T, R=R)

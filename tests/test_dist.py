@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.collectives import CommContext, gather, scatter
 from repro.dist import (
     BlockRowLayout,
     CyclicRowLayout,
     DistMatrix,
     ExplicitRowLayout,
+    gather_rows,
     head_layout,
     redistribute_rows,
+    scatter_rows,
     tail_layout,
 )
 from repro.dist.blockcyclic import BlockCyclic2D, choose_grid_2d
@@ -200,6 +205,198 @@ class TestRedistribute:
         dm = DistMatrix.zeros(m, BlockRowLayout([2, 2]), 1)
         with pytest.raises(DistributionError):
             redistribute_rows(dm, BlockRowLayout([3, 2]), method=method)
+
+
+CUT_LAYOUTS = {
+    "block": BlockRowLayout([3, 4, 0, 2]),
+    "cyclic": CyclicRowLayout(9, 4),
+    "rotated-cyclic": CyclicRowLayout(9, 3, ranks=[2, 0, 3]),
+    # rank 3 owns only head rows, rank 0 only tail rows, rank 2 none
+    "explicit": ExplicitRowLayout([3, 1, 3, 1, 0, 0, 1, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", list(CUT_LAYOUTS))
+class TestFreeCuts:
+    """``cols`` / ``split_rows``: views of the blocks, nothing charged."""
+
+    def test_parts_equal_the_slices_of_the_whole(self, name, rng):
+        lay = CUT_LAYOUTS[name]
+        A = rng.standard_normal((9, 5))
+        machine = Machine(4)
+        dm = DistMatrix.from_global(machine, A, lay)
+        np.testing.assert_array_equal(dm.cols(1, 4).to_global(), A[:, 1:4])
+        assert dm.cols(1, 4).layout is lay
+        for k in (0, 3, 4, 9):
+            head, tail = dm.split_rows(k)
+            np.testing.assert_array_equal(head.to_global(), A[:k])
+            np.testing.assert_array_equal(tail.to_global(), A[k:])
+            assert head.layout.same_as(head_layout(lay, k))
+            assert tail.layout.same_as(tail_layout(lay, k))
+        rep = machine.report()
+        assert rep.total_words_sent == 0 and rep.total_messages_sent == 0
+
+    def test_parts_are_views(self, name, rng):
+        lay = CUT_LAYOUTS[name]
+        dm = DistMatrix.from_global(Machine(4), rng.standard_normal((9, 5)), lay)
+        head, tail = dm.split_rows(4)
+        for part in (dm.cols(2, 5), head, tail):
+            for p in part.layout.participants():
+                assert np.shares_memory(part.local(p), dm.local(p))
+
+    def test_a_rank_without_rows_on_a_side_takes_no_part_there(self, name):
+        lay = CUT_LAYOUTS[name]
+        dm = DistMatrix.zeros(Machine(4), lay, 2)
+        head, tail = dm.split_rows(4)
+        assert head.layout.participants() == sorted(set(lay.owners()[:4].tolist()))
+        assert tail.layout.participants() == sorted(set(lay.owners()[4:].tolist()))
+        for part in (head, tail):
+            for p in set(range(4)) - set(part.layout.participants()):
+                with pytest.raises(OwnershipError):
+                    part.local(p)
+
+    def test_symbolic_and_lazy_blocks(self, name, rng):
+        lay = CUT_LAYOUTS[name]
+        A = rng.standard_normal((9, 5))
+        sym = DistMatrix.from_global(Machine(4, backend="symbolic"), A, lay)
+        head, tail = sym.cols(1, 4).split_rows(4)
+        assert head.shape == (4, 3) and tail.shape == (5, 3)
+        assert all(tail.local(p).shape == (tail.layout.count(p), 3) for p in tail.blocks)
+        machine = Machine(4, backend="parallel", workers=1)
+        head, tail = DistMatrix.from_global(machine, A, lay).cols(1, 4).split_rows(4)
+        got_head, got_tail = machine.materialize((head.to_global(), tail.to_global()))
+        np.testing.assert_array_equal(got_head, A[:4, 1:4])
+        np.testing.assert_array_equal(got_tail, A[4:, 1:4])
+        assert machine.report().total_messages_sent == 0
+
+    def test_from_pieces_inverts_the_cuts(self, name, rng):
+        lay = CUT_LAYOUTS[name]
+        A = rng.standard_normal((9, 5))
+        dm = DistMatrix.from_global(Machine(4), A, lay)
+        head, tail = dm.cols(2, 5).split_rows(4)
+        back = DistMatrix.from_pieces(lay, 5, [(dm.cols(0, 2), 0, 0), (head, 0, 2), (tail, 4, 2)])
+        np.testing.assert_array_equal(back.to_global(), A)
+        below = DistMatrix.from_pieces(lay, 5, [(tail, 4, 2)])      # zero elsewhere
+        want = np.zeros_like(A)
+        want[4:, 2:] = A[4:, 2:]
+        np.testing.assert_array_equal(below.to_global(), want)
+
+
+@st.composite
+def moves_through_a_root(draw):
+    """``(current owners, destination owners, ordered team, root, ncols)``
+    where the two ownerships differ only between the root and its team."""
+    P = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 14))
+    team = draw(st.permutations(range(P)))[: draw(st.integers(1, P))]
+    root = draw(st.sampled_from(team))
+    cur = draw(st.lists(st.integers(0, P - 1), min_size=m, max_size=m))
+    dest = list(cur)
+    for i, owner in enumerate(cur):
+        if owner == root and draw(st.booleans()):
+            dest[i] = draw(st.sampled_from(team))
+        elif owner in team and draw(st.booleans()):
+            dest[i] = root
+    return np.array(cur), np.array(dest), list(team), root, draw(st.integers(1, 3))
+
+
+class TestMovingRowsThroughARoot:
+    """``gather_rows`` / ``scatter_rows``: one binomial collective over an
+    ordered team, carrying exactly the rows whose owner changes."""
+
+    @staticmethod
+    def oracle(P, n, collective, team, root, counts):
+        """Report of the bare collective over ``counts[j]``-row pieces."""
+        machine = Machine(P)
+        pieces = [np.zeros((c, n)) if c else None for c in counts]
+        if any(counts):
+            collective(CommContext(machine, team), team.index(root), pieces)
+        return machine.report()
+
+    @settings(max_examples=150, deadline=None)
+    @given(moves_through_a_root())
+    def test_gather_then_scatter_reaches_the_destination(self, case):
+        cur, dest, team, root, n = case
+        P, m = 6, cur.size
+        A = np.arange(float(m * n)).reshape(m, n)
+        machine = Machine(P)
+        dm = DistMatrix.from_global(machine, A, ExplicitRowLayout(cur))
+        target = ExplicitRowLayout(dest)
+
+        mid = gather_rows(dm, target, team, root)
+        inbound = [int(((cur == q) & (dest == root)).sum()) if q != root else 0 for q in team]
+        assert machine.report() == self.oracle(P, n, gather, team, root, inbound)
+        if not any(inbound):
+            assert mid is dm                       # nothing to move: no message
+        assert machine.words_by_label.get("gather", 0) >= n * sum(inbound)
+
+        before = machine.report().total_words_sent
+        out = scatter_rows(mid, target, team, root)
+        outbound = [int(((cur == root) & (dest == q)).sum()) if q != root else 0 for q in team]
+        want = self.oracle(P, n, scatter, team, root, outbound)
+        assert machine.report().total_words_sent - before == want.total_words_sent
+        if not any(outbound):
+            assert out is mid
+
+        assert out.layout.same_as(target)
+        np.testing.assert_array_equal(out.to_global(), A)
+        np.testing.assert_array_equal(mid.to_global(), A)
+        if len(team) <= 2:                         # every piece is one hop from the root
+            assert machine.report().total_words_sent == n * int((cur != dest).sum())
+
+    @settings(max_examples=60, deadline=None)
+    @given(moves_through_a_root(), st.randoms(use_true_random=False))
+    def test_team_order_never_changes_the_result(self, case, random):
+        cur, dest, team, root, n = case
+        A = np.arange(float(cur.size * n)).reshape(cur.size, n)
+        shuffled = list(team)
+        random.shuffle(shuffled)
+        outs = []
+        for order in (team, shuffled):
+            dm = DistMatrix.from_global(Machine(6), A, ExplicitRowLayout(cur))
+            target = ExplicitRowLayout(dest)
+            # the way back of the 3D base case: scatter first, then gather
+            outs.append(gather_rows(scatter_rows(dm, target, order, root), target, order, root))
+        assert outs[0].layout.same_as(outs[1].layout)
+        for p in outs[0].layout.participants():
+            np.testing.assert_array_equal(outs[0].local(p), outs[1].local(p))
+
+    def test_team_order_is_the_shape_of_the_tree(self):
+        # Only rank 3 has rows for the root.  In [0, 1, 2, 3] it sits behind
+        # rank 2 in the tree (two hops); in [0, 3, 1, 2] it is the root's peer.
+        cur, dest = np.array([0, 3, 3, 3]), np.zeros(4, dtype=int)
+        words = {}
+        for team in ([0, 1, 2, 3], [0, 3, 1, 2]):
+            machine = Machine(4)
+            dm = DistMatrix.from_global(machine, np.ones((4, 5)), ExplicitRowLayout(cur))
+            out = gather_rows(dm, ExplicitRowLayout(dest), team, 0)
+            assert out.layout.participants() == [0]
+            words[tuple(team)] = machine.report().total_words_sent
+        assert words == {(0, 1, 2, 3): 30, (0, 3, 1, 2): 15}
+
+    def test_nothing_to_move_charges_nothing(self):
+        machine = Machine(4)
+        dm = DistMatrix.zeros(machine, CyclicRowLayout(8, 4), 3)
+        assert gather_rows(dm, dm.layout, [0, 1, 2, 3], 0) is dm
+        assert scatter_rows(dm, dm.layout, [2, 0, 1], 2) is dm
+        assert machine.report().total_messages_sent == 0
+
+    def test_symbolic_blocks_are_metered_alike(self):
+        cur, dest = np.array([0, 1, 2, 1, 0, 2]), np.array([0, 0, 2, 0, 0, 0])
+        reports = []
+        for backend in ("numeric", "symbolic"):
+            machine = Machine(3, backend=backend)
+            dm = DistMatrix.from_global(machine, np.ones((6, 2)), ExplicitRowLayout(cur))
+            out = gather_rows(dm, ExplicitRowLayout(dest), [0, 1, 2], 0)
+            assert out.layout.same_as(ExplicitRowLayout(dest))
+            assert out.local(0).shape == (5, 2)
+            reports.append(machine.report())
+        assert reports[0] == reports[1]
+
+    def test_mismatched_m_rejected(self):
+        dm = DistMatrix.zeros(Machine(2), BlockRowLayout([2, 2]), 1)
+        with pytest.raises(DistributionError):
+            gather_rows(dm, BlockRowLayout([3, 2]), [0, 1], 0)
 
 
 class TestBlockCyclic2D:

@@ -165,13 +165,21 @@ class TestNoStringDispatch:
         import re
 
         src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
-        files = ["matmul/mm3d.py", "matmul/operands.py", "collectives/alltoall.py"]
+        files = [
+            "matmul/mm3d.py", "matmul/operands.py", "collectives/alltoall.py",
+            # the qr-eg template, Eq. 4, its two instantiations, the cuts
+            "qr/qreg.py", "qr/applyq.py", "qr/caqr1d.py", "qr/caqr3d.py",
+            "qr/qreg_iter.py", "qr/wide.py", "dist/distmatrix.py",
+        ]
         asks = re.compile(
             r"\.(symbolic|parallel|concrete|backend_impl)\b|\b(machine|ops)\.backend\b"
             r"|is_symbolic|_repro_lazy_"
             r"|isinstance\([^)]*(SymbolicArray|LazyArray)"
         )
-        gone = re.compile(r"entries_in_rect|emit_operand|_interval_add|_interval_set|_route_pairs")
+        gone = re.compile(
+            r"entries_in_rect|emit_operand|_interval_add|_interval_set|_route_pairs"
+            r"|_rec3d|_scatter_rows_from_root"
+        )
         offenders = []
         for name in files:
             for i, line in enumerate((src / name).read_text().splitlines(), 1):
@@ -182,3 +190,40 @@ class TestNoStringDispatch:
                 if gone.search(line):
                     offenders.append(f"{path.relative_to(src)}:{i}: {line.strip()}")
         assert not offenders, "\n".join(offenders)
+
+    def test_algorithm_2_and_eq_4_are_written_once(self):
+        """One recursion on column halves, one Eq. 4 update, one module that
+        multiplies, one helper that gathers and scatters -- under
+        ``src/repro/qr``, counted in the source."""
+        import pathlib
+        import re
+
+        qr = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro" / "qr"
+        text = {p.name: p.read_text() for p in qr.glob("*.py")}
+
+        def modules_matching(pattern):
+            return sorted(name for name, src in text.items() if re.search(pattern, src))
+
+        # Every distributed multiplication is called from the product rules.
+        for call in (r"\bmm3d\(", r"\bmm1d_reduce\(", r"\bmm1d_broadcast\("):
+            assert modules_matching(call) == ["applyq.py"], call
+        # The subtract of Eq. 4 exists once; every caller reaches apply_q.
+        assert modules_matching(r"\.local\(p\) - ") == ["applyq.py"]
+        assert text["applyq.py"].count(".local(p) - ") == 1
+        for name in ("caqr1d.py", "caqr3d.py"):
+            assert "qr_eg(" in text[name] and "n // 2" not in text[name]
+        assert "apply_q(" in text["qreg.py"] and "apply_q(" in text["qreg_iter.py"]
+        assert "apply_q_3d(" in text["wide.py"]
+        # Exactly one function recurses on column halves of a DistMatrix.
+        assert modules_matching(r"\.cols\(0, n2\)") == ["qreg.py"]
+        assert not modules_matching(r"def _rec\b")
+        # No hand-built column cut or boolean row mask is left around them.
+        masks = re.compile(r"\.local\(\w+\)\[:, |rows(_of\(\w+\))? (>=|<) ")
+        for name in ("caqr1d.py", "caqr3d.py", "wide.py", "qreg.py"):
+            assert not masks.search(text[name]), name
+        distributed = text["qreg_iter.py"].split("def qr_1d_caqr_eg_rightlooking")[1]
+        assert not masks.search(distributed)
+        # The base case moves rows through the one helper, never by hand.
+        assert not modules_matching(r"\b(gather|scatter)\(")
+        assert len(re.findall(r"\b(?:gather|scatter)_rows\(", text["caqr3d.py"])) == 8
+

@@ -121,7 +121,8 @@ MODULE_MAP: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "repro/telemetry/export.py": (("tests/test_telemetry.py",), ("E3",)),
     "repro/telemetry/drift.py": (("tests/test_telemetry.py",), ("E3",)),
     "repro/qr/applyq.py": (
-        ("tests/test_extensions.py", "tests/test_cost_contracts.py"), ()),
+        ("tests/test_extensions.py", "tests/test_cost_contracts.py",
+         "tests/test_qr_eg_template.py"), ()),
     "repro/qr/baselines/__init__.py": (("tests/test_baselines.py",), ()),
     "repro/qr/baselines/caqr2d.py": (("tests/test_baselines.py",), ("T2",)),
     "repro/qr/baselines/house1d.py": (
@@ -138,7 +139,8 @@ MODULE_MAP: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
         ("T2", "F2", "F4", "F4b")),
     "repro/qr/householder.py": (("tests/test_householder.py",), ("K1",)),
     "repro/qr/params.py": (("tests/test_qreg_params.py",), ("A3",)),
-    "repro/qr/qreg.py": (("tests/test_qreg_params.py",), ("A5",)),
+    "repro/qr/qreg.py": (
+        ("tests/test_qreg_params.py", "tests/test_qr_eg_template.py"), ("A5",)),
     "repro/qr/qreg_iter.py": (("tests/test_qreg_params.py",), ("A5",)),
     "repro/qr/tsqr.py": (
         ("tests/test_tsqr.py", "tests/test_cost_contracts.py"), ("T3", "F6")),
