@@ -1,13 +1,15 @@
 """Execution backends: numeric arrays, cost-only shapes, deferred plans.
 
 See :mod:`repro.backend.symbolic` for the cost-only data model,
-:mod:`repro.backend.ops` for the creation/kernel indirection layer,
+:mod:`repro.backend.ops` for the creation/coercion indirection layer,
 :mod:`repro.backend.registry` for the :class:`Backend` protocol that
 unifies the execution modes behind one dispatch point, and
 :mod:`repro.backend.lapack` for the GIL-free ``dgeqrt`` / ``dtrsm``
 entry points the numeric kernels call.  The backend is
 selected per :class:`~repro.machine.Machine`
-(``Machine(P, backend="symbolic")``); algorithms are backend-agnostic.
+(``Machine(P, backend="symbolic")``); algorithms are backend-agnostic:
+every local kernel is a ``machine.kernel`` call, and
+:meth:`Backend.run_kernel` is where it runs, is recorded, or is skipped.
 
 Paper anchor: Section 3 (the cost model every backend meters identically).
 """
@@ -19,8 +21,6 @@ from repro.backend.ops import (
     SymbolicOps,
     asarray,
     ascontiguousarray,
-    get_ops,
-    solve_triangular,
 )
 from repro.backend.registry import (
     Backend,
@@ -48,10 +48,8 @@ __all__ = [
     "available_backends",
     "dtype_of",
     "get_backend",
-    "get_ops",
     "is_symbolic",
     "lapack",
     "register_backend",
     "resolve_backend",
-    "solve_triangular",
 ]

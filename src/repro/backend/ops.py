@@ -1,4 +1,4 @@
-"""Backend indirection for array creation and LAPACK-style kernels.
+"""Backend indirection for array creation and coercion.
 
 The simulator runs every algorithm in one of two modes:
 
@@ -10,14 +10,16 @@ The simulator runs every algorithm in one of two modes:
   element arithmetic happens.
 
 Elementwise expressions and most shape-level numpy functions dispatch
-automatically through ``SymbolicArray``'s protocol hooks.  What cannot
-dispatch -- array *creation* (``np.zeros`` has no array argument to
-dispatch on) and scipy kernels (``solve_triangular``) -- goes through
-this module instead: creation via the machine-bound :class:`Ops` object
-(``machine.ops.zeros(...)``), kernels via the type-dispatched
-module-level functions (:func:`solve_triangular`, :func:`asarray`).
+automatically through ``SymbolicArray``'s protocol hooks.  Array
+*creation* cannot (``np.zeros`` has no array argument to dispatch on),
+so it goes through the machine-bound ops table
+(``machine.ops.zeros(...)``), and coercion of a value that may already
+be a stand-in through :func:`asarray` / :func:`ascontiguousarray`.
+Local *kernels* (the LAPACK-style solves and factorizations) are not
+this module's business: they are pure functions of real arrays,
+dispatched by ``machine.kernel``.
 
-Paper anchor: Section 3 (cost model); Section 2.3 (the local kernels dispatched).
+Paper anchor: Section 3 (cost model); Section 2.3 (the local kernels the machine dispatches).
 """
 
 from __future__ import annotations
@@ -26,23 +28,18 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend.symbolic import SymbolicArray, dtype_of, is_symbolic
+from repro.backend.symbolic import SymbolicArray, is_symbolic
 
 __all__ = [
     "NumericOps",
     "SymbolicOps",
-    "get_ops",
     "asarray",
     "ascontiguousarray",
-    "solve_triangular",
 ]
 
 
 class NumericOps:
     """Real-array backend: thin wrappers over numpy."""
-
-    backend = "numeric"
-    symbolic = False
 
     @staticmethod
     def zeros(shape, dtype=np.float64):
@@ -69,9 +66,6 @@ class NumericOps:
 class SymbolicOps:
     """Cost-only backend: creation returns shape/dtype stand-ins."""
 
-    backend = "symbolic"
-    symbolic = True
-
     @staticmethod
     def zeros(shape, dtype=np.float64):
         return SymbolicArray(shape, dtype)
@@ -89,21 +83,8 @@ class SymbolicOps:
         return SymbolicArray.like(x, dtype=dtype)
 
 
-def get_ops(backend: str):
-    """The shared ops table for a backend name (registry-dispatched).
-
-    Kept as a thin compatibility shim over
-    :func:`repro.backend.registry.get_backend`; plan-bound backends
-    (``"parallel"``) refuse a plan-less ops table here -- construct a
-    ``Machine`` instead.
-    """
-    from repro.backend.registry import get_backend
-
-    return get_backend(backend).make_ops()
-
-
 # ----------------------------------------------------------------------
-# Type-dispatched helpers (no machine in scope required)
+# Type-dispatched coercion (no machine in scope required)
 # ----------------------------------------------------------------------
 
 def _is_virtual(x: Any) -> bool:
@@ -119,42 +100,3 @@ def asarray(x: Any) -> Any:
 def ascontiguousarray(x: Any) -> Any:
     """``np.ascontiguousarray`` that passes symbolic/lazy arrays through."""
     return x if _is_virtual(x) else np.ascontiguousarray(x)
-
-
-def _promoted_dtype(a: Any, b: Any) -> np.dtype:
-    dtype = np.result_type(dtype_of(a), dtype_of(b))
-    if dtype.kind in "iub":
-        dtype = np.dtype(np.float64)
-    return dtype
-
-
-def solve_triangular(a: Any, b: Any, **kwargs: Any) -> Any:
-    """Backend-dispatched ``scipy.linalg.solve_triangular``.
-
-    In symbolic mode the solution has ``b``'s shape and the promoted
-    dtype; callers charge the flops explicitly, exactly as they do in
-    numeric mode.  With lazy (parallel-backend) operands the solve is
-    deferred as one plan task with the same shape/dtype metadata.
-    """
-    if is_symbolic(a) or is_symbolic(b):
-        return SymbolicArray(
-            np.shape(b) if not is_symbolic(b) else b.shape, _promoted_dtype(a, b)
-        )
-    if getattr(a, "_repro_lazy_", False) or getattr(b, "_repro_lazy_", False):
-        from repro.engine.lazy import defer
-
-        plan = (a if getattr(a, "_repro_lazy_", False) else b).plan
-        meta = SymbolicArray(
-            b.shape if getattr(b, "_repro_lazy_", False) else np.shape(b),
-            _promoted_dtype(a, b),
-        )
-
-        def run(av, bv):
-            import scipy.linalg
-
-            return scipy.linalg.solve_triangular(av, bv, **kwargs)
-
-        return defer(plan, run, (a, b), meta, label="solve_triangular")
-    import scipy.linalg
-
-    return scipy.linalg.solve_triangular(a, b, **kwargs)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backend import SymbolicArray, asarray
+from repro.backend import asarray
 from repro.collectives import bidirectional, binomial
 from repro.collectives.context import CommContext
 from repro.machine import words_of
@@ -34,13 +34,6 @@ def _prefer_bidirectional(P: int, B: int) -> bool:
     return B * logp > 2 * (B + P)
 
 
-def _is_array(value) -> bool:
-    """ndarray or one of its stand-ins (symbolic / lazy)."""
-    return isinstance(value, (np.ndarray, SymbolicArray)) or getattr(
-        value, "_repro_lazy_", False
-    )
-
-
 def broadcast(ctx: CommContext, root: int, value: np.ndarray) -> np.ndarray:
     """Broadcast with automatic variant choice (Table 1 broadcast row).
 
@@ -55,7 +48,8 @@ def broadcast(ctx: CommContext, root: int, value: np.ndarray) -> np.ndarray:
     True
     """
     B = words_of(value)
-    if _is_array(value) and _prefer_bidirectional(ctx.size, B):
+    # Only an array (or a stand-in: anything with a shape) can be scattered.
+    if hasattr(value, "shape") and _prefer_bidirectional(ctx.size, B):
         return bidirectional.broadcast_bidirectional(ctx, root, value)
     return binomial.broadcast_binomial(ctx, root, value)
 

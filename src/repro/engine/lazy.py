@@ -470,10 +470,6 @@ class ParallelOps:
     :meth:`~repro.engine.plan.Plan.rebind` swaps for plan replay.
     """
 
-    backend = "parallel"
-    symbolic = False
-    parallel = True
-
     def __init__(self, plan: Plan) -> None:
         self.plan = plan
 

@@ -13,7 +13,9 @@ trigger names a victim rank and a 0-based *step*:
 * ``where="dispatch"`` -- the step counts the rank's **kernel
   dispatches** on an eager backend (:meth:`FaultPlan.on_dispatch`,
   called by :meth:`repro.machine.Machine.kernel` when no engine is
-  attached).
+  attached).  Every local kernel is such a dispatch -- leaf and merge
+  ``geqrt``, ``apply_wy``, ``mm*``, TSQR's free ``pack_triu`` /
+  ``unpack_triu`` -- so dispatch 0 is the rank's first local work.
 
 Triggers are *fire-once*: after a trigger kills its rank, replayed or
 retried executions of that rank pass the same point unharmed -- which

@@ -207,21 +207,14 @@ class Machine:
         self.words_by_label: dict[str, int] = {}
 
     @property
-    def symbolic(self) -> bool:
-        """True when this machine executes in cost-only symbolic mode."""
-        return self.ops.symbolic
-
-    @property
-    def parallel(self) -> bool:
-        """True when this machine defers work into an execution plan."""
-        return self.plan is not None
-
-    @property
     def concrete(self) -> bool:
         """True when element values exist during recording (numeric mode).
 
-        Algorithms may branch on data only on a concrete machine; the
-        symbolic and parallel backends take the generic-data path.
+        The one question an algorithm may ask about its backend, and
+        only to discount data-dependent flops (a ``tau = 0`` column): a
+        concrete machine hands kernels' values back at once, the
+        symbolic and parallel backends charge the generic-data closed
+        forms.  What *happens* to a kernel is :meth:`kernel`'s business.
         """
         return self.backend_impl.concrete
 

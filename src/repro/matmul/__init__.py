@@ -15,7 +15,7 @@ from repro.matmul.costs import (
     cost_mm3d,
 )
 from repro.matmul.grid import Grid3D, choose_grid_dims, make_grid
-from repro.matmul.local import local_add, local_mm
+from repro.matmul.local import local_mm
 from repro.matmul.mm1d import mm1d_broadcast, mm1d_reduce
 from repro.matmul.mm3d import mm3d
 from repro.matmul.operands import Operand
@@ -28,7 +28,6 @@ __all__ = [
     "cost_mm",
     "cost_mm1d",
     "cost_mm3d",
-    "local_add",
     "local_mm",
     "make_grid",
     "mm1d_broadcast",

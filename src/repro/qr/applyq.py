@@ -17,8 +17,8 @@ handed: :class:`Products1D` (Lemma 3, Section 6.2; ``T`` on a root) or
 leading ``n`` rows of ``V``).
 
 Every step is built from the backend-dispatched primitives
-(:func:`~repro.matmul.local_mm`, the collectives,
-:func:`~repro.backend.solve_triangular`), so application runs on all
+(:func:`~repro.matmul.local_mm`, the collectives, ``machine.kernel``
+for the back-substitution), so application runs on all
 registered backends -- cost-only symbolic, and deferred on the
 parallel engine (exposed as the ``"applyq"`` harness algorithm, pinned
 bit-identical to serial numeric by ``tests/test_engine.py``).
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backend import solve_triangular
+from repro.backend import SymbolicArray, dtype_of
 from repro.dist import BlockRowLayout, DistMatrix, RowLayout
 from repro.machine import DistributionError, Machine
 from repro.matmul import Operand, local_mm, mm1d_broadcast, mm1d_reduce, mm3d
@@ -187,6 +187,13 @@ def form_q_1d(V: DistMatrix, T: np.ndarray, root: int, n_cols: int | None = None
     return apply_q_1d(V, T, E_dist, root)
 
 
+def _backsolve_arrays(R: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``R^-1 y`` (``R`` upper triangular): the ``ls_backsolve`` kernel."""
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(R, y, lower=False)
+
+
 def solve_least_squares(
     V: DistMatrix, T: np.ndarray, R: np.ndarray, b: DistMatrix, root: int
 ) -> np.ndarray:
@@ -201,6 +208,7 @@ def solve_least_squares(
     # The leading n rows of y live in the root's leading local rows
     # (tsqr's distribution contract guarantees the root owns them).
     y_top = y.local(root)[:n]
-    x = solve_triangular(R, y_top, lower=False)
+    meta = SymbolicArray(y_top.shape, np.result_type(dtype_of(R), dtype_of(y_top)))
+    x = machine.kernel(root, _backsolve_arrays, (R, y_top), meta, label="ls_backsolve")
     machine.compute(root, float(n) * n * y_top.shape[1], label="ls_backsolve")
     return x

@@ -3,12 +3,16 @@
 Reflector generation, panel factorization returning the Householder
 representation ``(V, T, R)`` with ``V`` unit lower trapezoidal and ``T``
 upper triangular, and metered application of block reflectors.  Every
-operation is charged to the simulated machine.
+operation is charged to the simulated machine and is a pure
+``*_arrays`` kernel behind a driver that charges the flops and makes
+one ``machine.kernel`` call: the backend, not this module, decides
+whether it runs now, is recorded as a task, or is skipped.
 
 Two implementations of the panel factorization share one metering:
 
 * the **reference loop** (:func:`larfg` per column plus
-  :func:`t_from_v`): from scratch, real and complex, the test oracle;
+  :func:`t_from_v_arrays`): from scratch, real and complex, the test
+  oracle;
 * the **LAPACK kernel** (:func:`_geqrt_blocked`, real panels of three or
   more columns): ``dgeqrt`` on one column-major copy of the panel --
   the recursive Elmroth-Gustavson QR, i.e. the sequential form of the
@@ -47,8 +51,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.backend import SymbolicArray, dtype_of, is_symbolic, lapack, solve_triangular
-from repro.engine import defer, is_lazy
+from repro.backend import SymbolicArray, dtype_of, lapack
 from repro.machine import Machine
 
 
@@ -185,156 +188,94 @@ def local_geqrt(
     """Householder QR of a local ``m x n`` (``m >= n``) panel.
 
     Charges the standard ``~2mn^2`` factorization flops plus the
-    ``~mn^2 + n^3/3`` T-accumulation flops on processor ``p``.
+    ``~mn^2 + n^3/3`` T-accumulation flops on processor ``p``; the
+    factorization itself is one ``geqrt`` kernel (:func:`_geqrt_arrays`)
+    dispatched through ``machine.kernel``, so the backend decides
+    whether it runs now, is recorded as one rank-``p`` task, or is
+    skipped (cost-only).  Where element values exist while recording
+    (a *concrete* machine) the columns whose reflector is the identity
+    (``tau = 0``) are discounted; elsewhere the generic-data closed
+    forms are charged.
 
-    Four execution paths share identical metering:
-
-    * **symbolic machine** -- cost-only: the closed-form flop counts are
-      charged (assuming generic data, i.e. every ``tau != 0``) and
-      shape-only stand-ins are returned;
-    * **parallel machine** -- the same closed-form counts are charged
-      eagerly and the whole panel factorization is deferred as one
-      rank-``p`` task of the execution plan (the unit of real
-      concurrency across panels);
-    * **blocked** (numeric default for real panels of width
-      ``>= _BLOCKED_MIN_N``) -- LAPACK ``dgeqrt``, the recursive
-      Elmroth-Gustavson QR, on one column-major copy of the panel; it
-      yields the compact-WY ``T`` with the factorization, and the result
-      is post-corrected to this library's always-reflect convention
-      (:func:`_geqrt_blocked`);
-    * **unblocked** (the reference and test oracle; numeric default for
-      complex dtypes, whose Hermitian-reflector convention LAPACK does
-      not share) -- the column-by-column loop plus :func:`t_from_v`.
+    ``blocked`` picks the kernel's implementation: LAPACK ``dgeqrt``
+    (the default for real panels of width ``>= _BLOCKED_MIN_N``;
+    :func:`_geqrt_blocked`) or the column-by-column reference loop (the
+    test oracle, and the only path for complex panels, whose
+    Hermitian-reflector convention LAPACK does not share).
 
     A panel holding a NaN or an infinity raises ``ValueError`` (on an
     engine: from inside the panel's task): a non-finite entry always
     reaches a ``tau``, so the ``n x n`` kernel ``T`` is what is checked.
+
+    The same call meters identically on every backend:
+
+    >>> A = np.arange(12.0).reshape(6, 2) ** 2
+    >>> reports = []
+    >>> for kwargs in ({}, {"backend": "symbolic"}, {"backend": "parallel", "workers": 1}):
+    ...     machine = Machine(2, **kwargs)
+    ...     pan = local_geqrt(machine, 1, machine.ops.asarray(A))
+    ...     reports.append(machine.report())
+    >>> reports[0] == reports[1] == reports[2]
+    True
+    >>> pan.V.shape, pan.T.shape, pan.R.shape
+    ((6, 2), (2, 2), (2, 2))
     """
-    if is_symbolic(A):
-        m, n = A.shape
-        if m < n:
-            raise ValueError(f"local_geqrt requires m >= n, got {A.shape}")
-        dtype = np.result_type(A.dtype, np.float64)
-        machine.compute(p, _geqrt_factor_flops(m, n), label="geqrt_factor")
-        machine.compute(p, _t_from_v_flops(m, n), label="t_from_v")
-        return PanelQR(
-            V=SymbolicArray((m, n), dtype),
-            T=SymbolicArray((n, n), dtype),
-            R=SymbolicArray((n, n), dtype),
-        )
-
-    if machine.parallel or is_lazy(A):
-        if not machine.parallel:
-            raise TypeError("lazy array given to a non-parallel machine")
-        m, n = A.shape
-        if m < n:
-            raise ValueError(f"local_geqrt requires m >= n, got {A.shape}")
-        dtype = np.result_type(A.dtype, np.float64)
-        # Charged eagerly under the generic-data assumption (every
-        # tau != 0), the same convention the symbolic backend uses; the
-        # deferred kernel runs the identical numeric path at execution.
-        machine.compute(p, _geqrt_factor_flops(m, n), label="geqrt_factor")
-        machine.compute(p, _t_from_v_flops(m, n), label="t_from_v")
-        metas = (
-            SymbolicArray((m, n), dtype),
-            SymbolicArray((n, n), dtype),
-            SymbolicArray((n, n), dtype),
-        )
-        V, T, R = defer(
-            machine.plan,
-            partial(_geqrt_arrays, blocked=blocked),
-            (A,),
-            metas,
-            rank=p,
-            label="geqrt",
-        )
-        return PanelQR(V=V, T=T, R=R)
-
-    A = np.asarray(A)
     m, n = A.shape
     if m < n:
         raise ValueError(f"local_geqrt requires m >= n, got {A.shape}")
+    dtype = np.result_type(dtype_of(A), np.float64)
+    if blocked and dtype != np.float64:
+        raise TypeError(
+            f"the LAPACK kernel (blocked=True) factors float64 panels only, got {dtype}"
+        )
+    nn = SymbolicArray((n, n), dtype)
+    metas = (SymbolicArray((m, n), dtype), nn, nn, SymbolicArray((n,), np.bool_))
+    V, T, R, reflected = machine.kernel(
+        p, partial(_geqrt_arrays, blocked=blocked), (A,), metas, label="geqrt"
+    )
+    mask = reflected if machine.concrete else None  # tau = 0 columns, where known
+    machine.compute(p, _geqrt_factor_flops(m, n, update_mask=mask), label="geqrt_factor")
+    machine.compute(p, _t_from_v_flops(m, n, mask=mask), label="t_from_v")
+    return PanelQR(V=V, T=T, R=R)
+
+
+def _geqrt_arrays(
+    A: np.ndarray, blocked: bool | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pure panel factorization ``(V, T, R, taus != 0)``: the ``geqrt`` kernel.
+
+    ``blocked=None`` picks LAPACK for real panels of width
+    ``>= _BLOCKED_MIN_N`` and the reference loop otherwise.
+    """
+    A = np.asarray(A)
+    m, n = A.shape
     dtype = np.result_type(A.dtype, np.float64)
     if blocked is None:
         # LAPACK's kernel is float64 (every real input dtype the library
         # meets promotes to it); complex panels always take the
         # reference loop (Hermitian-reflector convention).
         blocked = dtype == np.float64 and n >= _BLOCKED_MIN_N
-    elif blocked and dtype != np.float64:
-        raise TypeError(
-            f"the LAPACK kernel (blocked=True) factors float64 panels only, got {dtype}"
-        )
-
     if blocked:
         V, T, R, taus = _geqrt_blocked(A)
-        _require_finite(T, A.shape)
-        reflected = taus != 0
-        machine.compute(
-            p, _geqrt_factor_flops(m, n, update_mask=reflected), label="geqrt_factor"
-        )
-        machine.compute(p, _t_from_v_flops(m, n, mask=reflected), label="t_from_v")
-        return PanelQR(V=V, T=T, R=R)
-
-    work = A.astype(dtype, copy=True)
-    V = np.zeros((m, n), dtype=dtype)
-    taus = np.zeros(n, dtype=dtype)
-    flops = 0.0
-    for j in range(n):
-        L = m - j
-        v, tau, beta = larfg(work[j:, j])
-        V[j:, j] = v
-        taus[j] = tau
-        work[j, j] = beta
-        if j + 1 <= m - 1:
-            work[j + 1 :, j] = 0.0
-        flops += 3.0 * L  # norm + scaling in larfg
-        if tau != 0 and j + 1 < n:
-            c = n - j - 1
-            w = v.conj() @ work[j:, j + 1 :]
-            work[j:, j + 1 :] -= np.multiply.outer(tau * v, w)
-            flops += 4.0 * L * c + 2.0 * c  # v^H C and rank-1 update
-    machine.compute(p, flops, label="geqrt_factor")
-
-    T = t_from_v(machine, p, V, taus)
-    _require_finite(T, A.shape)
-    R = np.triu(work[:n, :])
-    return PanelQR(V=V, T=T, R=R)
-
-
-def _require_finite(T: np.ndarray, panel_shape: tuple[int, int]) -> None:
-    """Reject a panel whose kernel ``T`` picked up a NaN or an infinity."""
-    if not np.isfinite(T).all():
-        raise ValueError(
-            f"array must not contain infs or NaNs (panel of shape {panel_shape})"
-        )
-
-
-class _Unmetered:
-    """Machine stand-in whose ``compute`` is a no-op (stateless, thread-safe).
-
-    The parallel engine's thunks run :func:`local_geqrt`'s numeric path
-    against this so the factorization logic stays in one place without
-    re-charging (or even constructing) clocks on the replay hot path;
-    costs were already charged when the task was recorded.
-    """
-
-    parallel = False
-    symbolic = False
-
-    @staticmethod
-    def compute(p: int, flops: float, label: str = "") -> None:
-        pass
-
-
-_UNMETERED = _Unmetered()
-
-
-def _geqrt_arrays(
-    A: np.ndarray, blocked: bool | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pure (unmetered) panel factorization: the parallel engine's thunk."""
-    pan = local_geqrt(_UNMETERED, 0, A, blocked=blocked)
-    return pan.V, pan.T, pan.R
+    else:
+        work = A.astype(dtype, copy=True)
+        V = np.zeros((m, n), dtype=dtype)
+        taus = np.zeros(n, dtype=dtype)
+        for j in range(n):
+            v, tau, beta = larfg(work[j:, j])
+            V[j:, j] = v
+            taus[j] = tau
+            work[j, j] = beta
+            if j + 1 <= m - 1:
+                work[j + 1 :, j] = 0.0
+            if tau != 0 and j + 1 < n:
+                w = v.conj() @ work[j:, j + 1 :]
+                work[j:, j + 1 :] -= np.multiply.outer(tau * v, w)
+        T = t_from_v_arrays(V, taus)
+        R = np.triu(work[:n, :])
+    if not np.isfinite(T).all():  # a non-finite entry always reaches a tau
+        raise ValueError(f"array must not contain infs or NaNs (panel of shape {A.shape})")
+    return V, T, R, taus != 0
 
 
 def _column_major_copy(A: np.ndarray) -> np.ndarray:
@@ -401,22 +342,17 @@ def _geqrt_blocked(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return V, T, R, taus
 
 
-def t_from_v(machine: Machine, p: int, V: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Accumulate the upper-triangular kernel ``T`` from reflectors.
+def t_from_v_arrays(V: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Pure T accumulation: :func:`t_from_v`'s kernel.
 
     Solves the Schreiber-Van Loan recurrence ``T[:j, j] = -taus[j] *
     T[:j, :j] (V[:, :j]^H v_j)``, ``T[j, j] = taus[j]`` in blocked form:
     with ``G = V^H V``, ``S = triu(G, 1)`` and ``D = diag(taus)`` the
     recurrence is exactly ``T (I + S D) = D``, one gemm plus one
-    triangular solve.  Charges the reference loop's ``~mn^2 + n^3/3``
-    flops on ``p``.
+    triangular solve.
     """
-    m, n = V.shape
-    if is_symbolic(V):
-        machine.compute(p, _t_from_v_flops(m, n), label="t_from_v")
-        return SymbolicArray((n, n), V.dtype)
+    n = V.shape[1]
     taus = np.asarray(taus)
-    machine.compute(p, _t_from_v_flops(m, n, mask=taus != 0), label="t_from_v")
     if n < _T_SOLVE_MIN_N:  # tiny kernels: the recurrence beats the solver call
         T = np.zeros((n, n), dtype=V.dtype)
         for j in range(n):
@@ -426,11 +362,36 @@ def t_from_v(machine: Machine, p: int, V: np.ndarray, taus: np.ndarray) -> np.nd
                 u = V[:, :j].conj().T @ V[:, j]
                 T[:j, j] = -tau * (T[:j, :j] @ u)
         return T
+    from scipy.linalg import solve_triangular
+
     G = V.conj().T @ V
     M = np.eye(n, dtype=V.dtype) + np.triu(G, 1) * taus[None, :]
     # T M = D  <=>  M^T T^T = D (plain transpose; taus are real).
     T = solve_triangular(M, np.diag(taus), trans="T", lower=False).T
     return np.ascontiguousarray(T)
+
+
+def t_from_v(machine: Machine, p: int, V: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Accumulate the upper-triangular kernel ``T`` from reflectors.
+
+    One :func:`t_from_v_arrays` kernel on ``p``, charged the reference
+    loop's ``~mn^2 + n^3/3`` flops (columns with ``tau = 0`` discounted
+    where the values exist while recording).
+    """
+    m, n = V.shape
+    mask = np.asarray(taus) != 0 if machine.concrete else None
+    machine.compute(p, _t_from_v_flops(m, n, mask=mask), label="t_from_v")
+    meta = SymbolicArray((n, n), dtype_of(V))
+    return machine.kernel(p, t_from_v_arrays, (V, taus), meta, label="t_from_v")
+
+
+def reconstruct_t_arrays(V: np.ndarray) -> np.ndarray:
+    """``(triu(V^H V, 1) + diag(diag(V^H V)) / 2)^(-1)``: :func:`reconstruct_t`'s kernel."""
+    from scipy.linalg import solve_triangular
+
+    G = V.conj().T @ V
+    Tinv = np.triu(G, 1) + np.diag(np.diag(G).real) / 2.0
+    return solve_triangular(Tinv, np.eye(V.shape[1], dtype=V.dtype), lower=False)
 
 
 def reconstruct_t(machine: Machine, p: int, V: np.ndarray) -> np.ndarray:
@@ -442,9 +403,8 @@ def reconstruct_t(machine: Machine, p: int, V: np.ndarray) -> np.ndarray:
     need not be stored in-place.
     """
     m, n = V.shape
-    G = V.conj().T @ V
-    Tinv = np.triu(G, 1) + np.diag(np.diag(G).real) / 2.0
-    T = solve_triangular(Tinv, machine.ops.eye(n, dtype=V.dtype), lower=False)
+    meta = SymbolicArray((n, n), dtype_of(V))
+    T = machine.kernel(p, reconstruct_t_arrays, (V,), meta, label="reconstruct_t")
     machine.compute(p, Machine.flops_gemm(n, n, m) + n**3 / 3.0, label="reconstruct_t")
     return T
 
@@ -475,28 +435,15 @@ def apply_wy(
     """Apply ``(I - V T V^H)`` (or its adjoint) to ``C`` on processor ``p``.
 
     Evaluated right-to-left as the paper prescribes for Eq. 4:
-    ``M1 = V^H C``; ``M2 = T M1`` (or ``T^H M1``); ``C - V M2``.
-    On a parallel machine the whole application is one deferred
-    rank-``p`` task.
+    ``M1 = V^H C``; ``M2 = T M1`` (or ``T^H M1``); ``C - V M2`` -- one
+    ``apply_wy`` kernel on ``p``.
     """
     m, n = V.shape
-    flops = _apply_wy_flops(m, n, C.shape[1])
-    if machine.parallel:
-        machine.compute(p, flops, label="apply_wy")
-        meta = SymbolicArray(
-            C.shape, np.result_type(dtype_of(V), dtype_of(T), dtype_of(C))
-        )
-        return defer(
-            machine.plan,
-            partial(_apply_wy_arrays, adjoint=adjoint),
-            (V, T, C),
-            meta,
-            rank=p,
-            label="apply_wy",
-        )
-    out = _apply_wy_arrays(V, T, C, adjoint)
-    machine.compute(p, flops, label="apply_wy")
-    return out
+    machine.compute(p, _apply_wy_flops(m, n, C.shape[1]), label="apply_wy")
+    meta = SymbolicArray(C.shape, np.result_type(dtype_of(V), dtype_of(T), dtype_of(C)))
+    return machine.kernel(
+        p, partial(_apply_wy_arrays, adjoint=adjoint), (V, T, C), meta, label="apply_wy"
+    )
 
 
 def _apply_wy_padded_arrays(

@@ -29,6 +29,12 @@ node to ``[B; 0]`` without forming the zeros, into a column-major
 (:func:`_solve_upper_inplace`).  The flops charged are those of the
 straightforward formulation -- Lemma 5 fixes no constant.
 
+Every local step -- the QRs, the free :func:`pack_triu` /
+:func:`unpack_triu` around each upsweep message, the applications, the
+root's reconstruction, the solves -- is a pure function of real arrays
+dispatched through ``machine.kernel``; this module never asks which
+backend runs it.
+
 The algorithm iterates over ``layout.participants()`` only, so it runs
 unchanged on a machine with extra idle ranks -- which is how the
 fault-tolerance layer protects it: :func:`repro.faults.run_coded_qr`
@@ -46,10 +52,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from repro.backend import SymbolicArray, is_symbolic, lapack, solve_triangular
+from repro.backend import SymbolicArray, lapack
 from repro.collectives.binomial import _split
 from repro.dist import DistMatrix
-from repro.engine import defer, is_lazy
 from repro.machine import DistributionError
 from repro.qr.householder import PanelQR, apply_wy_padded, local_geqrt, sgn
 
@@ -79,31 +84,14 @@ def _triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pack_triu(R: np.ndarray) -> np.ndarray:
     """Upper triangle of an ``n x n`` matrix as ``n(n+1)/2`` words."""
-    n = R.shape[0]
-    if is_symbolic(R):
-        return SymbolicArray((n * (n + 1) // 2,), R.dtype)
-    return R[_triu_indices(n)]
-
-
-def _unpack_triu_arrays(packed: np.ndarray, n: int) -> np.ndarray:
-    R = np.zeros((n, n), dtype=packed.dtype)
-    R[_triu_indices(n)] = packed
-    return R
+    return R[_triu_indices(R.shape[0])]
 
 
 def unpack_triu(packed: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`pack_triu` (free: local unpacking)."""
-    if is_symbolic(packed):
-        return SymbolicArray((n, n), packed.dtype)
-    if is_lazy(packed):
-        return defer(
-            packed.plan,
-            partial(_unpack_triu_arrays, n=n),
-            (packed,),
-            SymbolicArray((n, n), packed.dtype),
-            label="unpack_triu",
-        )
-    return _unpack_triu_arrays(packed, n)
+    R = np.zeros((n, n), dtype=packed.dtype)
+    R[_triu_indices(n)] = packed
+    return R
 
 
 def _lu_flops(n: int) -> float:
@@ -131,6 +119,8 @@ def _reconstruct_arrays(
     R-factor is ``R_w R_tree = -S R_tree`` (not ``-S^H R_tree``; they
     agree in the real case the reference implementation targets).
     """
+    from scipy.linalg import solve_triangular
+
     Xhat = X.astype(dtype, copy=True)
     S = np.zeros(n, dtype=dtype)
     Lfac = np.eye(n, dtype=dtype)
@@ -160,6 +150,8 @@ def _solve_upper_inplace(W: np.ndarray, U: np.ndarray) -> None:
     if W.dtype == np.float64 and U.dtype == np.float64:
         lapack.trsm(np.asfortranarray(U.T), W, trans=True, lower=True)
     else:
+        from scipy.linalg import solve_triangular
+
         W[...] = solve_triangular(U, W.T, trans="T", lower=False).T
 
 
@@ -201,6 +193,8 @@ def tsqr(A: DistMatrix, root: int = 0) -> TSQRResult:
     panels: dict[int, PanelQR] = {p: local_geqrt(machine, p, A.local(p)) for p in parts}
     Rcur: dict[int, np.ndarray] = {p: panels[p].R for p in parts}
     merges: list[tuple[int, int, PanelQR]] = []  # (receiver, sender, merge QR)
+    nn = SymbolicArray((n, n), dtype)
+    tri = SymbolicArray((n * (n + 1) // 2,), dtype)  # what travels: packed triangles
 
     def up(members: list[int], r: int) -> None:
         if len(members) == 1:
@@ -208,8 +202,10 @@ def tsqr(A: DistMatrix, root: int = 0) -> TSQRResult:
         mine, other, r2 = _split(members, r)
         up(mine, r)
         up(other, r2)
-        packed = machine.transfer(r2, r, pack_triu(Rcur.pop(r2)), label="tsqr_up")
-        stacked = np.vstack([Rcur[r], unpack_triu(packed, n)])
+        packed = machine.kernel(r2, pack_triu, (Rcur.pop(r2),), tri, label="pack_triu")
+        packed = machine.transfer(r2, r, packed, label="tsqr_up")
+        R2 = machine.kernel(r, partial(unpack_triu, n=n), (packed,), nn, label="unpack_triu")
+        stacked = np.vstack([Rcur[r], R2])
         pan = local_geqrt(machine, r, stacked)
         merges.append((r, r2, pan))
         Rcur[r] = pan.R
@@ -243,7 +239,6 @@ def tsqr(A: DistMatrix, root: int = 0) -> TSQRResult:
     machine.compute(root, _lu_flops(n), label="tsqr_lu")
     machine.compute(root, float(n) ** 3, label="tsqr_T")
     machine.compute(root, float(n) * n, label="tsqr_R")
-    nn = SymbolicArray((n, n), dtype)
     reconstruct = partial(_reconstruct_arrays, n=n, dtype=dtype)
     U, Lfac, T, R = machine.kernel(
         root, reconstruct, (X, R_tree), (nn, nn, nn, nn), label="tsqr_reconstruct"

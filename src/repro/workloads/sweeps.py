@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.backend import resolve_backend
+from repro.backend import SymbolicArray, dtype_of, resolve_backend
 from repro.dist import (
     BlockRowLayout,
     CyclicRowLayout,
@@ -35,9 +35,9 @@ from repro.qr import (
     qr_house_1d,
     qr_house_2d,
     qr_wide_3d,
-    reconstruct_t,
     tsqr,
 )
+from repro.qr.householder import reconstruct_t_arrays
 from repro.qr.validate import QRDiagnostics, qr_diagnostics
 from repro.util import balanced_sizes
 
@@ -241,7 +241,11 @@ def drive(algorithm: str, machine: Machine, A, params: dict, validate: bool):
         fn = qr_house_2d if algorithm == "house2d" else qr_caqr_2d
         res = fn(A_bc)
         V, R = res.V_global(), res.R_global()
-        T = reconstruct_t(Machine(1), 0, V) if validate else np.eye(n)
+        if validate:  # T exists only to be validated: one unmetered, rankless kernel
+            nn = SymbolicArray((n, n), dtype_of(V))
+            T = machine.kernel(None, reconstruct_t_arrays, (V,), nn, label="reconstruct_t")
+        else:
+            T = np.eye(n)
         return (V, T, R), _qr_diag, _grid_slicer(A_bc)
 
     if algorithm == "wide":

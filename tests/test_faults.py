@@ -51,7 +51,7 @@ from repro.machine import Machine, ParameterError
 from repro.qr.caqr1d import qr_1d_caqr_eg
 from repro.qr.tsqr import tsqr
 from repro.util import balanced_sizes
-from repro.workloads import gaussian, run_qr
+from repro.workloads import ALGORITHMS, gaussian, run_qr
 
 M, N, P, B = 64, 8, 4, 4
 
@@ -320,6 +320,26 @@ class TestInjection:
                 "house1d", _input(), P=P, validate=False,
                 fault_plan=FaultPlan.kill(2, 1, where="dispatch"),
             )
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_eager_dispatch_zero_is_the_ranks_first_local_kernel(self, alg):
+        # Every local kernel goes through Machine.kernel, so a rank can
+        # die before its first one -- its leaf QR, its first partial
+        # product -- on every algorithm (mm1d used to run to completion
+        # and the TSQR family survived until the downsweep).
+        first = {
+            "tsqr": "geqrt", "house1d": "house1d_stats", "caqr1d": "geqrt",
+            "house2d": "house2d_stats", "caqr2d": "geqrt", "caqr3d": "geqrt",
+            "wide": "geqrt", "applyq": "geqrt", "mm1d": "mm1d_partial",
+            "mm3d": "alltoall_pack",
+        }[alg]
+        m, n, procs = (24, 48, 6) if alg == "wide" else (256, 16, 4)
+        fp = FaultPlan.kill(1, 0, where="dispatch")
+        with pytest.raises(RankFailure) as exc:
+            run_qr(alg, gaussian(m, n, seed=0), procs, validate=False, fault_plan=fp)
+        assert str(exc.value) == f"rank 1 died at kernel dispatch 0 (task {first!r})"
+        assert (exc.value.rank, exc.value.step, exc.value.where) == (1, 0, "dispatch")
+        assert fp.fired == (RankFault(1, 0, "dispatch"),)
 
     def test_machine_rejects_faults_on_symbolic(self):
         with pytest.raises(ParameterError, match="faults='none'"):

@@ -10,7 +10,6 @@ from repro.matmul import (
     Operand,
     choose_grid_dims,
     cost_mm3d,
-    local_add,
     local_mm,
     make_grid,
     mm1d_broadcast,
@@ -41,12 +40,6 @@ class TestLocalMM:
         m = Machine(1)
         with pytest.raises(ValueError):
             local_mm(m, 0, np.ones((2, 3)), np.ones((4, 4)))
-
-    def test_local_add_subtract(self, rng):
-        m = Machine(1)
-        X, Y = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        assert np.allclose(local_add(m, 0, X, Y, subtract=True), X - Y)
-        assert m.report().critical_flops == 9
 
 
 class TestGridChoice:

@@ -461,6 +461,6 @@ class TestSupportProbe:
 
     def test_machine_accepts_backend_by_name(self):
         machine = Machine(4, backend="parallel-mp", workers=1)
-        assert machine.parallel and not machine.concrete
+        assert machine.plan is not None and not machine.concrete
         assert type(machine.engine).__name__ == "MpEngine"
         _close(machine)

@@ -162,12 +162,18 @@ def _plain_functions(fn):
 class TestRecordTimeBinding:
     @pytest.mark.parametrize("alg,m,n,P", [
         ("house2d", 48, 24, 6), ("house1d", 96, 6, 4), ("tsqr", 512, 16, 4),
+        ("caqr3d", 256, 64, 8), ("caqr1d", 512, 16, 4), ("mm1d", 256, 8, 4),
+        ("applyq", 256, 8, 4),
     ])
     def test_kernels_close_over_nothing(self, alg, m, n, P):
         machine, _factors, _slicer = _record(alg, gaussian(m, n, seed=1), P)
         kernels = [t for t in machine.plan.tasks if t.label.startswith(
-            (alg + "_", "panel_", "geqrt", "apply_wy", "unpack_triu"))]
+            (alg + "_", "panel_", "geqrt", "apply_wy", "unpack_triu", "mm", "caqr1d_M",
+             "caqr1d_T12", "pack_triu", "ls_backsolve"))]
         assert kernels
+        if alg in ("caqr3d", "caqr1d"):
+            assert {"mm1d_partial", "mm1d_local", "caqr1d_M2", "caqr1d_T12", "pack_triu"} <= {
+                t.label for t in kernels}
         if alg == "tsqr":
             assert {"geqrt", "apply_wy", "unpack_triu", "tsqr_reconstruct", "tsqr_V"} <= {
                 t.label for t in kernels}

@@ -23,7 +23,6 @@ from repro.backend import (
     NumericBackend,
     available_backends,
     get_backend,
-    get_ops,
     register_backend,
     resolve_backend,
 )
@@ -66,13 +65,7 @@ class TestBuiltins:
 
     def test_machine_accepts_backend_instance(self):
         machine = Machine(2, backend=get_backend("symbolic"))
-        assert machine.backend == "symbolic" and machine.symbolic
-
-    def test_get_ops_shim(self):
-        assert get_ops("numeric").backend == "numeric"
-        assert get_ops("symbolic").symbolic
-        with pytest.raises(ValueError, match="plan-bound"):
-            get_ops("parallel")
+        assert machine.backend == "symbolic" and not machine.concrete
 
     def test_make_input_shapes(self):
         assert get_backend("symbolic").make_input(8, 4) == (8, 4)
@@ -158,38 +151,45 @@ class TestNoStringDispatch:
         assert not offenders, "\n".join(offenders)
 
     def test_redistribution_code_never_asks_which_backend_runs_it(self):
-        """mm3d's route, its kernels and the all-to-all accounting are one
-        path for every backend: symbolic runs are cheap because
-        ``run_kernel`` returns the metas, not because the code looks."""
+        """The algorithm layers are one path for every backend: every
+        local kernel is a ``machine.kernel`` call, and symbolic runs are
+        cheap because ``run_kernel`` returns the metas, not because the
+        code looks.  ``machine.concrete`` is the one flag they may read,
+        and only to choose a flop mask."""
         import pathlib
         import re
 
         src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
-        files = [
-            "matmul/mm3d.py", "matmul/operands.py", "collectives/alltoall.py",
-            # the qr-eg template, Eq. 4, its two instantiations, the cuts
-            "qr/qreg.py", "qr/applyq.py", "qr/caqr1d.py", "qr/caqr3d.py",
-            "qr/qreg_iter.py", "qr/wide.py", "dist/distmatrix.py",
+        layers = [
+            path for name in ("qr", "matmul", "dist", "collectives")
+            for path in sorted((src / name).rglob("*.py"))
         ]
+        assert len(layers) > 30
         asks = re.compile(
-            r"\.(symbolic|parallel|concrete|backend_impl)\b|\b(machine|ops)\.backend\b"
-            r"|is_symbolic|_repro_lazy_"
+            r"\.(symbolic|parallel|backend_impl)\b|\b(machine|ops)\.backend\b"
+            r"|is_symbolic|is_lazy|_repro_lazy_"
+            r"|\bdefer\(|from repro\.engine|import repro\.engine"
             r"|isinstance\([^)]*(SymbolicArray|LazyArray)"
         )
         gone = re.compile(
             r"entries_in_rect|emit_operand|_interval_add|_interval_set|_route_pairs"
             r"|_rec3d|_scatter_rows_from_root"
+            r"|_Unmetered|_UNMETERED|get_ops|local_add"
         )
-        offenders = []
-        for name in files:
-            for i, line in enumerate((src / name).read_text().splitlines(), 1):
-                if asks.search(line):
-                    offenders.append(f"{name}:{i}: {line.strip()}")
-        for path in src.rglob("*.py"):
+        offenders, masks = [], []
+        for path in layers:
             for i, line in enumerate(path.read_text().splitlines(), 1):
-                if gone.search(line):
+                if asks.search(line):
+                    offenders.append(f"{path.relative_to(src)}:{i}: {line.strip()}")
+                if ".concrete" in line:
+                    masks.append(f"{path.relative_to(src)}:{i}: {line.strip()}")
+        for path in src.rglob("*.py"):
+            may_defer = path.parent.name == "engine" or path.name == "registry.py"
+            for i, line in enumerate(path.read_text().splitlines(), 1):
+                if gone.search(line) or (not may_defer and re.search(r"\bdefer\(", line)):
                     offenders.append(f"{path.relative_to(src)}:{i}: {line.strip()}")
         assert not offenders, "\n".join(offenders)
+        assert len(masks) <= 3, "\n".join(masks)
 
     def test_algorithm_2_and_eq_4_are_written_once(self):
         """One recursion on column halves, one Eq. 4 update, one module that

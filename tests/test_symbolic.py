@@ -8,9 +8,7 @@ from repro.backend import (
     SymbolicArray,
     SymbolicOps,
     asarray,
-    get_ops,
     is_symbolic,
-    solve_triangular,
 )
 from repro.machine import Machine, words_of
 
@@ -176,12 +174,6 @@ class TestNumpyProtocols:
 
 
 class TestOps:
-    def test_get_ops(self):
-        assert not get_ops("numeric").symbolic
-        assert get_ops("symbolic").symbolic
-        with pytest.raises(ValueError):
-            get_ops("quantum")
-
     def test_creation(self):
         so = SymbolicOps()
         assert so.zeros((2, 3)).shape == (2, 3)
@@ -197,22 +189,13 @@ class TestOps:
         assert asarray(a) is a
         assert isinstance(asarray([1, 2]), np.ndarray)
 
-    def test_solve_triangular_dispatch(self):
-        a = SymbolicArray((3, 3))
-        b = SymbolicArray((3, 2))
-        x = solve_triangular(a, b, lower=False)
-        assert x.shape == (3, 2)
-        # Numeric path still works.
-        x = solve_triangular(np.eye(2), np.ones((2, 1)), lower=True)
-        assert np.allclose(x, 1.0)
-
 
 class TestMachineBackend:
     def test_backend_attribute(self):
         assert Machine(2).backend == "numeric"
-        assert not Machine(2).symbolic
+        assert Machine(2).concrete
         m = Machine(2, backend="symbolic")
-        assert m.symbolic
+        assert m.backend == "symbolic" and not m.concrete
         assert m.ops.zeros((2, 2)).shape == (2, 2)
 
     def test_unknown_backend_rejected(self):
