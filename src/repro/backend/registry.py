@@ -188,7 +188,9 @@ class Backend:
         whose result matches ``meta`` (one
         :class:`~repro.backend.SymbolicArray`, a tuple of them for a
         multi-output kernel, or ``None``), apart from writing in place
-        the arguments whose positions ``updates`` names.  The caller
+        the arguments whose positions ``updates`` names; every array it
+        returns is fresh (no memory shared with an argument or another
+        result -- :meth:`~repro.machine.Machine.kernel`).  The caller
         meters any flops separately.  Eager backends call ``fn`` now
         (the writes land in the caller's arrays); the symbolic backend
         returns ``meta`` unevaluated; the parallel backend appends one
@@ -279,7 +281,9 @@ class ParallelBackend(Backend):
     def run_kernel(self, machine, p, fn, args, meta, label="", updates=()):
         from repro.engine import defer
 
-        return defer(machine.plan, fn, args, meta, rank=p, label=label, updates=updates)
+        # Kernel results are fresh by contract (Machine.kernel).
+        return defer(machine.plan, fn, args, meta, rank=p, label=label,
+                     fresh=True, updates=updates)
 
 
 class MpBackend(ParallelBackend):

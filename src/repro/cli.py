@@ -301,6 +301,7 @@ def cmd_trace(args) -> int:
         machine.plan.reset()
         engine.execute(machine.plan)
     print(engine.lanes_line())
+    print(engine.writes_line())
     return 0
 
 

@@ -21,17 +21,25 @@ outputs -- and derives the rest from it:
    consumer land on the **same worker** becomes a plain ``task.value``
    read (program order within the worker's walk); only genuinely
    cross-worker edges keep a rendezvous slot (:class:`Publisher`).
-2. **The write rule** -- an ``updates=`` task (``lazy[idx] = value``
-   is one) is handed the producer's own buffer at position ``i`` **iff**
-   (a) the array there is *fresh* (allocated for its holder: ``zeros``
-   / ``eye`` / ``copy`` / a previous write), (b) its producer is not an
-   input leaf, (c) this task is the producer's **only consumer** --
-   counted by tid, so a kernel that returns a view of the block it
-   wrote shares one count with it -- and (d) the producer is not
-   already ``done`` when the schedule is compiled (a done value may
-   have escaped to the caller through ``resolve``).  Every other
-   position is copied first (:attr:`CompiledPlan.copies`); the map sees
-   consumers recorded *after* the writer, which no record-time test can.
+2. **The write rule** -- an ``updates=`` task ``W`` (``lazy[idx] =
+   value`` is one) is handed the producer's own buffer at position
+   ``i`` **iff** (a) the array there is *fresh* (allocated for its
+   holder: ``zeros`` / ``eye`` / ``copy`` / a kernel result / a previous
+   write), (b) its producer is not an input leaf, (c) **every other
+   reader of that output has run before** ``W`` -- it is a
+   fresh-result task (a ``machine.kernel``: its results alias nothing,
+   so nothing it hands on can see the write) owned by ``W``'s worker,
+   with a lower tid -- and (d) the producer is not already ``done``
+   when the schedule is compiled (a done value may have escaped to the
+   caller through ``resolve``).
+   Readers are tracked per output: reading another output of a
+   multi-output kernel is no conflict, since results alias each other
+   no more than their arguments.  Every other position is copied first
+   (:attr:`CompiledPlan.copies`); the map sees consumers recorded
+   *after* the writer, which no record-time test can.  Sound because a
+   lane walks its tasks in tid order (and the inline lane merges all
+   lanes by tid), so a same-worker reader with a lower tid has finished
+   before ``W`` starts.
 3. **Argument pre-resolution** -- each task's argument tree is walked
    once at bind time and specialized into a flat tuple of zero-argument
    value makers (constant / local read / input fetch / remote fetch),
@@ -113,44 +121,91 @@ def _consumers_by_tid(plan: Plan) -> dict[int, list[Task]]:
             continue
         producers: list[Task] = []
         _scan_refs(task.args, producers)
-        seen: set[int] = set()
         for dep in producers:
-            if dep.tid in seen:
-                continue  # one consumer counts once per producer
-            seen.add(dep.tid)
-            cons.setdefault(dep.tid, []).append(task)
+            readers = cons.get(dep.tid)
+            if readers is None:
+                cons[dep.tid] = [task]
+            elif readers[-1] is not task:  # one consumer counts once per producer
+                readers.append(task)
     return cons
 
 
-def _writable(task: Task, cons: dict[int, list[Task]]) -> list[tuple[int, Task]]:
-    """``(position, producer)`` of every write ``task`` may make in place.
+def _reads(obj: Any, ref: Ref) -> bool:
+    """True when ``obj`` holds a :class:`Ref` to the output ``ref`` names.
 
-    Conditions (a)-(c) of the write rule (module docstring): the written
-    array is fresh, its producer is no input leaf, and ``task`` is that
-    producer's only consumer.
+    An index of ``None`` (a whole value) on either side overlaps all.
     """
-    out = []
+    if isinstance(obj, Ref):
+        return obj.task is ref.task and (
+            obj.index is None or ref.index is None or obj.index == ref.index
+        )
+    if isinstance(obj, (list, tuple)):
+        return any(_reads(o, ref) for o in obj)
+    if isinstance(obj, dict):
+        return any(_reads(o, ref) for o in obj.values())
+    return False
+
+
+def _ran_before(reader: Task, writer: Task, ref: Ref, owner: list) -> bool:
+    """Condition (c) for one reader: it cannot see ``writer`` write ``ref``.
+
+    True when ``reader`` does not read that output at all, or is a
+    fresh-result task that ``writer``'s lane runs first (same owner,
+    lower tid).  A reader that *writes* the output is no exception: only
+    a version's last reader may write it in place, so an earlier one
+    copied, and what it hands on aliases nothing either.
+    """
+    if reader.fresh and reader.tid < writer.tid and owner[reader.tid] == owner[writer.tid]:
+        return True
+    return not _reads(reader.args, ref)
+
+
+def _in_place(task: Task, cons: dict[int, list[Task]], owner: list) -> set[int]:
+    """The ``updates`` positions ``task`` writes in the producer's buffer."""
+    out = set()
     for i in task.writes.fresh:
-        dep = task.args[i].task
-        if not dep.is_input and cons[dep.tid] == [task]:
-            out.append((i, dep))
+        ref = task.args[i]
+        dep = ref.task
+        if dep.is_input or dep.done:
+            continue
+        for r in cons[dep.tid]:
+            if r is not task and not _ran_before(r, task, ref, owner):
+                break
+        else:
+            out.add(i)
     return out
 
 
 def rearm(plan: Plan, tasks: Iterable[Task]) -> None:
-    """Re-arm ``tasks`` for re-execution, with the buffers they wrote.
+    """Re-arm ``tasks`` for re-execution, with the buffers others wrote.
 
-    A task that wrote its producer's buffer in place cannot simply run
-    again: the producer still holds the *written* buffer.  So every
-    producer a re-armed task may have written in place is re-armed with
-    it, transitively -- sound, because its only consumer re-runs anyway.
+    A task cannot simply run again on a producer whose buffer a done
+    task wrote in place: the producer holds the *written* buffer (a
+    writer re-run would apply its write twice; an earlier reader would
+    read the new value).  So every such producer a re-armed task reads
+    is re-armed with it, transitively.  What was written in place is
+    read off the executed values -- a written array that *is* its
+    producer's value went in place (:attr:`CompiledPlan.copies` as the
+    engine bound it) -- so the answer holds whichever compile of a
+    growing plan ran the writer.
     """
-    cons = _consumers_by_tid(plan)
+    written: set[int] = set()
+    for t in plan.tasks:
+        if t.done and t.writes is not None:
+            for k, i in enumerate(t.writes.updates):
+                ref = t.args[i]
+                dep = ref.task
+                if not dep.done:
+                    continue
+                held = dep.value if ref.index is None else dep.value[ref.index]
+                if t.value[k] is held:
+                    written.add(dep.tid)
     todo = list(tasks)
     while todo:
         task = todo.pop()
-        if task.done and task.writes is not None:
-            todo.extend(dep for _, dep in _writable(task, cons))
+        producers: list[Task] = []
+        _scan_refs(task.args, producers)
+        todo.extend(dep for dep in producers if dep.done and dep.tid in written)
         task.done = False
         task.value = None
         task.rendezvous = None
@@ -213,12 +268,14 @@ def compile_plan(plan: Plan, workers: int, replicate_rankless: bool = False) -> 
         else:
             streams[o].append(task)
 
-    # The write rule: conditions (a)-(c) from the consumer map, (d) from
-    # the producers' state now.
+    # The write rule: (a) from the record, (b) and (d) from the producer,
+    # (c) from the consumer map and the lanes.
     copies: dict[int, tuple[int, ...]] = {}
+    in_place = 0
     for task in plan.tasks:
         if task.writes is not None:
-            inplace = {i for i, dep in _writable(task, cons) if not dep.done}
+            inplace = _in_place(task, cons, owner)
+            in_place += len(inplace)
             copies[task.tid] = tuple(i for i in task.writes.updates if i not in inplace)
 
     # Edge analysis: classify every Ref edge between non-input tasks.
@@ -263,6 +320,8 @@ def compile_plan(plan: Plan, workers: int, replicate_rankless: bool = False) -> 
         "cross_rank_edges": cross_rank,
         "rendezvous_edges": len(publishers),
         "elided_edges": elided,
+        "writes_in_place": in_place,
+        "writes_copied": sum(len(c) for c in copies.values()),
     }
     return CompiledPlan(W, len(plan.tasks), owner, streams, publishers, copies, stats)
 

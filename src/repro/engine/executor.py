@@ -349,6 +349,18 @@ class Engine(EngineBase):
             f"{best[1] * 1e3:.0f} ms on {self.workers})"
         )
 
+    def writes_line(self) -> str:
+        """One line for reports: how the compiled plan hands over block writes.
+
+        >>> Engine(workers=1).writes_line()
+        'writes: 0 in place, 0 copied'
+        """
+        stats = self._cplan.stats if self._cplan is not None else {}
+        return (
+            f"writes: {stats.get('writes_in_place', 0)} in place, "
+            f"{stats.get('writes_copied', 0)} copied"
+        )
+
     def _inline_tasks(self) -> list:
         """Every stream's bound tasks, merged by tid for one thread to walk.
 

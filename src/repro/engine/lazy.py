@@ -20,7 +20,8 @@ tests -- the lazy layer inherits that fidelity.
 
 Writes (``lazy[idx] = value``, ``updates=`` kernels) rebind the written
 array's ref to the writing task's output and note which written arrays
-are *fresh* (``zeros`` / ``eye`` / ``copy`` / a previous write).  Whether
+are *fresh* (``zeros`` / ``eye`` / ``copy`` / a kernel result / a
+previous write; an operator result or a received value is not).  Whether
 a write touches the producer's buffer or a copy is decided later, by
 the plan compiler, which can see every consumer (:mod:`repro.engine.compile`).
 
@@ -128,7 +129,9 @@ def defer(
     caller's array objects stay current; ``fn`` is recorded raw, and
     the plan compiler decides per position whether it is handed the
     producer's buffer or a copy (:class:`~repro.engine.plan.Writes`).
-    ``fresh`` marks a single result as a new allocation of its own.
+    ``fresh`` declares every result a new allocation of its own, sharing
+    memory with no argument and no other result (:attr:`Task.fresh
+    <repro.engine.plan.Task>`; the ``machine.kernel`` contract).
     """
     lazies: list[LazyArray] = []
     _scan_lazies(args, lazies)
@@ -139,6 +142,7 @@ def defer(
     if not all(isinstance(la, LazyArray) for la in targets):
         raise EngineError("defer(updates=...) positions must hold lazy arrays")
     task = plan.add(fn, exec_args, rank=rank, label=label)
+    task.fresh = fresh
     if updates:
         task.writes = Writes(
             tuple(updates),
@@ -151,11 +155,11 @@ def defer(
     k = len(targets)  # an updating task's outputs follow its written arrays
     if isinstance(meta, tuple):
         return tuple(
-            LazyArray(plan, m, Ref(task, k + i)) for i, m in enumerate(meta)
+            LazyArray(plan, m, Ref(task, k + i), fresh=fresh) for i, m in enumerate(meta)
         )
     if not updates:
         return LazyArray(plan, meta, Ref(task), fresh=fresh)
-    return None if meta is None else LazyArray(plan, meta, Ref(task, k))
+    return None if meta is None else LazyArray(plan, meta, Ref(task, k), fresh=fresh)
 
 
 def receive(plan: Plan, dst: int, payload: Any, label: str = "") -> Any:
@@ -237,8 +241,8 @@ class LazyArray:
         self.meta = meta
         self.ref = ref
         #: True when the producing task allocated this array for us
-        #: (``zeros`` / ``copy`` / a previous write): one of the plan
-        #: compiler's conditions for writing it in place.
+        #: (``zeros`` / ``copy`` / a kernel result / a previous write):
+        #: one of the plan compiler's conditions for writing it in place.
         self._fresh = fresh
 
     # ------------------------------------------------------------------
@@ -475,7 +479,9 @@ class ParallelOps:
 
     def _leaf(self, fn, meta: SymbolicArray, label: str) -> LazyArray:
         """A rankless constant task whose result is a fresh allocation."""
-        return LazyArray(self.plan, meta, Ref(self.plan.add(fn, label=label)), fresh=True)
+        task = self.plan.add(fn, label=label)
+        task.fresh = True
+        return LazyArray(self.plan, meta, Ref(task), fresh=True)
 
     def zeros(self, shape, dtype=np.float64):
         meta = SymbolicArray(shape, dtype)

@@ -71,8 +71,9 @@ class Writes(NamedTuple):
 
     ``updates`` are the positions in ``args`` (each a bare :class:`Ref`)
     of the arrays ``fn`` writes; ``fresh`` the subset whose array was
-    allocated for its holder (``zeros`` / ``eye`` / ``copy`` / a
-    previous write) rather than handed over by a kernel or a transfer;
+    allocated for its holder (``zeros`` / ``eye`` / ``copy`` / a kernel
+    result / a previous write) rather than made by an operator or handed
+    over by a transfer;
     ``splat`` says ``fn`` returns a tuple of outputs.  The task's value
     is ``(*written arrays, *outputs)``.
     """
@@ -89,12 +90,16 @@ class Task:
     lists/tuples/dicts); the executor resolves them to the producing
     tasks' values before calling ``fn``.  Input leaves have ``fn=None``
     and carry their value directly.  ``writes`` is ``None`` unless the
-    task writes arguments in place (:class:`Writes`).
+    task writes arguments in place (:class:`Writes`).  ``fresh`` says
+    the task's results (the outputs after any written arrays) are new
+    arrays sharing memory with no argument and with each other -- the
+    contract of every ``machine.kernel`` and of ``zeros`` / ``eye`` /
+    ``copy``.
     """
 
     __slots__ = (
         "tid", "rank", "label", "fn", "args",
-        "value", "done", "is_input", "rendezvous", "writes",
+        "value", "done", "is_input", "rendezvous", "writes", "fresh",
     )
 
     def __init__(
@@ -118,6 +123,7 @@ class Task:
         #: blocking slot.
         self.rendezvous = None
         self.writes: Writes | None = None
+        self.fresh = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Task(t{self.tid}, rank={self.rank}, {self.label!r})"

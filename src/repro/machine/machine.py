@@ -235,11 +235,19 @@ class Machine:
         on concrete values at execution time.  Flops are metered by the
         caller, not here.
 
+        **Results are fresh.**  Every array ``fn`` returns is a new
+        allocation: it shares memory with no argument -- the written
+        ones included -- and with no other result (return
+        ``view.copy()``, never a view).  The engines rely on it: a
+        kernel result may be written in place later, and a kernel that
+        read a block before someone writes it holds nothing the write
+        can reach (``tests/test_kernel_seam.py`` checks every dispatch).
+
         ``updates`` names the positions in ``args`` of the arrays
         ``fn`` writes **in place** (block writes).  The numeric backend
         mutates them directly; the engine backends hand ``fn`` the
-        buffer itself when the plan compiler proves nothing else reads
-        it and a copy otherwise (the write rule of
+        buffer itself when the plan compiler proves no later reader can
+        see the write and a copy otherwise (the write rule of
         :mod:`repro.engine.compile`) and rebind the lazy
         argument to the written array; the symbolic backend has nothing
         to write.  Callers keep using the same argument objects

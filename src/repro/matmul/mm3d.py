@@ -69,13 +69,18 @@ _ALLTOALL = {"two_phase": all_to_all_two_phase, "index": all_to_all_index}
 def pack(*buffers, takes) -> tuple:
     """One flat piece per ``(buffer slot, descriptor)``, read on the source.
 
+    A piece that is a view of its buffer is copied: kernel results share
+    memory with no argument (:meth:`~repro.machine.Machine.kernel`).
+
     >>> from repro.matmul.operands import BlockRange
     >>> blk = np.arange(6.0).reshape(3, 2)
-    >>> [p.tolist() for p in pack(blk, takes=(
-    ...     (0, BlockRange(1, 3, 0, 2, "N", 1, 4)), (0, BlockRange(0, 3, 1, 2, "T", 0, 2))))]
-    [[3.0, 4.0, 5.0], [1.0, 3.0]]
+    >>> pieces = pack(blk, takes=(
+    ...     (0, BlockRange(1, 3, 0, 2, "N", 1, 4)), (0, BlockRange(0, 3, 1, 2, "T", 0, 2))))
+    >>> [p.tolist() for p in pieces], any(np.shares_memory(p, blk) for p in pieces)
+    ([[3.0, 4.0, 5.0], [1.0, 3.0]], False)
     """
-    return tuple(take.read(buffers[k]) for k, take in takes)
+    pieces = (take.read(buffers[k]) for k, take in takes)
+    return tuple(p if p.base is None else p.copy() for p in pieces)
 
 
 def assemble(*pieces, puts, shape, dtype) -> np.ndarray:

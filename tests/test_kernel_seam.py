@@ -6,6 +6,9 @@ Contracts pinned here:
   symbolic backend returns and the engines size their lazy results by)
   equals the shape, dtype and arity of what the kernel computes, on
   all ten algorithms and three input dtypes;
+* **fresh results** -- on the same runs, no kernel result shares memory
+  with an argument or another result (the engines' write rule relies
+  on it);
 * **one call each** -- the metered drivers of the oldest kernels make
   exactly one ``machine.kernel`` call and read no backend flag but the
   flop-mask one;
@@ -34,8 +37,24 @@ from repro.workloads import ALGORITHMS, drive, gaussian, run_qr
 BACKENDS = ["numeric", "symbolic", "parallel", pytest.param("parallel-mp", marks=pytest.mark.mp)]
 
 
+def _arrays(obj):
+    """Every ndarray inside a (possibly nested) argument structure."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for o in obj:
+            yield from _arrays(o)
+    elif isinstance(obj, dict):
+        for o in obj.values():
+            yield from _arrays(o)
+
+
 class _CheckedBackend(NumericBackend):
-    """Numeric execution that holds every kernel's result to its meta."""
+    """Numeric execution that holds every kernel's result to its meta.
+
+    And to the fresh-result contract: no result shares memory with an
+    argument (written ones included) or with another result.
+    """
 
     name = "numeric-checked"
 
@@ -54,6 +73,12 @@ class _CheckedBackend(NumericBackend):
             assert isinstance(declared, SymbolicArray), label
             assert (value.shape, value.dtype) == (declared.shape, declared.dtype), (
                 label, value.shape, value.dtype, declared)
+        results = list(out) if isinstance(out, tuple) else [out]
+        inputs = list(_arrays(args))
+        for k, value in enumerate(results):
+            assert not any(np.shares_memory(value, a) for a in inputs), (label, "argument")
+            assert not any(np.shares_memory(value, o) for o in results[k + 1:]), (
+                label, "result")
         return out
 
 

@@ -6,17 +6,19 @@ and which as a copy.  Pinned here, three ways:
 
 * **property** -- random small programs (fresh arrays, input leaves,
   views, element and slice writes, ``updates=`` kernels, a kernel that
-  returns a view of the block it wrote, transfers, consumers recorded
-  after a writer, mid-program materializes) compute bit for bit what the
-  *same* compiled plan computes with every write copied, on first
-  execution and on rebind + reset replays, and never touch an input
-  leaf;
+  writes a block and returns a result, read-only kernels on a chosen
+  rank, transfers, consumers recorded after a writer, mid-program
+  materializes) compute bit for bit what the *same* compiled plan
+  computes with every write copied, on first execution and on rebind +
+  reset replays, and never touch an input leaf;
 * **literals** -- the two programs the record-time rule got wrong (a
   value that escaped through ``materialize``; a consumer recorded after
-  the writer) and "view taken before a write, read after it", plus each
-  of the rule's four conditions on a hand-built plan;
+  the writer) and "view taken before a write, read after it", each of
+  the rule's four conditions on a hand-built plan, the last-use
+  condition's cases (which earlier readers leave a block writable), and
+  recovery re-arming exactly what was written in place;
 * **same work** -- in-place write counts per algorithm no lower than the
-  parent commit's, with the parent's literal ``CostReport`` and
+  last-use rule's, with the parent's literal ``CostReport`` and
   ``words_by_label`` on numeric / parallel / parallel-mp.
 """
 
@@ -53,14 +55,23 @@ def _bump(x, y, by):
 
 
 def _write_and_view(x, k, by):
-    """``x[k] += by`` in place; the output is a *view* of the written ``x``."""
+    """``x[k] += by`` in place; the output is a reversed *copy* of ``x``.
+
+    A kernel result shares memory with no argument, written ones
+    included (the ``machine.kernel`` contract), so not ``x[::-1]``.
+    """
     x[k] += by
-    return (x[::-1],)
+    return (x[::-1].copy(),)
+
+
+def _stats(x):
+    """A read-only kernel: a new array computed from ``x``."""
+    return np.cumsum(x)
 
 
 OP_NAMES = (
     "zeros", "leaf", "copy", "view", "add", "setitem", "setslice", "bump",
-    "write_and_view", "transfer", "retain", "use_retained", "materialize",
+    "write_and_view", "stats", "transfer", "retain", "use_retained", "materialize",
 )
 PROGRAMS = st.lists(
     st.tuples(st.sampled_from(OP_NAMES), st.integers(0, 11), st.integers(0, 11),
@@ -114,10 +125,12 @@ def _run_program(ops, workers):
         elif name == "write_and_view":
             kern = functools.partial(_write_and_view, k=j % N, by=float(step))
             (view,) = machine.kernel(r, kern, (x,), (vec,), updates=(0,))
-            # The output aliases the written block, as it would on the
-            # numeric backend; what the engine guarantees is that a
-            # *task* reading it -- whenever recorded -- reads this value.
+            # A *task* reading the output -- whenever recorded -- reads
+            # this value, however often x is written afterwards.
             retained.append(view)
+        elif name == "stats":
+            # An earlier same-lane reader of this kind leaves x writable.
+            pool.append(machine.kernel(r, _stats, (x,), vec))
         elif name == "transfer":
             pool.append(machine.transfer(r, (r + 1 + j) % P, x))
         elif name == "retain":
@@ -262,7 +275,7 @@ class TestFourConditions:
         assert task.writes == Writes(updates=(0,), fresh=(0,), splat=False)
         assert x.ref.index == 0 and task.fn is operator.setitem
 
-    def test_a_kernel_output_is_not_fresh(self):
+    def test_a_ufunc_result_is_not_fresh(self):
         m = self._machine()
         y = m.ops.zeros((3,)) + 1.0          # an ``add`` result: nobody's allocation
         y[0] = 1.0
@@ -286,14 +299,14 @@ class TestFourConditions:
         held + 0.0
         assert self._copies(m) == {"setitem": (0,)}
 
-    def test_consumers_are_counted_by_tid_so_a_returned_view_is_safe(self):
+    def test_a_kernel_result_is_fresh_so_its_reader_leaves_the_block_writable(self):
         m = self._machine()
         x = m.ops.zeros((N,))
-        (view,) = m.kernel(0, functools.partial(_write_and_view, k=0, by=1.0), (x,),
-                           (SymbolicArray((N,)),), updates=(0,), label="wv")
-        keep = view + 0.0                    # reads output 1 of the task ...
-        x[3] = 9.0                           # ... so writing output 0 must copy
-        assert self._copies(m) == {"wv": (), "setitem": (0,)}
+        (rev,) = m.kernel(0, functools.partial(_write_and_view, k=0, by=1.0), (x,),
+                          (SymbolicArray((N,)),), updates=(0,), label="wv")
+        keep = rev + 0.0                     # reads output 1 of the task: a new array ...
+        x[3] = 9.0                           # ... so writing output 0 goes in place
+        assert self._copies(m) == {"wv": (), "setitem": ()}
         keep, x = m.materialize((keep, x))
         assert keep.tolist() == [0.0, 0.0, 0.0, 1.0] and x.tolist() == [1.0, 0.0, 0.0, 9.0]
 
@@ -310,19 +323,179 @@ class TestFourConditions:
         assert compile_plan(m.plan, 1).copies[second.tid] == ()
 
 
+def _inc(x):
+    """A write-only kernel: ``x += 1`` in place."""
+    x += 1.0
+
+
+def _two(a):
+    """A kernel with two results, fresh and disjoint."""
+    return a + 1.0, a * 2.0
+
+
+READERS = {
+    "kernel": lambda m, x, r: m.kernel(r, _stats, (x,), SymbolicArray((N,)), label="read"),
+    "getitem": lambda m, x, r: x[1:],
+    "ufunc": lambda m, x, r: x + 0.0,
+}
+
+
+class TestLastUse:
+    """Condition 3: which readers recorded before a write leave it in place.
+
+    ``x`` is a kernel result on rank 0, ``read`` reads it, then rank 0
+    writes it; the reader must still see the old value.
+    """
+
+    LEAF = np.arange(N, dtype=np.float64)
+
+    def _program(self, backend, workers, reader, reader_rank):
+        m = Machine(2, backend=backend, workers=workers)
+        try:
+            x = m.kernel(0, _stats, (m.ops.asarray(self.LEAF),), SymbolicArray((N,)))
+            seen = READERS[reader](m, x, reader_rank)
+            m.kernel(0, _inc, (x,), None, updates=(0,), label="write")
+            (writer,) = [t for t in m.plan.tasks if t.label == "write"]
+            copies = compile_plan(m.plan, workers).copies[writer.tid]
+            x, seen = m.materialize((x, seen))
+        finally:
+            _close(m)
+        old = np.cumsum(self.LEAF)
+        np.testing.assert_array_equal(x, old + 1.0)
+        want = {"kernel": np.cumsum(old), "getitem": old[1:], "ufunc": old}[reader]
+        np.testing.assert_array_equal(seen, want)
+        return copies
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_kernel_reader_earlier_in_the_lane_leaves_the_block_writable(
+            self, backend, workers):
+        assert self._program(backend, workers, "kernel", reader_rank=0) == ()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_kernel_reader_on_the_other_worker_forces_the_copy(self, backend):
+        assert self._program(backend, 2, "kernel", reader_rank=1) == (0,)
+        # One worker runs both ranks in tid order: the reader is done first.
+        assert self._program(backend, 1, "kernel", reader_rank=1) == ()
+
+    @pytest.mark.parametrize("reader", ["getitem", "ufunc"])
+    def test_a_view_or_operator_reader_forces_the_copy(self, reader):
+        assert self._program("parallel", 1, reader, reader_rank=0) == (0,)
+
+    def test_a_kernel_reader_recorded_after_the_writer_forces_the_copy(self):
+        m = Machine(2, backend="parallel", workers=1)
+        x = m.kernel(0, _stats, (m.ops.asarray(self.LEAF),), SymbolicArray((N,)))
+        held = LazyArray(x.plan, x.meta, x.ref)          # a retained Ref
+        m.kernel(0, _inc, (x,), None, updates=(0,), label="write")
+        late = READERS["kernel"](m, held, 0)
+        (writer,) = [t for t in m.plan.tasks if t.label == "write"]
+        assert compile_plan(m.plan, 1).copies[writer.tid] == (0,)
+        x, late = m.materialize((x, late))
+        old = np.cumsum(self.LEAF)
+        np.testing.assert_array_equal(late, np.cumsum(old))
+        np.testing.assert_array_equal(x, old + 1.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_reader_of_another_output_leaves_the_block_writable(self, workers):
+        m = Machine(2, backend="parallel", workers=workers)
+        vec = SymbolicArray((N,))
+        a, b = m.kernel(0, _two, (m.ops.asarray(self.LEAF),), (vec, vec), label="two")
+        seen = a + 0.0                       # output 0, even through an operator
+        m.kernel(0, _inc, (b,), None, updates=(0,), label="write")
+        (writer,) = [t for t in m.plan.tasks if t.label == "write"]
+        assert compile_plan(m.plan, workers).copies[writer.tid] == ()
+        a, b, seen = m.materialize((a, b, seen))
+        np.testing.assert_array_equal(seen, self.LEAF + 1.0)
+        np.testing.assert_array_equal(a, self.LEAF + 1.0)
+        np.testing.assert_array_equal(b, self.LEAF * 2.0 + 1.0)
+
+
+class TestRecoveryRearm:
+    """``rearm`` re-runs exactly the producers whose buffers were written."""
+
+    def _run(self, calls):
+        from repro.dist import BlockRowLayout, DistMatrix
+        from repro.faults import CodedRecovery, FaultPlan, encode_checksums
+        from repro.util import balanced_sizes
+
+        def counted(name, fn):
+            def run(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return run
+
+        def accumulate(z, block):
+            z += block.sum(axis=0)
+
+        A = gaussian(16, 3, seed=2)
+        layout = BlockRowLayout(balanced_sizes(16, 4))
+        # Ranks 0-3 hold data, rank 4 the checksum; one worker owns all.
+        m = Machine(5, backend="parallel", workers=1,
+                    fault_plan=FaultPlan.kill(1, 1), recovery=CodedRecovery(1))
+        dA = DistMatrix.from_global(m, A, layout)
+        m.engine.coded_ctx = encode_checksums(m, dA, 1)
+        vec = SymbolicArray((3,))
+        x = m.kernel(0, counted("x", lambda b: b.sum(axis=0)), (dA.local(0),), vec)
+        r = m.kernel(2, counted("r", np.negative), (x,), vec)       # earlier reader
+        m.kernel(1, counted("w", accumulate), (x, dA.local(1)), None,
+                 updates=(0,), label="w")                            # rank 1, step 0
+        y = m.kernel(1, counted("y", np.copy), (x,), vec)           # rank 1 dies here
+        (writer,) = [t for t in m.plan.tasks if t.label == "w"]
+        x, r, y = m.materialize((x, r, y))
+        assert m.fault_plan.fired[0].rank == 1
+        want = A[layout.rows_of(0)].sum(axis=0) + A[layout.rows_of(1)].sum(axis=0)
+        np.testing.assert_array_equal(x, want)
+        np.testing.assert_array_equal(y, want)
+        np.testing.assert_array_equal(r, -A[layout.rows_of(0)].sum(axis=0))
+        return m.engine._cplan.copies[writer.tid], (x, r, y)
+
+    def test_a_producer_with_an_earlier_reader_reruns_with_its_writer(self):
+        calls: dict[str, int] = {}
+        copies, got = self._run(calls)
+        assert copies == ()                  # the write went in place ...
+        assert calls == {"x": 2, "r": 1, "w": 2, "y": 1}   # ... so x ran again
+        ref_calls: dict[str, int] = {}
+        with mock.patch.object(executor_mod, "compile_plan", _all_copied):
+            ref_copies, ref = self._run(ref_calls)
+        assert ref_copies == (0,) and ref_calls == {"x": 1, "r": 1, "w": 2, "y": 1}
+        for g, want in zip(got, ref, strict=True):
+            np.testing.assert_array_equal(g, want)
+
+
+class TestObservability:
+    def test_stats_count_the_copies_map(self):
+        machine = Machine(8, backend="parallel", workers=2)
+        drive("tsqr", machine, gaussian(2048, 32, seed=0), {}, validate=False)
+        cplan = compile_plan(machine.plan, 2)
+        copied = sum(len(c) for c in cplan.copies.values())
+        assert (cplan.stats["writes_in_place"], cplan.stats["writes_copied"]) == (15, copied)
+        assert copied == 1
+
+    def test_trace_prints_the_writes_under_the_lanes_line(self, capsys, tmp_path):
+        from repro.cli import main
+
+        rc = main(["trace", "tsqr", "--m", "2048", "--n", "32", "--P", "8",
+                   "--workers", "1", "--out", str(tmp_path / "t.json")])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        (i,) = [k for k, ln in enumerate(lines) if ln.startswith("lanes: ")]
+        assert lines[i + 1] == "writes: 15 in place, 1 copied"
+
+
 # ----------------------------------------------------------------------
 # Same work as the parent commit
 # ----------------------------------------------------------------------
 
-# (alg, m, n, knobs) on P = 8 -> (writes in place, writes copied) at the
-# parent commit, where a record-time frontier decided.
+# (alg, m, n, knobs) on P = 8 -> (writes in place, writes copied) under
+# the last-use rule (the sole-consumer rule before it: 8 / 8, 24 / 2288,
+# 16 / 752, 74 / 32, 39 / 35, 180 / 63 -- the same writes).
 PARENT_WRITES = {
-    ("tsqr", 2048, 32, ()): (8, 8),
-    ("house2d", 384, 96, ()): (24, 2288),
-    ("house1d", 1024, 32, ()): (16, 752),
-    ("caqr1d", 1024, 32, ()): (74, 32),
-    ("caqr2d", 384, 96, ()): (39, 35),
-    ("caqr3d", 1024, 256, (("delta", 0.5),)): (180, 63),
+    ("tsqr", 2048, 32, ()): (15, 1),
+    ("house2d", 384, 96, ()): (2312, 0),
+    ("house1d", 1024, 32, ()): (768, 0),
+    ("caqr1d", 1024, 32, ()): (102, 4),
+    ("caqr2d", 384, 96, ()): (61, 13),
+    ("caqr3d", 1024, 256, (("delta", 0.5),)): (236, 7),
 }
 
 # (alg, m, n, knobs) on P = 8 -> (CostReport fields, words_by_label) from
