@@ -138,10 +138,6 @@ class Backend:
         """An executor for this backend's plans, or ``None``."""
         return None
 
-    def receive_fn(self) -> Callable | None:
-        """Hook rebinding transferred payloads into the receiver's stream."""
-        return None
-
     def make_ops(self, plan=None):
         """The ops table (creation/coercion) bound to ``plan``."""
         raise NotImplementedError
@@ -262,11 +258,6 @@ class ParallelBackend(Backend):
         from repro.engine import Engine
 
         return Engine(workers)
-
-    def receive_fn(self) -> Callable:
-        from repro.engine import receive
-
-        return receive
 
     def make_ops(self, plan=None):
         if plan is None:

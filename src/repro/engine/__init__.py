@@ -32,9 +32,7 @@ from repro.engine.lazy import (
     LazyArray,
     ParallelOps,
     defer,
-    is_lazy,
     output_tids,
-    receive,
     resolve,
 )
 from repro.engine.plan import EngineError, Plan, Ref, Task
@@ -56,10 +54,8 @@ __all__ = [
     "compile_plan",
     "default_workers",
     "defer",
-    "is_lazy",
     "mp_supported",
     "output_tids",
-    "receive",
     "resolve",
     "run_many",
 ]

@@ -21,9 +21,11 @@ tests -- the lazy layer inherits that fidelity.
 Writes (``lazy[idx] = value``, ``updates=`` kernels) rebind the written
 array's ref to the writing task's output and note which written arrays
 are *fresh* (``zeros`` / ``eye`` / ``copy`` / a kernel result / a
-previous write; an operator result or a received value is not).  Whether
-a write touches the producer's buffer or a copy is decided later, by
-the plan compiler, which can see every consumer (:mod:`repro.engine.compile`).
+previous write; an operator result is not).  A transferred value is the
+sender's own array -- a message is an edge, not a task -- so it is
+exactly as fresh as it was on the sender.  Whether a write touches the
+producer's buffer or a copy is decided later, by the plan compiler,
+which can see every consumer (:mod:`repro.engine.compile`).
 
 :class:`ParallelOps` is the machine-bound creation backend
 (``machine.ops``) for ``backend="parallel"``: creation returns lazy
@@ -47,16 +49,9 @@ __all__ = [
     "LazyArray",
     "ParallelOps",
     "defer",
-    "is_lazy",
     "output_tids",
-    "receive",
     "resolve",
 ]
-
-
-def is_lazy(x: Any) -> bool:
-    """True when ``x`` is a :class:`LazyArray`."""
-    return isinstance(x, LazyArray)
 
 
 def _meta_of(x: Any) -> Any:
@@ -160,33 +155,6 @@ def defer(
     if not updates:
         return LazyArray(plan, meta, Ref(task), fresh=fresh)
     return None if meta is None else LazyArray(plan, meta, Ref(task, k), fresh=fresh)
-
-
-def receive(plan: Plan, dst: int, payload: Any, label: str = "") -> Any:
-    """Bind a transferred payload into ``dst``'s task stream.
-
-    Called by :meth:`repro.machine.Machine.transfer` in parallel mode:
-    the returned structure mirrors ``payload`` with every lazy leaf
-    re-bound to a zero-cost receive task tagged with the destination
-    rank.  This puts the receive in the right program-order stream (so
-    later work by ``dst`` chains after it) and makes the cross-rank
-    edge a real rendezvous at execution time.  Payloads without lazy
-    content (``Meta``/``Counted``/eager arrays) pass through untouched.
-    """
-    lazies: list[LazyArray] = []
-    _scan_lazies(payload, lazies)
-    if not lazies:
-        return payload
-    task = plan.add(
-        lambda *vals: vals,
-        tuple(la.ref for la in lazies),
-        rank=dst,
-        label=label or "recv",
-    )
-    it = iter(range(len(lazies)))
-    return _map_structure(
-        payload, lambda la: LazyArray(la.plan, la.meta, Ref(task, next(it)))
-    )
 
 
 def output_tids(obj: Any) -> tuple[int, ...]:

@@ -186,7 +186,6 @@ class Machine:
         self.recovery = recovery
         self.plan = impl.make_plan()
         self.engine = impl.make_engine(workers)
-        self._receive = impl.receive_fn()
         self.ops = impl.make_ops(self.plan)
         self.backend = impl.name
         self.telemetry = telemetry if telemetry is not None else current_recorder()
@@ -337,7 +336,10 @@ class Machine:
         Charges one message of ``words_of(payload)`` words to both
         endpoints and imposes the happens-before edge.  A self-transfer is
         free (no message is needed to keep data in place), matching the
-        convention ``Bpp`` blocks in an all-to-all do not travel.
+        convention ``Bpp`` blocks in an all-to-all do not travel.  On
+        every backend the result is ``payload`` itself: a message is an
+        edge, not a task (a deferred consumer's dataflow edge to the
+        sender's task is the happens-before edge).
         """
         self._check_rank(src)
         self._check_rank(dst)
@@ -355,10 +357,6 @@ class Machine:
         self.words_by_label[key] = self.words_by_label.get(key, 0) + w
         if self.trace is not None:
             self.trace.append("recv", dst, peer=src, words=w, match=send_idx, label=label)
-        if self._receive is not None:
-            # Parallel backend: rebind the delivered payload into the
-            # destination rank's task stream (a real rendezvous edge).
-            return self._receive(self.plan, dst, payload, label=label)
         return payload
 
     def exchange_round(
@@ -376,22 +374,13 @@ class Machine:
 
         Returns the payloads in input order.
         """
-        receive = self._receive
-        out: list[Any] = []
         staged = []
         clocks = self.clocks
         for src, dst, payload in transfers:
             self._check_rank(src)
             self._check_rank(dst)
             if src == dst:
-                out.append(payload)
                 continue
-            if receive is not None:
-                # Parallel backend: bind the delivered payload into the
-                # destination's stream, like transfer() does.
-                out.append(receive(self.plan, dst, payload, label=label))
-            else:
-                out.append(payload)
             w = words_of(payload)
             snap = clocks.send(src, w)
             send_idx = -1
@@ -409,7 +398,7 @@ class Machine:
         self.total_messages_sent += len(staged)
         if staged:
             self.words_by_label[key] = self.words_by_label.get(key, 0) + round_words
-        return out
+        return [payload for _, _, payload in transfers]
 
     def barrier(self) -> None:
         """Zero-cost clock join across all processors (phase separation).

@@ -16,7 +16,7 @@ Paper anchor: Section 8.1 ([DGHL12] CAQR baseline); Table 2 row 2.
 
 from __future__ import annotations
 
-
+import operator
 
 import numpy as np
 
@@ -26,6 +26,16 @@ from repro.machine import ParameterError
 from repro.qr.baselines.house2d import House2DResult
 from repro.qr.baselines.panel2d import collect_vrow, row_broadcast_panel, update_trailing
 from repro.qr.tsqr import tsqr
+
+
+def _write_on_holder(machine, rank: int, block, idx, piece) -> None:
+    """``block[idx] = piece`` on ``rank``, the block's holder.
+
+    ``piece`` arrived by message; a message is an edge, not a task, so
+    an operator write would take its rank from the sender.
+    """
+    machine.kernel(rank, operator.setitem, (block, idx, piece), None,
+                   label="setitem", updates=(0,))
 
 
 def _panel_factor_tsqr(
@@ -70,12 +80,11 @@ def _panel_factor_tsqr(
             src_rank = root_rank if (A_bc.rank(i, jcol) != root_rank and counts[i] < w) else A_bc.rank(i, jcol)
             if src_rank != rank or counts[i] == 0:
                 continue
-            piece = (
-                lent[i]
-                if i in lent
-                else A_bc.blocks[(i, jcol)][A_bc.rows_of(i) >= j0, col_idx : col_idx + w]
-            )
-            blk[np.searchsorted(rows, rows_by_i[i]), :] = piece
+            at = np.searchsorted(rows, rows_by_i[i])
+            if i in lent:
+                _write_on_holder(machine, rank, blk, (at, slice(None)), lent[i])
+            else:
+                blk[at, :] = A_bc.blocks[(i, jcol)][A_bc.rows_of(i) >= j0, col_idx : col_idx + w]
         blocks[rank] = blk
     panel = DistMatrix(machine, lay, w, blocks, dtype=A_bc.dtype)
 
@@ -88,17 +97,20 @@ def _panel_factor_tsqr(
             continue
         rank = A_bc.rank(i, jcol)
         sel_rows = rows_by_i[i]
+        at = (A_bc.rows_of(i) >= j0, slice(col_idx, col_idx + w))
         if i in lent:
             src = res.V.local(root_rank)
             take = np.isin(lay.rows_of(root_rank), sel_rows)
             piece = machine.transfer(root_rank, rank, src[take, :], label="caqr_panel_return")
-        elif rank == root_rank:
+            _write_on_holder(machine, rank, V_bc.blocks[(i, jcol)], at, piece)
+            continue
+        if rank == root_rank:
             # The root's V block interleaves its own rows with lent ones.
             src = res.V.local(root_rank)
             piece = src[np.isin(lay.rows_of(root_rank), sel_rows), :]
         else:
             piece = res.V.local(rank)
-        V_bc.blocks[(i, jcol)][A_bc.rows_of(i) >= j0, col_idx : col_idx + w] = piece
+        V_bc.blocks[(i, jcol)][at] = piece
 
     # Write R into the panel's leading block (root owns those rows) and
     # zero the annihilated part.

@@ -32,7 +32,8 @@ from repro.backend import SymbolicArray
 from repro.collectives import CommContext
 from repro.dist import DistMatrix
 from repro.matmul import mm1d_reduce
-from repro.qr.baselines.panel2d import householder_column, panel_t
+from repro.qr.baselines.panel2d import householder_column
+from repro.qr.householder import t_from_gram
 from repro.qr.tsqr import check_tsqr_distribution
 
 
@@ -65,7 +66,7 @@ def qr_house_1d(A: DistMatrix, root: int = 0) -> House1DResult:
 
     # T on the root from the Gram matrix (one reduce, Puglisi formula).
     G = mm1d_reduce(Vd, Vd, root, conj_a=True)
-    T = machine.kernel(root, panel_t, (G,), SymbolicArray((n, n), dtype), label="house1d_T")
+    T = machine.kernel(root, t_from_gram, (G,), SymbolicArray((n, n), dtype), label="house1d_T")
     machine.compute(root, float(n) ** 3 / 3.0, label="house1d_T")
 
     # Gather R's rows (all held within the leading n rows, on the root

@@ -34,6 +34,7 @@ from repro.backend import SymbolicArray
 from repro.collectives import CommContext, all_reduce, all_reduce_binomial, broadcast
 from repro.dist.blockcyclic import BlockCyclic2D
 from repro.machine import Machine
+from repro.qr.householder import t_from_gram
 
 
 def suffix_start(rows: np.ndarray, g: int) -> tuple[int, int]:
@@ -152,20 +153,6 @@ def panel_rows(Vblk, r0, c0, c1) -> np.ndarray:
     [[3.0], [5.0]]
     """
     return Vblk[r0:, c0:c1].copy()
-
-
-def panel_t(G) -> np.ndarray:
-    """The panel kernel ``T`` from the Gram matrix ``G = V^H V`` (Puglisi).
-
-    >>> panel_t(np.array([[2.0, 1.0], [1.0, 2.0]])).tolist()
-    [[1.0, -1.0], [0.0, 1.0]]
-    """
-    import scipy.linalg
-
-    Tinv = np.triu(G, 1) + np.diag(np.diag(G).real) / 2.0
-    return scipy.linalg.solve_triangular(
-        Tinv, np.eye(G.shape[0], dtype=G.dtype), lower=False
-    )
 
 
 def panel_vh(blk, V, r0, c0) -> np.ndarray:
@@ -384,7 +371,7 @@ def gram_t_panel(
         G = all_reduce(ctx, partials)
     else:
         G = partials[0]
-    T = machine.kernel(None, panel_t, (G,), SymbolicArray((w, w), G.dtype), label="panel_T")
+    T = machine.kernel(None, t_from_gram, (G,), SymbolicArray((w, w), G.dtype), label="panel_T")
     for i in range(A_bc.pr):
         machine.compute(A_bc.rank(i, jcol), float(w) ** 3 / 3.0, label="panel_T")
     return T

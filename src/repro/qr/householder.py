@@ -385,13 +385,21 @@ def t_from_v(machine: Machine, p: int, V: np.ndarray, taus: np.ndarray) -> np.nd
     return machine.kernel(p, t_from_v_arrays, (V, taus), meta, label="t_from_v")
 
 
-def reconstruct_t_arrays(V: np.ndarray) -> np.ndarray:
-    """``(triu(V^H V, 1) + diag(diag(V^H V)) / 2)^(-1)``: :func:`reconstruct_t`'s kernel."""
+def t_from_gram(G: np.ndarray) -> np.ndarray:
+    """``T = (triu(G, 1) + diag(diag(G)) / 2)^(-1)`` from the Gram matrix ``G = V^H V`` (Puglisi).
+
+    >>> t_from_gram(np.array([[2.0, 1.0], [1.0, 2.0]])).tolist()
+    [[1.0, -1.0], [0.0, 1.0]]
+    """
     from scipy.linalg import solve_triangular
 
-    G = V.conj().T @ V
     Tinv = np.triu(G, 1) + np.diag(np.diag(G).real) / 2.0
-    return solve_triangular(Tinv, np.eye(V.shape[1], dtype=V.dtype), lower=False)
+    return solve_triangular(Tinv, np.eye(G.shape[0], dtype=G.dtype), lower=False)
+
+
+def reconstruct_t_arrays(V: np.ndarray) -> np.ndarray:
+    """:func:`reconstruct_t`'s kernel: :func:`t_from_gram` of ``V^H V``."""
+    return t_from_gram(V.conj().T @ V)
 
 
 def reconstruct_t(machine: Machine, p: int, V: np.ndarray) -> np.ndarray:

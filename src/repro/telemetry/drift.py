@@ -19,6 +19,10 @@ Accounting conventions (see ``docs/observability.md``):
 * Per-phase **measured** seconds sum the engine task spans of that
   phase over all workers -- also an aggregate, so the ratio compares
   like with like.  ``wait_s`` is the rendezvous-blocked share.
+* A message is an edge, not a task, so communication-only phases
+  (``bcast``, ``reduce``, ``gather``, ``scatter``) have predicted rows
+  with 0 measured tasks: their cost shows up as the consuming tasks'
+  ``wait_s``, in the consumers' phases.
 * The **total** row is different on purpose: it compares the modeled
   *critical path* (``CostReport.modeled_time`` under the profile)
   against the measured *wall clock* -- the end-to-end drift.

@@ -42,7 +42,6 @@ from repro.engine import (
     Plan,
     QRJob,
     clear_plan_cache,
-    is_lazy,
     run_many,
 )
 from repro.machine import Machine, ParameterError
@@ -434,7 +433,7 @@ class TestLazyArray:
         stacked = np.vstack([la, lb])
         prod = la.T @ lb
         sliced = la[1:, :2]
-        assert is_lazy(stacked) and stacked.shape == (8, 3)
+        assert isinstance(stacked, LazyArray) and stacked.shape == (8, 3)
         assert prod.shape == (3, 3)
         s, p, sl = machine.materialize((stacked, prod, sliced))
         np.testing.assert_array_equal(s, np.vstack([a, b]))

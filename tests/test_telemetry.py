@@ -203,6 +203,19 @@ class TestRuntimeSpans:
         assert hist is not None and hist.count == waits
         assert any(s.wait_s > 0.0 for s in rec.spans if s.cat == "task")
 
+    def test_messages_are_edges_so_their_waits_belong_to_consumers(self):
+        # A transfer records no task, so no span carries a collective's
+        # label; what a message costs at run time is the consumers' wait.
+        rec = TelemetryRecorder()
+        with recording(rec):
+            run_qr("house2d", gaussian(96, 24, seed=3), P=4, backend="parallel",
+                   workers=2, validate=False)
+        tasks = [s for s in rec.spans if s.cat == "task"]
+        assert tasks and not {s.name for s in tasks} & {"bcast_binomial", "reduce_binomial"}
+        hist = rec.metrics.histogram("engine.rendezvous_wait_s")
+        waited = hist.total if hist is not None else 0.0
+        assert sum(s.wait_s for s in tasks) == pytest.approx(waited)
+
     @pytest.mark.parametrize(
         "backend", ["parallel", pytest.param("parallel-mp", marks=pytest.mark.mp)]
     )
