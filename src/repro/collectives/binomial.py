@@ -26,12 +26,14 @@ Paper anchor: Appendix A.1, Table 1 (binomial-tree collectives).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from functools import partial
+from typing import Any, Sequence
 
 import numpy as np
 
+from repro.backend import SymbolicArray
 from repro.collectives.context import CommContext
-from repro.machine import MachineError, Meta, words_of
+from repro.machine import Counted, MachineError, Meta, words_of
 from repro.util import ceil_div
 
 
@@ -126,40 +128,62 @@ def broadcast_binomial(ctx: CommContext, root: int, value: Any) -> Any:
     return value
 
 
-def reduce_binomial(
-    ctx: CommContext,
-    root: int,
-    contributions: Sequence[np.ndarray],
-    op: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.add,
-) -> np.ndarray:
+def combine_arrays(order, *blocks):
+    """Sum ``blocks`` in ``order``: nested pairs of indices into ``blocks``.
+
+    The combine kernel of every reduction (dispatched by :func:`combine`):
+    the schedule decides the pairing, this evaluates it.
+
+    >>> combine_arrays((0, (2, 1)), np.ones(2), np.full(2, 2.0), np.full(2, 4.0)).tolist()
+    [7.0, 7.0]
+    """
+
+    def total(o):
+        return total(o[0]) + total(o[1]) if isinstance(o, tuple) else blocks[o]
+
+    return total(order)
+
+
+def combine(ctx: CommContext, p: int, kernel, blocks: Sequence[Any], label: str) -> Any:
+    """Run ``kernel(*blocks)``, a sum of the non-``None`` ``blocks``, on group rank ``p``.
+
+    One ``machine.kernel`` call; a lone contribution is returned as is
+    and none at all as ``None``, with no kernel.
+    """
+    present = [b for b in blocks if b is not None]
+    if len(present) <= 1:
+        return present[0] if present else None
+    meta = SymbolicArray(present[0].shape, np.result_type(*{b.dtype for b in present}))
+    return ctx.machine.kernel(ctx.ranks[p], kernel, tuple(blocks), meta, label=label)
+
+
+def reduce_binomial(ctx: CommContext, root: int, contributions: Sequence[np.ndarray]) -> np.ndarray:
     """Binomial-tree reduction of per-rank arrays to ``root``.
 
-    Blocks are combined with ``op`` as soon as they are received, so each
-    tree edge carries exactly one block: ``B log P`` words and flops,
-    ``log P`` messages.
+    Blocks are combined as soon as they are received, so each tree edge
+    carries exactly one block: ``B log P`` words and flops, ``log P``
+    messages.  The schedule moves word counts; one ``reduce_combine``
+    kernel on the root sums the contributions in the tree's order.
     """
     _check_root(ctx, root)
     if len(contributions) != ctx.size:
         raise MachineError(f"reduce needs {ctx.size} contributions, got {len(contributions)}")
 
-    def rec(members: list[int], r: int) -> np.ndarray:
+    def rec(members: list[int], r: int):
         if len(members) == 1:
-            return contributions[r]
+            return r
         mine, other, r2 = _split(members, r)
         a = rec(mine, r)
         b = rec(other, r2)
-        ctx.transfer(r2, r, b, label="reduce_binomial")
-        ctx.compute(r, float(words_of(b)), label="reduce_combine")
-        return op(a, b)
+        words = words_of(contributions[r2])
+        ctx.transfer(r2, r, Counted(words), label="reduce_binomial")
+        ctx.compute(r, float(words), label="reduce_combine")
+        return a, b
 
-    return rec(list(range(ctx.size)), root)
+    order = rec(list(range(ctx.size)), root)
+    return combine(ctx, root, partial(combine_arrays, order), contributions, "reduce_combine")
 
 
-def all_reduce_binomial(
-    ctx: CommContext,
-    contributions: Sequence[np.ndarray],
-    op: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.add,
-) -> np.ndarray:
+def all_reduce_binomial(ctx: CommContext, contributions: Sequence[np.ndarray]) -> np.ndarray:
     """Reduce-then-broadcast all-reduce (binomial tree both ways)."""
-    total = reduce_binomial(ctx, 0, contributions, op=op)
-    return broadcast_binomial(ctx, 0, total)
+    return broadcast_binomial(ctx, 0, reduce_binomial(ctx, 0, contributions))

@@ -11,11 +11,10 @@ Paper anchor: Appendix A (variant selection by block size).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.backend import asarray
 from repro.collectives import bidirectional, binomial
 from repro.collectives.context import CommContext
 from repro.machine import words_of
@@ -34,7 +33,7 @@ def _prefer_bidirectional(P: int, B: int) -> bool:
     return B * logp > 2 * (B + P)
 
 
-def broadcast(ctx: CommContext, root: int, value: np.ndarray) -> np.ndarray:
+def broadcast(ctx: CommContext, root: int, value: Any) -> Any:
     """Broadcast with automatic variant choice (Table 1 broadcast row).
 
     >>> from repro.machine import Machine
@@ -47,24 +46,20 @@ def broadcast(ctx: CommContext, root: int, value: np.ndarray) -> np.ndarray:
     >>> machine.report().total_messages_sent > 0
     True
     """
-    B = words_of(value)
-    # Only an array (or a stand-in: anything with a shape) can be scattered.
-    if hasattr(value, "shape") and _prefer_bidirectional(ctx.size, B):
+    if _prefer_bidirectional(ctx.size, words_of(value)):
         return bidirectional.broadcast_bidirectional(ctx, root, value)
     return binomial.broadcast_binomial(ctx, root, value)
 
 
 def reduce(ctx: CommContext, root: int, contributions: Sequence[np.ndarray]) -> np.ndarray:
     """Reduce with automatic variant choice (Table 1 reduce row)."""
-    B = words_of(asarray(contributions[0]))
-    if _prefer_bidirectional(ctx.size, B):
+    if _prefer_bidirectional(ctx.size, words_of(contributions[0])):
         return bidirectional.reduce_bidirectional(ctx, root, contributions)
     return binomial.reduce_binomial(ctx, root, contributions)
 
 
 def all_reduce(ctx: CommContext, contributions: Sequence[np.ndarray]) -> np.ndarray:
     """All-reduce with automatic variant choice (Table 1 all-reduce row)."""
-    B = words_of(asarray(contributions[0]))
-    if _prefer_bidirectional(ctx.size, B):
+    if _prefer_bidirectional(ctx.size, words_of(contributions[0])):
         return bidirectional.all_reduce_bidirectional(ctx, contributions)
     return binomial.all_reduce_binomial(ctx, contributions)

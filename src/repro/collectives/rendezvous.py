@@ -16,15 +16,13 @@ one of these primitives instead of plain shared memory:
   where one panel task's value is taken by every processor of a grid
   row.  Each consumer takes independently; a starving take names the
   consumer in its timeout, and an undeclared taker is a protocol error.
-* :class:`Barrier` -- an N-party barrier with a timeout, for phase
-  separation between collective rounds.
 
-All carry a *timeout*: a consumer that would wait forever (a cycle, a
+Both carry a *timeout*: a consumer that would wait forever (a cycle, a
 lost producer, a crashed worker) raises :class:`RendezvousTimeout`
 instead of deadlocking, which is what the engine's no-deadlock guard
 tests exercise for every collective.
 
-All are also *abortable*: when the engine learns a producer will never
+Both are also *abortable*: when the engine learns a producer will never
 publish (its task raised, a rank was killed by fault injection, the
 plan deadlocked elsewhere), it poisons the slot with
 :meth:`~Rendezvous.abort` and every blocked or future consumer raises
@@ -60,7 +58,6 @@ import time
 from typing import Any, Iterable
 
 __all__ = [
-    "Barrier",
     "Rendezvous",
     "RendezvousAborted",
     "RendezvousError",
@@ -319,37 +316,3 @@ class RendezvousGroup:
             f"RendezvousGroup({self._label!r}, {state}, "
             f"consumers={sorted(self.consumers)})"
         )
-
-
-class Barrier:
-    """An N-party barrier with a deadlock-guard timeout.
-
-    Thin wrapper over :class:`threading.Barrier` that converts the
-    stdlib's ``BrokenBarrierError`` into :class:`RendezvousTimeout` so
-    engine code handles one timeout exception type.
-    """
-
-    __slots__ = ("_barrier", "_label")
-
-    def __init__(self, parties: int, label: str = "") -> None:
-        if parties < 1:
-            raise RendezvousError(f"Barrier requires parties >= 1, got {parties}")
-        self._barrier = threading.Barrier(parties)
-        self._label = label
-
-    @property
-    def parties(self) -> int:
-        return self._barrier.parties
-
-    def wait(self, timeout: float = DEFAULT_TIMEOUT) -> int:
-        """Block until all parties arrive; returns this party's index."""
-        try:
-            return self._barrier.wait(timeout)
-        except threading.BrokenBarrierError:
-            raise RendezvousTimeout(
-                f"barrier {self._label!r} timed out after {timeout}s "
-                f"({self._barrier.n_waiting}/{self._barrier.parties} arrived)"
-            ) from None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Barrier(parties={self.parties}, {self._label!r})"

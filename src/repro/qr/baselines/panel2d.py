@@ -33,7 +33,7 @@ import numpy as np
 from repro.backend import SymbolicArray
 from repro.collectives import CommContext, all_reduce, all_reduce_binomial, broadcast
 from repro.dist.blockcyclic import BlockCyclic2D
-from repro.machine import Machine
+from repro.machine import Counted, Machine
 from repro.qr.householder import t_from_gram
 
 
@@ -271,8 +271,7 @@ def row_broadcast_panel(
     for i in range(A_bc.pr):
         group = A_bc.row_group(i)
         ctx = CommContext(machine, group)
-        payload = np.concatenate([Vrow[i].reshape(-1), T.reshape(-1)])
-        broadcast(ctx, group.index(A_bc.rank(i, jcol)), payload)
+        broadcast(ctx, group.index(A_bc.rank(i, jcol)), Counted(Vrow[i].size + T.size))
 
 
 def update_trailing(

@@ -139,12 +139,6 @@ class TestReduce:
         out = reduce_binomial(ctx, 0, contribs)
         assert np.allclose(out, sum(contribs))
 
-    def test_binomial_custom_op(self, P):
-        ctx = ctx_of(P)
-        contribs = [np.full(3, float(q)) for q in range(P)]
-        out = reduce_binomial(ctx, 0, contribs, op=np.maximum)
-        assert np.allclose(out, P - 1)
-
     def test_bidirectional(self, P, rng=np.random.default_rng(5)):
         ctx = ctx_of(P)
         contribs = [rng.standard_normal(7) for _ in range(P)]

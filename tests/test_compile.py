@@ -529,20 +529,23 @@ class TestOneExecutionPath:
 
 
 # (alg, m, n, knobs) on P = 8, workers = 2, validate=False -> (tasks,
-# sha256 prefix of the (label, rank) sequence).  Taken at the commit
-# before transfers became edges, its receive tasks left out: every task
-# that survived keeps its label, rank and order.
+# sha256 prefix of the (label, rank) sequence).  First taken at the
+# commit before transfers became edges, its receive tasks left out; then
+# re-pinned when the collectives became count schedules plus combine
+# kernels (see TestCollectivesRecordOnlyTheirCombine for the label
+# multisets that changed).  Every other task keeps its label, rank and
+# order.
 PARENT_TASKS = {
     ("tsqr", 2048, 32, ()): (102, "4ff9cab44ad02b81"),
-    ("house1d", 1024, 32, ()): (1663, "dfc2e890a975aa52"),
-    ("caqr1d", 1024, 32, ()): (1548, "c5c6ecadf77f94f0"),
-    ("house2d", 384, 96, ()): (7991, "32cad1648687eadb"),
-    ("caqr2d", 384, 96, ()): (384, "28ad25de71d4cebd"),
-    ("caqr3d", 1024, 256, (("delta", 0.5),)): (2996, "1737014ba87e867f"),
-    ("wide", 24, 48, ()): (2940, "bb98df3c606bd72e"),
-    ("applyq", 256, 16, ()): (475, "d24b1d935d94d11a"),
-    ("mm1d", 256, 16, ()): (190, "fc9607384a184c9d"),
-    ("mm3d", 256, 16, ()): (209, "09a3ddc63487c170"),
+    ("house1d", 1024, 32, ()): (1148, "fa01ef0dfa2468c0"),
+    ("caqr1d", 1024, 32, ()): (669, "6baa35244adcbb99"),
+    ("house2d", 384, 96, ()): (3819, "469d4da20e2b5f50"),
+    ("caqr2d", 384, 96, ()): (247, "ba00dd795334dcc3"),
+    ("caqr3d", 1024, 256, (("delta", 0.5),)): (2022, "dc12c4884d5555be"),
+    ("wide", 24, 48, ()): (2907, "04f0a3dcb1a80c92"),
+    ("applyq", 256, 16, ()): (163, "3b442329946e19c6"),
+    ("mm1d", 256, 16, ()): (34, "fea400898672f921"),
+    ("mm3d", 256, 16, ()): (161, "4046bc9e88e4330c"),
 }
 
 
@@ -581,3 +584,74 @@ class TestTransfersAreEdges:
         seq = [(t.label, t.rank) for t in machine.plan.tasks]
         digest = hashlib.sha256(repr(seq).encode()).hexdigest()[:16]
         assert (len(seq), digest) == PARENT_TASKS[alg, m, n, knobs]
+
+
+# The tasks recorded from inside repro/collectives/ on the PARENT_TASKS
+# runs: one combine kernel per reduction result.
+COMBINE_TASKS = {
+    "tsqr": {},
+    "house1d": {"reduce_combine": 63, "reduce_scatter_add": 1},
+    "caqr1d": {"reduce_scatter_add": 6},
+    "house2d": {"reduce_combine": 193, "reduce_scatter_add": 22},
+    "caqr2d": {"reduce_scatter_add": 1},
+    "caqr3d": {"reduce_combine": 6, "reduce_scatter_add": 45},
+    "wide": {"reduce_combine": 6, "reduce_scatter_add": 127},
+    "applyq": {"reduce_scatter_add": 2},
+    "mm1d": {"reduce_scatter_add": 1},
+    "mm3d": {"reduce_scatter_add": 8},
+}
+
+
+class TestCollectivesRecordOnlyTheirCombine:
+    """A collective is a schedule on word counts plus at most one
+    ``machine.kernel`` per reduction result, so the only tasks recorded
+    from inside ``repro/collectives/`` are ``reduce_combine`` (binomial
+    reduce / all-reduce, on the root) and ``reduce_scatter_add`` (one per
+    reduce-scatter destination; one per bidirectional reduce /
+    all-reduce): :data:`COMBINE_TASKS`.  They replaced these operator
+    tasks the array-moving collectives recorded on the same runs:
+
+    * house1d: add 497, getitem 64, reshape 17, concatenate 1;
+    * caqr1d: add 336, getitem 408, reshape 132, concatenate 9;
+    * house2d: add 2 583, getitem 1 408, reshape 374, concatenate 22;
+    * caqr2d: add 56, getitem 64, reshape 17, concatenate 1;
+    * caqr3d: add 476, getitem 408, reshape 132, concatenate 9;
+    * wide: add 166;
+    * applyq: add 112, getitem 144, reshape 54, concatenate 4;
+    * mm1d: add 56, getitem 72, reshape 27, concatenate 2;
+    * mm3d: add 56;
+    * tsqr: none (it runs no reduction).
+
+    Every task recorded outside the collectives kept its label, rank and
+    order.
+    """
+
+    @pytest.mark.parametrize("alg,m,n,knobs", list(PARENT_TASKS), ids=str)
+    def test_no_other_task_comes_from_a_collective(self, alg, m, n, knobs, monkeypatch):
+        import pathlib
+        import sys
+        from collections import Counter
+
+        import repro.collectives
+        from repro.engine.plan import Plan
+        from repro.machine import Machine
+        from repro.workloads import drive, gaussian
+
+        collectives = str(pathlib.Path(repro.collectives.__file__).parent)
+        recorded = Counter()
+        add = Plan.add
+
+        def spy(self, *args, **kwargs):
+            task = add(self, *args, **kwargs)
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code.co_filename.startswith(collectives):
+                    recorded[task.label] += 1
+                    break
+                frame = frame.f_back
+            return task
+
+        monkeypatch.setattr(Plan, "add", spy)
+        machine = Machine(8, backend="parallel", workers=2)
+        drive(alg, machine, gaussian(m, n, seed=0), dict(knobs), validate=False)
+        assert recorded == Counter(COMBINE_TASKS[alg])

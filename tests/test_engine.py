@@ -33,7 +33,7 @@ from repro.collectives import (
     scatter,
 )
 from repro.collectives.binomial import broadcast_binomial, reduce_binomial
-from repro.collectives.rendezvous import Barrier, Rendezvous, RendezvousError, RendezvousTimeout
+from repro.collectives.rendezvous import Rendezvous, RendezvousError, RendezvousTimeout
 from repro.engine import (
     Engine,
     EngineDeadlockError,
@@ -371,10 +371,6 @@ class TestTimeoutGuards:
         rv.put(1)
         with pytest.raises(RendezvousError):
             rv.put(2)
-
-    def test_barrier_times_out(self):
-        with pytest.raises(RendezvousTimeout):
-            Barrier(2, "half").wait(timeout=0.05)
 
     def test_engine_deadlock_guard(self):
         plan = Plan()

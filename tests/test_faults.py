@@ -102,8 +102,9 @@ class TestChaosGrid:
     ])
     @pytest.mark.parametrize("workers", [1, 4])
     def test_failfast_names_rank_and_step(self, alg, rank, step, workers):
+        task = {0: "geqrt", 2: "apply_wy", 3: "tsqr_V", 5: "mm1d_local"}[step]
         with pytest.raises(
-            RankFailure, match=rf"rank {rank} died at task-step {step}"
+            RankFailure, match=rf"rank {rank} died at task-step {step} \(task '{task}'\)"
         ):
             run_coded_qr(
                 alg, _input(), P=P, f=1, fault=f"{rank}@{step}",
@@ -318,11 +319,23 @@ class TestInjection:
         # house1d routes its per-column reflector kernels through
         # Machine.kernel, so eager backends have dispatch points.
         with pytest.raises(
-            RankFailure, match=r"rank 2 died at kernel dispatch 1"
+            RankFailure, match=r"rank 2 died at kernel dispatch 1 \(task 'house1d_scale'\)"
         ):
             run_qr(
                 "house1d", _input(), P=P, validate=False,
                 fault_plan=FaultPlan.kill(2, 1, where="dispatch"),
+            )
+
+    def test_collective_combine_is_a_dispatch_point(self):
+        # Each all-reduce sums on the root (rank 0) in one kernel, so each
+        # of the root's later dispatches counts one more for every
+        # all-reduce before it: dispatch 1 used to be house1d_scale.
+        with pytest.raises(
+            RankFailure, match=r"rank 0 died at kernel dispatch 1 \(task 'reduce_combine'\)"
+        ):
+            run_qr(
+                "house1d", _input(), P=P, validate=False,
+                fault_plan=FaultPlan.kill(0, 1, where="dispatch"),
             )
 
     @pytest.mark.parametrize("alg", ALGORITHMS)

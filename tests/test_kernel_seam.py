@@ -9,9 +9,9 @@ Contracts pinned here:
 * **fresh results** -- on the same runs, no kernel result shares memory
   with an argument or another result (the engines' write rule relies
   on it);
-* **one call each** -- the metered drivers of the oldest kernels make
-  exactly one ``machine.kernel`` call and read no backend flag but the
-  flop-mask one;
+* **one call each** -- the metered drivers of the oldest kernels, and
+  the collectives' combine, make exactly one ``machine.kernel`` call and
+  read no backend flag but the flop-mask one;
 * **same answer on every backend** -- argument errors surface at the
   call (not at ``materialize``, not never), ``solve_least_squares``
   meters identically and solves bit-identically on the engine, and the
@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.backend import NumericBackend, SymbolicArray
+from repro.collectives.binomial import combine
 from repro.dist import BlockRowLayout, DistMatrix
 from repro.machine import Machine
 from repro.matmul import local_mm
@@ -104,11 +105,13 @@ class TestMetasMatchValues:
             m, n, P = _shape(alg)
             run_qr(alg, gaussian(m, n, seed=3), P, validate=True, backend=backend)
         assert {"geqrt", "apply_wy", "pack_triu", "unpack_triu", "mm", "mm1d_partial",
-                "caqr1d_T12", "reconstruct_t"} <= set(backend.labels)
+                "caqr1d_T12", "reconstruct_t", "reduce_combine",
+                "reduce_scatter_add"} <= set(backend.labels)
 
 
 class TestOneCallEach:
-    @pytest.mark.parametrize("driver", [local_geqrt, apply_wy, local_mm, t_from_v, reconstruct_t])
+    @pytest.mark.parametrize(
+        "driver", [local_geqrt, apply_wy, local_mm, t_from_v, reconstruct_t, combine])
     def test_driver_is_one_kernel_call_and_no_backend_branch(self, driver):
         source = inspect.getsource(driver)
         assert source.count("machine.kernel(") == 1

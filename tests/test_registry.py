@@ -191,6 +191,26 @@ class TestNoStringDispatch:
         assert not offenders, "\n".join(offenders)
         assert len(masks) <= 3, "\n".join(masks)
 
+    def test_collectives_touch_data_only_where_the_math_combines_it(self):
+        """A collective is a schedule on word counts plus, per reduction
+        result, one combine kernel: no payload slicing or reassembly, no
+        reduction operator other than the sum, no barrier object, and no
+        question about what kind of payload (or backend) it carries."""
+        import pathlib
+        import re
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+        gone = re.compile(r"_split_array|_reassemble|\bop=|class Barrier")
+        asks = re.compile(
+            r"hasattr\(|\.concrete\b|isinstance\([^)]*(SymbolicArray|LazyArray|ndarray)")
+        offenders = [
+            f"{path.relative_to(src)}:{i}: {line.strip()}"
+            for path in sorted(src.rglob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if gone.search(line) or (path.parent.name == "collectives" and asks.search(line))
+        ]
+        assert not offenders, "\n".join(offenders)
+
     def test_algorithm_2_and_eq_4_are_written_once(self):
         """One recursion on column halves, one Eq. 4 update, one module that
         multiplies, one helper that gathers and scatters -- under
