@@ -290,9 +290,9 @@ def cmd_trace(args) -> int:
     tasks = rec.metrics.counter("engine.tasks")
     print(f"[{tasks:.0f} engine tasks, {waits:.0f} rendezvous waits, "
           f"workers={args.workers or 'auto'}]")
-    # The traced (first) execution ran on every worker; what a stream of
-    # such jobs would run on is measured over replays (see
-    # repro.engine.executor), kept out of the trace.
+    # The traced (first) execution ran on the lanes the plan's grain
+    # picked; what a stream of such jobs would run on is measured over
+    # replays (see repro.engine.executor), kept out of the trace.
     engine = machine.engine
     engine.telemetry = NULL_RECORDER
     blocks = slicer(A)

@@ -50,6 +50,7 @@ shapes); Section 3 (replaying the execution DAG).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -94,11 +95,23 @@ class _CachedPlan:
 #: shape key -> _CachedPlan.  Plans hold their machine (and its engine),
 #: so replays across run_many calls in one process also hit.
 _PLAN_CACHE: dict[tuple, _CachedPlan] = {}
+#: shape key -> the lock serializing that entry's build and replays: a
+#: replay rebinds, resets and executes the one shared plan, so two
+#: callers of one shape take turns; different shapes run concurrently.
+_ENTRY_LOCKS: dict[tuple, threading.Lock] = {}
+_LOCKS_LOCK = threading.Lock()
+
+
+def _entry_lock(key: tuple) -> threading.Lock:
+    with _LOCKS_LOCK:
+        return _ENTRY_LOCKS.setdefault(key, threading.Lock())
 
 
 def clear_plan_cache() -> None:
     """Drop every cached execution plan (tests and memory control)."""
-    _PLAN_CACHE.clear()
+    with _LOCKS_LOCK:
+        _PLAN_CACHE.clear()
+        _ENTRY_LOCKS.clear()
 
 
 def _job_key(
@@ -245,23 +258,24 @@ def run_many(
 
         key = _job_key(alg, m, n, P_job, A.dtype, params, workers, cost_params,
                        validate, impl.name)
-        cached = _PLAN_CACHE.get(key)
-        hit = cached is not None
-        if rec.enabled:
-            rec.metrics.inc(
-                "run_many.plan_cache.hits" if hit else "run_many.plan_cache.misses"
-            )
-        if not hit:
-            cached = _build(alg, A, P_job, params, workers, cost_params, impl, validate)
-            _PLAN_CACHE[key] = cached
-            factors = cached.machine.materialize(cached.lazy_factors)
-        else:
-            # A cached plan's engine carries the recorder installed at
-            # build time; re-point it so replays report to the recorder
-            # active *now* (and stop reporting to a stale one).
-            cached.machine.engine.telemetry = rec
-            cached.machine.telemetry = rec
-            factors = _replay(cached, A)
+        with _entry_lock(key):
+            cached = _PLAN_CACHE.get(key)
+            hit = cached is not None
+            if rec.enabled:
+                rec.metrics.inc(
+                    "run_many.plan_cache.hits" if hit else "run_many.plan_cache.misses"
+                )
+            if not hit:
+                cached = _build(alg, A, P_job, params, workers, cost_params, impl, validate)
+                _PLAN_CACHE[key] = cached
+                factors = cached.machine.materialize(cached.lazy_factors)
+            else:
+                # A cached plan's engine carries the recorder installed at
+                # build time; re-point it so replays report to the recorder
+                # active *now* (and stop reporting to a stale one).
+                cached.machine.engine.telemetry = rec
+                cached.machine.telemetry = rec
+                factors = _replay(cached, A)
         diag = (
             cached.diag_fn(A, factors)
             if validate

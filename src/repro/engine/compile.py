@@ -312,9 +312,15 @@ def compile_plan(plan: Plan, workers: int, replicate_rankless: bool = False) -> 
         for tid, (ranks, dests) in sorted(pubs.items())
     ]
 
+    tasks = sum(1 for t in plan.tasks if not t.is_input)
     stats = {
         "workers": W,
-        "tasks": sum(1 for t in plan.tasks if not t.is_input),
+        "tasks": tasks,
+        # The grain: metered flops per recorded task (None when the plan
+        # carries no metered flops, e.g. one built by hand).
+        "flops_per_task": (
+            plan.flops / tasks if plan.flops is not None and tasks else None
+        ),
         # One step per lane entry (a replicated task counts once a lane).
         "steps": sum(len(lane) for lane in streams),
         "cross_rank_edges": cross_rank,

@@ -24,16 +24,24 @@ attempt poisoned can leak into the next one.
 
 ``workers`` is a *cap*, not a promise.  A plan whose tasks are
 Python-bound (small kernels, GIL held) gains nothing from a second
-thread but handoffs, while a plan of large BLAS/LAPACK kernels does --
-and which of the two a recorded plan is depends on the host.  So the
-engine measures: the first execute of a plan runs on ``workers`` lanes;
-the replays that follow (:func:`repro.engine.run_many` streams)
-alternate ``workers`` lanes with **one inline lane** -- the same bound
-tasks walked by the caller's thread, no pool, no rendezvous -- and
-after :data:`LANE_SAMPLES` timings of each the engine keeps the faster,
-``workers`` lanes unless one lane wins by 10%.  ``Engine.lanes`` says
-what the last execute ran on.  ``workers=1`` never measures: it is the
-inline lane from the start.
+thread but handoffs, while a plan of large BLAS/LAPACK kernels does.
+The first execute of a compiled plan has nothing to measure yet, so it
+predicts from the plan's **grain** -- the flops the machine metered
+while recording it, per recorded task (``stats["flops_per_task"]`` of
+:func:`~repro.engine.compile.compile_plan`): a grain of at least
+:data:`TWO_LANE_FLOPS` runs on ``workers`` lanes, a finer one on **one
+inline lane** -- the same bound tasks walked by the caller's thread, no
+pool, no rendezvous.  A plan with no metered flops (built by hand) runs
+on ``workers`` lanes.  The replays that follow
+(:func:`repro.engine.run_many` streams) measure instead of predicting:
+they alternate ``workers`` lanes with the inline lane, and after
+:data:`LANE_SAMPLES` timings of each the engine keeps the faster,
+``workers`` lanes unless one lane wins by 10% -- so a prediction that
+is wrong on some host costs four replays.  Executes that are not
+samples (a fault plan or recovery policy installed, an incremental
+execute) run on the prediction until the samples exist.
+``Engine.lanes`` says what the last execute ran on.  ``workers=1``
+neither predicts nor measures: it is the inline lane from the start.
 
 **Failure semantics.**  When any task raises, the engine *aborts* the
 attempt: every wired-but-unpublished rendezvous is poisoned with the
@@ -75,6 +83,23 @@ LANE_SAMPLES = 2
 #: One lane is chosen only when it takes at most this share of the
 #: ``workers``-lane time (ties and near-ties keep ``workers``).
 LANE_MARGIN = 0.9
+#: The grain (metered flops per recorded task) from which a compiled
+#: plan's first execute runs on ``workers`` lanes; a finer plan's first
+#: execute runs on the inline lane.  The benchmark's three workloads
+#: (P = 8) straddle it -- first executes measured in-process on a 2-vCPU
+#: host, ``workers=2``, BLAS pinned to one thread:
+#:
+#: ==========================================  ============  =======  ===========  ===========
+#: workload                                    flops / task  2 lanes  inline lane  warm choice
+#: ==========================================  ============  =======  ===========  ===========
+#: ``tallskinny`` (tsqr 32768x64)              1.2e7         46 ms    71 ms        2 lanes
+#: ``squarish3d`` (caqr3d 1024x256)            1.3e5         86 ms    52 ms        1 lane
+#: ``grid2d-percolumn`` (house2d 384x96)       1.9e3         89 ms    28 ms        1 lane
+#: ==========================================  ============  =======  ===========  ===========
+#:
+#: Running every first execute inline would cost ``tallskinny`` ~25 ms
+#: (+45 % on its cold job), so the plan's grain decides.
+TWO_LANE_FLOPS = 1e6
 
 
 class EngineDeadlockError(EngineError):
@@ -282,8 +307,8 @@ class Engine(EngineBase):
     def _compiled(self, plan: Plan) -> CompiledPlan:
         """The compiled schedule for ``plan``, rebuilt when it grows.
 
-        A rebuild also forgets the lane choice: the new schedule's first
-        execute runs on ``workers`` lanes and measuring starts over.
+        A rebuild also forgets the lane choice: the new schedule's grain
+        picks its first execute's lanes and measuring starts over.
         """
         if self._cplan_for is plan and self._cplan.n_tasks == len(plan.tasks):
             return self._cplan
@@ -308,10 +333,22 @@ class Engine(EngineBase):
             return None
         return min(one), min(full)
 
+    def _grain(self) -> float | None:
+        """The compiled plan's metered flops per task (``None``: unmetered)."""
+        return self._cplan.stats["flops_per_task"] if self._cplan is not None else None
+
+    def _predicted_lanes(self) -> int:
+        """The grain's lane count: one lane below :data:`TWO_LANE_FLOPS`."""
+        grain = self._grain()
+        return 1 if grain is not None and grain < TWO_LANE_FLOPS else self.workers
+
     def _chosen_lanes(self) -> int:
-        """``workers`` until the samples say one lane is clearly faster."""
+        """The grain's prediction until both sides are sampled, then one
+        lane only if the samples say it is clearly faster."""
         best = self._lane_verdict()
-        return 1 if best and best[0] <= LANE_MARGIN * best[1] else self.workers
+        if best is None:
+            return self._predicted_lanes()
+        return 1 if best[0] <= LANE_MARGIN * best[1] else self.workers
 
     def _measuring(self) -> bool:
         """True when a whole-plan replay is one the lane choice may time.
@@ -337,17 +374,27 @@ class Engine(EngineBase):
     def lanes_line(self) -> str:
         """One line for reports: the chosen lane count and its evidence.
 
+        The evidence is the first execute's prediction (when the plan
+        carries metered flops) and the replays' measurement.
+
         >>> Engine(workers=1).lanes_line()
         'lanes: 1 of 1 workers (not measured)'
         """
         head = f"lanes: {self._chosen_lanes()} of {self.workers} workers"
         best = self._lane_verdict()
-        if best is None:
-            return f"{head} (not measured)"
-        return (
-            f"{head} (measured {best[0] * 1e3:.0f} ms on one lane vs "
-            f"{best[1] * 1e3:.0f} ms on {self.workers})"
+        measured = "not measured" if best is None else (
+            f"measured {best[0] * 1e3:.0f} ms on one lane vs "
+            f"{best[1] * 1e3:.0f} ms on {self.workers}"
         )
+        grain = self._grain()
+        if self.workers == 1 or grain is None:
+            return f"{head} ({measured})"
+        mantissa, exp = f"{grain:.1e}".split("e")
+        first = (
+            "first execute inline" if self._predicted_lanes() == 1
+            else f"first execute on {self.workers} lanes"
+        )
+        return f"{head} ({first}: {mantissa}e{int(exp)} flops/task; {measured})"
 
     def writes_line(self) -> str:
         """One line for reports: how the compiled plan hands over block writes.

@@ -147,6 +147,10 @@ class Plan:
     def __init__(self) -> None:
         self.tasks: list[Task] = []
         self.inputs: list[Task] = []
+        #: Flops the recording machine metered for these tasks (set by
+        #: :meth:`repro.machine.Machine.materialize`); ``None`` for a
+        #: plan built by hand.  The compiler reports the grain from it.
+        self.flops: float | None = None
 
     # ------------------------------------------------------------------
     # Building

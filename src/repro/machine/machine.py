@@ -295,6 +295,9 @@ class Machine:
             return obj
         from repro.engine import output_tids, resolve
 
+        # The plan's grain (flops per task) picks the thread engine's
+        # first-execute lanes; these are the flops its tasks carry.
+        self.plan.flops = self.total_flops
         # The outputs hint lets an out-of-process engine (parallel-mp)
         # ship back exactly the values resolve() will read; the
         # in-process engine ignores it.

@@ -176,12 +176,14 @@ class TestTraceCommand:
         dump = json.loads(metrics.read_text())
         assert dump["enabled"] is True
         assert dump["counters"]["engine.tasks"] > 0
-        # The traced (first) execution ran on every worker; the lanes
-        # line reports what replays of the job then measured.
-        assert dump["gauges"]["engine.lanes"] == 2.0
+        # The traced (first) execution of this fine-grained plan ran on
+        # the inline lane; the lanes line names that prediction's grain
+        # and what replays of the job then measured.
+        assert dump["gauges"]["engine.lanes"] == 1.0
         (lanes,) = [ln for ln in text.splitlines() if ln.startswith("lanes: ")]
         assert re.fullmatch(
-            r"lanes: [12] of 2 workers \(measured \d+ ms on one lane vs \d+ ms on 2\)",
+            r"lanes: [12] of 2 workers \(first execute inline: \d\.\de\d+ flops/task; "
+            r"measured \d+ ms on one lane vs \d+ ms on 2\)",
             lanes,
         )
 

@@ -5,17 +5,21 @@ lanes, worker-affinity ownership with same-worker edge elision, the
 compiled copy map of ``updates=`` tasks -- and argument pre-resolution,
 plus the engine-level contracts: every lane count computes the same
 (pinned) values, the compiled schedule cache invalidates when a plan
-grows, one telemetry span per task, replays measure their lane count,
-and no second execution path, ``compile`` switch or record-time
-dataflow analysis grows back.  (The write rule itself is pinned in
+grows, one telemetry span per task, a first execute takes its lane
+count from the plan's grain and replays measure it, and no second
+execution path, ``compile`` switch or record-time dataflow analysis
+grows back.  (The write rule itself is pinned in
 ``tests/test_write_rule.py``.)
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from repro.engine import Engine, Plan, Ref, compile_plan
 from repro.engine.compile import REPLICATED, bind_stream
+from repro.engine.executor import TWO_LANE_FLOPS
 
 GUARD = 60.0
 
@@ -297,8 +301,29 @@ def _replay(engine, plan, n=1):
     return lanes
 
 
+def _spy_pool_and_slots(monkeypatch):
+    """Count the thread pools and rendezvous slots the engine makes."""
+    from repro.engine import executor
+
+    made = {"pools": 0, "slots": 0}
+    pool, slot = executor.ThreadPoolExecutor, executor.RendezvousGroup
+
+    def spy_pool(*args, **kwargs):
+        made["pools"] += 1
+        return pool(*args, **kwargs)
+
+    def spy_slot(*args, **kwargs):
+        made["slots"] += 1
+        return slot(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "ThreadPoolExecutor", spy_pool)
+    monkeypatch.setattr(executor, "RendezvousGroup", spy_slot)
+    return made
+
+
 class TestLaneSelection:
-    """``workers`` is a cap: replays measure one inline lane against it."""
+    """``workers`` is a cap: a first execute predicts from the plan's
+    grain, replays measure one inline lane against it."""
 
     def test_first_execute_uses_every_worker_then_replays_alternate_and_settle(self):
         plan, out = _fan_in_plan()
@@ -439,6 +464,7 @@ class TestLaneSelection:
         _ScriptedClock(machine.engine, {2: 1.0, 1: 0.5})
         factors, _diag, slicer = drive("house2d", machine, jobs[0], {}, validate=False)
         machine.materialize(factors)
+        assert machine.engine.lanes == 1                      # fine grain: inline
         lanes = []
         for A in jobs[1:]:
             machine.plan.rebind(slicer(A))
@@ -449,6 +475,87 @@ class TestLaneSelection:
             for got, ref in zip(resolve(factors), want):
                 np.testing.assert_array_equal(got, ref)
         assert lanes == [2, 1, 2, 1] + [1] * 16
+
+    # A compiled plan's first execute has no samples: its lanes are
+    # predicted from the grain, the metered flops per recorded task
+    # (repro.engine.executor.TWO_LANE_FLOPS).
+
+    def _recorded(self, alg, m, n, P):
+        from repro.machine import Machine
+        from repro.workloads import drive, gaussian
+
+        machine = Machine(P, backend="parallel", workers=2)
+        A = gaussian(m, n, seed=5)
+        factors, _diag, _slicer = drive(alg, machine, A, {}, validate=False)
+        return machine, factors, drive(alg, Machine(P), A, {}, validate=False)[0]
+
+    def test_fine_plan_runs_its_first_execute_inline(self, monkeypatch):
+        machine, factors, want = self._recorded("house2d", 48, 24, 6)
+        made = _spy_pool_and_slots(monkeypatch)
+        got = machine.materialize(factors)
+        eng = machine.engine
+        assert machine.plan.flops == machine.total_flops > 0
+        assert eng._cplan.stats["flops_per_task"] < TWO_LANE_FLOPS
+        assert eng.lanes == 1 and made == {"pools": 0, "slots": 0}
+        assert all(t.rendezvous is None for t in machine.plan.tasks)
+        assert re.fullmatch(
+            r"lanes: 1 of 2 workers \(first execute inline: \d\.\de\d flops/task; "
+            r"not measured\)", eng.lanes_line())
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_coarse_plan_runs_its_first_execute_on_every_worker(self, monkeypatch):
+        machine, factors, want = self._recorded("tsqr", 2048, 64, 2)
+        made = _spy_pool_and_slots(monkeypatch)
+        got = machine.materialize(factors)
+        eng = machine.engine
+        assert eng._cplan.stats["flops_per_task"] >= TWO_LANE_FLOPS
+        assert eng.lanes == 2 and made["pools"] == 1 and made["slots"] > 0
+        assert re.fullmatch(
+            r"lanes: 2 of 2 workers \(first execute on 2 lanes: \d\.\de6 flops/task; "
+            r"not measured\)", eng.lanes_line())
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("flops,lanes", [
+        (None, 2),                                            # built by hand
+        (3 * TWO_LANE_FLOPS, 2),                              # at the bound
+        (3 * TWO_LANE_FLOPS - 1, 1),
+    ])
+    def test_a_hand_built_plan_keeps_every_worker_until_it_has_flops(
+        self, flops, lanes, monkeypatch
+    ):
+        plan, out = _fan_in_plan()                            # three tasks, one leaf
+        assert plan.flops is None
+        plan.flops = flops
+        grain = compile_plan(plan, 2).stats["flops_per_task"]
+        assert grain == (None if flops is None else flops / 3)
+        made = _spy_pool_and_slots(monkeypatch)
+        eng = Engine(workers=2)
+        eng.execute(plan, timeout=GUARD)
+        assert eng.lanes == lanes and made["pools"] == (lanes == 2)
+        assert out.value.tolist() == [4.0, 7.0]
+        if flops is None:
+            assert eng.lanes_line() == "lanes: 2 of 2 workers (not measured)"
+
+    def test_a_grown_plan_is_predicted_again_then_replays_measure(self):
+        from repro.backend import SymbolicArray
+        from repro.machine import Machine
+
+        machine = Machine(2, backend="parallel", workers=2)
+        eng = machine.engine
+        _ScriptedClock(eng, {2: 1.0, 1: 0.5})
+        meta = SymbolicArray((4,), np.float64)
+        a = machine.kernel(0, np.ones, ((4,),), meta, label="a")
+        machine.compute(0, 10.0)
+        machine.materialize(a)                                # 10 flops / task
+        assert eng.lanes == 1
+        b = machine.kernel(1, np.negative, (a,), meta, label="b")
+        machine.compute(1, 4e6)
+        assert machine.materialize(b).tolist() == [-1.0] * 4  # recompiled: 2e6 / task
+        assert eng._cplan.n_tasks == 2 and eng.lanes == 2
+        # One untimed whole run on the prediction, then the samples decide.
+        assert _replay(eng, machine.plan, 7) == [2, 2, 1, 2, 1, 1, 1]
 
 
 class TestOneExecutionPath:

@@ -610,6 +610,44 @@ class TestRunMany:
         with pytest.raises(ParameterError, match="plan_with"):
             run_many([QRJob(None, gaussian(64, 4, seed=0))], P=4)
 
+    def test_concurrent_callers_of_one_shape_match_serial(self):
+        # Four threads stream same-shape jobs at one cache entry: each
+        # replay rebinds, resets and executes the one cached plan, so
+        # the build and the replays must take turns.  Unserialized,
+        # every thread failed (a plan reset mid-execute, aborted
+        # rendezvous).
+        import sys
+        import threading
+
+        jobs = [[QRJob("tsqr", gaussian(2048, 16, seed=10 * t + j)) for j in range(6)]
+                for t in range(4)]
+        start = threading.Barrier(len(jobs))
+        got: dict[int, list] = {}
+        errors: list[Exception] = []
+
+        def caller(t):
+            start.wait()
+            try:
+                got[t] = run_many(jobs[t], P=4, workers=2, validate=True)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(t,)) for t in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        for t, stream in enumerate(jobs):
+            for job, res in zip(stream, got[t]):
+                assert res.diagnostics == run_qr("tsqr", job.A, P=4).diagnostics
+
 
 class TestMatmulParallel:
     def test_mm1d_and_mm3d_match_numeric(self):

@@ -61,6 +61,33 @@ class TestPartitionProperties:
         assert max(sizes) - min(sizes) <= 1 if n >= 0 else True
 
 
+@st.composite
+def _any_layout(draw):
+    """Block / cyclic / explicit layouts and their head / tail cuts.
+
+    Ranks may repeat (a rank owning several blocks, or dealt twice),
+    skip numbers (ranks owning nothing) and exceed 255 (wider than the
+    narrowest sort key)."""
+    from repro.dist import ExplicitRowLayout, head_layout, tail_layout
+
+    kind = draw(st.sampled_from(["block", "cyclic", "explicit", "head", "tail"]))
+    rank = st.one_of(st.integers(0, 5), st.integers(0, 300))
+    if kind == "explicit":
+        return ExplicitRowLayout(np.asarray(draw(st.lists(rank, max_size=80)), np.int64))
+    if kind == "cyclic" or draw(st.booleans()):
+        P = draw(st.integers(1, 12))
+        ranks = draw(st.one_of(st.none(), st.lists(rank, min_size=P, max_size=P)))
+        lay = CyclicRowLayout(draw(st.integers(0, 80)), P, ranks)
+    else:
+        counts = draw(st.lists(st.integers(0, 9), min_size=1, max_size=12))
+        ranks = draw(st.lists(rank, min_size=len(counts), max_size=len(counts)))
+        lay = BlockRowLayout(counts, ranks)
+    if kind in ("head", "tail"):
+        k = draw(st.integers(0, lay.m))
+        return head_layout(lay, k) if kind == "head" else tail_layout(lay, k)
+    return lay
+
+
 class TestLayoutProperties:
     @given(m=st.integers(1, 120), P=st.integers(1, 12))
     @SETTINGS
@@ -68,6 +95,17 @@ class TestLayoutProperties:
         lay = CyclicRowLayout(m, P)
         rows = np.concatenate([lay.rows_of(p) for p in range(P)])
         assert sorted(rows.tolist()) == list(range(m))
+
+    @given(lay=_any_layout())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_of_matches_a_scan_of_the_owners(self, lay):
+        owners = lay.owners()
+        top = int(owners.max()) + 1 if owners.size else 0
+        for p in range(-1, top + 2):
+            got = lay.rows_of(p)
+            np.testing.assert_array_equal(got, np.flatnonzero(owners == p))
+            assert got.dtype == np.intp and not got.flags.writeable
+            assert lay.rows_of(p) is got
 
     @given(m=st.integers(1, 120), P=st.integers(1, 12), seed=st.integers(0, 99))
     @SETTINGS

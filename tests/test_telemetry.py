@@ -194,8 +194,19 @@ class TestRuntimeSpans:
         assert all(s.worker for s in tasks)
         assert all(s.dur >= 0.0 and s.t0 >= 0.0 for s in tasks)
 
-    def test_rendezvous_waits_are_attributed(self, traced_run):
-        rec, _ = traced_run
+    @pytest.fixture(scope="class")
+    def two_lane_run(self):
+        # 3.2e6 metered flops per task: a grain that runs its first
+        # execute on every worker, so cross-lane fetches really wait.
+        rec = TelemetryRecorder()
+        with recording(rec):
+            run_qr("tsqr", gaussian(4096, 64, seed=3), P=4, backend="parallel",
+                   workers=2, validate=False)
+        return rec
+
+    def test_rendezvous_waits_are_attributed(self, two_lane_run):
+        rec = two_lane_run
+        assert rec.metrics.snapshot()["gauges"]["engine.lanes"] == 2.0
         waits = rec.metrics.counter("engine.rendezvous.waits")
         assert waits > 0
         # Each wait shows up in the histogram and on some task span.
