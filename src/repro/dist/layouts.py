@@ -117,7 +117,7 @@ class RowLayout:
         A scan per rank would cost O(m) for each rank asked, O(m P) for
         all of them; one stable sort groups every rank's rows at once
         (numpy radix-sorts ranks that fit in 16 bits, so the owners are
-        narrowed first).  Subclasses with a closed form override this.
+        narrowed first).
         """
         if self._by_rank is None:
             narrow = np.min_scalar_type(self._counts.size - 1)
@@ -164,19 +164,7 @@ class CyclicRowLayout(RowLayout):
                 f"CyclicRowLayout needs exactly P={P} ranks, got {ranks_arr.size}"
             )
         self.P = P
-        self._ranks = ranks_arr
         super().__init__(ranks_arr[np.arange(m) % P] if m else np.empty(0, np.int64))
-
-    def _rows(self, p: int) -> np.ndarray:
-        """Rank ``p`` dealt at position ``k`` owns ``k, k + P, ...``.
-
-        The closed form beats the sort here: dealt rows are the sort's
-        worst case (m = 32768, P = 8: ~70 us against ~340 us).
-        """
-        hits = np.flatnonzero(self._ranks == p)
-        if hits.size > 1:  # a rank dealt twice: its rows interleave
-            return super()._rows(p)
-        return np.arange(hits[0], self.m, self.P, dtype=np.intp)
 
 
 class BlockRowLayout(RowLayout):

@@ -50,6 +50,31 @@ def machine8():
 
 
 @pytest.fixture
+def first_execute_on_workers(monkeypatch):
+    """Run every thread-engine first execute on ``workers`` lanes.
+
+    Test-size plans are far finer than ``TWO_LANE_FLOPS``, so their first
+    (often only) execute would run on the inline lane: no pool, no
+    rendezvous.  Tests of multi-lane behaviour (bit-identity across
+    workers, cross-worker hand-offs, abort under faults) use this to keep
+    real threads.  Returns the lane count of every execute, in order, so
+    a test can assert the coverage holds.
+    """
+    from repro.engine import executor
+
+    monkeypatch.setattr(executor, "TWO_LANE_FLOPS", 0.0)
+    lanes: list[int] = []
+    run = executor.Engine._execute_compiled
+
+    def spy(self, pending, timeout):
+        lanes.append(self.lanes)
+        return run(self, pending, timeout)
+
+    monkeypatch.setattr(executor.Engine, "_execute_compiled", spy)
+    return lanes
+
+
+@pytest.fixture
 def traced_machine():
     """Machine factory with tracing on, for clock-vs-DAG cross checks."""
 

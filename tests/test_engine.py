@@ -60,8 +60,11 @@ def _pair(alg, m, n, P, workers=2, **params):
     return num, par
 
 
+@pytest.mark.usefixtures("first_execute_on_workers")
 class TestDeterminism:
-    """Parallel factors and cost reports match serial numeric exactly."""
+    """Parallel factors and cost reports match serial numeric exactly,
+    with every execute on ``workers`` lanes (real threads and rendezvous
+    whenever ``workers > 1``)."""
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize(
@@ -85,8 +88,10 @@ class TestDeterminism:
             ("mm3d", 48, 24, 6),
         ],
     )
-    def test_report_and_factors_match_numeric(self, alg, m, n, P, workers):
+    def test_report_and_factors_match_numeric(
+            self, alg, m, n, P, workers, first_execute_on_workers):
         num, par = _pair(alg, m, n, P, workers=workers)
+        assert first_execute_on_workers and set(first_execute_on_workers) == {workers}
         assert par.report == num.report
         assert par.words_by_label == num.words_by_label
         assert par.diagnostics.ok()
@@ -344,7 +349,8 @@ class TestRendezvousGroup:
         assert plan.tasks[1].value == 8 and plan.tasks[2].value == 9
 
     @pytest.mark.parametrize("alg,m,n,P", [("house2d", 32, 16, 4), ("caqr2d", 32, 16, 4)])
-    def test_2d_algorithms_complete_under_guard(self, alg, m, n, P):
+    def test_2d_algorithms_complete_under_guard(
+            self, alg, m, n, P, first_execute_on_workers):
         # Algorithm-level deadlock guard: every row-broadcast /
         # column-reduce fan of the 2D baselines resolves through real
         # rendezvous within the timeout.
@@ -354,6 +360,7 @@ class TestRendezvousGroup:
 
         factors, diag_fn, _ = drive(alg, machine, A, {}, validate=True)
         factors = machine.materialize(factors, timeout=GUARD_TIMEOUT)
+        assert first_execute_on_workers == [3] and machine.engine.lanes == 3
         assert diag_fn(A, factors).ok()
 
 

@@ -77,18 +77,24 @@ def _coded_kwargs(alg):
 # Chaos grid
 # ----------------------------------------------------------------------
 
+@pytest.mark.usefixtures("first_execute_on_workers")
 class TestChaosGrid:
+    """Every attempt runs on ``workers`` lanes: faults land on real
+    threads, and the abort path releases real rendezvous waits."""
+
     @pytest.mark.parametrize("alg", ["tsqr", "caqr1d"])
     @pytest.mark.parametrize("rank", [0, 1, 3])
     @pytest.mark.parametrize("step", [0, 2])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_coded_recovery_bit_identical(self, alg, rank, step, workers):
+    def test_coded_recovery_bit_identical(
+            self, alg, rank, step, workers, first_execute_on_workers):
         A = _input()
         base = _numeric_factors(alg, A)
         r = run_coded_qr(
             alg, A, P=P, f=1, fault=f"{rank}@{step}",
             recovery=CodedRecovery(1), workers=workers, **_coded_kwargs(alg),
         )
+        assert set(first_execute_on_workers) == {workers}
         assert r.recoveries == 1
         assert r.fired == (RankFault(rank, step),)
         for got, want in zip(r.factors, base):
@@ -101,7 +107,8 @@ class TestChaosGrid:
         for r, s in ((0, 0), (1, 2), (3, 3 if alg == "tsqr" else 5))
     ])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_failfast_names_rank_and_step(self, alg, rank, step, workers):
+    def test_failfast_names_rank_and_step(
+            self, alg, rank, step, workers, first_execute_on_workers):
         task = {0: "geqrt", 2: "apply_wy", 3: "tsqr_V", 5: "mm1d_local"}[step]
         with pytest.raises(
             RankFailure, match=rf"rank {rank} died at task-step {step} \(task '{task}'\)"
@@ -110,6 +117,7 @@ class TestChaosGrid:
                 alg, _input(), P=P, f=1, fault=f"{rank}@{step}",
                 recovery=FailFast(), workers=workers, **_coded_kwargs(alg),
             )
+        assert set(first_execute_on_workers) == {workers}
 
     def test_fault_free_coded_run_matches_numeric(self):
         A = _input()
@@ -449,7 +457,7 @@ class TestAbort:
         t.join(timeout=5.0)
         assert not t.is_alive() and len(caught) == 1
 
-    def test_failed_run_leaves_no_live_worker_threads(self):
+    def test_failed_run_leaves_no_live_worker_threads(self, first_execute_on_workers):
         before = {t.ident for t in threading.enumerate()}
         t0 = time.perf_counter()
         with pytest.raises(RankFailure):
@@ -458,6 +466,7 @@ class TestAbort:
                 recovery=FailFast(), workers=4,
             )
         elapsed = time.perf_counter() - t0
+        assert first_execute_on_workers == [4]  # a pool, not the inline lane
         # Poisoned rendezvous, not timeouts: the default deadlock guard
         # is 120s, so a fast failure proves the abort path released
         # every blocked consumer.

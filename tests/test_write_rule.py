@@ -30,7 +30,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import SymbolicArray
@@ -165,10 +165,15 @@ def _all_copied(plan, workers, **kwargs):
 
 class TestWriteRuleProperty:
     @pytest.mark.parametrize("workers", [1, 2])
-    @settings(max_examples=60, deadline=None)
+    # The fixture only patches module state, the same for every example.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ops=PROGRAMS)
-    def test_in_place_writes_are_unobservable(self, workers, ops):
+    def test_in_place_writes_are_unobservable(self, workers, ops, first_execute_on_workers):
+        # First executes on every worker: in-place hand-offs cross real threads.
+        first_execute_on_workers.clear()
         snaps, runs, leaves, leaf_copies, machine = _run_program(ops, workers)
+        assert first_execute_on_workers[0] == workers
         with mock.patch.object(executor_mod, "compile_plan", _all_copied):
             ref_snaps, ref_runs, _, _, ref_machine = _run_program(ops, workers)
         # The reference really copied everything, the run under test
