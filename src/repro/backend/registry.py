@@ -26,8 +26,6 @@ variant) plugs in with :func:`register_backend` and no core changes:
 'numeric'
 >>> sorted(available_backends())
 ['numeric', 'parallel', 'parallel-mp', 'symbolic']
->>> get_backend("symbolic").shape_inputs    # accepts (m, n) inputs
-True
 >>> get_backend("parallel").supports("caqr2d")
 True
 >>> get_backend("symbolic").telemetry       # cost-only: no runtime spans
@@ -91,8 +89,6 @@ class Backend:
     #: algorithms may branch on data (numeric only: symbolic has no
     #: values, parallel has not computed them yet).
     concrete: bool = True
-    #: True when a global input may be just a shape tuple ``(m, n)``.
-    shape_inputs: bool = False
     #: True when results carry values that can be numerically validated.
     validates: bool = True
     #: Algorithm names this backend can execute, or ``None`` for all.
@@ -215,7 +211,6 @@ class SymbolicBackend(Backend):
     name = "symbolic"
     symbolic = True
     concrete = False
-    shape_inputs = True
     validates = False
     telemetry = "simulated"
     faults = "none"

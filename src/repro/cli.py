@@ -244,11 +244,9 @@ def cmd_trace(args) -> int:
     """One traced run on the parallel engine: trace.json + drift table."""
     import time
 
-    from repro.engine.executor import LANE_SAMPLES
     from repro.machine import Machine
     from repro.planner import resolve_profile
     from repro.telemetry import (
-        NULL_RECORDER,
         TelemetryRecorder,
         drift_report,
         metrics_dump,
@@ -265,7 +263,7 @@ def cmd_trace(args) -> int:
     with recording(rec):
         machine = Machine(args.P, params=profile, backend="parallel",
                           workers=args.workers)
-        factors, _diag, slicer = drive(args.alg, machine, A, params, validate=False)
+        factors, _diag, _slicer = drive(args.alg, machine, A, params, validate=False)
         machine.materialize(factors)
     wall = time.perf_counter() - t0
 
@@ -290,18 +288,8 @@ def cmd_trace(args) -> int:
     tasks = rec.metrics.counter("engine.tasks")
     print(f"[{tasks:.0f} engine tasks, {waits:.0f} rendezvous waits, "
           f"workers={args.workers or 'auto'}]")
-    # The traced (first) execution ran on the lanes the plan's grain
-    # picked; what a stream of such jobs would run on is measured over
-    # replays (see repro.engine.executor), kept out of the trace.
-    engine = machine.engine
-    engine.telemetry = NULL_RECORDER
-    blocks = slicer(A)
-    for _ in range(2 * LANE_SAMPLES if engine.workers > 1 else 0):
-        machine.plan.rebind(blocks)
-        machine.plan.reset()
-        engine.execute(machine.plan)
-    print(engine.lanes_line())
-    print(engine.writes_line())
+    print(machine.engine.lanes_line())
+    print(machine.engine.writes_line())
     return 0
 
 

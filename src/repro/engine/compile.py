@@ -37,9 +37,8 @@ outputs -- and derives the rest from it:
    no more than their arguments.  Every other position is copied first
    (:attr:`CompiledPlan.copies`); the map sees consumers recorded
    *after* the writer, which no record-time test can.  Sound because a
-   lane walks its tasks in tid order (and the inline lane merges all
-   lanes by tid), so a same-worker reader with a lower tid has finished
-   before ``W`` starts.
+   lane walks its tasks in tid order, so a same-worker reader with a
+   lower tid has finished before ``W`` starts.
 3. **Argument pre-resolution** -- each task's argument tree is walked
    once at bind time and specialized into a flat tuple of zero-argument
    value makers (constant / local read / input fetch / remote fetch),
@@ -67,7 +66,7 @@ from typing import Any, Callable, Iterable
 from repro.engine.plan import Plan, Ref, Task, _scan_refs
 
 __all__ = ["REPLICATED", "BoundTask", "CompiledPlan", "Publisher",
-           "bind_stream", "compile_plan", "rearm"]
+           "bind_stream", "compile_plan", "grain", "rearm"]
 
 #: Owner sentinel for rankless tasks replicated in every worker (the
 #: multiprocessing engine's convention; threads single-own them instead).
@@ -241,6 +240,17 @@ def _assign_owners(
     return owner
 
 
+def grain(plan: Plan) -> float | None:
+    """The plan's metered flops per recorded (non-input) task.
+
+    ``None`` when the plan carries no metered flops (one built by hand)
+    or has no task.  The thread engine picks a plan's lanes from it, and
+    :func:`compile_plan` reports it as ``stats["flops_per_task"]``.
+    """
+    tasks = sum(1 for t in plan.tasks if not t.is_input)
+    return plan.flops / tasks if plan.flops is not None and tasks else None
+
+
 def compile_plan(plan: Plan, workers: int, replicate_rankless: bool = False) -> CompiledPlan:
     """Compile ``plan`` for ``workers`` execution lanes.
 
@@ -316,11 +326,7 @@ def compile_plan(plan: Plan, workers: int, replicate_rankless: bool = False) -> 
     stats = {
         "workers": W,
         "tasks": tasks,
-        # The grain: metered flops per recorded task (None when the plan
-        # carries no metered flops, e.g. one built by hand).
-        "flops_per_task": (
-            plan.flops / tasks if plan.flops is not None and tasks else None
-        ),
+        "flops_per_task": grain(plan),
         # One step per lane entry (a replicated task counts once a lane).
         "steps": sum(len(lane) for lane in streams),
         "cross_rank_edges": cross_rank,

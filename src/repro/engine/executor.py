@@ -3,11 +3,12 @@
 :class:`Engine` executes a :class:`~repro.engine.plan.Plan` as compiled
 worker streams.  Before a plan first runs,
 :func:`~repro.engine.compile.compile_plan` partitions its tasks over
-``workers`` lanes (rank ``r`` belongs to lane ``r % workers``), decides
+its lanes (rank ``r`` belongs to lane ``r % lanes``), decides
 which writes may go in place and pre-resolves every argument; each lane
 is a flat list of bound tasks, walked in tid order -- a topological
 order, so the walk is deadlock-free by construction -- on a
-``ThreadPoolExecutor`` thread.  The local kernels the tasks wrap --
+``ThreadPoolExecutor`` thread (a one-lane plan on the caller's
+thread).  The local kernels the tasks wrap --
 LAPACK factorizations, BLAS multiplies -- release the GIL, so with
 ``workers > 1`` on a multi-core host the lanes execute genuinely in
 parallel, which is the machine model's DAG semantics made physical.
@@ -25,23 +26,16 @@ attempt poisoned can leak into the next one.
 ``workers`` is a *cap*, not a promise.  A plan whose tasks are
 Python-bound (small kernels, GIL held) gains nothing from a second
 thread but handoffs, while a plan of large BLAS/LAPACK kernels does.
-The first execute of a compiled plan has nothing to measure yet, so it
-predicts from the plan's **grain** -- the flops the machine metered
-while recording it, per recorded task (``stats["flops_per_task"]`` of
+So each compiled plan gets one lane count, set once from its **grain**
+-- the flops the machine metered while recording it, per recorded task
+(:func:`~repro.engine.compile.grain`, reported as
+``stats["flops_per_task"]`` of
 :func:`~repro.engine.compile.compile_plan`): a grain of at least
-:data:`TWO_LANE_FLOPS` runs on ``workers`` lanes, a finer one on **one
-inline lane** -- the same bound tasks walked by the caller's thread, no
-pool, no rendezvous.  A plan with no metered flops (built by hand) runs
-on ``workers`` lanes.  The replays that follow
-(:func:`repro.engine.run_many` streams) measure instead of predicting:
-they alternate ``workers`` lanes with the inline lane, and after
-:data:`LANE_SAMPLES` timings of each the engine keeps the faster,
-``workers`` lanes unless one lane wins by 10% -- so a prediction that
-is wrong on some host costs four replays.  Executes that are not
-samples (a fault plan or recovery policy installed, an incremental
-execute) run on the prediction until the samples exist.
-``Engine.lanes`` says what the last execute ran on.  ``workers=1``
-neither predicts nor measures: it is the inline lane from the start.
+:data:`TWO_LANE_FLOPS` compiles for ``workers`` lanes, a finer one for
+**one lane** that the caller's thread walks -- no pool, no rendezvous.
+A plan with no metered flops (built by hand) gets ``workers`` lanes.
+A plan that grows is recompiled, and the rule is applied again.
+``Engine.lanes`` is the compiled plan's lane count.
 
 **Failure semantics.**  When any task raises, the engine *aborts* the
 attempt: every wired-but-unpublished rendezvous is poisoned with the
@@ -71,34 +65,28 @@ from typing import Any, Callable
 # The engine guard shares the rendezvous consumer timeout: one value,
 # one diagnostic story.
 from repro.collectives.rendezvous import DEFAULT_TIMEOUT, RendezvousGroup
-from repro.engine.compile import CompiledPlan, bind_stream, compile_plan
+from repro.engine.compile import CompiledPlan, bind_stream, compile_plan, grain
 from repro.engine.plan import EngineError, Plan, Task
 from repro.machine.exceptions import RankFailure
 from repro.telemetry.recorder import NULL_RECORDER
 
 __all__ = ["Engine", "EngineDeadlockError", "EngineExecutionError", "default_workers"]
 
-#: Replays timed per lane count before the engine settles (min of each).
-LANE_SAMPLES = 2
-#: One lane is chosen only when it takes at most this share of the
-#: ``workers``-lane time (ties and near-ties keep ``workers``).
-LANE_MARGIN = 0.9
-#: The grain (metered flops per recorded task) from which a compiled
-#: plan's first execute runs on ``workers`` lanes; a finer plan's first
-#: execute runs on the inline lane.  The benchmark's three workloads
-#: (P = 8) straddle it -- first executes measured in-process on a 2-vCPU
-#: host, ``workers=2``, BLAS pinned to one thread:
+#: The grain (metered flops per recorded task) from which a plan is
+#: compiled for ``workers`` lanes; a finer plan is compiled for one.  The
+#: benchmark's three workloads (P = 8) straddle it -- first executes
+#: measured in-process on a 2-vCPU host, ``workers=2``, BLAS pinned to
+#: one thread:
 #:
-#: ==========================================  ============  =======  ===========  ===========
-#: workload                                    flops / task  2 lanes  inline lane  warm choice
-#: ==========================================  ============  =======  ===========  ===========
-#: ``tallskinny`` (tsqr 32768x64)              1.2e7         46 ms    71 ms        2 lanes
-#: ``squarish3d`` (caqr3d 1024x256)            1.3e5         86 ms    52 ms        1 lane
-#: ``grid2d-percolumn`` (house2d 384x96)       1.9e3         89 ms    28 ms        1 lane
-#: ==========================================  ============  =======  ===========  ===========
+#: ==========================================  ============  =======  ========
+#: workload                                    flops / task  2 lanes  one lane
+#: ==========================================  ============  =======  ========
+#: ``tallskinny`` (tsqr 32768x64)              1.2e7         46 ms    71 ms
+#: ``squarish3d`` (caqr3d 1024x256)            1.3e5         86 ms    52 ms
+#: ``grid2d-percolumn`` (house2d 384x96)       1.9e3         89 ms    28 ms
+#: ==========================================  ============  =======  ========
 #:
-#: Running every first execute inline would cost ``tallskinny`` ~25 ms
-#: (+45 % on its cold job), so the plan's grain decides.
+#: Replays timed on both lane counts picked the same side on all three.
 TWO_LANE_FLOPS = 1e6
 
 
@@ -117,6 +105,12 @@ def default_workers() -> int:
     except AttributeError:  # pragma: no cover - non-Linux
         cores = os.cpu_count() or 1
     return max(1, min(8, cores))
+
+
+def _sci(x: float, digits: int) -> str:
+    """``x`` in short scientific notation: ``_sci(1900.0, 1) == '1.9e3'``."""
+    mantissa, exp = f"{x:.{digits}e}".split("e")
+    return f"{mantissa}e{int(exp)}"
 
 
 def injected_first(failures: list[BaseException]) -> BaseException:
@@ -219,18 +213,10 @@ class Engine(EngineBase):
         super().__init__(workers, timeout, telemetry, fault_plan, recovery)
         # Compiled-schedule cache: one compile+bind per plan object,
         # invalidated when the plan grows (incremental materialize) --
-        # and with it the lane choice and its samples.
+        # and with it the lane count.
         self._cplan: CompiledPlan | None = None
         self._cplan_for: Plan | None = None
         self._bound: list[_BoundStream] = []
-        self._inline: list | None = None
-        #: Lanes the current (or last) execute ran on.
-        self.lanes = self.workers
-        #: Seconds of the cached plan's timed replays, per lane count.
-        self._lane_s: dict[int, list[float]] = {self.workers: [], 1: []}
-        #: True once the cached plan has had one whole execution.
-        self._ran = False
-        self._clock = time.perf_counter
         # Mutable cells shared with the bound fetch closures (the
         # binding outlives any single execute() call).
         self._ctimeout = [self.timeout]
@@ -261,18 +247,20 @@ class Engine(EngineBase):
         timeout = self.timeout if timeout is None else float(timeout)
         self._recovering(plan, lambda: self._attempt(plan, timeout))
 
+    @property
+    def lanes(self) -> int:
+        """Lanes of the compiled plan (``workers`` before any compile)."""
+        return self._cplan.workers if self._cplan is not None else self.workers
+
     def _attempt(self, plan: Plan, timeout: float) -> None:
-        """One pass over the not-done remainder: compile, pick lanes, run."""
+        """One pass over the not-done remainder: compile, then run."""
         pending = [t for t in plan.tasks if not t.done]
         if not pending:
             return
-        whole = len(pending) == self._compiled(plan).stats["tasks"]
-        timed = whole and self._measuring()
-        self.lanes = self._next_lanes() if timed else self._chosen_lanes()
+        self._compiled(plan)
         rec = self.telemetry
         if rec.enabled:
             rec.metrics.gauge("engine.lanes", self.lanes)
-        t0 = self._clock()
         try:
             self._execute_compiled(pending, timeout)
         except RankFailure:
@@ -280,11 +268,7 @@ class Engine(EngineBase):
             # them now because the success path below won't run.
             self.tasks_run += sum(1 for t in pending if t.done)
             raise
-        if timed:
-            self._lane_s[self.lanes].append(self._clock() - t0)
         self.tasks_run += len(pending)
-        if whole:
-            self._ran = True
 
     @staticmethod
     def _abort(pending: list[Task], cause: BaseException) -> None:
@@ -307,94 +291,34 @@ class Engine(EngineBase):
     def _compiled(self, plan: Plan) -> CompiledPlan:
         """The compiled schedule for ``plan``, rebuilt when it grows.
 
-        A rebuild also forgets the lane choice: the new schedule's grain
-        picks its first execute's lanes and measuring starts over.
+        The one lane decision: a plan whose grain is below
+        :data:`TWO_LANE_FLOPS` is compiled for one lane, any other for
+        ``workers``.  A rebuild decides again.
         """
         if self._cplan_for is plan and self._cplan.n_tasks == len(plan.tasks):
             return self._cplan
-        cplan = compile_plan(plan, self.workers)
+        fine = grain(plan)
+        lanes = 1 if fine is not None and fine < TWO_LANE_FLOPS else self.workers
+        cplan = compile_plan(plan, lanes)
         self._bound = [
             _BoundStream(self, cplan, widx) for widx in range(cplan.workers)
         ]
         self._cplan = cplan
         self._cplan_for = plan
-        self._inline = None
-        self._lane_s = {self.workers: [], 1: []}
-        self._ran = False
         return cplan
 
-    # ------------------------------------------------------------------
-    # Lane selection: measured, per compiled plan, over its replays
-    # ------------------------------------------------------------------
-    def _lane_verdict(self) -> tuple[float, float] | None:
-        """Best ``(one-lane, workers-lane)`` seconds, once both are sampled."""
-        one, full = self._lane_s[1], self._lane_s[self.workers]
-        if self.workers == 1 or min(len(one), len(full)) < LANE_SAMPLES:
-            return None
-        return min(one), min(full)
-
-    def _grain(self) -> float | None:
-        """The compiled plan's metered flops per task (``None``: unmetered)."""
-        return self._cplan.stats["flops_per_task"] if self._cplan is not None else None
-
-    def _predicted_lanes(self) -> int:
-        """The grain's lane count: one lane below :data:`TWO_LANE_FLOPS`."""
-        grain = self._grain()
-        return 1 if grain is not None and grain < TWO_LANE_FLOPS else self.workers
-
-    def _chosen_lanes(self) -> int:
-        """The grain's prediction until both sides are sampled, then one
-        lane only if the samples say it is clearly faster."""
-        best = self._lane_verdict()
-        if best is None:
-            return self._predicted_lanes()
-        return 1 if best[0] <= LANE_MARGIN * best[1] else self.workers
-
-    def _measuring(self) -> bool:
-        """True when a whole-plan replay is one the lane choice may time.
-
-        Only replays of the already-executed cached plan count, and
-        never with a fault plan or recovery policy installed: an attempt
-        that may die and resume times nothing comparable (and retry
-        attempts, which only a policy grants, never qualify).
-        """
-        return (
-            self.workers > 1
-            and self._ran
-            and self._lane_verdict() is None
-            and self.fault_plan is None
-            and self.recovery is None
-        )
-
-    def _next_lanes(self) -> int:
-        """Alternate: the lane count with fewer samples, ``workers`` first."""
-        samples = self._lane_s
-        return self.workers if len(samples[self.workers]) <= len(samples[1]) else 1
-
     def lanes_line(self) -> str:
-        """One line for reports: the chosen lane count and its evidence.
+        """One line for reports: the lane count and the grain that set it.
 
-        The evidence is the first execute's prediction (when the plan
-        carries metered flops) and the replays' measurement.
-
-        >>> Engine(workers=1).lanes_line()
-        'lanes: 1 of 1 workers (not measured)'
+        >>> Engine(workers=2).lanes_line()
+        'lanes: 2 of 2 workers (no metered flops)'
         """
-        head = f"lanes: {self._chosen_lanes()} of {self.workers} workers"
-        best = self._lane_verdict()
-        measured = "not measured" if best is None else (
-            f"measured {best[0] * 1e3:.0f} ms on one lane vs "
-            f"{best[1] * 1e3:.0f} ms on {self.workers}"
-        )
-        grain = self._grain()
-        if self.workers == 1 or grain is None:
-            return f"{head} ({measured})"
-        mantissa, exp = f"{grain:.1e}".split("e")
-        first = (
-            "first execute inline" if self._predicted_lanes() == 1
-            else f"first execute on {self.workers} lanes"
-        )
-        return f"{head} ({first}: {mantissa}e{int(exp)} flops/task; {measured})"
+        head = f"lanes: {self.lanes} of {self.workers} workers"
+        fine = self._cplan.stats["flops_per_task"] if self._cplan is not None else None
+        if fine is None:
+            return f"{head} (no metered flops)"
+        side = "<" if fine < TWO_LANE_FLOPS else ">="
+        return f"{head} (grain {_sci(fine, 1)} flops/task {side} {_sci(TWO_LANE_FLOPS, 0)})"
 
     def writes_line(self) -> str:
         """One line for reports: how the compiled plan hands over block writes.
@@ -408,27 +332,13 @@ class Engine(EngineBase):
             f"{stats.get('writes_copied', 0)} copied"
         )
 
-    def _inline_tasks(self) -> list:
-        """Every stream's bound tasks, merged by tid for one thread to walk.
-
-        Every producer has a lower tid than its readers, so each fetch
-        finds its producer done and no rendezvous is needed.
-        """
-        if self._inline is None:
-            self._inline = sorted(
-                (bt for bs in self._bound for bt in bs.tasks),
-                key=lambda bt: bt.task.tid,
-            )
-        return self._inline
-
     def _execute_compiled(self, pending: list[Task], timeout: float) -> None:
         """Run the not-done remainder on the compiled worker streams."""
         self._ctimeout[0] = timeout
-        if self.lanes == 1:
+        if self._cplan.workers == 1:
             # One lane, zero rendezvous: run in the caller's thread
             # (nothing can block, so no guard).
-            tasks = self._bound[0].tasks if self.workers == 1 else self._inline_tasks()
-            self._run_stream(tasks, self._bound[0].waits, None)
+            self._run_stream(self._bound[0].tasks, self._bound[0].waits, None)
             return
         # The one wiring site: every cross-worker producer that has yet
         # to run gets a *fresh* slot per attempt (whatever an aborted

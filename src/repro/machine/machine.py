@@ -295,8 +295,8 @@ class Machine:
             return obj
         from repro.engine import output_tids, resolve
 
-        # The plan's grain (flops per task) picks the thread engine's
-        # first-execute lanes; these are the flops its tasks carry.
+        # The plan's grain (flops per task) fixes the thread engine's
+        # lanes; these are the flops its tasks carry.
         self.plan.flops = self.total_flops
         # The outputs hint lets an out-of-process engine (parallel-mp)
         # ship back exactly the values resolve() will read; the

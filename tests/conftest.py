@@ -51,14 +51,14 @@ def machine8():
 
 @pytest.fixture
 def first_execute_on_workers(monkeypatch):
-    """Run every thread-engine first execute on ``workers`` lanes.
+    """Compile every thread-engine plan for ``workers`` lanes.
 
-    Test-size plans are far finer than ``TWO_LANE_FLOPS``, so their first
-    (often only) execute would run on the inline lane: no pool, no
-    rendezvous.  Tests of multi-lane behaviour (bit-identity across
-    workers, cross-worker hand-offs, abort under faults) use this to keep
-    real threads.  Returns the lane count of every execute, in order, so
-    a test can assert the coverage holds.
+    Test-size plans are far finer than ``TWO_LANE_FLOPS``, so the engine
+    would compile them for one lane: no pool, no rendezvous.  Tests of
+    multi-lane behaviour (bit-identity across workers, cross-worker
+    hand-offs, abort under faults) use this to keep real threads.
+    Returns the lane count of every execute, in order, so a test can
+    assert the coverage holds.
     """
     from repro.engine import executor
 

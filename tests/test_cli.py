@@ -176,22 +176,40 @@ class TestTraceCommand:
         dump = json.loads(metrics.read_text())
         assert dump["enabled"] is True
         assert dump["counters"]["engine.tasks"] > 0
-        # The traced (first) execution of this fine-grained plan ran on
-        # the inline lane; the lanes line names that prediction's grain
-        # and what replays of the job then measured.
+        # This fine-grained plan was compiled for one lane; the lanes
+        # line names the grain that decided it.
         assert dump["gauges"]["engine.lanes"] == 1.0
         (lanes,) = [ln for ln in text.splitlines() if ln.startswith("lanes: ")]
         assert re.fullmatch(
-            r"lanes: [12] of 2 workers \(first execute inline: \d\.\de\d+ flops/task; "
-            r"measured \d+ ms on one lane vs \d+ ms on 2\)",
-            lanes,
+            r"lanes: 1 of 2 workers \(grain \d\.\de\d+ flops/task < 1e6\)", lanes
         )
 
-    def test_trace_on_one_worker_measures_no_lanes(self, capsys, tmp_path):
+    def test_trace_on_one_worker_reports_the_grain(self, capsys, tmp_path):
         rc = main(["trace", "tsqr", "--m", "128", "--n", "8", "--P", "4",
                    "--workers", "1", "--out", str(tmp_path / "t.json")])
         assert rc == 0
-        assert "lanes: 1 of 1 workers (not measured)" in capsys.readouterr().out
+        assert re.search(
+            r"^lanes: 1 of 1 workers \(grain \d\.\de\d+ flops/task < 1e6\)$",
+            capsys.readouterr().out, re.M,
+        )
+
+    def test_trace_executes_the_plan_once(self, capsys, tmp_path, monkeypatch):
+        from repro.machine import Machine
+
+        machines = []
+        init = Machine.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            machines.append(self)
+
+        monkeypatch.setattr(Machine, "__init__", spy)
+        rc = main(["trace", "tsqr", "--m", "256", "--n", "16", "--P", "4",
+                   "--workers", "2", "--out", str(tmp_path / "t.json")])
+        assert rc == 0
+        (machine,) = [m for m in machines if m.engine is not None]
+        plan = machine.plan
+        assert machine.engine.tasks_run == sum(1 for t in plan.tasks if not t.is_input)
 
     def test_trace_accepts_knobs_and_profile(self, capsys, tmp_path):
         rc = main(["trace", "caqr3d", "--m", "64", "--n", "16", "--P", "8",

@@ -5,8 +5,8 @@ lanes, worker-affinity ownership with same-worker edge elision, the
 compiled copy map of ``updates=`` tasks -- and argument pre-resolution,
 plus the engine-level contracts: every lane count computes the same
 (pinned) values, the compiled schedule cache invalidates when a plan
-grows, one telemetry span per task, a first execute takes its lane
-count from the plan's grain and replays measure it, and no second
+grows, one telemetry span per task, a compiled plan takes its lane
+count from the plan's grain, and no second
 execution path, ``compile`` switch or record-time dataflow analysis
 grows back.  (The write rule itself is pinned in
 ``tests/test_write_rule.py``.)
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine, Plan, Ref, compile_plan
-from repro.engine.compile import REPLICATED, bind_stream
+from repro.engine.compile import REPLICATED, bind_stream, grain
 from repro.engine.executor import TWO_LANE_FLOPS
 
 GUARD = 60.0
@@ -264,24 +264,6 @@ class TestCompiledEngine:
         assert all(t.done for t in plan.tasks)
 
 
-class _ScriptedClock:
-    """An injected engine clock: an execute on ``n`` lanes takes ``cost[n]``.
-
-    Every read advances the clock by the cost of the lane count the
-    engine is on, so the two reads around a timed execute differ by
-    exactly that cost and the test decides which side "is faster".
-    """
-
-    def __init__(self, engine, cost):
-        self.engine, self.cost, self.now, self.reads = engine, cost, 0.0, 0
-        engine._clock = self
-
-    def __call__(self):
-        self.reads += 1
-        self.now += self.cost[self.engine.lanes]
-        return self.now
-
-
 def _fan_in_plan():
     """Two ranks feeding a third: cross-worker edges on two lanes."""
     plan = Plan()
@@ -322,163 +304,9 @@ def _spy_pool_and_slots(monkeypatch):
 
 
 class TestLaneSelection:
-    """``workers`` is a cap: a first execute predicts from the plan's
-    grain, replays measure one inline lane against it."""
-
-    def test_first_execute_uses_every_worker_then_replays_alternate_and_settle(self):
-        plan, out = _fan_in_plan()
-        eng = Engine(workers=2)
-        _ScriptedClock(eng, {2: 1.0, 1: 0.5})
-        eng.execute(plan, timeout=GUARD)
-        assert eng.lanes == 2 and "not measured" in eng.lanes_line()
-        assert _replay(eng, plan, 4) == [2, 1, 2, 1]
-        assert _replay(eng, plan, 3) == [1, 1, 1]            # settled: one lane won
-        assert eng.lanes_line() == (
-            "lanes: 1 of 2 workers (measured 500 ms on one lane vs 1000 ms on 2)"
-        )
-        assert out.value.tolist() == [4.0, 7.0]
-
-    def test_workers_kept_unless_one_lane_is_ten_percent_faster(self):
-        plan, _ = _fan_in_plan()
-        eng = Engine(workers=2)
-        _ScriptedClock(eng, {2: 1.0, 1: 0.95})
-        eng.execute(plan, timeout=GUARD)
-        assert _replay(eng, plan, 6) == [2, 1, 2, 1, 2, 2]
-        assert eng.lanes_line().startswith("lanes: 2 of 2 workers (measured 950 ms")
-
-    def test_the_faster_sample_of_each_side_decides(self):
-        plan, _ = _fan_in_plan()
-        eng = Engine(workers=2)
-        clock = _ScriptedClock(eng, {2: 1.0, 1: 5.0})       # one noisy one-lane sample
-        eng.execute(plan, timeout=GUARD)
-        _replay(eng, plan, 2)
-        clock.cost = {2: 1.0, 1: 0.5}
-        assert _replay(eng, plan, 3) == [2, 1, 1]
-
-    def test_one_worker_never_measures(self):
-        plan, _ = _fan_in_plan()
-        eng = Engine(workers=1)
-        clock = _ScriptedClock(eng, {1: 1.0})
-        eng.execute(plan, timeout=GUARD)
-        assert _replay(eng, plan, 5) == [1] * 5
-        assert eng.lanes_line() == "lanes: 1 of 1 workers (not measured)"
-        assert eng._lane_s == {1: []} and clock.reads == 6   # never a closing read
-
-    @pytest.mark.parametrize("install", ["fault_plan", "recovery"])
-    def test_no_measuring_with_faults_installed(self, install):
-        from repro.faults import FaultPlan, RetryTask
-
-        plan, _ = _fan_in_plan()
-        eng = Engine(workers=2)
-        _ScriptedClock(eng, {2: 1.0, 1: 0.1})
-        if install == "fault_plan":
-            eng.fault_plan = FaultPlan([])
-        else:
-            eng.recovery = RetryTask(1)
-        eng.execute(plan, timeout=GUARD)
-        assert _replay(eng, plan, 6) == [2] * 6
-        assert "not measured" in eng.lanes_line()
-
-    def test_retry_attempts_are_never_timed(self):
-        from repro.faults import FaultPlan, RetryTask
-
-        plan, out = _fan_in_plan()
-        eng = Engine(workers=2, fault_plan=FaultPlan.kill(1, 0), recovery=RetryTask(1))
-        _ScriptedClock(eng, {2: 1.0, 1: 0.1})
-        eng.execute(plan, timeout=GUARD)                      # dies, retries, completes
-        assert out.value.tolist() == [4.0, 7.0]
-        assert eng._lane_s == {2: [], 1: []}
-        eng.fault_plan = eng.recovery = None
-        # The interrupted execute was no whole run either: the next one
-        # is the plan's first, and only then are replays timed.
-        assert _replay(eng, plan, 6) == [2, 2, 1, 2, 1, 1]
-
-    def test_choice_is_reset_when_the_plan_grows(self):
-        plan, out = _fan_in_plan()
-        eng = Engine(workers=2)
-        _ScriptedClock(eng, {2: 1.0, 1: 0.5})
-        eng.execute(plan, timeout=GUARD)
-        assert _replay(eng, plan, 5)[-1] == 1
-        late = plan.add(lambda v: v * 10, (Ref(out),), rank=1, label="late")
-        eng.execute(plan, timeout=GUARD)                      # incremental: one new task
-        assert eng.lanes == 2 and "not measured" in eng.lanes_line()
-        assert late.value.tolist() == [40.0, 70.0]
-        # The grown plan has had no whole run yet: one untimed replay on
-        # every worker, then it is measured afresh.
-        assert _replay(eng, plan, 6) == [2, 2, 1, 2, 1, 1]
-
-    def test_incremental_executes_are_not_samples(self):
-        plan, out = _fan_in_plan()
-        eng = Engine(workers=2)
-        _ScriptedClock(eng, {2: 1.0, 1: 0.5})
-        eng.execute(plan, timeout=GUARD)
-        out.done = False                                      # a partial re-execution
-        eng.execute(plan, timeout=GUARD)
-        assert eng.lanes == 2 and eng._lane_s == {2: [], 1: []}
-
-    def test_one_lane_replay_needs_no_rendezvous_and_one_thread(self):
-        import threading
-
-        from repro.telemetry import TelemetryRecorder
-
-        plan, _ = _fan_in_plan()
-        eng = Engine(workers=2)
-        _ScriptedClock(eng, {2: 1.0, 1: 0.5})
-        eng.execute(plan, timeout=GUARD)
-        _replay(eng, plan, 4)
-        rec = eng.telemetry = TelemetryRecorder()
-        assert _replay(eng, plan, 2) == [1, 1]
-        spans = [s for s in rec.spans if s.cat == "task"]
-        # Per replay: both lanes' tasks merged in tid order.
-        assert [s.name for s in spans] == ["a", "b", "sum"] * 2
-        assert {s.worker for s in spans} == {threading.current_thread().name}
-        assert all(s.wait_s == 0.0 for s in spans)
-        assert rec.metrics.counter("engine.rendezvous.waits") == 0
-        assert all(t.rendezvous is None for t in plan.tasks)
-        assert rec.metrics.snapshot()["gauges"]["engine.lanes"] == 1.0
-
-    def test_inline_lane_runs_tasks_after_their_cross_lane_producers(self):
-        # One lane walks both streams' tasks merged by tid: a1 (rank 0)
-        # reads x (rank 1), recorded between a0 and a1.
-        plan = Plan()
-        a0 = plan.add(lambda: 1.0, rank=0, label="a0")
-        x = plan.add(lambda: 10.0, rank=1, label="x")
-        a1 = plan.add(lambda v, w: v + w, (Ref(a0), Ref(x)), rank=0, label="a1")
-        a2 = plan.add(lambda v: v * 2, (Ref(a1),), rank=0, label="a2")
-        eng = Engine(workers=2)
-        _ScriptedClock(eng, {2: 1.0, 1: 0.5})
-        eng.execute(plan, timeout=GUARD)
-        assert [t.label for t in eng._cplan.streams[0]] == ["a0", "a1", "a2"]
-        assert _replay(eng, plan, 5)[-1] == 1
-        assert [bt.task.label for bt in eng._inline_tasks()] == ["a0", "x", "a1", "a2"]
-        assert a2.value == 22.0
-
-    def test_stream_that_switches_lanes_matches_serial_every_job(self):
-        from repro.engine import output_tids, resolve
-        from repro.machine import Machine
-        from repro.workloads import drive
-
-        rng = np.random.default_rng(11)
-        jobs = [rng.standard_normal((48, 24)) for _ in range(21)]
-        machine = Machine(6, backend="parallel", workers=2)
-        _ScriptedClock(machine.engine, {2: 1.0, 1: 0.5})
-        factors, _diag, slicer = drive("house2d", machine, jobs[0], {}, validate=False)
-        machine.materialize(factors)
-        assert machine.engine.lanes == 1                      # fine grain: inline
-        lanes = []
-        for A in jobs[1:]:
-            machine.plan.rebind(slicer(A))
-            machine.plan.reset()
-            machine.engine.execute(machine.plan, outputs=output_tids(factors))
-            lanes.append(machine.engine.lanes)
-            want = drive("house2d", Machine(6), A, {}, validate=False)[0]
-            for got, ref in zip(resolve(factors), want):
-                np.testing.assert_array_equal(got, ref)
-        assert lanes == [2, 1, 2, 1] + [1] * 16
-
-    # A compiled plan's first execute has no samples: its lanes are
-    # predicted from the grain, the metered flops per recorded task
-    # (repro.engine.executor.TWO_LANE_FLOPS).
+    """``workers`` is a cap: each compiled plan gets one lane count, set
+    once from its grain (the metered flops per recorded task,
+    :data:`repro.engine.executor.TWO_LANE_FLOPS`)."""
 
     def _recorded(self, alg, m, n, P):
         from repro.machine import Machine
@@ -486,36 +314,64 @@ class TestLaneSelection:
 
         machine = Machine(P, backend="parallel", workers=2)
         A = gaussian(m, n, seed=5)
-        factors, _diag, _slicer = drive(alg, machine, A, {}, validate=False)
-        return machine, factors, drive(alg, Machine(P), A, {}, validate=False)[0]
+        factors, _diag, slicer = drive(alg, machine, A, {}, validate=False)
+        return machine, factors, slicer
 
-    def test_fine_plan_runs_its_first_execute_inline(self, monkeypatch):
-        machine, factors, want = self._recorded("house2d", 48, 24, 6)
+    def _stream(self, alg, machine, factors, slicer, P, jobs):
+        """Replay ``jobs`` on the recorded plan; each must equal serial."""
+        from repro.engine import output_tids, resolve
+        from repro.machine import Machine
+        from repro.workloads import drive
+
+        lanes = []
+        for A in jobs:
+            machine.plan.rebind(slicer(A))
+            machine.plan.reset()
+            machine.engine.execute(machine.plan, outputs=output_tids(factors))
+            lanes.append(machine.engine.lanes)
+            want = drive(alg, Machine(P), A, {}, validate=False)[0]
+            for got, ref in zip(resolve(factors), want):
+                np.testing.assert_array_equal(got, ref)
+        return lanes
+
+    def test_fine_plan_is_compiled_for_one_lane(self, monkeypatch):
+        from repro.machine import Machine
+        from repro.workloads import drive, gaussian
+
+        machine, factors, slicer = self._recorded("house2d", 48, 24, 6)
         made = _spy_pool_and_slots(monkeypatch)
         got = machine.materialize(factors)
         eng = machine.engine
         assert machine.plan.flops == machine.total_flops > 0
         assert eng._cplan.stats["flops_per_task"] < TWO_LANE_FLOPS
-        assert eng.lanes == 1 and made == {"pools": 0, "slots": 0}
-        assert all(t.rendezvous is None for t in machine.plan.tasks)
+        assert eng.lanes == eng._cplan.workers == 1
         assert re.fullmatch(
-            r"lanes: 1 of 2 workers \(first execute inline: \d\.\de\d flops/task; "
-            r"not measured\)", eng.lanes_line())
+            r"lanes: 1 of 2 workers \(grain \d\.\de\d flops/task < 1e6\)",
+            eng.lanes_line())
+        want = drive("house2d", Machine(6), gaussian(48, 24, seed=5), {},
+                     validate=False)[0]
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+        rng = np.random.default_rng(11)
+        jobs = [rng.standard_normal((48, 24)) for _ in range(20)]
+        assert self._stream("house2d", machine, factors, slicer, 6, jobs) == [1] * 20
+        assert made == {"pools": 0, "slots": 0}
+        assert all(t.rendezvous is None for t in machine.plan.tasks)
 
-    def test_coarse_plan_runs_its_first_execute_on_every_worker(self, monkeypatch):
-        machine, factors, want = self._recorded("tsqr", 2048, 64, 2)
+    def test_coarse_plan_runs_every_execute_on_every_worker(self, monkeypatch):
+        machine, factors, slicer = self._recorded("tsqr", 2048, 64, 2)
         made = _spy_pool_and_slots(monkeypatch)
-        got = machine.materialize(factors)
+        machine.materialize(factors)
         eng = machine.engine
         assert eng._cplan.stats["flops_per_task"] >= TWO_LANE_FLOPS
         assert eng.lanes == 2 and made["pools"] == 1 and made["slots"] > 0
         assert re.fullmatch(
-            r"lanes: 2 of 2 workers \(first execute on 2 lanes: \d\.\de6 flops/task; "
-            r"not measured\)", eng.lanes_line())
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+            r"lanes: 2 of 2 workers \(grain \d\.\de6 flops/task >= 1e6\)",
+            eng.lanes_line())
+        rng = np.random.default_rng(12)
+        jobs = [rng.standard_normal((2048, 64)) for _ in range(3)]
+        assert self._stream("tsqr", machine, factors, slicer, 2, jobs) == [2] * 3
+        assert made["pools"] == 4
 
     @pytest.mark.parametrize("flops,lanes", [
         (None, 2),                                            # built by hand
@@ -528,34 +384,86 @@ class TestLaneSelection:
         plan, out = _fan_in_plan()                            # three tasks, one leaf
         assert plan.flops is None
         plan.flops = flops
-        grain = compile_plan(plan, 2).stats["flops_per_task"]
-        assert grain == (None if flops is None else flops / 3)
+        fine = compile_plan(plan, 2).stats["flops_per_task"]
+        assert fine == grain(plan) == (None if flops is None else flops / 3)
         made = _spy_pool_and_slots(monkeypatch)
         eng = Engine(workers=2)
         eng.execute(plan, timeout=GUARD)
         assert eng.lanes == lanes and made["pools"] == (lanes == 2)
         assert out.value.tolist() == [4.0, 7.0]
         if flops is None:
-            assert eng.lanes_line() == "lanes: 2 of 2 workers (not measured)"
+            assert eng.lanes_line() == "lanes: 2 of 2 workers (no metered flops)"
 
-    def test_a_grown_plan_is_predicted_again_then_replays_measure(self):
+    def test_one_worker_is_one_lane_whatever_the_grain(self):
+        plan, out = _fan_in_plan()
+        plan.flops = 3e9
+        eng = Engine(workers=1)
+        eng.execute(plan, timeout=GUARD)
+        assert eng.lanes == 1 and out.value.tolist() == [4.0, 7.0]
+        assert eng.lanes_line() == "lanes: 1 of 1 workers (grain 1.0e9 flops/task >= 1e6)"
+
+    def test_a_grown_plan_is_recompiled_and_decided_again(self):
         from repro.backend import SymbolicArray
+        from repro.engine import resolve
         from repro.machine import Machine
 
         machine = Machine(2, backend="parallel", workers=2)
         eng = machine.engine
-        _ScriptedClock(eng, {2: 1.0, 1: 0.5})
         meta = SymbolicArray((4,), np.float64)
         a = machine.kernel(0, np.ones, ((4,),), meta, label="a")
         machine.compute(0, 10.0)
         machine.materialize(a)                                # 10 flops / task
+        first = eng._cplan
         assert eng.lanes == 1
         b = machine.kernel(1, np.negative, (a,), meta, label="b")
         machine.compute(1, 4e6)
         assert machine.materialize(b).tolist() == [-1.0] * 4  # recompiled: 2e6 / task
-        assert eng._cplan.n_tasks == 2 and eng.lanes == 2
-        # One untimed whole run on the prediction, then the samples decide.
-        assert _replay(eng, machine.plan, 7) == [2, 2, 1, 2, 1, 1, 1]
+        assert eng._cplan is not first and eng._cplan.n_tasks == 2
+        assert eng.lanes == 2
+        assert _replay(eng, machine.plan, 2) == [2, 2]
+        assert resolve(b).tolist() == [-1.0] * 4
+
+    def test_one_lane_runs_on_the_callers_thread_without_rendezvous(self):
+        import threading
+
+        from repro.telemetry import TelemetryRecorder
+
+        plan, _ = _fan_in_plan()
+        plan.flops = 3.0
+        rec = TelemetryRecorder()
+        eng = Engine(workers=2, telemetry=rec)
+        assert _replay(eng, plan, 2) == [1, 1]
+        spans = [s for s in rec.spans if s.cat == "task"]
+        # Per execute: both ranks' tasks on one lane, in tid order.
+        assert [s.name for s in spans] == ["a", "b", "sum"] * 2
+        assert {s.worker for s in spans} == {threading.current_thread().name}
+        assert all(s.wait_s == 0.0 for s in spans)
+        assert rec.metrics.counter("engine.rendezvous.waits") == 0
+        assert all(t.rendezvous is None for t in plan.tasks)
+        assert rec.metrics.snapshot()["gauges"]["engine.lanes"] == 1.0
+
+    def test_one_lane_runs_tasks_after_their_cross_rank_producers(self):
+        # One lane walks both ranks' tasks by tid: a1 (rank 0) reads
+        # x (rank 1), recorded between a0 and a1.
+        plan = Plan()
+        a0 = plan.add(lambda: 1.0, rank=0, label="a0")
+        x = plan.add(lambda: 10.0, rank=1, label="x")
+        a1 = plan.add(lambda v, w: v + w, (Ref(a0), Ref(x)), rank=0, label="a1")
+        a2 = plan.add(lambda v: v * 2, (Ref(a1),), rank=0, label="a2")
+        plan.flops = 4.0
+        eng = Engine(workers=2)
+        assert _replay(eng, plan, 3) == [1, 1, 1]
+        assert [t.label for t in eng._cplan.streams[0]] == ["a0", "x", "a1", "a2"]
+        assert eng._cplan.publishers == []
+        assert a2.value == 22.0
+
+    def test_a_killed_rank_is_retried_on_two_lanes(self):
+        from repro.faults import FaultPlan, RetryTask
+
+        plan, out = _fan_in_plan()
+        eng = Engine(workers=2, fault_plan=FaultPlan.kill(1, 0), recovery=RetryTask(1))
+        eng.execute(plan, timeout=GUARD)                      # dies, retries, completes
+        assert eng.lanes == 2 and out.value.tolist() == [4.0, 7.0]
 
 
 class TestOneExecutionPath:

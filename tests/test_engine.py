@@ -44,7 +44,7 @@ from repro.engine import (
     clear_plan_cache,
     run_many,
 )
-from repro.machine import Machine, ParameterError
+from repro.machine import CostReport, Machine, ParameterError
 from repro.workloads import gaussian, run_qr
 
 #: Generous wall-clock bound for the guard tests: far above any real
@@ -654,6 +654,65 @@ class TestRunMany:
         for t, stream in enumerate(jobs):
             for job, res in zip(stream, got[t]):
                 assert res.diagnostics == run_qr("tsqr", job.A, P=4).diagnostics
+
+
+
+class TestKeyboardInterrupt:
+    """A task raising ``KeyboardInterrupt`` ends the job with exactly
+    that exception, leaves no worker thread behind, and the next job of
+    the shape replays the cached plan correctly."""
+
+    def setup_method(self):
+        clear_plan_cache()
+
+    def teardown_method(self):
+        clear_plan_cache()
+
+    @pytest.mark.parametrize("two_lanes", [False, True], ids=["one-lane", "two-lanes"])
+    def test_interrupt_propagates_and_the_shape_still_replays(
+        self, two_lanes, request, monkeypatch
+    ):
+        import importlib
+        import threading
+
+        from repro.engine import resolve
+        from repro.engine.batch import _PLAN_CACHE
+        from repro.workloads import drive
+
+        tsqr_mod = importlib.import_module("repro.qr.tsqr")
+
+        lanes = request.getfixturevalue("first_execute_on_workers") if two_lanes else None
+        armed = [True]
+        pack = tsqr_mod.pack_triu
+
+        def interrupting(*args, **kwargs):
+            if armed[0]:
+                armed[0] = False
+                raise KeyboardInterrupt
+            return pack(*args, **kwargs)
+
+        # Recording binds the patched kernel into the plan; the first
+        # job's (only) execute raises from inside a task.
+        monkeypatch.setattr(tsqr_mod, "pack_triu", interrupting)
+        jobs = [QRJob("tsqr", gaussian(64, 8, seed=s)) for s in (20, 21)]
+        before = {t.ident for t in threading.enumerate()}
+        with pytest.raises(KeyboardInterrupt) as exc:
+            run_many(jobs[:1], P=4, workers=2, validate=True)
+        assert type(exc.value) is KeyboardInterrupt and not armed[0]
+        assert [t for t in threading.enumerate() if t.ident not in before] == []
+        (cached,) = _PLAN_CACHE.values()
+        assert cached.machine.engine.lanes == (2 if two_lanes else 1)
+        if two_lanes:
+            assert lanes == [2]
+
+        (res,) = run_many(jobs[1:], P=4, workers=2, validate=True)
+        want = run_qr("tsqr", jobs[1].A, P=4, validate=True)
+        assert isinstance(res.report, CostReport) and res.report == want.report
+        assert res.diagnostics == want.diagnostics
+        serial = drive("tsqr", Machine(4), jobs[1].A, {}, validate=False)[0]
+        for got, ref in zip(resolve(cached.lazy_factors), serial):
+            np.testing.assert_array_equal(got, ref)
+        assert [t for t in threading.enumerate() if t.ident not in before] == []
 
 
 class TestMatmulParallel:

@@ -466,7 +466,7 @@ class TestAbort:
                 recovery=FailFast(), workers=4,
             )
         elapsed = time.perf_counter() - t0
-        assert first_execute_on_workers == [4]  # a pool, not the inline lane
+        assert first_execute_on_workers == [4]  # a pool, not one lane
         # Poisoned rendezvous, not timeouts: the default deadlock guard
         # is 120s, so a fast failure proves the abort path released
         # every blocked consumer.

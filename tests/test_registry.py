@@ -45,7 +45,6 @@ class TestBuiltins:
             True, False, False, False)
         assert (par.symbolic, par.parallel, par.concrete, par.validates) == (
             False, True, False, True)
-        assert sym.shape_inputs and not num.shape_inputs
 
     def test_full_algorithm_coverage(self):
         for name in ("numeric", "symbolic", "parallel"):

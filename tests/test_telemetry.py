@@ -196,8 +196,8 @@ class TestRuntimeSpans:
 
     @pytest.fixture(scope="class")
     def two_lane_run(self):
-        # 3.2e6 metered flops per task: a grain that runs its first
-        # execute on every worker, so cross-lane fetches really wait.
+        # 3.2e6 metered flops per task: a grain compiled for every
+        # worker, so cross-lane fetches really wait.
         rec = TelemetryRecorder()
         with recording(rec):
             run_qr("tsqr", gaussian(4096, 64, seed=3), P=4, backend="parallel",
@@ -265,8 +265,8 @@ class TestRuntimeSpans:
     def test_disabled_recorder_is_one_guard_per_site(self):
         # The disabled cost is structural, not a timing: a recorder with
         # ``enabled = False`` whose every method raises completes a
-        # two-lane run with cross-lane fetches and a one-lane replay,
-        # so no instrumentation site calls past the guard.
+        # two-lane run with cross-lane fetches and a one-lane run, so
+        # no instrumentation site calls past the guard.
         from repro.engine import Engine, Plan, Ref
 
         class Tripwire:
@@ -275,18 +275,16 @@ class TestRuntimeSpans:
             def __getattr__(self, name):
                 raise AssertionError(f"disabled recorder touched: {name}")
 
-        plan = Plan()
-        leaf = plan.add_input(np.array([1.0, 2.0]))
-        a = plan.add(lambda v: v * 2, (Ref(leaf),), rank=0, label="a")
-        b = plan.add(lambda v: v + 1, (Ref(leaf),), rank=1, label="b")
-        out = plan.add(lambda x, y: x + y, (Ref(a), Ref(b)), rank=0, label="sum")
-        eng = Engine(workers=2, telemetry=Tripwire())
-        eng.execute(plan, timeout=60.0)
-        assert eng.lanes == 2 and out.value.tolist() == [4.0, 7.0]
-        eng.lanes = 1
-        plan.reset()
-        eng._execute_compiled([t for t in plan.tasks if not t.done], 60.0)
-        assert out.value.tolist() == [4.0, 7.0]
+        for flops, lanes in ((None, 2), (3.0, 1)):  # hand-built; fine grain
+            plan = Plan()
+            leaf = plan.add_input(np.array([1.0, 2.0]))
+            a = plan.add(lambda v: v * 2, (Ref(leaf),), rank=0, label="a")
+            b = plan.add(lambda v: v + 1, (Ref(leaf),), rank=1, label="b")
+            out = plan.add(lambda x, y: x + y, (Ref(a), Ref(b)), rank=0, label="sum")
+            plan.flops = flops
+            eng = Engine(workers=2, telemetry=Tripwire())
+            eng.execute(plan, timeout=60.0)
+            assert eng.lanes == lanes and out.value.tolist() == [4.0, 7.0]
         machine = Machine(2, backend="parallel", workers=2, telemetry=Tripwire())
         x = machine.ops.zeros((2,))
         x[0] = 3.0

@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 from repro.backend import SymbolicArray
 from repro.engine import LazyArray, Plan, Ref, compile_plan, output_tids, resolve
 from repro.engine import executor as executor_mod
+from repro.engine.compile import grain
 from repro.engine.plan import Writes
 from repro.machine import Machine
 from repro.workloads import drive, gaussian, run_qr
@@ -546,6 +547,21 @@ class TestSameWork:
         parent_in_place, parent_copied = PARENT_WRITES[alg, m, n, knobs]
         assert written == parent_in_place + parent_copied     # the same writes
         assert written - copied >= parent_in_place
+
+    @pytest.mark.parametrize("alg,m,n,knobs", list(PARENT_WRITES), ids=str)
+    def test_the_one_lane_compile_makes_the_parents_decisions(self, alg, m, n, knobs):
+        # Every grain here is below TWO_LANE_FLOPS, so the thread engine
+        # compiles these plans for one lane: all owners are lane 0, and
+        # the write rule still hands over exactly the two-lane writes.
+        machine = Machine(8, backend="parallel", workers=2)
+        drive(alg, machine, gaussian(m, n, seed=0), dict(knobs), validate=False)
+        plan = machine.plan
+        plan.flops = machine.total_flops
+        assert grain(plan) < executor_mod.TWO_LANE_FLOPS
+        stats = machine.engine._compiled(plan).stats
+        assert stats["workers"] == 1
+        assert (stats["writes_in_place"], stats["writes_copied"]) == PARENT_WRITES[
+            alg, m, n, knobs]
 
     @pytest.mark.parametrize("backend", ["numeric", *BACKENDS])
     @pytest.mark.parametrize("alg,m,n,knobs", list(GOLDEN), ids=str)
