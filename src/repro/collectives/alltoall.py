@@ -23,6 +23,17 @@ only *accounts*: the chunk traffic of both phases comes from the
 the same rounds, messages and words as routing every chunk, at
 paper-scale ``P``.
 
+Deciding the rounds and charging them are two steps.
+:func:`two_phase_rounds` and :func:`index_rounds` are pure functions
+``(P, source, dest, size) -> rounds``: a round is its label and its
+``(src, dst, words)`` sends, in group ranks.
+:func:`charge_rounds` meters a schedule on a context, one
+``exchange_round`` per round.  :func:`all_to_all_two_phase` is the two
+steps back to back.  :func:`~repro.matmul.mm3d` keeps the schedule of
+each distinct multiply in its route memo (keyed on the layouts, grid,
+dtypes and method that determine it) and only charges it on a repeat;
+:func:`~repro.dist.redistribute_rows` derives it on every call.
+
 Paper anchor: Table 1 ([HBJ96] index and [BHK+97] two-phase all-to-all).
 """
 
@@ -39,6 +50,9 @@ from repro.util import ilog2
 
 #: An item is (dest_group_rank, tag, array).  Tags are opaque to routing.
 Item = tuple[int, Any, np.ndarray]
+#: One metered round: its label and its ``(src, dst, words)`` sends, in
+#: group ranks -- plain ints, so a kept schedule holds no GC-tracked object.
+Round = tuple[str, tuple[tuple[int, int, int], ...]]
 
 
 def _route_bundles(ctx: CommContext, holding: list[list[list]], deliver) -> None:
@@ -186,17 +200,17 @@ def _dealt_chunks(
     )
 
 
-def _route_costs(ctx: CommContext, holder: np.ndarray, dest: np.ndarray, words: np.ndarray) -> None:
+def _route_costs(P: int, holder: np.ndarray, dest: np.ndarray, words: np.ndarray) -> list[Round]:
     """Cost-only index all-to-all over ``(holder, dest, words)`` bundles.
 
-    Charges exactly the rounds, messages and words the tagged
-    :func:`all_to_all_index` would for the same traffic: in round ``i``
-    every bundle whose remaining distance has bit ``i`` set hops
-    ``2^i`` ranks on, one coalesced message per sender -- sent even
-    when all its bundles are empty.  Self-addressed bundles do not
-    travel.
+    The rounds, messages and words the tagged :func:`all_to_all_index`
+    charges for the same traffic: in round ``i`` every bundle whose
+    remaining distance has bit ``i`` set hops ``2^i`` ranks on, one
+    coalesced message per sender -- sent even when all its bundles are
+    empty.  Self-addressed bundles do not travel, and a round in which
+    nothing travels is left out (it would charge nothing).
     """
-    P = ctx.size
+    rounds: list[Round] = []
     for i in range(ilog2(P)):
         bit = 1 << i
         away = holder != dest
@@ -204,13 +218,58 @@ def _route_costs(ctx: CommContext, holder: np.ndarray, dest: np.ndarray, words: 
         go = (((dest - holder) % P) & bit) != 0
         sent = np.bincount(holder[go], weights=words[go], minlength=P)
         senders = np.flatnonzero(np.bincount(holder[go], minlength=P))
-        ctx.exchange_round(
-            [(p, (p + bit) % P, Counted(w)) for p, w in zip(senders.tolist(), sent[senders].tolist())],
-            label=f"alltoall_round{i}",
-        )
+        if senders.size:
+            sends = zip(senders.tolist(), ((senders + bit) % P).tolist(),
+                        sent[senders].astype(np.int64).tolist())
+            rounds.append((f"alltoall_round{i}", tuple(sends)))
         holder = np.where(go, (holder + bit) % P, holder)
     if (holder != dest).any():
         raise MachineError("index all-to-all left undelivered bundles (internal error)")
+    return rounds
+
+
+def index_rounds(P: int, source: np.ndarray, dest: np.ndarray, size: np.ndarray) -> list[Round]:
+    """The rounds :func:`all_to_all_index` charges for blocks ``(source, dest, size)``.
+
+    Pure: the vectors hold one entry per block, in group ranks.
+
+    >>> index_rounds(4, np.array([0, 0, 3]), np.array([1, 3, 3]), np.array([5, 2, 9]))
+    [('alltoall_round0', ((0, 1, 7),)), ('alltoall_round1', ((1, 3, 2),))]
+    """
+    return _route_costs(P, source, dest, size)
+
+
+def two_phase_rounds(P: int, source: np.ndarray, dest: np.ndarray, size: np.ndarray) -> list[Round]:
+    """The rounds :func:`all_to_all_two_phase` charges for blocks ``(source, dest, size)``.
+
+    Pure: the vectors hold one entry per block, in group ranks.  Phase
+    1 moves the chunks of traffic-matrix row ``p`` to the intermediates
+    and phase 2 moves the chunks of column ``q`` home, each phase one
+    cost-only index all-to-all (:func:`_route_costs`).  An empty chunk
+    still costs a message when it travels alone, and one does travel in
+    phase 1: a block too short to reach its destination's own chunk
+    (element ``-p mod P``) sends that chunk empty.
+    """
+    if P == 1 or not source.size:
+        return []
+    base = (source + dest) % P
+    holder, mid, words = _dealt_chunks(P, source, base, size)
+    short = (-source) % P >= size  # the destination's own chunk is empty
+    empty = np.setdiff1d(source[short] * P + dest[short], holder * P + mid)
+    rounds = _route_costs(
+        P,
+        np.concatenate([holder, empty // P]),
+        np.concatenate([mid, empty % P]),
+        np.concatenate([words, np.zeros_like(empty)]),
+    )
+    home, mid, words = _dealt_chunks(P, dest, base, size)
+    return rounds + _route_costs(P, mid, home, words)
+
+
+def charge_rounds(ctx: CommContext, rounds: Sequence[Round]) -> None:
+    """Meter a round schedule on ``ctx``: one ``exchange_round`` per round."""
+    for label, sends in rounds:
+        ctx.exchange_round([(p, q, Counted(w)) for p, q, w in sends], label=label)
 
 
 def all_to_all_two_phase(
@@ -232,16 +291,11 @@ def all_to_all_two_phase(
     ships elements: each destination receives the source's array object
     directly (the simulator's buffer-sharing convention), in
     deterministic (source rank, position in the source's list) order,
-    and only the chunk *sizes* are routed.  Those come from the vectors
-    ``(source, destination, size)`` of all blocks at once
-    (:func:`_dealt_chunks`): phase 1 moves the chunks of traffic-matrix
-    row ``p`` to the intermediates and phase 2 moves the chunks of
-    column ``q`` home, each phase one cost-only index all-to-all
-    (:func:`_route_costs`).  An empty chunk still costs a message when
-    it travels alone, and one does travel in phase 1: a block too short
-    to reach its destination's own chunk (element ``-p mod P``) sends
-    that chunk empty.  The metered rounds, messages, and words are
-    identical to routing every chunk individually.
+    and only the chunk *sizes* are routed: :func:`two_phase_rounds`
+    derives the schedule from the vectors ``(source, destination,
+    size)`` of all blocks, and :func:`charge_rounds` meters it.  The
+    metered rounds, messages, and words are identical to routing every
+    chunk individually.
     """
     P = ctx.size
     if len(items_by_rank) != P:
@@ -259,22 +313,8 @@ def all_to_all_two_phase(
             dest.append(q)
             size.append(arr.size)
         source += [p] * len(items)
-    if P == 1 or not source:
-        return received
-
     source, dest, size = (np.asarray(v, dtype=np.int64) for v in (source, dest, size))
-    base = (source + dest) % P
-    holder, mid, words = _dealt_chunks(P, source, base, size)
-    short = (-source) % P >= size  # the destination's own chunk is empty
-    empty = np.setdiff1d(source[short] * P + dest[short], holder * P + mid)
-    _route_costs(
-        ctx,
-        np.concatenate([holder, empty // P]),
-        np.concatenate([mid, empty % P]),
-        np.concatenate([words, np.zeros_like(empty)]),
-    )
-    home, mid, words = _dealt_chunks(P, dest, base, size)
-    _route_costs(ctx, mid, home, words)
+    charge_rounds(ctx, two_phase_rounds(P, source, dest, size))
     return received
 
 

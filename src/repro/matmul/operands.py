@@ -158,12 +158,18 @@ class Lattice:
     member's part of the face begins.  The index vector into that part
     is expanded on first use and kept, so a replayed plan gathers and
     scatters with a ready index -- and a run that executes no kernel
-    never builds one.
+    never builds one.  ``grown``, when given, is a list the expansion
+    appends the bytes it keeps alive to (how the route memo of
+    :mod:`repro.matmul.mm3d` meters index vectors expanded after it
+    stored the lattice).
     """
 
-    __slots__ = ("rows", "cols", "W", "lo", "hi", "start", "_positions")
+    __slots__ = ("rows", "cols", "W", "lo", "hi", "start", "_positions", "_grown")
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, W: int, lo: int, hi: int, start: int) -> None:
+    def __init__(
+        self, rows: np.ndarray, cols: np.ndarray, W: int, lo: int, hi: int, start: int,
+        grown: list[int] | None = None,
+    ) -> None:
         self.rows = rows
         self.cols = cols
         self.W = W
@@ -171,6 +177,7 @@ class Lattice:
         self.hi = hi
         self.start = start
         self._positions: np.ndarray | None = None
+        self._grown = grown
 
     def positions(self) -> np.ndarray:
         """Index vector of the entries inside the fiber member's flat part.
@@ -182,7 +189,10 @@ class Lattice:
             n = len(self.cols)
             i0 = self.lo // n
             first = self.rows[i0 : -(-self.hi // n), None] * self.W - self.start
-            self._positions = (first + self.cols).reshape(-1)[self.lo - i0 * n : self.hi - i0 * n]
+            grid = first + self.cols
+            self._positions = grid.reshape(-1)[self.lo - i0 * n : self.hi - i0 * n]
+            if self._grown is not None:
+                self._grown.append(grid.nbytes)
         return self._positions
 
     def read(self, part: np.ndarray) -> np.ndarray:
@@ -243,7 +253,8 @@ class _Strip:
 
 
 def route_faces(
-    layout: RowLayout, op: str, row_parts: Sequence[range], col_parts: Sequence[range], ways: int
+    layout: RowLayout, op: str, row_parts: Sequence[range], col_parts: Sequence[range], ways: int,
+    grown: list[int] | None = None,
 ) -> Iterator[Piece]:
     """Cut every owner's share of every brick face among the face's fiber.
 
@@ -253,7 +264,10 @@ def route_faces(
     Yields one :class:`Piece` per nonempty (face, owner, way)
     intersection, faces in ``(a, b)`` order, owners ascending, ways
     ascending.  Pure index arithmetic on the ownership vector -- no
-    array is touched, no position vector is built.
+    array is touched, no position vector is built.  ``grown``, when
+    given, receives the bytes of the row and column index arrays the
+    pieces' lattices share, and is handed to every :class:`Lattice`
+    for the index vectors they expand later.
 
     >>> from repro.dist import CyclicRowLayout
     >>> [(p.owner, p.way, p.block.hi - p.block.lo) for p in
@@ -265,6 +279,8 @@ def route_faces(
     seen = np.zeros(int(owners.max()) + 1 if owners.size else 0, dtype=np.int64)
     strips = [_Strip(owners, part, seen) for part in stored_parts]
     full = [np.arange(len(part)) for part in (col_parts if op == "N" else row_parts)]
+    if grown is not None:
+        grown.append(sum(s._order.nbytes for s in strips) + sum(f.nbytes for f in full))
     fiber = np.arange(ways + 1)
     for a, rows in enumerate(row_parts):
         for b, cols in enumerate(col_parts):
@@ -295,5 +311,5 @@ def route_faces(
                 yield Piece(
                     a, b, owner, w,
                     BlockRange(r0, r1, c0, c1, op, lo, hi),
-                    Lattice(*lattice, W, lo, hi, starts[w]),
+                    Lattice(*lattice, W, lo, hi, starts[w], grown),
                 )

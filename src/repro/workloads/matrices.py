@@ -23,18 +23,31 @@ def gaussian(m: int, n: int, seed: int = 0, complex_: bool = False) -> np.ndarra
 
 
 def graded(m: int, n: int, cond: float = 1e10, seed: int = 0) -> np.ndarray:
-    """Geometrically graded singular values from 1 down to ``1/cond``."""
+    """Geometrically graded singular values from 1 down to ``1/cond``.
+
+    All ``min(m, n)`` singular values are graded, so wide shapes work too.
+
+    >>> np.round(np.linalg.svd(graded(4, 6, cond=100.0), compute_uv=False), 6).tolist()
+    [1.0, 0.215443, 0.046416, 0.01]
+    """
+    k = min(m, n)
     rng = np.random.default_rng(seed)
-    U = np.linalg.qr(rng.standard_normal((m, n)))[0]
-    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    s = np.logspace(0, -np.log10(cond), n)
+    U = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    s = np.logspace(0, -np.log10(cond), k)
     return (U * s) @ V.T
 
 
 def near_rank_deficient(m: int, n: int, rank: int | None = None, noise: float = 1e-12, seed: int = 0) -> np.ndarray:
-    """Rank-``rank`` matrix plus tiny noise (stresses the sign trick)."""
+    """Rank-``rank`` matrix plus tiny noise (stresses the sign trick).
+
+    ``rank`` defaults to half of ``min(m, n)`` (at least 1); a rank above
+    ``min(m, n)`` cannot be built and is rejected.
+    """
+    r = rank if rank is not None else max(1, min(m, n) // 2)
+    if r > min(m, n):
+        raise ValueError(f"rank {r} exceeds min(m, n) of a {m} x {n} matrix")
     rng = np.random.default_rng(seed)
-    r = rank if rank is not None else max(1, n // 2)
     A = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
     return A + noise * rng.standard_normal((m, n))
 
@@ -47,7 +60,15 @@ def column_scaled(m: int, n: int, span: float = 1e8, seed: int = 0) -> np.ndarra
 
 
 def identity_tall(m: int, n: int) -> np.ndarray:
-    """``[I; 0]`` -- already orthonormal; reflectors degenerate to tau=2."""
+    """``[I; 0]`` -- already orthonormal; reflectors degenerate to tau=2.
+
+    >>> identity_tall(3, 5)
+    Traceback (most recent call last):
+    ...
+    ValueError: identity_tall needs m >= n, got a 3 x 5 shape
+    """
+    if m < n:
+        raise ValueError(f"identity_tall needs m >= n, got a {m} x {n} shape")
     A = np.zeros((m, n))
     A[np.arange(n), np.arange(n)] = 1.0
     return A

@@ -20,12 +20,26 @@ pure kernels dispatched through ``Machine.kernel``
 * **recording** -- kernel granularity on the engines, no closures, and
   a replayed plan equal to serial numeric bit for bit;
 * **shape-only means shape-only** -- a symbolic ``mm3d`` allocates
-  nothing that grows with the operands.
+  nothing that grows with the operands;
+* **the route memo** (``matmul/mm3d.py::route_memo``) -- invisible (a
+  hit's pieces are a fresh route's, its rounds meter like one item per
+  move through the tagged all-to-all, and a miss then a hit of
+  ``caqr3d`` agree in report, labels, diagnostics and factors on every
+  backend), bounded (a shape stream stays within the budget plus one
+  entry, eviction is LRU, an evicted shape rebuilds an identical entry,
+  an entry's byte count covers what ``tracemalloc`` sees it keep alive)
+  and safe under concurrent callers evicting each other.
+
+The memo is process-global, so CI also runs this file on its own.
 """
 
 from __future__ import annotations
 
+import gc
+import importlib
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,7 +47,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import SymbolicArray
+from repro.backend.registry import resolve_backend
 from repro.collectives import CommContext, all_to_all_index, all_to_all_two_phase
+from repro.collectives.alltoall import charge_rounds
 from repro.dist import (
     BlockRowLayout,
     CyclicRowLayout,
@@ -46,9 +62,9 @@ from repro.engine import QRJob, output_tids, resolve, run_many
 from repro.engine.mp import mp_supported
 from repro.engine.batch import clear_plan_cache
 from repro.machine import Machine
-from repro.matmul import Operand, mm3d
-from repro.matmul.mm3d import assemble, pack
-from repro.matmul.operands import route_faces
+from repro.matmul import Operand, make_grid, mm3d
+from repro.matmul.mm3d import Move, assemble, pack, route_memo
+from repro.matmul.operands import Lattice, route_faces
 from repro.util import balanced_partition, balanced_sizes
 from repro.workloads import drive, gaussian, run_qr
 
@@ -330,7 +346,7 @@ def test_assemble_of_pack_reproduces_faces_and_blocks(name, op):
             face = full[rows.start : rows.stop, cols.start : cols.stop].reshape(-1)
             for w, sp in enumerate(balanced_partition(face.size, ways)):
                 mine = [p for p in pieces if (p.a, p.b, p.way) == (a, b, w)]
-                packed = [pack(X[layout.rows_of(p.owner)], takes=((0, p.block),))[0] for p in mine]
+                packed = [pack(X[layout.rows_of(p.owner)], takes=((p.block,),))[0] for p in mine]
                 got = assemble(*packed, puts=tuple(p.part for p in mine),
                                shape=(len(sp),), dtype=X.dtype)
                 np.testing.assert_array_equal(got, face[sp.start : sp.stop])
@@ -344,7 +360,7 @@ def test_assemble_of_pack_reproduces_faces_and_blocks(name, op):
                 rows, cols = row_parts[p.a], col_parts[p.b]
                 face = full[rows.start : rows.stop, cols.start : cols.stop].reshape(-1)
                 sp = balanced_partition(face.size, ways)[p.way]
-                packed.append(pack(face[sp.start : sp.stop], takes=((0, p.part),))[0])
+                packed.append(pack(face[sp.start : sp.stop], takes=((p.part,),))[0])
             got = assemble(*packed, puts=tuple(p.block for p in mine),
                            shape=(layout.count(t), other), dtype=X.dtype)
             np.testing.assert_array_equal(got, X[layout.rows_of(t)])
@@ -479,3 +495,276 @@ def test_symbolic_mm3d_allocates_nothing_operand_sized():
     doubled = _symbolic_peak_mb(8192, 8192)
     assert base < 10.0
     assert doubled < 1.1 * base
+
+
+# ----------------------------------------------------------------------
+# The route memo: invisible, bounded, safe under concurrent callers
+# ----------------------------------------------------------------------
+
+_MM3D = importlib.import_module("repro.matmul.mm3d")   # the module, not the function
+
+
+def _same_descriptor(a, b):
+    if isinstance(a, Lattice):
+        return isinstance(b, Lattice) and (a.W, a.lo, a.hi, a.start) == (b.W, b.lo, b.hi, b.start) \
+            and np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
+    return a == b
+
+
+def _same_moves(got, want):
+    return len(got) == len(want) and all(
+        g[:4] == w[:4] and _same_descriptor(g.take, w.take) and _same_descriptor(g.put, w.put)
+        for g, w in zip(got, want)
+    )
+
+
+def _same_route(a, b):
+    for pa, pb in ((a.phase1, b.phase1), (a.phase5, b.phase5)):
+        assert _same_moves(pa.moves, pb.moves)
+        assert pa.rounds == pb.rounds
+        assert [(k.src, k.keys, k.members) for k in pa.packs] == \
+            [(k.src, k.keys, k.members) for k in pb.packs]
+        assert [(k.target, k.rank, k.members, k.meta.shape) for k in pa.assembles] == \
+            [(k.target, k.rank, k.members, k.meta.shape) for k in pb.assembles]
+    return True
+
+
+def _symbolic(machine, layout, ncols):
+    return DistMatrix(machine, layout, ncols,
+                      {p: SymbolicArray((layout.count(p), ncols)) for p in layout.participants()})
+
+
+def _item_path_machine(P, ranks, phase, alltoall):
+    """Meter a phase the per-call way: one item per move through the tagged all-to-all."""
+    machine = Machine(P)
+    ctx = CommContext(machine, ranks)
+    items = [[] for _ in ranks]
+    for i, mv in sorted(enumerate(phase.moves), key=lambda e: ctx.group_rank(e[1].src)):
+        items[ctx.group_rank(mv.src)].append(
+            (ctx.group_rank(mv.dest), i, np.zeros(mv.take.hi - mv.take.lo)))
+    alltoall(ctx, items)
+    return machine
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    P=st.integers(1, 8),
+    shape=st.tuples(st.integers(1, 11), st.integers(1, 11), st.integers(1, 11)),
+    op=st.sampled_from(["N", "T", "H"]),
+    method=st.sampled_from(["two_phase", "index"]),
+)
+def test_memo_hit_equals_a_fresh_route_and_meters_like_the_item_path(data, P, shape, op, method):
+    I, J, K = shape
+    draw_owners = lambda m: data.draw(st.lists(st.integers(0, P - 1), min_size=m, max_size=m))
+    la = ExplicitRowLayout(draw_owners(I if op == "N" else K))
+    lb = ExplicitRowLayout(draw_owners(K))
+    out = ExplicitRowLayout(draw_owners(I))
+
+    def run():
+        machine = Machine(P, backend="symbolic")
+        dA = _symbolic(machine, la, K if op == "N" else I)
+        mm3d(Operand(dA, op), _symbolic(machine, lb, J), out, method=method)
+        return machine
+
+    route_memo.clear()
+    miss = run()
+    [entry] = route_memo.entries()
+    hit = run()
+    assert route_memo.entries() == [entry]                       # found, not rebuilt
+    assert hit.report() == miss.report() and hit.words_by_label == miss.words_by_label
+
+    # The entry's pieces are a fresh route's.
+    grid = make_grid(I, J, K, list(range(P)))
+    Ip, Jp, Kp = (balanced_partition(x, w) for x, w in ((I, grid.Q), (J, grid.R), (K, grid.S)))
+    fresh = [
+        Move(p.owner, grid.rank(p.a, p.way, p.b), ("A", p.owner), ("A", p.a, p.b, p.way), p.block, p.part)
+        for p in route_faces(la, op, Ip, Kp, grid.R)
+    ] + [
+        Move(p.owner, grid.rank(p.way, p.b, p.a), ("B", p.owner), ("B", p.a, p.b, p.way), p.block, p.part)
+        for p in route_faces(lb, "N", Kp, Jp, grid.Q)
+    ]
+    assert _same_moves(entry.phase1.moves, fresh)
+    fresh = [
+        Move(grid.rank(p.a, p.b, p.way), p.owner, (p.a, p.b, p.way), p.owner, p.part, p.block)
+        for p in route_faces(out, "N", Ip, Jp, grid.S)
+    ]
+    assert _same_moves(entry.phase5.moves, fresh)
+
+    # Its rounds meter exactly like routing one item per move; every
+    # target gets its moves in (source group rank, move) order.
+    ranks = sorted(set(la.participants()) | set(lb.participants()) | set(grid.ranks)
+                   | set(out.participants()))
+    alltoall = all_to_all_two_phase if method == "two_phase" else all_to_all_index
+    for phase in (entry.phase1, entry.phase5):
+        want = _item_path_machine(P, ranks, phase, alltoall)
+        got = Machine(P)
+        charge_rounds(CommContext(got, ranks), phase.rounds)
+        assert got.report() == want.report() and got.words_by_label == want.words_by_label
+        for a in phase.assembles:
+            mine = [i for i, mv in enumerate(phase.moves) if mv.target == a.target]
+            assert list(a.members) == sorted(mine, key=lambda i: (ranks.index(phase.moves[i].src), i))
+
+
+def _caqr3d(backend, A, method):
+    machine = Machine(8, backend=backend, workers=2)
+    factors, diag_fn, _ = drive("caqr3d", machine, A, {"delta": 0.5, "method": method}, validate=False)
+    factors = machine.materialize(factors)
+    if backend == "symbolic":
+        return machine, [(f.shape, f.dtype) for f in factors], None
+    return machine, factors, diag_fn(A, factors)
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic", "parallel"])
+@pytest.mark.parametrize("method", ["two_phase", "index"])
+def test_caqr3d_miss_then_hit_is_invisible(method, backend):
+    A = resolve_backend(backend).coerce_global(gaussian(256, 64, seed=4))
+    route_memo.clear()
+    runs, entries = [], []
+    for _ in range(2):
+        machine, factors, diag = _caqr3d(backend, A, method)
+        runs.append((machine.report(), dict(machine.words_by_label), diag, factors))
+        entries.append(route_memo.entries())
+    assert entries[0] and entries[1] == entries[0]  # the second run only hit
+    (r1, w1, d1, f1), (r2, w2, d2, f2) = runs
+    assert r1 == r2 and w1 == w2 and d1 == d2
+    if backend == "symbolic":
+        assert f1 == f2
+    else:
+        for x, y in zip(f1, f2):
+            np.testing.assert_array_equal(x, y)
+        assert d1.ok(1e-10)
+
+
+def test_recorded_kernels_are_the_memo_s_and_close_over_nothing():
+    route_memo.clear()
+    plans = []
+    for _ in range(2):
+        machine = Machine(6, backend="parallel", workers=2)
+        drive("mm3d", machine, gaussian(77, 13, seed=1), {}, validate=False)
+        plans.append([t.fn for t in machine.plan.tasks if t.label.startswith("alltoall_")])
+    first, second = plans
+    assert first and all(a is b for a, b in zip(first, second))   # shared partials
+    for fn in second:
+        for plain in _plain_functions(fn):
+            assert plain.__closure__ is None
+
+
+def _shape_stream(n_shapes):
+    """Distinct small mm3d shapes: ``C = A^H A`` over a varying P."""
+    shapes = [(m, n, P) for P in (3, 4, 5, 6) for m in range(20, 60, 3) for n in (3, 5)]
+    return shapes[:n_shapes]
+
+
+def _mm3d_job(m, n, P, seed=0):
+    machine = Machine(P)
+    X = gaussian(m, n, seed=seed)
+    layout = CyclicRowLayout(m, P)
+    dA = DistMatrix.from_global(machine, X, layout)
+    C = mm3d(Operand(dA, "H"), dA, head_layout(layout, n))
+    np.testing.assert_allclose(C.to_global(), X.T @ X, rtol=1e-12, atol=1e-12)
+    return machine
+
+
+def test_a_stream_of_shapes_stays_within_budget_plus_one_entry(monkeypatch):
+    monkeypatch.setattr(_MM3D, "ROUTE_MEMO_BYTES", 400_000)
+    route_memo.clear()
+    stream = _shape_stream(56)
+    assert len(set(stream)) == len(stream) >= 50
+    for shape in stream:
+        _mm3d_job(*shape)
+        newest = route_memo.entries()[-1]
+        assert route_memo.nbytes() <= _MM3D.ROUTE_MEMO_BYTES + newest.nbytes()
+    assert 1 < len(route_memo.entries()) < len(stream)      # evictions happened
+
+
+def test_eviction_is_least_recently_used(monkeypatch):
+    # Four out layouts that differ only by a rotation of their ranks:
+    # isomorphic routes, so their entries weigh the same.
+    X, P = gaussian(40, 6, seed=2), 4
+
+    def job(k):
+        machine = Machine(P)
+        layout = CyclicRowLayout(40, P)
+        dA = DistMatrix.from_global(machine, X, layout)
+        out = CyclicRowLayout(6, P, ranks=[(r + k) % P for r in range(P)])
+        mm3d(Operand(dA, "T"), dA, out)
+        return route_memo.entries()[-1]
+
+    route_memo.clear()
+    e0, e1, e2 = job(0), job(1), job(2)
+    assert e0.nbytes() == e1.nbytes() == e2.nbytes()
+    monkeypatch.setattr(_MM3D, "ROUTE_MEMO_BYTES", 3 * e0.nbytes())
+    assert job(0) is e0                                         # a hit refreshes e0
+    e3 = job(3)
+    assert route_memo.entries() == [e2, e0, e3]                 # e1 was the oldest
+
+
+def test_an_evicted_shape_rebuilds_an_identical_entry(monkeypatch):
+    monkeypatch.setattr(_MM3D, "ROUTE_MEMO_BYTES", 1)           # keep only the newest
+    route_memo.clear()
+    first = _mm3d_job(50, 7, 5)
+    [before] = route_memo.entries()
+    _mm3d_job(41, 4, 6)
+    assert before not in route_memo.entries()
+    again = _mm3d_job(50, 7, 5)
+    [after] = route_memo.entries()
+    assert after is not before and _same_route(after, before)
+    assert again.report() == first.report() and again.words_by_label == first.words_by_label
+
+
+def _retained_by_entry(backend):
+    """(bytes the entry accounts for, bytes freed when the memo drops it)."""
+    route_memo.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        machine = Machine(6, backend=backend, workers=2)
+        A = resolve_backend(backend).coerce_global(gaussian(90, 20, seed=3))
+        factors, _diag, _slicer = drive("mm3d", machine, A, {}, validate=False)
+        machine.materialize(factors)        # engines expand index vectors here
+        del machine, factors
+        gc.collect()
+        [entry] = route_memo.entries()
+        accounted = entry.nbytes()
+        del entry
+        held = tracemalloc.get_traced_memory()[0]
+        route_memo.clear()
+        gc.collect()
+        return accounted, held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic", "parallel"])
+def test_entry_bytes_cover_what_the_entry_keeps_alive(backend):
+    accounted, freed = _retained_by_entry(backend)
+    assert freed <= accounted <= 2 * freed
+
+
+def test_concurrent_callers_under_a_tiny_budget_equal_serial(monkeypatch):
+    """Threads record and run caqr3d on one shape and on distinct shapes
+    while every insertion evicts every other entry."""
+    shapes = [(256, 64), (200, 48), (128, 32)]
+    inputs = {s: gaussian(*s, seed=11) for s in shapes}
+    want = {}
+    for s, X in inputs.items():
+        machine, factors, diag = _caqr3d("numeric", X, "two_phase")
+        want[s] = (machine.report(), factors)
+    monkeypatch.setattr(_MM3D, "ROUTE_MEMO_BYTES", 1)
+    jobs = [(backend, s) for s in shapes + [shapes[0]] * 3 for backend in ("numeric", "parallel")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [(s, pool.submit(_caqr3d, b, inputs[s], "two_phase")) for b, s in jobs]
+            got = [(s, f.result(timeout=300)) for s, f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == len(jobs)
+    for s, (machine, factors, _diag) in got:
+        report, expect = want[s]
+        assert machine.report() == report
+        for x, y in zip(factors, expect):
+            np.testing.assert_array_equal(x, y)
+    assert len(route_memo.entries()) == 1

@@ -15,6 +15,7 @@ from repro.workloads import (
     near_rank_deficient,
     run_qr,
 )
+from repro.workloads.matrices import GENERATORS
 
 
 class TestGenerators:
@@ -47,6 +48,61 @@ class TestGenerators:
         A = identity_tall(6, 3)
         assert np.allclose(A[:3], np.eye(3))
         assert not A[3:].any()
+
+    def test_identity_tall_refuses_wide_shapes(self):
+        with pytest.raises(ValueError, match="3 x 5"):
+            identity_tall(3, 5)
+
+    @pytest.mark.parametrize("m, n, rank", [(6, 4, 9), (6, 4, 5), (4, 6, 5)])
+    def test_near_rank_deficient_refuses_a_rank_above_min_m_n(self, m, n, rank):
+        with pytest.raises(ValueError, match=f"rank {rank}"):
+            near_rank_deficient(m, n, rank=rank)
+
+
+# Every generator at every shape class (m > n, m = n, m < n, n = 1), with
+# default knobs and seed 0.  ``rank`` is the numerical rank at relative
+# tolerance 1e-11 (below every graded or scaled singular value, above
+# the 1e-12 noise); ``kappa`` = s_max / s_min is pinned within ``factor``
+# either way: gaussian is well conditioned, graded is exactly ``cond``
+# = 1e10, near_rank_deficient is about s_max / noise = 1e12, and
+# column_scaled is about ``span ** ((min(m, n) - 1) / (n - 1))`` for
+# ``span`` = 1e8 (the k largest column scales dominate).  A single
+# column has one singular value: kappa 1.
+GENERATOR_CASES = [
+    ("gaussian", 12, 5, 5, 1.0, 100),
+    ("gaussian", 8, 8, 8, 1.0, 100),
+    ("gaussian", 5, 12, 5, 1.0, 100),
+    ("gaussian", 9, 1, 1, 1.0, 1.000001),
+    ("graded", 12, 5, 5, 1e10, 1.01),
+    ("graded", 8, 8, 8, 1e10, 1.01),
+    ("graded", 5, 12, 5, 1e10, 1.01),
+    ("graded", 9, 1, 1, 1.0, 1.000001),
+    ("near_rank_deficient", 12, 5, 2, 1e12, 100),
+    ("near_rank_deficient", 8, 8, 4, 1e12, 100),
+    ("near_rank_deficient", 5, 12, 2, 1e12, 100),
+    ("near_rank_deficient", 9, 1, 1, 1.0, 1.000001),
+    ("column_scaled", 12, 5, 5, 1e8, 20),
+    ("column_scaled", 8, 8, 8, 1e8, 20),
+    ("column_scaled", 5, 12, 5, 1e8 ** (4 / 11), 20),
+    ("column_scaled", 9, 1, 1, 1.0, 1.000001),
+]
+
+
+@pytest.mark.parametrize("name, m, n, rank, kappa, factor", GENERATOR_CASES)
+def test_generator_shape_rank_and_condition(name, m, n, rank, kappa, factor):
+    A = GENERATORS[name](m, n)
+    assert A.shape == (m, n)
+    s = np.linalg.svd(A, compute_uv=False)
+    assert np.linalg.matrix_rank(A, tol=1e-11 * s[0]) == rank
+    assert kappa / factor <= s[0] / s[-1] <= kappa * factor
+
+
+def test_generator_table_covers_every_generator_and_shape_class():
+    for name in GENERATORS:
+        shapes = [(m, n) for case, m, n, *_ in GENERATOR_CASES if case == name]
+        assert sorted(np.sign([m - n for m, n in shapes])) == [-1, 0, 1, 1]
+        assert any(n == 1 for _, n in shapes)
+    assert {case[0] for case in GENERATOR_CASES} == set(GENERATORS)
 
 
 class TestRunHarness:
