@@ -39,12 +39,16 @@ outputs -- and derives the rest from it:
    *after* the writer, which no record-time test can.  Sound because a
    lane walks its tasks in tid order, so a same-worker reader with a
    lower tid has finished before ``W`` starts.
-3. **Argument pre-resolution** -- each task's argument tree is walked
-   once at bind time and specialized into a flat tuple of zero-argument
-   value makers (constant / local read / input fetch / remote fetch),
-   so the per-execution hot path is ``fn(*make_args())`` with no dict
-   lookups and no isinstance chains; an ``updates=`` task's ``fn`` is
-   wrapped there, once, with its copies.
+3. **Argument pre-resolution** -- each task's arguments are walked
+   once at bind time into one :class:`BoundTask` record: the recorded
+   ``args`` tuple, a ``(position, producer, index)`` entry per top-level
+   ``Ref`` the lane reads straight off ``producer.value``, and a
+   zero-argument maker only for an argument that needs more (a remote
+   fetch, an mp input fetch, a nested container holding Refs).  The
+   per-execution hot path is ``fn(*make_args())`` with no dict lookups,
+   no isinstance chains and no closure per argument; an ``updates=``
+   task copies its compiled :attr:`CompiledPlan.copies` positions into
+   the argument list that call builds.
 
 None of the three changes a computed value.  The compiled artifact is
 engine-agnostic: the thread :class:`~repro.engine.executor.Engine`
@@ -60,7 +64,6 @@ its tasks on lanes, never changes its dataflow); Section 8.4
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.engine.plan import Plan, Ref, Task, _scan_refs
@@ -94,8 +97,8 @@ class Publisher:
 class CompiledPlan:
     """The once-per-plan schedule: ownership, lanes, edges, copies, statistics.
 
-    Pure data -- binding it to an engine (closures over that engine's
-    fetch primitives) happens per worker in :func:`bind_stream`.
+    Pure data -- binding it to an engine (that engine's fetch
+    primitives) happens per worker in :func:`bind_stream`.
     """
 
     workers: int
@@ -339,38 +342,82 @@ def compile_plan(plan: Plan, workers: int, replicate_rankless: bool = False) -> 
 
 
 # ----------------------------------------------------------------------
-# Binding: specialize argument resolution into zero-arg closures
+# Binding: one record per task, read at call time
 # ----------------------------------------------------------------------
 
 class BoundTask:
-    """A task plus its pre-resolved argument maker: ``fn(*make_args())``."""
+    """A task bound to one lane: ``run()`` is ``fn(*make_args())``.
 
-    __slots__ = ("task", "fn", "make_args")
-
-    def __init__(self, task: Task, fn: Callable[..., Any],
-                 make_args: Callable[[], tuple]) -> None:
-        self.task = task
-        self.fn = fn
-        self.make_args = make_args
-
-
-def _run_updating(fn, updates, copies, splat, *vals):
-    """Thunk of an ``updates=`` task: copy shared targets, run, re-emit.
-
-    The task's value is ``(*written arrays, *outputs)``; the written
-    arrays are the new values of the lazy arguments ``defer`` rebound.
-    A kernel that only writes (it returns ``None``) has no outputs.
+    ``args`` is the recorded argument tuple.  ``reads`` holds one
+    ``(position, producer, index)`` per top-level :class:`Ref` this lane
+    reads straight off ``producer.value``; ``makers`` one ``(position,
+    maker)`` per argument that needs more -- a remote fetch, an input
+    fetch, a nested container holding Refs.  ``reads is None`` marks a
+    constant-only task.  ``copies`` is ``None`` unless the task writes
+    in place (:attr:`CompiledPlan.copies` of its tid).
     """
-    vals = list(vals)
+
+    __slots__ = ("task", "fn", "args", "reads", "makers", "copies")
+
+    def __init__(self, task: Task, reads: tuple | None, makers: tuple,
+                 copies: tuple | None) -> None:
+        self.task = task
+        self.fn = task.fn
+        self.args = task.args
+        self.reads = reads
+        self.makers = makers
+        self.copies = copies
+
+    def make_args(self) -> tuple | list:
+        """The task's argument values, read now (so replays see new ones)."""
+        reads = self.reads
+        if reads is None:
+            return self.args
+        vals = list(self.args)
+        for i, dep, sel in reads:
+            vals[i] = dep.value if sel is None else dep.value[sel]
+        for i, make in self.makers:
+            vals[i] = make()
+        return vals
+
+    def run(self) -> Any:
+        """Compute the task's value."""
+        if self.copies is None:
+            return self.fn(*self.make_args())
+        return _run_updating(self.fn, self.task.writes, self.copies, self.make_args())
+
+
+def _run_updating(fn, writes, copies, vals):
+    """Run an ``updates=`` task: copy shared targets, run, re-emit.
+
+    ``vals`` is the argument list :meth:`BoundTask.make_args` built;
+    the copies go into it.  The task's value is ``(*written arrays,
+    *outputs)``; the written arrays are the new values of the lazy
+    arguments ``defer`` rebound.  A kernel that only writes (it returns
+    ``None``) has no outputs.
+    """
     for i in copies:
         # order="K": the kernel sees the memory order it would have been
         # handed in place (a column-major buffer stays column-major).
         vals[i] = vals[i].copy(order="K")
     out = fn(*vals)
-    written = tuple(vals[i] for i in updates)
+    written = tuple(vals[i] for i in writes.updates)
     if out is None:
         return written
-    return written + (tuple(out) if splat else (out,))
+    return written + (tuple(out) if writes.splat else (out,))
+
+
+def _direct(dep: Task, widx: int, owner: list, input_fetch) -> bool:
+    """True when lane ``widx`` reads ``dep.value`` straight off ``dep``.
+
+    An input leaf does in thread mode (no ``input_fetch``: leaves live in
+    this address space, read at call time so ``Plan.rebind`` is honored
+    on replays); a task does when this lane owns it or every lane runs it.
+    """
+    if dep.is_input:
+        return input_fetch is None
+    o = owner[dep.tid]
+    return o == widx or o == REPLICATED
 
 
 def _maker(
@@ -384,21 +431,14 @@ def _maker(
     """A zero-arg value maker for ``obj``, or ``None`` when constant."""
     if isinstance(obj, Ref):
         dep, sel = obj.task, obj.index
-        if dep.is_input:
-            if input_fetch is None:
-                # Thread mode: leaves live in this address space; read
-                # at call time so Plan.rebind is honored on replays.
-                if sel is None:
-                    return lambda: dep.value
-                return lambda: dep.value[sel]
-            if sel is None:
-                return lambda: input_fetch(dep)
-            return lambda: input_fetch(dep)[sel]
-        o = owner[dep.tid]
-        if o == widx or o == REPLICATED:
+        if _direct(dep, widx, owner, input_fetch):
             if sel is None:
                 return lambda: dep.value
             return lambda: dep.value[sel]
+        if dep.is_input:
+            if sel is None:
+                return lambda: input_fetch(dep)
+            return lambda: input_fetch(dep)[sel]
         if sel is None:
             return lambda: remote_fetch(dep, consumer)
         return lambda: remote_fetch(dep, consumer)[sel]
@@ -423,28 +463,6 @@ def _maker(
     return None
 
 
-def _args_maker(task: Task, widx: int, owner: list,
-                input_fetch, remote_fetch) -> Callable[[], tuple]:
-    subs = [_maker(a, task, widx, owner, input_fetch, remote_fetch)
-            for a in task.args]
-    if all(s is None for s in subs):
-        args = task.args
-        return lambda: args
-    fns = [s if s is not None else (lambda v=v: v)
-           for s, v in zip(subs, task.args)]
-    # Arity-specialized tuple construction for the common small cases.
-    if len(fns) == 1:
-        f0, = fns
-        return lambda: (f0(),)
-    if len(fns) == 2:
-        f0, f1 = fns
-        return lambda: (f0(), f1())
-    if len(fns) == 3:
-        f0, f1, f2 = fns
-        return lambda: (f0(), f1(), f2())
-    return lambda: tuple(f() for f in fns)
-
-
 def bind_stream(
     cplan: CompiledPlan,
     widx: int,
@@ -456,18 +474,31 @@ def bind_stream(
     ``input_fetch(leaf)`` materializes an input leaf's current value
     (``None`` means "read ``leaf.value`` directly" -- the thread mode);
     ``remote_fetch(dep, consumer)`` blocks on a cross-worker producer.
-    The returned closures read producer values at *call* time, so one
-    binding is reused across every replay of the plan.  This is the one
-    place an ``updates=`` task's ``fn`` meets its compiled copies.
+    A top-level :class:`Ref` this lane can read directly becomes a
+    ``reads`` entry, anything else that holds a Ref a maker; both read
+    producer values at *call* time, so one binding is reused across
+    every replay of the plan.
     """
     owner = cplan.owner
+    copies = cplan.copies
     bound = []
     for t in cplan.streams[widx]:
-        fn = t.fn
-        if t.writes is not None:
-            fn = partial(_run_updating, fn, t.writes.updates,
-                         cplan.copies[t.tid], t.writes.splat)
-        bound.append(
-            BoundTask(t, fn, _args_maker(t, widx, owner, input_fetch, remote_fetch))
-        )
+        reads = []
+        makers = []
+        for i, a in enumerate(t.args):
+            if type(a) is Ref:
+                if _direct(a.task, widx, owner, input_fetch):
+                    reads.append((i, a.task, a.index))
+                    continue
+            elif not isinstance(a, (list, tuple, dict)):
+                continue
+            make = _maker(a, t, widx, owner, input_fetch, remote_fetch)
+            if make is not None:
+                makers.append((i, make))
+        bound.append(BoundTask(
+            t,
+            tuple(reads) if reads or makers else None,
+            tuple(makers),
+            copies[t.tid] if t.writes is not None else None,
+        ))
     return bound

@@ -43,7 +43,10 @@ original exception, so consumers blocked in a wait release in
 milliseconds (raising
 :class:`~repro.collectives.rendezvous.RendezvousAborted` with the cause
 chained) instead of burning the deadlock-guard timeout, and no worker
-thread outlives :meth:`Engine.execute`.  A typed
+thread outlives :meth:`Engine.execute`.  An interrupt (``KeyboardInterrupt``)
+that reaches the calling thread while it waits on the lanes does the
+same and also stops every lane at its next task boundary; it is
+re-raised unwrapped once they have joined.  A typed
 :class:`~repro.machine.exceptions.RankFailure` (deterministic fault
 injection, :mod:`repro.faults`) is re-raised unwrapped; an installed
 recovery policy (``FailFast`` / ``RetryTask`` / ``CodedRecovery``, see
@@ -221,6 +224,9 @@ class Engine(EngineBase):
         # binding outlives any single execute() call).
         self._ctimeout = [self.timeout]
         self._progress = [0]
+        # Set when the caller is interrupted mid-execute: every stream
+        # stops at its next task boundary.
+        self._halt = [False]
 
     # ------------------------------------------------------------------
     # Execution
@@ -335,6 +341,7 @@ class Engine(EngineBase):
     def _execute_compiled(self, pending: list[Task], timeout: float) -> None:
         """Run the not-done remainder on the compiled worker streams."""
         self._ctimeout[0] = timeout
+        self._halt[0] = False
         if self._cplan.workers == 1:
             # One lane, zero rendezvous: run in the caller's thread
             # (nothing can block, so no guard).
@@ -368,8 +375,13 @@ class Engine(EngineBase):
         the scheduler, so the deadlock guard watches a per-task progress
         counter: no task completing for ``timeout`` seconds while work
         is outstanding trips :class:`EngineDeadlockError`.
+
+        An exception raised in the caller's own wait (``KeyboardInterrupt``)
+        poisons the pending slots and stops every stream at its next task
+        boundary; it is re-raised unwrapped once the pool has joined.
         """
         progress = self._progress
+        halt = self._halt
         done_q: "queue.SimpleQueue[BaseException | None]" = queue.SimpleQueue()
 
         def run(bs: "_BoundStream") -> None:
@@ -382,39 +394,47 @@ class Engine(EngineBase):
         remaining = len(live)
         failure: BaseException | None = None
         deadlock: EngineDeadlockError | None = None
+        interrupt: BaseException | None = None
         poll = min(timeout, 0.25)
         with ThreadPoolExecutor(max_workers=min(self.workers, len(live))) as pool:
-            for bs in live:
-                pool.submit(run, bs)
-            last = progress[0]
-            stall = 0.0
-            while remaining:
-                try:
-                    exc = done_q.get(timeout=poll)
-                except queue.Empty:
-                    if progress[0] != last:
-                        last = progress[0]
-                        stall = 0.0
-                        continue
-                    stall += poll
-                    if stall + 1e-9 >= timeout:
-                        outstanding = sum(1 for t in pending if not t.done)
-                        deadlock = EngineDeadlockError(
-                            f"no task completed within {timeout}s; "
-                            f"{outstanding} tasks outstanding (deadlock guard)"
-                        )
-                        self._abort(pending, deadlock)
-                        break
-                    continue
-                remaining -= 1
+            try:
+                for bs in live:
+                    pool.submit(run, bs)
                 last = progress[0]
                 stall = 0.0
-                if exc is not None:
-                    failure = exc
-                    self._abort(pending, exc)
-                    break
+                while remaining:
+                    try:
+                        exc = done_q.get(timeout=poll)
+                    except queue.Empty:
+                        if progress[0] != last:
+                            last = progress[0]
+                            stall = 0.0
+                            continue
+                        stall += poll
+                        if stall + 1e-9 >= timeout:
+                            outstanding = sum(1 for t in pending if not t.done)
+                            deadlock = EngineDeadlockError(
+                                f"no task completed within {timeout}s; "
+                                f"{outstanding} tasks outstanding (deadlock guard)"
+                            )
+                            self._abort(pending, deadlock)
+                            break
+                        continue
+                    remaining -= 1
+                    last = progress[0]
+                    stall = 0.0
+                    if exc is not None:
+                        failure = exc
+                        self._abort(pending, exc)
+                        break
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                interrupt = exc
+                halt[0] = True
+                self._abort(pending, exc)
         # The `with` block joined every worker (poisoned slots release
-        # blocked streams in milliseconds).
+        # blocked streams in milliseconds, a halt ends the others).
+        if interrupt is not None:
+            raise interrupt
         if failure is not None:
             raise injected_first([failure])
         if deadlock is not None:
@@ -431,11 +451,14 @@ class Engine(EngineBase):
         advances once per task run.  One telemetry span per task.
         """
         fp = self.fault_plan
+        halt = self._halt
         try:
             for bt in tasks:
                 task = bt.task
                 if task.done:
                     continue
+                if halt[0]:
+                    return
                 rec = self.telemetry
                 enabled = rec.enabled
                 if enabled:
@@ -443,7 +466,7 @@ class Engine(EngineBase):
                     waits[0] = 0.0
                 if fp is not None and task.rank is not None:
                     fp.on_task(task.rank, task.label, telemetry=rec)
-                task.value = bt.fn(*bt.make_args())
+                task.value = bt.run()
                 rv = task.rendezvous
                 if rv is not None:
                     rv.put(task.value)

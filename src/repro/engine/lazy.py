@@ -82,6 +82,27 @@ def _scan_lazies(obj: Any, out: list["LazyArray"]) -> None:
             _scan_lazies(o, out)
 
 
+def _ref_of(la: "LazyArray") -> Ref:
+    return la.ref
+
+
+def _flat_refs(args: tuple, lazies: list["LazyArray"]) -> tuple | None:
+    """One pass over a flat ``args``: each lazy swapped for its ``Ref``.
+
+    Appends the lazies to ``lazies`` in order; ``None`` (``lazies`` then
+    partly filled) when an element nests a list, tuple or dict.
+    """
+    out = []
+    for a in args:
+        if isinstance(a, LazyArray):
+            lazies.append(a)
+            a = a.ref
+        elif isinstance(a, (list, tuple, dict)):
+            return None
+        out.append(a)
+    return tuple(out)
+
+
 def _plan_of(lazies: list["LazyArray"]) -> Plan:
     plan = lazies[0].plan
     for la in lazies[1:]:
@@ -129,10 +150,13 @@ def defer(
     <repro.engine.plan.Task>`; the ``machine.kernel`` contract).
     """
     lazies: list[LazyArray] = []
-    _scan_lazies(args, lazies)
+    exec_args = _flat_refs(args, lazies) if type(args) is tuple else None
+    if exec_args is None:
+        lazies.clear()
+        _scan_lazies(args, lazies)
+        exec_args = _map_structure(args, _ref_of)
     if rank is None:
         rank = _rank_hint(lazies)
-    exec_args = _map_structure(args, lambda la: la.ref)
     targets = [args[i] for i in updates]
     if not all(isinstance(la, LazyArray) for la in targets):
         raise EngineError("defer(updates=...) positions must hold lazy arrays")

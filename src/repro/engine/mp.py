@@ -264,7 +264,7 @@ def _worker_main(
                 waited[0] = 0.0
                 if fault_plan is not None and task.rank is not None:
                     fault_plan.on_task(task.rank, task.label)
-                value = bt.fn(*bt.make_args())
+                value = bt.run()
                 task.value = value
                 n_run += 1
                 for j in my_sends.get(task.tid, ()):

@@ -714,6 +714,82 @@ class TestKeyboardInterrupt:
             np.testing.assert_array_equal(got, ref)
         assert [t for t in threading.enumerate() if t.ident not in before] == []
 
+    def test_interrupt_in_the_callers_wait_stops_every_stream(
+        self, first_execute_on_workers, monkeypatch
+    ):
+        # Ctrl-C lands in the calling thread while it waits on the pool:
+        # the streams stop at their next task boundary instead of
+        # running the whole job before the interrupt surfaces.
+        import _thread
+        import importlib
+        import queue
+        import threading
+        import types
+
+        from repro.engine import executor, resolve
+        from repro.engine.batch import _PLAN_CACHE
+        from repro.workloads import drive
+
+        tsqr_mod = importlib.import_module("repro.qr.tsqr")
+        pack = tsqr_mod.pack_triu
+        slow = threading.Event()
+        waiting = threading.Event()
+        ran = [0]
+        armed = [True]
+
+        def slow_pack(*args, **kwargs):
+            if armed[0]:
+                ran[0] += 1
+                slow.set()
+                time.sleep(0.3)
+            return pack(*args, **kwargs)
+
+        class WatchedQueue(queue.SimpleQueue):
+            """The engine's completion queue; says when the caller waits."""
+
+            def get(self, *args, **kwargs):
+                if threading.current_thread() is threading.main_thread():
+                    waiting.set()
+                return super().get(*args, **kwargs)
+
+        fired: list[float] = []
+
+        def interrupter():
+            # The interrupt lands while a slow kernel runs and the caller
+            # waits on the lanes (not while it is still starting them).
+            if slow.wait(30) and waiting.wait(30):
+                fired.append(time.perf_counter())
+                _thread.interrupt_main()
+
+        monkeypatch.setattr(tsqr_mod, "pack_triu", slow_pack)
+        monkeypatch.setattr(executor, "queue", types.SimpleNamespace(
+            SimpleQueue=WatchedQueue, Empty=queue.Empty))
+        jobs = [QRJob("tsqr", gaussian(256, 8, seed=s)) for s in (30, 31)]
+        before = {t.ident for t in threading.enumerate()}
+        th = threading.Thread(target=interrupter)
+        th.start()
+        try:
+            with pytest.raises(KeyboardInterrupt) as exc:
+                run_many(jobs[:1], P=8, workers=2, validate=True)
+            raised = time.perf_counter()
+        finally:
+            armed[0] = False
+            th.join(timeout=30)
+        assert type(exc.value) is KeyboardInterrupt
+        assert first_execute_on_workers == [2]
+        assert raised - fired[0] < 1.0
+        assert 1 <= ran[0] <= 2
+        assert [t.name for t in threading.enumerate() if t.ident not in before] == []
+
+        (res,) = run_many(jobs[1:], P=8, workers=2, validate=True)
+        want = run_qr("tsqr", jobs[1].A, P=8, validate=True)
+        assert isinstance(res.report, CostReport) and res.report == want.report
+        assert res.diagnostics == want.diagnostics
+        (cached,) = _PLAN_CACHE.values()
+        serial = drive("tsqr", Machine(8), jobs[1].A, {}, validate=False)[0]
+        for got, ref in zip(resolve(cached.lazy_factors), serial):
+            np.testing.assert_array_equal(got, ref)
+
 
 class TestMatmulParallel:
     def test_mm1d_and_mm3d_match_numeric(self):
