@@ -379,6 +379,9 @@ class Engine(EngineBase):
         An exception raised in the caller's own wait (``KeyboardInterrupt``)
         poisons the pending slots and stops every stream at its next task
         boundary; it is re-raised unwrapped once the pool has joined.
+        Every stream reports once, so the wait loop is also the join: an
+        interrupt while the streams wind down after a failure is caught
+        the same way.
         """
         progress = self._progress
         halt = self._halt
@@ -406,6 +409,8 @@ class Engine(EngineBase):
                     try:
                         exc = done_q.get(timeout=poll)
                     except queue.Empty:
+                        if failure is not None or deadlock is not None:
+                            continue  # joining: the slots are already poisoned
                         if progress[0] != last:
                             last = progress[0]
                             stall = 0.0
@@ -418,21 +423,20 @@ class Engine(EngineBase):
                                 f"{outstanding} tasks outstanding (deadlock guard)"
                             )
                             self._abort(pending, deadlock)
-                            break
                         continue
                     remaining -= 1
                     last = progress[0]
                     stall = 0.0
-                    if exc is not None:
+                    if exc is not None and failure is None and deadlock is None:
                         failure = exc
                         self._abort(pending, exc)
-                        break
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 interrupt = exc
                 halt[0] = True
                 self._abort(pending, exc)
-        # The `with` block joined every worker (poisoned slots release
-        # blocked streams in milliseconds, a halt ends the others).
+        # Every stream has reported or (after an interrupt) the `with`
+        # block joined it: poisoned slots release blocked streams in
+        # milliseconds, a halt ends the others.
         if interrupt is not None:
             raise interrupt
         if failure is not None:

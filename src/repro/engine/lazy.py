@@ -82,25 +82,24 @@ def _scan_lazies(obj: Any, out: list["LazyArray"]) -> None:
             _scan_lazies(o, out)
 
 
-def _ref_of(la: "LazyArray") -> Ref:
-    return la.ref
+def _refs(obj: Any, lazies: list["LazyArray"]) -> Any:
+    """``obj`` with each lazy swapped for its ``Ref``, in one walk.
 
-
-def _flat_refs(args: tuple, lazies: list["LazyArray"]) -> tuple | None:
-    """One pass over a flat ``args``: each lazy swapped for its ``Ref``.
-
-    Appends the lazies to ``lazies`` in order; ``None`` (``lazies`` then
-    partly filled) when an element nests a list, tuple or dict.
+    Appends the lazies to ``lazies`` in order and recurses only into
+    nested lists, tuples and dicts (rebuilt as plain ones), so a flat
+    argument tuple is one loop.
     """
+    if isinstance(obj, dict):
+        return dict(zip(obj, _refs(tuple(obj.values()), lazies)))
     out = []
-    for a in args:
+    for a in obj:
         if isinstance(a, LazyArray):
             lazies.append(a)
             a = a.ref
         elif isinstance(a, (list, tuple, dict)):
-            return None
+            a = _refs(a, lazies)
         out.append(a)
-    return tuple(out)
+    return out if isinstance(obj, list) else tuple(out)
 
 
 def _plan_of(lazies: list["LazyArray"]) -> Plan:
@@ -150,11 +149,7 @@ def defer(
     <repro.engine.plan.Task>`; the ``machine.kernel`` contract).
     """
     lazies: list[LazyArray] = []
-    exec_args = _flat_refs(args, lazies) if type(args) is tuple else None
-    if exec_args is None:
-        lazies.clear()
-        _scan_lazies(args, lazies)
-        exec_args = _map_structure(args, _ref_of)
+    exec_args = _refs(args, lazies)
     if rank is None:
         rank = _rank_hint(lazies)
     targets = [args[i] for i in updates]

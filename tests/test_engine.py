@@ -20,6 +20,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.collectives import (
     CommContext,
@@ -165,6 +167,43 @@ class TestDeterminism:
                        first.meta, rank=1, label="late-consumer")
         out = machine.materialize(second, timeout=GUARD_TIMEOUT)
         np.testing.assert_array_equal(out, np.full((2, 2), 6.0))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_defer_records_what_a_scan_and_a_map_record(self, data):
+        # defer swaps each lazy for its Ref in one walk; the scan-then-map
+        # pair it replaced (the oracle) records the same args, and the
+        # same first lazy lends the task its rank.
+        from repro.engine import Ref, defer
+        from repro.engine.lazy import _map_structure, _scan_lazies
+
+        def shape(obj):
+            if isinstance(obj, Ref):
+                return ("ref", id(obj.task), obj.index)
+            if isinstance(obj, (list, tuple)):
+                return (type(obj).__name__, [shape(o) for o in obj])
+            if isinstance(obj, dict):
+                return ("dict", [(k, shape(v)) for k, v in obj.items()])
+            return obj
+
+        machine = Machine(3, backend="parallel")
+        meta = machine.ops.asarray(np.zeros(2)).meta
+        leaves = [defer(machine.plan, np.zeros, (2,), meta, rank=r) for r in range(3)]
+        leaf = st.sampled_from(leaves) | st.integers(0, 9) | st.none()
+        tree = st.recursive(
+            leaf,
+            lambda kids: st.lists(kids, max_size=3)
+            | st.tuples(kids, kids)
+            | st.dictionaries(st.sampled_from("abc"), kids, max_size=3),
+            max_leaves=8,
+        )
+        args = tuple(data.draw(st.lists(tree, max_size=4)))
+        lazies = []
+        _scan_lazies(args, lazies)
+        defer(machine.plan, lambda *a: None, args, meta, label="probe")
+        task = machine.plan.tasks[-1]
+        assert shape(task.args) == shape(_map_structure(args, lambda la: la.ref))
+        assert task.rank == (lazies[0].ref.task.rank if lazies else None)
 
 
 def _parallel_blocks(P, shape=(3, 2), seed=0):
@@ -714,15 +753,18 @@ class TestKeyboardInterrupt:
             np.testing.assert_array_equal(got, ref)
         assert [t for t in threading.enumerate() if t.ident not in before] == []
 
+    @pytest.mark.parametrize("where", ["wait", "join"])
     def test_interrupt_in_the_callers_wait_stops_every_stream(
-        self, first_execute_on_workers, monkeypatch
+        self, where, first_execute_on_workers, monkeypatch
     ):
-        # Ctrl-C lands in the calling thread while it waits on the pool:
-        # the streams stop at their next task boundary instead of
-        # running the whole job before the interrupt surfaces.
-        import _thread
+        # Ctrl-C (SIGINT to the main thread) lands while the caller waits
+        # on the pool: the streams stop at their next task boundary
+        # instead of running the whole job before the interrupt surfaces.
+        # "join": the receiving lane fails first, and the interrupt lands
+        # while the caller waits for the sending lane to wind down.
         import importlib
         import queue
+        import signal
         import threading
         import types
 
@@ -731,9 +773,9 @@ class TestKeyboardInterrupt:
         from repro.workloads import drive
 
         tsqr_mod = importlib.import_module("repro.qr.tsqr")
-        pack = tsqr_mod.pack_triu
+        pack, unpack = tsqr_mod.pack_triu, tsqr_mod.unpack_triu
         slow = threading.Event()
-        waiting = threading.Event()
+        ready = threading.Event()  # the caller waits ("join": saw the failure)
         ran = [0]
         armed = [True]
 
@@ -744,23 +786,35 @@ class TestKeyboardInterrupt:
                 time.sleep(0.3)
             return pack(*args, **kwargs)
 
+        def failing_unpack(*args, **kwargs):
+            if armed[0]:
+                raise RuntimeError("the receiving lane fails first")
+            return unpack(*args, **kwargs)
+
         class WatchedQueue(queue.SimpleQueue):
             """The engine's completion queue; says when the caller waits."""
 
             def get(self, *args, **kwargs):
-                if threading.current_thread() is threading.main_thread():
-                    waiting.set()
-                return super().get(*args, **kwargs)
+                main = threading.current_thread() is threading.main_thread()
+                if main and where == "wait":
+                    ready.set()
+                item = super().get(*args, **kwargs)
+                if main and item is not None:
+                    ready.set()
+                return item
 
         fired: list[float] = []
+        main_ident = threading.main_thread().ident
 
         def interrupter():
             # The interrupt lands while a slow kernel runs and the caller
             # waits on the lanes (not while it is still starting them).
-            if slow.wait(30) and waiting.wait(30):
+            if slow.wait(30) and ready.wait(30):
                 fired.append(time.perf_counter())
-                _thread.interrupt_main()
+                signal.pthread_kill(main_ident, signal.SIGINT)
 
+        if where == "join":
+            monkeypatch.setattr(tsqr_mod, "unpack_triu", failing_unpack)
         monkeypatch.setattr(tsqr_mod, "pack_triu", slow_pack)
         monkeypatch.setattr(executor, "queue", types.SimpleNamespace(
             SimpleQueue=WatchedQueue, Empty=queue.Empty))
