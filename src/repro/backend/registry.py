@@ -4,7 +4,7 @@ A :class:`Backend` bundles everything a
 :class:`~repro.machine.Machine` needs to execute in one mode -- the
 array-coercion rules, the ops table (``machine.ops``), the
 plan-recording hooks of the deferred engine, the engine factory, and
-the capability flags the run harness consults.  The three built-in
+the flags the run harness consults.  The three built-in
 modes are registered by name:
 
 =========== ==========================================================
@@ -26,8 +26,6 @@ variant) plugs in with :func:`register_backend` and no core changes:
 'numeric'
 >>> sorted(available_backends())
 ['numeric', 'parallel', 'parallel-mp', 'symbolic']
->>> get_backend("parallel").supports("caqr2d")
-True
 >>> get_backend("symbolic").telemetry       # cost-only: no runtime spans
 'simulated'
 >>> get_backend("parallel").telemetry
@@ -40,7 +38,7 @@ True
 'none'
 
 This module is also the only place allowed to compare backend names;
-everywhere else consults :class:`Backend` flags and capabilities.
+everywhere else consults :class:`Backend` flags.
 
 Paper anchor: Section 3 (one cost model, interchangeable executions).
 """
@@ -75,8 +73,8 @@ class Backend:
 
     Subclasses override the class attributes and the factory methods;
     the base class implements the numeric-style defaults (concrete
-    values, no plan, full algorithm coverage) so a minimal third-party
-    backend only declares what it changes.
+    values, no plan) so a minimal third-party backend only declares
+    what it changes.
     """
 
     #: Registry key; also ``machine.backend`` after construction.
@@ -91,10 +89,6 @@ class Backend:
     concrete: bool = True
     #: True when results carry values that can be numerically validated.
     validates: bool = True
-    #: Algorithm names this backend can execute, or ``None`` for all.
-    #: :meth:`require` turns a miss into a typed
-    #: :class:`~repro.machine.BackendCapabilityError`.
-    capabilities: frozenset[str] | None = None
     #: Telemetry capability (:mod:`repro.telemetry`): ``"runtime"`` when
     #: executions produce real wall-clock spans worth tracing (eager
     #: numeric kernels, the parallel engine's tasks), ``"simulated"``
@@ -108,20 +102,6 @@ class Backend:
     #: ``"none"`` when nothing actually executes and so nothing can die
     #: (symbolic; a coded run's *cost accounting* still works there).
     faults: str = "inject"
-
-    # ------------------------------------------------------------------
-    # Capability flags
-    # ------------------------------------------------------------------
-    def supports(self, algorithm: str) -> bool:
-        """True when this backend can execute ``algorithm`` end to end."""
-        return self.capabilities is None or algorithm in self.capabilities
-
-    def require(self, algorithm: str) -> None:
-        """Raise :class:`BackendCapabilityError` unless supported."""
-        if not self.supports(algorithm):
-            from repro.machine.exceptions import BackendCapabilityError
-
-            raise BackendCapabilityError(self.name, algorithm, self.capabilities)
 
     # ------------------------------------------------------------------
     # Machine wiring (factories called once per Machine / reset)
@@ -149,17 +129,19 @@ class Backend:
 
     def coerce_global(self, A: Any) -> Any:
         """Validate/convert a global input array for this backend."""
-        from repro.machine.exceptions import ParameterError
-
         if isinstance(A, tuple):
+            from repro.machine.exceptions import ParameterError
+
             raise ParameterError(
                 "a shape-only input requires a shape-capable backend "
                 "such as backend='symbolic' (this backend needs real "
                 "matrix entries)"
             )
         if is_symbolic(A):
+            from repro.machine.exceptions import ParameterError
+
             raise ParameterError("symbolic input requires backend='symbolic'")
-        return np.asarray(A)
+        return _matrix(np.asarray(A))
 
     # ------------------------------------------------------------------
     # Kernel dispatch
@@ -223,9 +205,7 @@ class SymbolicBackend(Backend):
         return (int(m), int(n))
 
     def coerce_global(self, A: Any) -> Any:
-        if isinstance(A, tuple):
-            return SymbolicArray(A)
-        return A
+        return _matrix(SymbolicArray(A) if isinstance(A, tuple) else A)
 
     def run_kernel(self, machine, p, fn, args, meta, label="", updates=()):
         return meta
@@ -299,6 +279,15 @@ class MpBackend(ParallelBackend):
         return MpEngine(workers)
 
 
+def _matrix(A: Any) -> Any:
+    """``A`` itself when it is 2-D; anything else cannot be factored."""
+    if len(A.shape) != 2:
+        from repro.machine.exceptions import ParameterError
+
+        raise ParameterError(f"A must be a 2-D matrix, got shape {tuple(A.shape)}")
+    return A
+
+
 _NUMERIC_OPS = NumericOps()
 _SYMBOLIC_OPS = SymbolicOps()
 
@@ -318,13 +307,6 @@ def register_backend(backend: Backend, overwrite: bool = False) -> Backend:
         raise ValueError(f"backend {backend.name!r} is already registered")
     _REGISTRY[backend.name] = backend
     return backend
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend (tests of the extension point)."""
-    if name in ("numeric", "symbolic", "parallel"):
-        raise ValueError(f"the built-in backend {name!r} cannot be unregistered")
-    _REGISTRY.pop(name, None)
 
 
 def get_backend(name: str) -> Backend:

@@ -244,7 +244,6 @@ def cmd_trace(args) -> int:
     """One traced run on the parallel engine: trace.json + drift table."""
     import time
 
-    from repro.machine import Machine
     from repro.planner import resolve_profile
     from repro.telemetry import (
         TelemetryRecorder,
@@ -253,18 +252,18 @@ def cmd_trace(args) -> int:
         recording,
         write_chrome_trace,
     )
-    from repro.workloads import drive
+    from repro.workloads.sweeps import build
 
     profile = resolve_profile(args.profile)
-    A = resolve_backend("parallel").make_input(args.m, args.n, seed=args.seed)
-    params = _params_from(args)
+    impl = resolve_backend("parallel")
+    A = impl.make_input(args.m, args.n, seed=args.seed)
     rec = TelemetryRecorder()
     t0 = time.perf_counter()
+    # A build, not a run_many job: the trace must show a recording, so
+    # it never replays a cached plan (and leaves the cache alone).
     with recording(rec):
-        machine = Machine(args.P, params=profile, backend="parallel",
-                          workers=args.workers)
-        factors, _diag, _slicer = drive(args.alg, machine, A, params, validate=False)
-        machine.materialize(factors)
+        built, _ = build(args.alg, A, args.P, _params_from(args), False, impl,
+                         args.workers, profile)
     wall = time.perf_counter() - t0
 
     trace = write_chrome_trace(rec, args.out)
@@ -278,18 +277,18 @@ def cmd_trace(args) -> int:
         print(f"wrote {args.metrics_out}")
 
     # The drift join re-runs the identical shape cost-only; the run's
-    # resolved knobs (drive filled them into params) keep both sides on
-    # the same plan.
+    # resolved knobs (drive filled them into the build's params) keep
+    # both sides on the same plan.
     dr = drift_report(args.alg, args.m, args.n, args.P, rec, wall,
-                      params=params, profile=profile)
+                      params=built.params, profile=profile)
     print()
     print(dr.table())
     waits = rec.metrics.counter("engine.rendezvous.waits")
     tasks = rec.metrics.counter("engine.tasks")
     print(f"[{tasks:.0f} engine tasks, {waits:.0f} rendezvous waits, "
           f"workers={args.workers or 'auto'}]")
-    print(machine.engine.lanes_line())
-    print(machine.engine.writes_line())
+    print(built.machine.engine.lanes_line())
+    print(built.machine.engine.writes_line())
     return 0
 
 

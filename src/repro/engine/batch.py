@@ -30,9 +30,14 @@ stream:
   caches mean each distinct shape is planned once per stream no matter
   how many jobs share it.
 
-The executing backend is registry-dispatched: ``backend="parallel"``
-(default) replays plans as above, while any other registered backend
-name runs each job through the one-shot harness.
+Every job is one :func:`run_job`, and :func:`repro.workloads.run_qr`
+on an engine backend (``"parallel"``, the default here, or
+``"parallel-mp"``) is one such job: its first run of a shape builds
+and caches the plan, a repeat replays it.  A build -- machine, record,
+first execute -- happens in one place,
+:func:`repro.workloads.sweeps.build`, for cached jobs, for jobs that
+bypass the cache (eager backends, fault runs) and for ``repro trace``.
+The cache is an LRU under one byte budget, :data:`PLAN_CACHE_BYTES`.
 
 >>> import numpy as np
 >>> from repro.engine.batch import QRJob, run_many
@@ -51,16 +56,17 @@ shapes); Section 3 (replaying the execution DAG).
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.backend import Backend, resolve_backend
-from repro.machine import CostParams, Machine, ParameterError
-from repro.qr.validate import QRDiagnostics
+from repro.engine.lazy import output_tids, resolve
+from repro.machine import CostParams, ParameterError
 from repro.telemetry.recorder import current_recorder
-from repro.workloads.sweeps import RunResult, drive, run_qr
+from repro.workloads.sweeps import Build, RunResult, build
 
 __all__ = ["QRJob", "clear_plan_cache", "run_many"]
 
@@ -79,22 +85,103 @@ class QRJob:
     params: dict = field(default_factory=dict)
 
 
-@dataclass
-class _CachedPlan:
-    """A built parallel plan keyed by job shape, ready for replay."""
-
-    machine: Machine
-    slicer: Callable[[np.ndarray], list[np.ndarray]]
-    lazy_factors: tuple
-    diag_fn: Callable
-    params: dict
-    report: Any
-    words_by_label: dict
+#: Byte budget of the plan cache: the task values its entries keep
+#: alive.  It holds the four engine entries of any one benchmark
+#: workload (``parallel`` and ``parallel-mp``, validating or not):
+#: ``tallskinny``'s count 206 MiB (71 MiB per thread-engine entry),
+#: ``squarish3d``'s 138 MiB, ``grid2d-percolumn``'s 6 MiB.  A stream of
+#: many shapes evicts the least recently used plans instead of growing.
+PLAN_CACHE_BYTES = 256 << 20
 
 
-#: shape key -> _CachedPlan.  Plans hold their machine (and its engine),
-#: so replays across run_many calls in one process also hit.
-_PLAN_CACHE: dict[tuple, _CachedPlan] = {}
+def _value_bytes(plan) -> int:
+    """Bytes of array memory ``plan``'s task values keep alive.
+
+    Counted once per base buffer: an ``updates=`` task returns the
+    array it wrote, so one buffer is the value of many tasks (and a
+    view's bytes are its base's).
+    """
+    bases: dict[int, int] = {}
+    for task in plan.tasks:
+        value = task.value
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                bases[id(a)] = a.nbytes
+    return sum(bases.values())
+
+
+class _PlanCache:
+    """LRU of built plans under :data:`PLAN_CACHE_BYTES`.
+
+    An entry keeps its machine, its compiled plan and the task values
+    of its last execute: replays only rebind the input leaves, and a
+    recovery's ``rearm`` reads executed values, so nothing is released
+    between jobs.  An entry's bytes are counted once, when it is
+    inserted after its first execute, and never on a hit.  Inserting
+    evicts the least recently used entries until the total is within
+    the budget, never the one inserted, so the cache holds at most the
+    budget plus that entry.  The caller closes what was evicted
+    (:func:`_close`).
+    """
+
+    def __init__(self) -> None:
+        #: key -> (build, bytes counted at insert), least recent first.
+        self._entries: OrderedDict[tuple, tuple[Build, int]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> Build | None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: tuple, built: Build) -> list[tuple[tuple, Build]]:
+        """Insert ``built`` (its values counted now); return the evicted entries."""
+        nbytes = _value_bytes(built.machine.plan)
+        evicted = []
+        with self._lock:
+            self._entries[key] = (built, nbytes)
+            self._entries.move_to_end(key)
+            total = sum(b for _, b in self._entries.values())
+            while total > PLAN_CACHE_BYTES and next(iter(self._entries)) != key:
+                old, (victim, old_bytes) = self._entries.popitem(last=False)
+                total -= old_bytes
+                evicted.append((old, victim))
+        return evicted
+
+    def pop_all(self) -> list[tuple[tuple, Build]]:
+        with self._lock:
+            entries = [(key, built) for key, (built, _) in self._entries.items()]
+            self._entries.clear()
+        return entries
+
+    def nbytes(self) -> int:
+        """Bytes counted for the entries held now."""
+        with self._lock:
+            return sum(b for _, b in self._entries.values())
+
+    def keys(self) -> list[tuple]:
+        """The keys, least recently used first."""
+        with self._lock:
+            return list(self._entries)
+
+    def values(self) -> list[Build]:
+        """The builds, least recently used first."""
+        with self._lock:
+            return [built for built, _ in self._entries.values()]
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+#: The process's plan cache, keyed by :func:`_job_key`.  Entries hold
+#: their machine (and its engine), so replays across run_many calls in
+#: one process also hit.
+_PLAN_CACHE = _PlanCache()
 #: shape key -> the lock serializing that entry's build and replays: a
 #: replay rebinds, resets and executes the one shared plan, so two
 #: callers of one shape take turns; different shapes run concurrently.
@@ -109,9 +196,22 @@ def _entry_lock(key: tuple) -> threading.Lock:
         return _ENTRY_LOCKS.setdefault(key, threading.Lock())
 
 
+def _close(entries: list[tuple[tuple, Build]]) -> None:
+    """Close the engines of entries no longer in the cache.
+
+    Each is closed under its key's lock, so a job replaying it finishes
+    first: a ``parallel-mp`` pool then reaps its workers and unlinks its
+    shared memory at once, without waiting for the GC.  The caller must
+    hold no entry lock.
+    """
+    for key, built in entries:
+        with _entry_lock(key):
+            built.machine.engine.close()
+
+
 def clear_plan_cache() -> None:
-    """Drop every cached execution plan (tests and memory control)."""
-    _PLAN_CACHE.clear()
+    """Drop every cached execution plan and close its engine."""
+    _close(_PLAN_CACHE.pop_all())
 
 
 def _job_key(
@@ -133,33 +233,18 @@ def _job_key(
     )
 
 
-def _build(
-    alg: str, A: np.ndarray, P: int, params: dict,
-    workers: int | None, cost_params: CostParams | None,
-    backend: Backend, validate: bool,
-) -> _CachedPlan:
-    """First job of a shape: run the full driver once, keep the plan."""
-    machine = Machine(P, params=cost_params, backend=backend, workers=workers)
-    resolved = dict(params)
-    factors, diag_fn, slicer = drive(alg, machine, A, resolved, validate=validate)
-    n_blocks = len(slicer(A))
-    if len(machine.plan.inputs) != n_blocks:
+def _admit(key: tuple, A: np.ndarray, built: Build) -> list[tuple[tuple, Build]]:
+    """Cache an engine build after its first execute; return what it evicted."""
+    inputs, blocks = len(built.machine.plan.inputs), len(built.slicer(A))
+    if inputs != blocks:
         raise ParameterError(
-            f"plan registered {len(machine.plan.inputs)} input leaves for "
-            f"{n_blocks} blocks; replay would be unsafe"
+            f"plan registered {inputs} input leaves for {blocks} blocks; "
+            "replay would be unsafe"
         )
-    return _CachedPlan(
-        machine=machine,
-        slicer=slicer,
-        lazy_factors=factors,
-        diag_fn=diag_fn,
-        params=resolved,
-        report=machine.report(),
-        words_by_label=dict(machine.words_by_label),
-    )
+    return _PLAN_CACHE.put(key, built)
 
 
-def _replay(cached: _CachedPlan, A: np.ndarray) -> tuple:
+def _replay(cached: Build, A: np.ndarray) -> tuple:
     """Re-execute a cached plan against a new same-shape input."""
     machine = cached.machine
     # The input leaves were registered block by block, in participant
@@ -167,12 +252,73 @@ def _replay(cached: _CachedPlan, A: np.ndarray) -> tuple:
     # blocks -- slice the new matrix the same deterministic way.
     machine.plan.rebind(cached.slicer(A))
     machine.plan.reset()
-    from repro.engine.lazy import output_tids, resolve
-
     machine.engine.execute(
         machine.plan, outputs=output_tids(cached.lazy_factors)
     )
     return resolve(cached.lazy_factors)
+
+
+def _cached_job(
+    key: tuple, alg: str, A, P: int, params: dict, validate: bool,
+    backend: Backend, workers: int | None, cost_params: CostParams | None, rec,
+) -> tuple[Build, tuple, str]:
+    """Replay ``key``'s cached plan on ``A``, or build and cache it."""
+    evicted: list[tuple[tuple, Build]] = []
+    try:
+        with _entry_lock(key):
+            cached = _PLAN_CACHE.get(key)
+            if rec.enabled:
+                rec.metrics.inc(
+                    "run_many.plan_cache.misses" if cached is None
+                    else "run_many.plan_cache.hits"
+                )
+            if cached is None:
+                cached, factors = build(
+                    alg, A, P, params, validate, backend, workers, cost_params,
+                    keep=lambda built: evicted.extend(_admit(key, A, built)),
+                )
+                return cached, factors, "miss"
+            # A cached plan's engine carries the recorder installed at
+            # build time; re-point it so replays report to the recorder
+            # active *now* (and stop reporting to a stale one).
+            cached.machine.engine.telemetry = rec
+            cached.machine.telemetry = rec
+            return cached, _replay(cached, A), "hit"
+    finally:
+        _close(evicted)  # with the key's lock released: see _close
+
+
+def run_job(
+    alg: str, A, P: int, params: dict, validate: bool, backend: Backend,
+    workers: int | None = None, cost_params: CostParams | None = None,
+    fault_plan=None, recovery=None,
+) -> RunResult:
+    """One job: a cached plan's replay, or a :func:`~repro.workloads.sweeps.build`.
+
+    The step :func:`run_many` takes per job and
+    :func:`~repro.workloads.run_qr` takes on an engine backend.  ``A``
+    is already coerced by ``backend``.  An engine job with no
+    ``fault_plan`` / ``recovery`` goes through the plan cache (span
+    ``plan_cache="miss"`` or ``"hit"``); every other job builds and
+    leaves the cache alone (``"bypass"``): an eager backend has no plan
+    to replay, a trigger fires once, and a recovery may grow the plan.
+    """
+    rec = current_recorder()
+    t0 = rec.now() if rec.enabled else 0.0
+    m, n = A.shape
+    if backend.parallel and fault_plan is None and recovery is None:
+        key = _job_key(alg, m, n, P, A.dtype, params, workers, cost_params,
+                       validate, backend.name)
+        cached, factors, state = _cached_job(key, alg, A, P, params, validate,
+                                             backend, workers, cost_params, rec)
+    else:
+        state = "bypass"
+        cached, factors = build(alg, A, P, params, validate, backend, workers,
+                                cost_params, fault_plan=fault_plan, recovery=recovery)
+    result = cached.result(A, factors, validate)
+    if rec.enabled:
+        rec.job_span(f"job:{alg} {m}x{n} P={P}", t0, rec.now() - t0, plan_cache=state)
+    return result
 
 
 def run_many(
@@ -208,16 +354,16 @@ def run_many(
         the first job's report, which is shape-determined).
     backend:
         Registered backend name (or instance) to execute on.  The
-        default ``"parallel"`` amortizes plans by replay; any
-        non-parallel backend runs each job through the one-shot
-        harness :func:`repro.workloads.run_qr` instead.
+        default ``"parallel"`` amortizes plans by replay, as does
+        ``"parallel-mp"``; an eager backend (numeric, symbolic) has no
+        plan to replay and builds every job.
     """
     impl = resolve_backend(backend)
-    rec = current_recorder()
+    if not impl.validates:
+        validate = False
     results: list[RunResult] = []
     for job in jobs:
-        job_t0 = rec.now() if rec.enabled else 0.0
-        A = np.asarray(job.A)
+        A = impl.coerce_global(job.A)
         m, n = A.shape
         P_job = job.P if job.P is not None else P
         if P_job is None:
@@ -242,54 +388,5 @@ def run_many(
             alg = best.candidate.algorithm
             P_job = best.candidate.P
             params = {**best.candidate.kwargs(), **params}
-        impl.require(alg)
-        if not impl.parallel:
-            # Eager backends have no plan to amortize: one-shot harness.
-            results.append(
-                run_qr(alg, A, P=P_job, cost_params=cost_params,
-                       validate=validate, backend=impl, workers=workers, **params)
-            )
-            if rec.enabled:
-                rec.job_span(
-                    f"job:{alg} {m}x{n} P={P_job}", job_t0, rec.now() - job_t0,
-                    plan_cache="bypass",
-                )
-            continue
-
-        key = _job_key(alg, m, n, P_job, A.dtype, params, workers, cost_params,
-                       validate, impl.name)
-        with _entry_lock(key):
-            cached = _PLAN_CACHE.get(key)
-            hit = cached is not None
-            if rec.enabled:
-                rec.metrics.inc(
-                    "run_many.plan_cache.hits" if hit else "run_many.plan_cache.misses"
-                )
-            if not hit:
-                cached = _build(alg, A, P_job, params, workers, cost_params, impl, validate)
-                _PLAN_CACHE[key] = cached
-                factors = cached.machine.materialize(cached.lazy_factors)
-            else:
-                # A cached plan's engine carries the recorder installed at
-                # build time; re-point it so replays report to the recorder
-                # active *now* (and stop reporting to a stale one).
-                cached.machine.engine.telemetry = rec
-                cached.machine.telemetry = rec
-                factors = _replay(cached, A)
-        diag = (
-            cached.diag_fn(A, factors)
-            if validate
-            else QRDiagnostics(0.0, 0.0, 0.0, 0.0, 0.0)
-        )
-        results.append(
-            RunResult(
-                alg, m, n, P_job, cached.params, cached.report, diag,
-                words_by_label=dict(cached.words_by_label),
-            )
-        )
-        if rec.enabled:
-            rec.job_span(
-                f"job:{alg} {m}x{n} P={P_job}", job_t0, rec.now() - job_t0,
-                plan_cache="hit" if hit else "miss",
-            )
+        results.append(run_job(alg, A, P_job, params, validate, impl, workers, cost_params))
     return results

@@ -172,6 +172,9 @@ class EngineBase:
         #: CodedRecovery reads it to reconstruct a dead rank's block.
         self.coded_ctx = None
 
+    def close(self) -> None:
+        """Release what outlives an execute (nothing, in process)."""
+
     def _recovering(self, plan: Plan, attempt_once: Callable[[], Any]) -> Any:
         """Call ``attempt_once()`` until it completes; return its result.
 

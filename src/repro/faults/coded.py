@@ -338,7 +338,6 @@ def run_coded_qr(
         )
     impl = resolve_backend(backend)
     A = impl.coerce_global(A)
-    impl.require(algorithm)
     fault_plan = FaultPlan.parse(fault)
     policy = parse_policy(recovery)
     if fault_plan is not None and policy is None:

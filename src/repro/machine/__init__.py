@@ -16,7 +16,6 @@ Paper anchor: Section 3 (machine model).
 from repro.machine.clocks import METRICS, ClockSet
 from repro.machine.cost_model import MACHINE_PROFILES, CostParams, CostReport
 from repro.machine.exceptions import (
-    BackendCapabilityError,
     DistributionError,
     FaultRecoveryError,
     MachineError,
@@ -31,7 +30,6 @@ from repro.machine.tracing import Trace, TraceEvent
 __all__ = [
     "METRICS",
     "MACHINE_PROFILES",
-    "BackendCapabilityError",
     "ClockSet",
     "CostParams",
     "Counted",

@@ -66,25 +66,3 @@ class FaultRecoveryError(ReproError):
     died, a second failure hit an already-spent checksum group, or the
     checksum had not been computed at the time of death.
     """
-
-
-class BackendCapabilityError(ParameterError):
-    """A backend was asked to run an algorithm outside its capabilities.
-
-    Raised by :meth:`repro.backend.registry.Backend.require`; carries the
-    backend name, the rejected algorithm, and the supported set so
-    drivers can explain the gate without hardcoding name lists.
-    """
-
-    def __init__(self, backend: str, algorithm: str, capabilities=None) -> None:
-        self.backend = backend
-        self.algorithm = algorithm
-        self.capabilities = None if capabilities is None else tuple(sorted(capabilities))
-        supported = (
-            "every algorithm" if self.capabilities is None
-            else ", ".join(self.capabilities) or "no algorithms"
-        )
-        super().__init__(
-            f"backend {backend!r} cannot execute algorithm {algorithm!r} "
-            f"(it supports {supported})"
-        )

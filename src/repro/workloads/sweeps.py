@@ -6,7 +6,10 @@ and returns measured critical-path costs -- one row of any table in the
 evaluation.  Backend selection (numeric / symbolic / parallel / any
 registered third party) dispatches through
 :mod:`repro.backend.registry`; every algorithm in :data:`ALGORITHMS`
-runs on every backend.
+runs on every backend.  :func:`build` is where every job's machine is
+made, driven and executed; on an engine backend ``run_qr`` is a job of
+:func:`repro.engine.run_many`, whose plan cache replays a repeated
+shape instead of building it again.
 
 Paper anchor: Section 8 (the evaluation run harness).
 """
@@ -14,10 +17,11 @@ Paper anchor: Section 8 (the evaluation run harness).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.backend import SymbolicArray, dtype_of, resolve_backend
+from repro.backend import Backend, SymbolicArray, dtype_of, resolve_backend
 from repro.dist import (
     BlockRowLayout,
     CyclicRowLayout,
@@ -290,6 +294,71 @@ def drive(algorithm: str, machine: Machine, A, params: dict, validate: bool):
     raise KeyError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
 
 
+@dataclass
+class Build:
+    """One job's recorded plan: what a replay of its shape needs.
+
+    ``lazy_factors`` are :func:`drive`'s results as recorded (lazy on an
+    engine machine, whose plan a replay re-executes); ``report`` and
+    ``words_by_label`` are the machine's metering, which a replay of
+    the same shape would repeat exactly, so it keeps them.
+    """
+
+    algorithm: str
+    machine: Machine
+    lazy_factors: tuple
+    diag_fn: Callable
+    slicer: Callable[[np.ndarray], list[np.ndarray]]
+    params: dict
+    report: CostReport
+    words_by_label: dict
+
+    def result(self, A, factors, validate: bool) -> RunResult:
+        """The :class:`RunResult` of a job on input ``A`` with computed ``factors``."""
+        m, n = A.shape
+        diag = (
+            self.diag_fn(A, factors)
+            if validate
+            else QRDiagnostics(0.0, 0.0, 0.0, 0.0, 0.0)
+        )
+        return RunResult(
+            self.algorithm, m, n, self.machine.P, self.params, self.report, diag,
+            words_by_label=dict(self.words_by_label),
+        )
+
+
+def build(
+    algorithm: str, A, P: int, params: dict, validate: bool, backend: Backend,
+    workers: int | None = None, cost_params: CostParams | None = None,
+    fault_plan=None, recovery=None, keep: Callable[[Build], None] | None = None,
+) -> tuple[Build, Any]:
+    """Record ``algorithm`` on a fresh machine, then execute it once.
+
+    The one place a job's machine is made, driven and materialized:
+    :func:`run_qr`, :func:`repro.engine.run_many` and ``repro trace``
+    all come here.  ``materialize`` runs the recorded plan on an engine
+    machine and returns ``lazy_factors`` unchanged on an eager one.
+    ``keep`` receives the :class:`Build` after that first execute, also
+    when it raises, so a plan cache holds the plan either way (the next
+    job of the shape replays it).  Returns the build and the computed
+    factors.
+    """
+    machine = Machine(
+        P, params=cost_params, backend=backend, workers=workers,
+        fault_plan=fault_plan, recovery=recovery,
+    )
+    params = dict(params)
+    lazy_factors, diag_fn, slicer = drive(algorithm, machine, A, params, validate)
+    built = Build(algorithm, machine, lazy_factors, diag_fn, slicer, params,
+                  machine.report(), machine.words_by_label)
+    try:
+        factors = machine.materialize(lazy_factors)
+    finally:
+        if keep is not None:
+            keep(built)
+    return built, factors
+
+
 def run_qr(
     algorithm: str,
     A: np.ndarray | tuple[int, int],
@@ -325,40 +394,35 @@ def run_qr(
     floating-point reproducibility -- for every algorithm in
     :data:`ALGORITHMS`.
 
+    On an engine backend (``"parallel"``, ``"parallel-mp"``) a run is
+    one job of :func:`repro.engine.run_many`: the first run of a shape
+    builds a plan and caches it, a repeated run of that shape replays
+    it (a warm job; the report is the cached one).  A ``"parallel-mp"``
+    run's worker pool lives as long as its cache entry, until
+    :func:`~repro.engine.batch.clear_plan_cache` or eviction closes it.
+
     ``fault_plan`` installs deterministic rank-kill triggers
     (:class:`repro.faults.FaultPlan`) and ``recovery`` a policy for
     them (see :mod:`repro.faults.policy`); both are forwarded to the
-    :class:`~repro.machine.Machine`.  For checksum-protected runs with
+    :class:`~repro.machine.Machine`.  Such a run bypasses the plan
+    cache: a trigger fires once and a recovery may grow the plan, so
+    its plan is never replayed.  For checksum-protected runs with
     spare ranks, use :func:`repro.faults.run_coded_qr` instead.
     """
     impl = resolve_backend(backend)
     A = impl.coerce_global(A)
     if not impl.validates:
         validate = False
-    impl.require(algorithm)
     if algorithm not in ALGORITHMS:
         raise KeyError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    m, n = A.shape
-    machine = Machine(
-        P, params=cost_params, backend=backend, workers=workers,
-        fault_plan=fault_plan, recovery=recovery,
-    )
+    if impl.parallel:
+        from repro.engine.batch import run_job
 
-    factors, diag_fn, _slicer = drive(algorithm, machine, A, params, validate)
-    # Parallel machines: run the recorded plan on the engine's thread
-    # pool and swap the lazy factors for their computed values (a no-op
-    # on eager machines).
-    factors = machine.materialize(factors)
-    report = machine.report()
-    diag = (
-        diag_fn(A, factors)
-        if validate
-        else QRDiagnostics(0.0, 0.0, 0.0, 0.0, 0.0)
-    )
-    return RunResult(
-        algorithm, m, n, P, params, report, diag,
-        words_by_label=dict(machine.words_by_label),
-    )
+        return run_job(algorithm, A, P, params, validate, impl, workers, cost_params,
+                       fault_plan=fault_plan, recovery=recovery)
+    built, factors = build(algorithm, A, P, params, validate, impl, workers, cost_params,
+                           fault_plan=fault_plan, recovery=recovery)
+    return built.result(A, factors, validate)
 
 
 def format_run_table(rows: list[dict], columns: list[str] | None = None, title: str = "") -> str:

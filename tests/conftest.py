@@ -34,6 +34,23 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip_mp)
 
 
+@pytest.fixture(autouse=True)
+def empty_plan_cache():
+    """Every test starts and ends with an empty plan cache.
+
+    ``run_qr`` on an engine backend caches its plan, and a cached plan
+    keeps the lanes it was compiled with: a plan left by one test would
+    replay in the next one without recompiling, which silently defeats
+    ``first_execute_on_workers`` (it patches ``TWO_LANE_FLOPS`` for the
+    compiles it expects).  Clearing also closes cached process pools.
+    """
+    from repro.engine.batch import clear_plan_cache
+
+    clear_plan_cache()
+    yield
+    clear_plan_cache()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -139,13 +139,6 @@ class TestDeterminism:
         assert par.report == sym.report
         assert par.diagnostics.ok()
 
-    def test_every_algorithm_is_parallel_capable(self):
-        from repro.backend import get_backend
-        from repro.workloads import ALGORITHMS
-
-        impl = get_backend("parallel")
-        assert all(impl.supports(alg) for alg in ALGORITHMS)
-
     def test_materialize_is_noop_on_serial_machines(self):
         machine = Machine(2)
         obj = {"x": np.ones(3)}

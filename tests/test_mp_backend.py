@@ -277,10 +277,17 @@ class TestPoolLifecycle:
         engine.close()
 
     def test_run_qr_pool_does_not_outlive_the_machine(self):
+        # run_qr caches its plan, machine and pool (one run_many job);
+        # the pool lives as long as that cache entry, no longer.
+        from repro.engine.batch import _PLAN_CACHE, clear_plan_cache
+
         before = {p.pid for p in multiprocessing.active_children()}
         result = run_qr("tsqr", gaussian(96, 8, seed=2), P=4,
                         backend="parallel-mp", workers=2)
         assert result.diagnostics is not None
+        (cached,) = _PLAN_CACHE.values()
+        assert cached.machine.engine.alive
+        clear_plan_cache()
         gc.collect()
         deadline = time.perf_counter() + 10.0
         while time.perf_counter() < deadline:

@@ -1,4 +1,4 @@
-"""The backend registry: protocol flags, dispatch, capability gating.
+"""The backend registry: protocol flags and dispatch.
 
 Contracts pinned here:
 
@@ -6,13 +6,8 @@ Contracts pinned here:
   sets, and every library entry point (Machine, run_qr, run_many, the
   CLI's choices) resolves backends through the registry rather than
   comparing name strings;
-* capability flags drive the gated-algorithm error path: an algorithm
-  outside a backend's declared set raises the typed
-  :class:`~repro.machine.BackendCapabilityError` (a
-  :class:`~repro.machine.ParameterError`), with the backend, the
-  algorithm, and the supported set attached;
 * third-party backends plug in by registration and immediately work
-  with ``Machine`` and ``run_qr`` -- no core changes.
+  with ``Machine``, ``run_qr`` and ``run_many`` -- no core changes.
 """
 
 import numpy as np
@@ -24,11 +19,11 @@ from repro.backend import (
     available_backends,
     get_backend,
     register_backend,
+    registry,
     resolve_backend,
 )
-from repro.backend.registry import unregister_backend
-from repro.machine import BackendCapabilityError, Machine, ParameterError
-from repro.workloads import ALGORITHMS, gaussian, run_qr
+from repro.machine import Machine, ParameterError
+from repro.workloads import gaussian, run_qr
 
 
 class TestBuiltins:
@@ -45,11 +40,6 @@ class TestBuiltins:
             True, False, False, False)
         assert (par.symbolic, par.parallel, par.concrete, par.validates) == (
             False, True, False, True)
-
-    def test_full_algorithm_coverage(self):
-        for name in ("numeric", "symbolic", "parallel"):
-            impl = get_backend(name)
-            assert all(impl.supports(alg) for alg in ALGORITHMS), name
 
     def test_unknown_backend_name(self):
         with pytest.raises(ValueError, match="unknown backend 'bogus'"):
@@ -80,53 +70,53 @@ class TestBuiltins:
             get_backend("parallel").coerce_global(SymbolicArray((8, 4)))
 
 
-class _RestrictedBackend(NumericBackend):
-    """A numeric twin that only knows tall-skinny TSQR."""
+class _TwinBackend(NumericBackend):
+    """A third-party numeric twin, registered under its own name."""
 
-    name = "tsqr-only"
-    capabilities = frozenset({"tsqr"})
+    name = "numeric-twin"
 
 
 @pytest.fixture
-def restricted():
-    impl = register_backend(_RestrictedBackend())
-    yield impl
-    unregister_backend(impl.name)
+def twin(monkeypatch):
+    # A private copy of the registry, so the twin leaves with the test.
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    return register_backend(_TwinBackend())
 
 
-class TestCapabilities:
-    def test_capability_error_is_typed_and_explained(self, restricted):
-        with pytest.raises(BackendCapabilityError) as exc:
-            run_qr("house2d", gaussian(32, 16, seed=0), P=4, backend="tsqr-only")
-        err = exc.value
-        assert isinstance(err, ParameterError)
-        assert err.backend == "tsqr-only"
-        assert err.algorithm == "house2d"
-        assert err.capabilities == ("tsqr",)
-        assert "house2d" in str(err) and "tsqr" in str(err)
-
-    def test_supported_algorithm_still_runs(self, restricted):
-        r = run_qr("tsqr", gaussian(64, 4, seed=0), P=4, backend="tsqr-only")
-        assert r.diagnostics.ok()
-        assert r.report == run_qr("tsqr", gaussian(64, 4, seed=0), P=4).report
-
-    def test_run_many_respects_capabilities(self, restricted):
+class TestThirdPartyBackend:
+    def test_registered_backend_runs_every_entry_point(self, twin):
         from repro.engine import QRJob, run_many
 
-        with pytest.raises(BackendCapabilityError):
-            run_many([QRJob("caqr1d", gaussian(64, 4, seed=0))],
-                     P=4, backend="tsqr-only")
+        A = gaussian(64, 4, seed=0)
+        r = run_qr("tsqr", A, P=4, backend="numeric-twin")
+        assert r.diagnostics.ok()
+        assert r.report == run_qr("tsqr", A, P=4).report
+        (job,) = run_many([QRJob("tsqr", A)], P=4, validate=True, backend="numeric-twin")
+        assert job.report == r.report and job.diagnostics == r.diagnostics
+        assert Machine(2, backend="numeric-twin").backend == "numeric-twin"
 
-    def test_unrestricted_backend_supports_everything(self):
-        assert Backend().supports("anything-at-all")
-
-    def test_duplicate_registration_rejected(self, restricted):
+    def test_duplicate_registration_rejected(self, twin):
         with pytest.raises(ValueError, match="already registered"):
-            register_backend(_RestrictedBackend())
+            register_backend(_TwinBackend())
+        with pytest.raises(ValueError, match="already registered"):
+            register_backend(NumericBackend())
 
-    def test_builtin_unregistration_rejected(self):
-        with pytest.raises(ValueError, match="cannot be unregistered"):
-            unregister_backend("numeric")
+    def test_an_unknown_algorithm_still_raises(self):
+        from repro.engine import QRJob, run_many
+
+        for backend in ("numeric", "symbolic", "parallel"):
+            with pytest.raises(KeyError, match="unknown algorithm 'bogus'"):
+                run_qr("bogus", (8, 4) if backend == "symbolic" else gaussian(8, 4), 2,
+                       backend=backend)
+            with pytest.raises(KeyError, match="unknown algorithm 'bogus'"):
+                run_many([QRJob("bogus", gaussian(8, 4))], P=2, backend=backend)
+
+    def test_no_capability_gate_grows_back(self):
+        assert not hasattr(Backend, "capabilities")
+        assert not hasattr(Backend, "supports") and not hasattr(Backend, "require")
+        import repro.machine
+
+        assert not hasattr(repro.machine, "BackendCapabilityError")
 
 
 class TestNoStringDispatch:
