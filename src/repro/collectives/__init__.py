@@ -11,6 +11,13 @@ algorithm families:
 * index all-to-all (:mod:`~repro.collectives.alltoall`): the radix-2
   algorithm of [BHK+97] and the two-phase balanced variant of [HBJ96].
 
+A collective is a schedule: the binomial and bidirectional ones are
+built once per ``(size, root)`` and memoized
+(:mod:`~repro.collectives.schedule`), and a call prices the schedule's
+messages off its payloads' word counts and has the machine charge it
+in one loop (:meth:`~repro.machine.Machine.charge`); the all-to-alls
+derive their rounds from the blocks' ``(source, destination, size)``
+vectors and charge them the same way.
 :mod:`~repro.collectives.dispatch` auto-selects the cheaper variant per
 Table 1; :mod:`~repro.collectives.bounds` holds the Table 1 formulas;
 :mod:`~repro.collectives.rendezvous` provides the blocking

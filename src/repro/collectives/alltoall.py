@@ -28,8 +28,8 @@ Deciding the rounds and charging them are two steps.
 ``(P, source, dest, size) -> rounds``: a round is its label and its
 ``(src, dst, words)`` sends, in group ranks.
 :func:`charge_rounds` meters a schedule on a context, one
-``exchange_round`` per round.  :func:`all_to_all_two_phase` is the two
-steps back to back.  :func:`~repro.matmul.mm3d` keeps the schedule of
+:meth:`~repro.machine.Machine.charge` per round.
+:func:`all_to_all_two_phase` is the two steps back to back.  :func:`~repro.matmul.mm3d` keeps the schedule of
 each distinct multiply in its route memo (keyed on the layouts, grid,
 dtypes and method that determine it) and only charges it on a repeat;
 :func:`~repro.dist.redistribute_rows` derives it on every call.
@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.backend import asarray
 from repro.collectives.context import CommContext
-from repro.machine import Counted, MachineError, words_of
+from repro.machine import MachineError, words_of
 from repro.util import ilog2
 
 #: An item is (dest_group_rank, tag, array).  Tags are opaque to routing.
@@ -66,7 +66,7 @@ def _route_bundles(ctx: CommContext, holding: list[list[list]], deliver) -> None
     destination travel together, the charged messages, words, and
     rounds are identical to routing the underlying items one by one.
     """
-    P = ctx.size
+    P, g = ctx.size, ctx.ranks
     for i in range(ilog2(P)):
         bit = 1 << i
         # Decide every processor's outgoing set against the start-of-round
@@ -82,12 +82,9 @@ def _route_bundles(ctx: CommContext, holding: list[list[list]], deliver) -> None
                     stay.append(b)
             outgoing.append(go)
             holding[p] = stay
-        round_plan = [
-            (p, (p + bit) % P, Counted(sum(b[3] for b in outgoing[p])))
-            for p in range(P)
-            if outgoing[p]
-        ]
-        ctx.exchange_round(round_plan, label=f"alltoall_round{i}")
+        sends = [(g[p], g[(p + bit) % P], sum(b[3] for b in outgoing[p]))
+                 for p in range(P) if outgoing[p]]
+        ctx.machine.charge([(sends, ())], label=f"alltoall_round{i}")
         for p in range(P):
             if not outgoing[p]:
                 continue
@@ -267,9 +264,10 @@ def two_phase_rounds(P: int, source: np.ndarray, dest: np.ndarray, size: np.ndar
 
 
 def charge_rounds(ctx: CommContext, rounds: Sequence[Round]) -> None:
-    """Meter a round schedule on ``ctx``: one ``exchange_round`` per round."""
+    """Meter a round schedule on ``ctx``: one ``Machine.charge`` per (labeled) round."""
+    g, charge = ctx.ranks, ctx.machine.charge
     for label, sends in rounds:
-        ctx.exchange_round([(p, q, Counted(w)) for p, q, w in sends], label=label)
+        charge([([(g[p], g[q], w) for p, q, w in sends], ())], label=label)
 
 
 def all_to_all_two_phase(

@@ -4,7 +4,9 @@ scatter / gather / broadcast / reduce / all-reduce via recursive halving
 over an arbitrary processor group.  At each level the group splits into
 two halves of sizes ``ceil(P/2)`` and ``floor(P/2)``; the current root
 exchanges with a representative of the opposite half and both halves
-recurse in parallel.
+recurse in parallel.  That tree is a schedule built once per ``(size,
+root)`` (:mod:`~repro.collectives.schedule`); a call prices its edges
+off the payloads' word counts and charges them in one machine call.
 
 Cost shapes (Table 1): scatter/gather move ``(P-1)B`` words in ``log P``
 messages along the critical path; broadcast/reduce move ``B log P``
@@ -32,29 +34,19 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.backend import SymbolicArray
+from repro.collectives import schedule
 from repro.collectives.context import CommContext
-from repro.machine import Counted, MachineError, Meta, words_of
-from repro.util import ceil_div
+from repro.machine import MachineError, words_of
 
 
-def _split(members: list[int], r: int) -> tuple[list[int], list[int], int]:
-    """Split ``members`` into halves; return (r's half, other half, peer root).
-
-    The peer root is the lowest-ranked member of the opposite half,
-    matching the deterministic tree shape assumed in the cost analysis.
-    """
-    h = ceil_div(len(members), 2)
-    s1, s2 = members[:h], members[h:]
-    if r in s1:
-        mine, other = s1, s2
-    else:
-        mine, other = s2, s1
-    return mine, other, other[0]
-
-
-def _check_root(ctx: CommContext, root: int) -> None:
+def check_root(ctx: CommContext, root: int) -> None:
     if not (0 <= root < ctx.size):
         raise MachineError(f"root {root} out of range for group of size {ctx.size}")
+
+
+def check_count(ctx: CommContext, items: Sequence[Any], what: str) -> None:
+    if len(items) != ctx.size:
+        raise MachineError(f"{what} needs {ctx.size} contributions, got {len(items)}")
 
 
 def scatter(ctx: CommContext, root: int, blocks: Sequence[Any]) -> list[Any]:
@@ -63,23 +55,12 @@ def scatter(ctx: CommContext, root: int, blocks: Sequence[Any]) -> list[Any]:
     ``blocks`` need only be meaningful at the root.  Returns a list whose
     entry ``q`` is the payload now held by group rank ``q``.
     """
-    _check_root(ctx, root)
+    check_root(ctx, root)
     if len(blocks) != ctx.size:
         raise MachineError(f"scatter needs {ctx.size} blocks, got {len(blocks)}")
-    out: list[Any] = [None] * ctx.size
-
-    def rec(members: list[int], r: int, blockmap: dict[int, Any]) -> None:
-        if len(members) == 1:
-            out[r] = blockmap.get(r)
-            return
-        mine, other, r2 = _split(members, r)
-        send = {q: blockmap[q] for q in other if q in blockmap}
-        ctx.transfer(r, r2, [Meta(sorted(send))] + [send[q] for q in sorted(send)], label="scatter")
-        rec(mine, r, {q: blockmap[q] for q in mine if q in blockmap})
-        rec(other, r2, send)
-
-    rec(list(range(ctx.size)), root, {q: b for q, b in enumerate(blocks) if b is not None})
-    return out
+    words = [words_of(b) for b in blocks]
+    schedule.charge(ctx, schedule.scatter_tree(ctx.size, root), words, "scatter")
+    return list(blocks)
 
 
 def gather(ctx: CommContext, root: int, contributions: Sequence[Any]) -> list[Any]:
@@ -88,23 +69,11 @@ def gather(ctx: CommContext, root: int, contributions: Sequence[Any]) -> list[An
     Returns the list (indexed by group rank) assembled at the root; a
     ``None`` contribution travels for free.
     """
-    _check_root(ctx, root)
-    if len(contributions) != ctx.size:
-        raise MachineError(f"gather needs {ctx.size} contributions, got {len(contributions)}")
-
-    def rec(members: list[int], r: int) -> dict[int, Any]:
-        if len(members) == 1:
-            return {r: contributions[r]}
-        mine, other, r2 = _split(members, r)
-        held = rec(mine, r)
-        remote = rec(other, r2)
-        keys = sorted(remote)
-        ctx.transfer(r2, r, [Meta(keys)] + [remote[q] for q in keys], label="gather")
-        held.update(remote)
-        return held
-
-    got = rec(list(range(ctx.size)), root)
-    return [got.get(q) for q in range(ctx.size)]
+    check_root(ctx, root)
+    check_count(ctx, contributions, "gather")
+    words = [words_of(c) for c in contributions]
+    schedule.charge(ctx, schedule.gather_tree(ctx.size, root), words, "gather")
+    return list(contributions)
 
 
 def broadcast_binomial(ctx: CommContext, root: int, value: Any) -> Any:
@@ -114,17 +83,8 @@ def broadcast_binomial(ctx: CommContext, root: int, value: Any) -> Any:
     treat it as read-only (the simulator shares the object rather than
     deep-copying).  Cost: ``B log P`` words, ``log P`` messages.
     """
-    _check_root(ctx, root)
-
-    def rec(members: list[int], r: int) -> None:
-        if len(members) == 1:
-            return
-        mine, other, r2 = _split(members, r)
-        ctx.transfer(r, r2, value, label="bcast_binomial")
-        rec(mine, r)
-        rec(other, r2)
-
-    rec(list(range(ctx.size)), root)
+    check_root(ctx, root)
+    schedule.charge(ctx, schedule.broadcast_tree(ctx.size, root), [words_of(value)], "bcast_binomial")
     return value
 
 
@@ -165,23 +125,12 @@ def reduce_binomial(ctx: CommContext, root: int, contributions: Sequence[np.ndar
     messages.  The schedule moves word counts; one ``reduce_combine``
     kernel on the root sums the contributions in the tree's order.
     """
-    _check_root(ctx, root)
-    if len(contributions) != ctx.size:
-        raise MachineError(f"reduce needs {ctx.size} contributions, got {len(contributions)}")
-
-    def rec(members: list[int], r: int):
-        if len(members) == 1:
-            return r
-        mine, other, r2 = _split(members, r)
-        a = rec(mine, r)
-        b = rec(other, r2)
-        words = words_of(contributions[r2])
-        ctx.transfer(r2, r, Counted(words), label="reduce_binomial")
-        ctx.compute(r, float(words), label="reduce_combine")
-        return a, b
-
-    order = rec(list(range(ctx.size)), root)
-    return combine(ctx, root, partial(combine_arrays, order), contributions, "reduce_combine")
+    check_root(ctx, root)
+    check_count(ctx, contributions, "reduce")
+    tree = schedule.reduce_tree(ctx.size, root)
+    words = [words_of(c) for c in contributions]
+    schedule.charge(ctx, tree, words, "reduce_binomial", "reduce_combine")
+    return combine(ctx, root, partial(combine_arrays, tree.orders), contributions, "reduce_combine")
 
 
 def all_reduce_binomial(ctx: CommContext, contributions: Sequence[np.ndarray]) -> np.ndarray:

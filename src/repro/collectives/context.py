@@ -5,7 +5,9 @@ an MPI communicator.  Collectives operate on *group ranks* ``0..size-1``;
 the context maps them to machine ranks.  Disjoint contexts can run
 collectives "simultaneously" -- the per-processor clocks in the machine
 make the cost accounting come out as a parallel schedule would (paper
-Section 3's simultaneous grid-fiber collectives in Lemma 4).
+Section 3's simultaneous grid-fiber collectives in Lemma 4).  The ranks
+are validated once, here: the collectives charge their schedules on
+the machine ranks without checking them again.
 
 >>> from repro.machine import Machine
 >>> ctx = CommContext(Machine(8), [2, 4, 6])   # a 3-rank subgroup
@@ -19,7 +21,7 @@ Paper anchor: Section 3 (processor groups executing collectives).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.machine import Machine, MachineError
 
@@ -69,24 +71,6 @@ class CommContext:
     def subgroup(self, group_ranks: Sequence[int]) -> "CommContext":
         """Context over a subset of this group (indices are group ranks)."""
         return CommContext(self.machine, [self.ranks[i] for i in group_ranks])
-
-    # ------------------------------------------------------------------
-    # Primitives in group coordinates
-    # ------------------------------------------------------------------
-    def transfer(self, src: int, dst: int, payload: Any, label: str = "") -> Any:
-        """Point-to-point transfer between group ranks."""
-        return self.machine.transfer(self.ranks[src], self.ranks[dst], payload, label=label)
-
-    def compute(self, p: int, flops: float, label: str = "") -> None:
-        """Charge flops on group rank ``p``."""
-        self.machine.compute(self.ranks[p], flops, label=label)
-
-    def exchange_round(self, transfers, label: str = ""):
-        """Simultaneous transfer round in group coordinates."""
-        return self.machine.exchange_round(
-            [(self.ranks[s], self.ranks[d], payload) for s, d, payload in transfers],
-            label=label,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CommContext(size={self.size}, ranks={self.ranks})"

@@ -8,7 +8,7 @@ the cost of these movements.  :func:`redistribute_rows` is the
 standalone primitive: it routes every row from its old owner to its new
 owner through the library's all-to-all collectives, so all
 inter-processor movement flows through :meth:`Machine.transfer` /
-:meth:`Machine.exchange_round` and shows up in the critical-path
+:meth:`Machine.charge` and shows up in the critical-path
 accounting -- nothing is teleported.
 
 Two variants, matching the all-to-all algorithms of Appendix A.3:

@@ -102,14 +102,6 @@ def _refs(obj: Any, lazies: list["LazyArray"]) -> Any:
     return out if isinstance(obj, list) else tuple(out)
 
 
-def _plan_of(lazies: list["LazyArray"]) -> Plan:
-    plan = lazies[0].plan
-    for la in lazies[1:]:
-        if la.plan is not plan:
-            raise EngineError("lazy operands belong to different execution plans")
-    return plan
-
-
 def _rank_hint(lazies: list["LazyArray"]) -> int | None:
     """Best-effort rank tag: the first operand that carries one."""
     for la in lazies:

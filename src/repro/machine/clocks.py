@@ -23,6 +23,11 @@ Storage is one plain Python float per (metric, processor): the machine
 charges millions of point-to-point messages in a large symbolic sweep,
 and scalar float updates are several times cheaper than small-numpy
 column arithmetic, which used to dominate cost-only wall-clock.
+:meth:`~repro.machine.Machine.charge` applies the updates of
+:meth:`ClockSet.send`, :meth:`ClockSet.recv` and
+:meth:`ClockSet.local_compute` inline over these lists for a whole
+collective schedule, so a change to one must be made to the other
+(``tests/test_collective_oracle.py`` compares the two).
 
 Paper anchor: Section 3 (per-metric critical paths).
 """

@@ -8,6 +8,13 @@ accounting: all flops, words, and messages flow through it, and
 per-metric critical paths are tracked exactly (see
 :mod:`repro.machine.clocks`).
 
+A collective is a schedule: rounds of simultaneous ``(src, dst,
+words)`` sends, each optionally followed by ``(rank, flops)`` combines,
+built once per group shape by :mod:`repro.collectives.schedule`.  The
+machine charges a whole schedule in one loop over the clocks
+(:meth:`Machine.charge`), with the float operations, in the order, of
+the ``transfer`` / ``exchange_round`` / ``compute`` calls it stands for.
+
 Data locality is a convention enforced by the distributed containers in
 :mod:`repro.dist`: the machine itself only meters movement.  A message of
 ``w`` words costs ``alpha + w*beta`` at *both* endpoints and the receive
@@ -369,39 +376,84 @@ class Machine:
 
         In algorithms like bidirectional exchange and the index
         all-to-all, every processor sends and receives within the same
-        round; the sends do not wait for the round's receives.  This
-        primitive schedules all sends before all receives so the
-        critical path reflects that parallel schedule -- delivering the
-        same messages one :meth:`transfer` at a time would create false
-        happens-before edges and inflate the measured costs.
+        round; the sends do not wait for the round's receives.  This is
+        a one-round :meth:`charge`, which schedules all sends before all
+        receives so the critical path reflects that parallel schedule --
+        delivering the same messages one :meth:`transfer` at a time
+        would create false happens-before edges and inflate the measured
+        costs.
 
         Returns the payloads in input order.
         """
-        staged = []
-        clocks = self.clocks
+        sends = []
         for src, dst, payload in transfers:
             self._check_rank(src)
             self._check_rank(dst)
-            if src == dst:
-                continue
-            w = words_of(payload)
-            snap = clocks.send(src, w)
-            send_idx = -1
-            if self.trace is not None:
-                send_idx = self.trace.append("send", src, peer=dst, words=w, label=label)
-            staged.append((dst, src, w, snap, send_idx))
-        key = label or "unlabeled"
-        round_words = 0
-        for dst, src, w, snap, send_idx in staged:
-            clocks.recv(dst, w, snap)
-            round_words += w
-            if self.trace is not None:
-                self.trace.append("recv", dst, peer=src, words=w, match=send_idx, label=label)
-        self.total_words_sent += round_words
-        self.total_messages_sent += len(staged)
-        if staged:
-            self.words_by_label[key] = self.words_by_label.get(key, 0) + round_words
+            if src != dst:
+                sends.append((src, dst, words_of(payload)))
+        self.charge([(sends, ())], label=label)
         return [payload for _, _, payload in transfers]
+
+    def charge(self, rounds, label: str = "", combine_label: str = "") -> None:
+        """Charge a whole communication schedule in one loop.
+
+        ``rounds`` is a sequence of ``(sends, combines)``: ``sends`` are
+        ``(src, dst, words)`` messages delivered simultaneously (every
+        send of the round before any of its receives, as in
+        :meth:`exchange_round`; a self-send is free), then ``combines``
+        are ``(rank, flops)`` arithmetic charges, as by :meth:`compute`.
+        A round of one send is exactly a :meth:`transfer`.  Sends are
+        labeled ``label`` and combines ``combine_label``.
+
+        The float operations, and their order, are those of the
+        equivalent ``transfer`` / ``exchange_round`` / ``compute``
+        sequence, so clocks, counters and ``words_by_label`` come out
+        bit for bit the same; with a :class:`Trace` on, the same loop
+        appends the events.  Ranks are machine ranks and are **not**
+        validated here: a :class:`~repro.collectives.CommContext`
+        validated them when it was built.  Collectives build their
+        schedules once per group shape (:mod:`repro.collectives.schedule`)
+        and charge them here.
+        """
+        clocks = self.clocks
+        F, W, S, T = clocks._f, clocks._w, clocks._s, clocks._t
+        alpha, beta, gamma = clocks._alpha, clocks._beta, clocks._gamma
+        trace = self.trace
+        total_flops = self.total_flops
+        words = messages = 0
+        for sends, combines in rounds:
+            staged = []
+            for src, dst, w in sends:
+                if src == dst:
+                    continue
+                ws = W[src] = W[src] + w
+                ss = S[src] = S[src] + 1.0
+                ts = T[src] = T[src] + alpha + beta * w
+                staged.append((src, dst, w, F[src], ws, ss, ts, -1 if trace is None else
+                               trace.append("send", src, peer=dst, words=w, label=label)))
+            for src, dst, w, sf, sw, ss, st, match in staged:
+                f, w0, s, t = F[dst], W[dst], S[dst], T[dst]
+                F[dst] = sf if sf > f else f
+                W[dst] = (sw if sw > w0 else w0) + w
+                S[dst] = (ss if ss > s else s) + 1.0
+                T[dst] = (st if st > t else t) + alpha + beta * w
+                words += w
+                if trace is not None:
+                    trace.append("recv", dst, peer=src, words=w, match=match, label=label)
+            messages += len(staged)
+            for p, flops in combines:
+                if flops:
+                    F[p] += flops
+                    T[p] += gamma * flops
+                    total_flops += flops
+                    if trace is not None:
+                        trace.append("compute", p, flops=float(flops), label=combine_label)
+        self.total_flops = total_flops
+        if messages:
+            self.total_words_sent += words
+            self.total_messages_sent += messages
+            key = label or "unlabeled"
+            self.words_by_label[key] = self.words_by_label.get(key, 0) + words
 
     def barrier(self) -> None:
         """Zero-cost clock join across all processors (phase separation).
@@ -424,11 +476,6 @@ class Machine:
         if min(I, J, K) <= 0:
             return 0.0
         return float(I) * J * (2 * K - 1)
-
-    @staticmethod
-    def flops_add(size: int) -> float:
-        """Operation count of an entrywise add/subtract of ``size`` words."""
-        return float(max(size, 0))
 
     # ------------------------------------------------------------------
     # Results

@@ -49,7 +49,7 @@ exactly on a hit), both ops, ``(I, J, K)``, the grid, the context's
 ranks, the source and result dtypes, and ``method``.  A miss builds the
 entry; there is no other path.  What still runs on every call is
 everything that touches values or clocks: the kernels, every
-``exchange_round`` charge, the fiber collectives and the local
+round's :meth:`~repro.machine.Machine.charge`, the fiber collectives and the local
 multiplications -- so reports, ``words_by_label``, factors and recorded
 plans are the same whether the entry was just built or found.  The
 memo is an LRU under one byte budget, :data:`ROUTE_MEMO_BYTES`, which

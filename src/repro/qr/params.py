@@ -79,11 +79,6 @@ def theorem1_constraint_ok(m: int, n: int, P: int, delta: float = 0.5, eps: floa
     return bool(lower and upper)
 
 
-def aspect_ratio_exponent(m: int, n: int, P: int) -> float:
-    """``(nP/m)`` -- the tradeoff base of Theorem 1, for reporting."""
-    return n * P / m
-
-
 def tall_skinny_feasible(m: int, n: int, P: int) -> bool:
     """tsqr/1d-caqr-eg's distribution requirement ``m/n >= P``."""
     return m >= n * P

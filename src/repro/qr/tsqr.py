@@ -53,7 +53,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from repro.backend import SymbolicArray, lapack
-from repro.collectives.binomial import _split
+from repro.collectives.schedule import tree_edges
 from repro.dist import DistMatrix
 from repro.machine import DistributionError
 from repro.qr.householder import PanelQR, apply_wy_padded, local_geqrt, sgn
@@ -196,12 +196,8 @@ def tsqr(A: DistMatrix, root: int = 0) -> TSQRResult:
     nn = SymbolicArray((n, n), dtype)
     tri = SymbolicArray((n * (n + 1) // 2,), dtype)  # what travels: packed triangles
 
-    def up(members: list[int], r: int) -> None:
-        if len(members) == 1:
-            return
-        mine, other, r2 = _split(members, r)
-        up(mine, r)
-        up(other, r2)
+    for r, r2, _ in tree_edges(0, len(parts), parts.index(root), post=True):
+        r, r2 = parts[r], parts[r2]
         packed = machine.kernel(r2, pack_triu, (Rcur.pop(r2),), tri, label="pack_triu")
         packed = machine.transfer(r2, r, packed, label="tsqr_up")
         R2 = machine.kernel(r, partial(unpack_triu, n=n), (packed,), nn, label="unpack_triu")
@@ -209,8 +205,6 @@ def tsqr(A: DistMatrix, root: int = 0) -> TSQRResult:
         pan = local_geqrt(machine, r, stacked)
         merges.append((r, r2, pan))
         Rcur[r] = pan.R
-
-    up(list(parts), root)
     R_tree = Rcur[root]
 
     # ------------------------------------------------------------------

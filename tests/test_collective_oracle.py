@@ -1,23 +1,33 @@
-"""The count-only collectives against the array-moving ones they replaced.
+"""The schedule-charged collectives against the implementations they replaced.
 
 ``reduce_binomial``, ``reduce_scatter`` and the bidirectional broadcast /
 reduce / all-reduce used to push every payload piece through numpy:
-slice, add, concatenate, reshape.  They are now a schedule over word
-counts plus at most one combine kernel per reduction result.  The old
-implementations live on below as the oracle, and a hypothesis property
-holds the new ones to them on every backend:
+slice, add, concatenate, reshape.  The binomial broadcast / scatter /
+gather and the all-gather re-derived their trees by recursion on every
+call and charged one ``transfer`` (or ``exchange_round``) per message.
+Every collective is now a schedule memoized per group shape
+(:mod:`repro.collectives.schedule`), priced off the call's word counts
+and charged in one ``Machine.charge`` loop, plus at most one combine
+kernel per reduction result.  The old implementations live on below as
+the oracle -- recursive, array-moving, and metered message by message
+through the machine's scalar ``ClockSet.send`` / ``recv`` path -- and a
+hypothesis property holds the new ones to them on every backend:
 
 * values **bit for bit** (numeric and parallel; shape and dtype on
   symbolic, which has no values);
-* the ``CostReport``, ``words_by_label`` and the traced event sequence
-  ``(kind, proc, peer, flops, words, label)``;
+* the ``CostReport``, ``words_by_label``, all four per-processor clock
+  vectors and, traced, the event sequence ``(kind, proc, peer, flops,
+  words, label)`` -- every case runs both traced and untraced, since the
+  charge loop only appends events when a trace is on;
 * on the parallel backend, the only recorded tasks are the combine
-  kernels, on the result's rank.
+  kernels, on the result's rank;
+* a collective called twice on one machine (the second call charges the
+  memoized schedule) meters like the oracle called twice.
 
 Covered: P = 1 ... 17 (odd sizes included), every root, groups that are
 a shuffled subset of the machine, zero-size blocks, blocks smaller than
-P (empty pieces), ``None`` patterns in ``reduce_scatter``, and float64 /
-float32 / complex128.
+P (empty pieces), ``None`` patterns in ``reduce_scatter`` / ``scatter``
+/ ``gather``, and float64 / float32 / complex128.
 """
 
 from __future__ import annotations
@@ -30,20 +40,119 @@ from hypothesis import strategies as st
 from repro.backend import SymbolicArray, asarray
 from repro.collectives import (
     CommContext,
+    all_gather,
     all_reduce_bidirectional,
     all_reduce_binomial,
     broadcast_bidirectional,
+    broadcast_binomial,
+    gather,
     reduce_bidirectional,
     reduce_binomial,
     reduce_scatter,
+    scatter,
 )
-from repro.collectives.binomial import _split, broadcast_binomial, gather, scatter
-from repro.machine import Counted, Machine, MachineError, words_of
+from repro.machine import METRICS, Counted, Machine, MachineError, Meta, words_of
 from repro.util import balanced_partition, ceil_div
 
 # ----------------------------------------------------------------------
-# The oracle: the array-moving implementations, as they were
+# The oracle's primitives: one message at a time, in group ranks
 # ----------------------------------------------------------------------
+
+
+def _transfer(ctx: CommContext, src: int, dst: int, payload, label: str) -> None:
+    ctx.machine.transfer(ctx.ranks[src], ctx.ranks[dst], payload, label=label)
+
+
+def _compute(ctx: CommContext, p: int, flops: float, label: str) -> None:
+    ctx.machine.compute(ctx.ranks[p], flops, label=label)
+
+
+def _exchange(ctx: CommContext, plan, label: str) -> None:
+    """One simultaneous round through ``ClockSet.send`` / ``recv``, message by message.
+
+    The per-message ``Machine.exchange_round`` as it was before the
+    machine charged whole schedules in one loop.
+    """
+    machine = ctx.machine
+    clocks, trace = machine.clocks, machine.trace
+    staged = []
+    for s, d, payload in plan:
+        src, dst = ctx.ranks[s], ctx.ranks[d]
+        if src == dst:
+            continue
+        w = words_of(payload)
+        snap = clocks.send(src, w)
+        idx = trace.append("send", src, peer=dst, words=w, label=label) if trace is not None else -1
+        staged.append((dst, src, w, snap, idx))
+    for dst, src, w, snap, idx in staged:
+        clocks.recv(dst, w, snap)
+        if trace is not None:
+            trace.append("recv", dst, peer=src, words=w, match=idx, label=label)
+    machine.total_words_sent += sum(w for _, _, w, _, _ in staged)
+    machine.total_messages_sent += len(staged)
+    if staged:
+        key = label or "unlabeled"
+        words = machine.words_by_label.get(key, 0) + sum(w for _, _, w, _, _ in staged)
+        machine.words_by_label[key] = words
+
+
+def _split(members: list[int], r: int) -> tuple[list[int], list[int], int]:
+    """Split ``members`` into halves; return (r's half, other half, peer root)."""
+    h = ceil_div(len(members), 2)
+    s1, s2 = members[:h], members[h:]
+    mine, other = (s1, s2) if r in s1 else (s2, s1)
+    return mine, other, other[0]
+
+
+# ----------------------------------------------------------------------
+# The oracle: the recursive, array-moving implementations, as they were
+# ----------------------------------------------------------------------
+
+
+def _oracle_scatter(ctx: CommContext, root: int, blocks) -> list:
+    out: list = [None] * ctx.size
+
+    def rec(members: list[int], r: int, blockmap: dict) -> None:
+        if len(members) == 1:
+            out[r] = blockmap.get(r)
+            return
+        mine, other, r2 = _split(members, r)
+        send = {q: blockmap[q] for q in other if q in blockmap}
+        _transfer(ctx, r, r2, [Meta(sorted(send))] + [send[q] for q in sorted(send)], "scatter")
+        rec(mine, r, {q: blockmap[q] for q in mine if q in blockmap})
+        rec(other, r2, send)
+
+    rec(list(range(ctx.size)), root, {q: b for q, b in enumerate(blocks) if b is not None})
+    return out
+
+
+def _oracle_gather(ctx: CommContext, root: int, contributions) -> list:
+    def rec(members: list[int], r: int) -> dict:
+        if len(members) == 1:
+            return {r: contributions[r]}
+        mine, other, r2 = _split(members, r)
+        held = rec(mine, r)
+        remote = rec(other, r2)
+        keys = sorted(remote)
+        _transfer(ctx, r2, r, [Meta(keys)] + [remote[q] for q in keys], "gather")
+        held.update(remote)
+        return held
+
+    got = rec(list(range(ctx.size)), root)
+    return [got.get(q) for q in range(ctx.size)]
+
+
+def _oracle_broadcast_binomial(ctx: CommContext, root: int, value):
+    def rec(members: list[int], r: int) -> None:
+        if len(members) == 1:
+            return
+        mine, other, r2 = _split(members, r)
+        _transfer(ctx, r, r2, value, "bcast_binomial")
+        rec(mine, r)
+        rec(other, r2)
+
+    rec(list(range(ctx.size)), root)
+    return value
 
 
 def _oracle_reduce_binomial(ctx: CommContext, root: int, contributions) -> np.ndarray:
@@ -53,15 +162,15 @@ def _oracle_reduce_binomial(ctx: CommContext, root: int, contributions) -> np.nd
         mine, other, r2 = _split(members, r)
         a = rec(mine, r)
         b = rec(other, r2)
-        ctx.transfer(r2, r, b, label="reduce_binomial")
-        ctx.compute(r, float(words_of(b)), label="reduce_combine")
+        _transfer(ctx, r2, r, b, "reduce_binomial")
+        _compute(ctx, r, float(words_of(b)), "reduce_combine")
         return np.add(a, b)
 
     return rec(list(range(ctx.size)), root)
 
 
 def _oracle_all_reduce_binomial(ctx: CommContext, contributions) -> np.ndarray:
-    return broadcast_binomial(ctx, 0, _oracle_reduce_binomial(ctx, 0, contributions))
+    return _oracle_broadcast_binomial(ctx, 0, _oracle_reduce_binomial(ctx, 0, contributions))
 
 
 def _pairings(s1: list[int], s2: list[int]) -> list[tuple[int, int]]:
@@ -93,9 +202,10 @@ def _oracle_reduce_scatter(ctx: CommContext, contributions) -> list:
             if b not in seen_small:
                 plan.append((b, a, {q: state[b].pop(q) for q in sorted(set1) if q in state[b]}))
                 seen_small.add(b)
-        ctx.exchange_round(
+        _exchange(
+            ctx,
             [(s, d, Counted(sum(words_of(blk) for blk in send.values()))) for s, d, send in plan],
-            label="reduce_scatter",
+            "reduce_scatter",
         )
         for _s, d, send in plan:
             flops = 0
@@ -106,7 +216,7 @@ def _oracle_reduce_scatter(ctx: CommContext, contributions) -> list:
                 else:
                     state[d][q] = blk
             if flops:
-                ctx.compute(d, float(flops), label="reduce_scatter_add")
+                _compute(ctx, d, float(flops), "reduce_scatter_add")
         rec(s1)
         rec(s2)
 
@@ -136,7 +246,7 @@ def _oracle_all_gather(ctx: CommContext, blocks) -> list[list]:
                 plan.append((b, a))
         snap = {m: dict(state[m]) for m in members}
         words = {s: sum(words_of(blk) for blk in snap[s].values()) for s in {s for s, _d in plan}}
-        ctx.exchange_round([(s, d, Counted(words[s])) for s, d in plan], label="all_gather")
+        _exchange(ctx, [(s, d, Counted(words[s])) for s, d in plan], "all_gather")
         for s, d in plan:
             state[d].update(snap[s])
 
@@ -157,7 +267,7 @@ def _reassemble(pieces, shape, dtype):
 def _oracle_broadcast_bidirectional(ctx: CommContext, root: int, value):
     value = asarray(value)
     pieces = _split_array(value, ctx.size)
-    everywhere = _oracle_all_gather(ctx, scatter(ctx, root, pieces))
+    everywhere = _oracle_all_gather(ctx, _oracle_scatter(ctx, root, pieces))
     return _reassemble(everywhere[0], value.shape, value.dtype)
 
 
@@ -165,7 +275,7 @@ def _oracle_reduce_bidirectional(ctx: CommContext, root: int, contributions):
     P = ctx.size
     first = asarray(contributions[0])
     per_rank = [_split_array(asarray(contributions[p]), P) for p in range(P)]
-    pieces = gather(ctx, root, _oracle_reduce_scatter(ctx, per_rank))
+    pieces = _oracle_gather(ctx, root, _oracle_reduce_scatter(ctx, per_rank))
     return _reassemble(pieces, first.shape, first.dtype)
 
 
@@ -183,6 +293,10 @@ def _oracle_all_reduce_bidirectional(ctx: CommContext, contributions):
 
 #: name -> (current, oracle, argument kind)
 COLLECTIVES = {
+    "broadcast_binomial": (broadcast_binomial, _oracle_broadcast_binomial, "value"),
+    "scatter": (scatter, _oracle_scatter, "sparse"),
+    "gather": (gather, _oracle_gather, "sparse"),
+    "all_gather": (all_gather, _oracle_all_gather, "all"),
     "reduce_binomial": (reduce_binomial, _oracle_reduce_binomial, "rooted"),
     "all_reduce_binomial": (all_reduce_binomial, _oracle_all_reduce_binomial, "all"),
     "reduce_scatter": (reduce_scatter, _oracle_reduce_scatter, "matrix"),
@@ -190,6 +304,8 @@ COLLECTIVES = {
     "reduce_bidirectional": (reduce_bidirectional, _oracle_reduce_bidirectional, "rooted"),
     "all_reduce_bidirectional": (all_reduce_bidirectional, _oracle_all_reduce_bidirectional, "all"),
 }
+#: Collectives that move blocks without combining them: no recorded task.
+MOVERS = {"broadcast_binomial", "scatter", "gather", "all_gather", "broadcast_bidirectional"}
 
 
 @st.composite
@@ -217,31 +333,44 @@ def _block(shape, dtype, rng, backend, machine):
     return machine.ops.asarray(x.astype(dtype))
 
 
-def _run(fn, case, backend):
-    name, size, ranks, root, dtype, shape, sizes, present, seed = case
-    machine = Machine(size, backend=backend, trace=True, workers=1)
+def _args(case, backend, machine, ctx):
+    name, _size, _ranks, root, dtype, shape, sizes, present, seed = case
     rng = np.random.default_rng(seed)
-    ctx = CommContext(machine, ranks)
     P = ctx.size
     kind = COLLECTIVES[name][2]
     if kind == "matrix":
-        args = ([[_block((sizes[q],), dtype, rng, backend, machine) if present[p][q] else None
+        return ([[_block((sizes[q],), dtype, rng, backend, machine) if present[p][q] else None
                   for q in range(P)] for p in range(P)],)
-    elif kind == "value":
-        args = (root, _block(shape, dtype, rng, backend, machine))
-    else:
-        blocks = [_block(shape, dtype, rng, backend, machine) for _ in range(P)]
-        args = (root, blocks) if kind == "rooted" else (blocks,)
+    if kind == "value":
+        return root, _block(shape, dtype, rng, backend, machine)
+    if kind == "sparse":
+        return root, [_block((sizes[q],), dtype, rng, backend, machine) if present[0][q] else None
+                      for q in range(P)]
+    blocks = [_block(shape, dtype, rng, backend, machine) for _ in range(P)]
+    return (root, blocks) if kind == "rooted" else (blocks,)
+
+
+def _run(fn, case, backend, trace=True, calls=1):
+    """Call ``fn`` ``calls`` times on one machine; what it computed and metered."""
+    name, size, ranks = case[:3]
+    machine = Machine(size, backend=backend, trace=trace, workers=1)
+    ctx = CommContext(machine, ranks)
+    args = _args(case, backend, machine, ctx)
     before = len(machine.plan.tasks) if machine.plan is not None else 0
-    out = fn(ctx, *args)
+    for _ in range(calls):
+        out = fn(ctx, *args)
     tasks = machine.plan.tasks[before:] if machine.plan is not None else []
     out = machine.materialize(out)
-    events = [(e.kind, e.proc, e.peer, e.flops, e.words, e.label) for e in machine.trace]
-    return out, machine.report(), dict(machine.words_by_label), events, tasks, ctx
+    events = [(e.kind, e.proc, e.peer, e.flops, e.words, e.label) for e in machine.trace or ()]
+    clocks = [machine.clocks.per_processor(m).tolist() for m in METRICS]
+    metering = (machine.report(), dict(machine.words_by_label), clocks, events)
+    return out, metering, tasks, ctx
 
 
 def _flat(out):
-    return out if isinstance(out, list) else [out]
+    if not isinstance(out, list):
+        return [out]
+    return [x for item in out for x in _flat(item)]
 
 
 def _fingerprint(x, backend):
@@ -253,12 +382,12 @@ def _fingerprint(x, backend):
     return x.shape, x.dtype, x.tobytes()
 
 
-def _check(case, backend):
+def _check(case, backend, trace=True):
     name = case[0]
     new, old, _kind = COLLECTIVES[name]
-    got, report, words, events, tasks, ctx = _run(new, case, backend)
-    want, report0, words0, events0, _tasks0, _ctx0 = _run(old, case, backend)
-    assert (report, words, events) == (report0, words0, events0)
+    got, metering, tasks, ctx = _run(new, case, backend, trace)
+    want, metering0, _tasks0, _ctx0 = _run(old, case, backend, trace)
+    assert metering == metering0
     assert [_fingerprint(x, backend) for x in _flat(got)] == [
         _fingerprint(x, backend) for x in _flat(want)]
     if backend != "parallel":
@@ -269,7 +398,7 @@ def _check(case, backend):
         holders = [ctx.ranks[q] for q in range(ctx.size)
                    if sum(present[p][q] for p in range(ctx.size)) > 1]
         assert [(t.label, t.rank) for t in tasks] == [("reduce_scatter_add", r) for r in holders]
-    elif name == "broadcast_bidirectional":
+    elif name in MOVERS:
         assert tasks == []
     else:
         label = "reduce_combine" if name.endswith("binomial") else "reduce_scatter_add"
@@ -280,24 +409,36 @@ def _check(case, backend):
 
 class TestAgainstTheArrayMovingOracle:
     @settings(max_examples=150, deadline=None)
-    @given(case=cases())
-    def test_numeric(self, case):
-        _check(case, "numeric")
+    @given(case=cases(), trace=st.booleans())
+    def test_numeric(self, case, trace):
+        _check(case, "numeric", trace)
 
     @settings(max_examples=100, deadline=None)
-    @given(case=cases())
-    def test_symbolic_costs(self, case):
-        _check(case, "symbolic")
+    @given(case=cases(), trace=st.booleans())
+    def test_symbolic_costs(self, case, trace):
+        _check(case, "symbolic", trace)
 
     @settings(max_examples=60, deadline=None)
     @given(case=cases())
     def test_parallel(self, case):
         _check(case, "parallel")
 
+    @pytest.mark.parametrize("trace", [True, False])
     @pytest.mark.parametrize("P", [1, 2, 3, 5, 16, 17])
-    def test_every_root_of_every_rooted_collective(self, P):
-        for name in ("reduce_binomial", "reduce_bidirectional", "broadcast_bidirectional"):
+    def test_every_root_of_every_rooted_collective(self, P, trace):
+        for name in ("reduce_binomial", "reduce_bidirectional", "broadcast_bidirectional",
+                     "broadcast_binomial", "scatter", "gather"):
             for root in range(P):
                 case = (name, P, list(range(P)), root, "float64", (7,), [1] * P,
                         [[True] * P] * P, root)
-                _check(case, "numeric")
+                _check(case, "numeric", trace)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=cases(), trace=st.booleans())
+    def test_a_memoized_schedule_charged_twice(self, case, trace):
+        # The second call on the machine charges the schedule the first
+        # one built (or found): twice the oracle, clock for clock.
+        new, old, _kind = COLLECTIVES[case[0]]
+        _got, metering, _tasks, _ctx = _run(new, case, "symbolic", trace, calls=2)
+        _want, metering0, _tasks0, _ctx0 = _run(old, case, "symbolic", trace, calls=2)
+        assert metering == metering0

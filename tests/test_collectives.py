@@ -285,3 +285,27 @@ class TestCollectiveValidation:
         items = [[(5, "t", np.ones(3))]] + [[] for _ in range(P - 1)]
         with pytest.raises(MachineError, match=f"destination 5 out of range for group of size {P}"):
             run(ctx_of(P), items)
+
+    # A rejected call charges nothing: the root and the contribution
+    # count are checked before any message or flop is metered.
+    REJECTED = [
+        ("reduce_bidirectional bad root", lambda ctx: reduce_bidirectional(ctx, 99, [np.ones(64)] * 8)),
+        ("dispatched large reduce bad root", lambda ctx: reduce(ctx, 99, [np.ones(64)] * 8)),
+        ("reduce_bidirectional short", lambda ctx: reduce_bidirectional(ctx, 0, [np.ones(64)] * 7)),
+        ("all_reduce_bidirectional short", lambda ctx: all_reduce_bidirectional(ctx, [np.ones(64)] * 7)),
+        ("reduce_binomial bad root", lambda ctx: reduce_binomial(ctx, -1, [np.ones(4)] * 8)),
+        ("gather short", lambda ctx: gather(ctx, 0, [np.ones(4)] * 7)),
+        ("broadcast_bidirectional bad root", lambda ctx: broadcast_bidirectional(ctx, 8, np.ones(64))),
+    ]
+
+    @pytest.mark.parametrize("name,call", REJECTED, ids=[n for n, _ in REJECTED])
+    def test_rejected_call_charges_nothing(self, name, call):
+        machine = Machine(8, trace=True)
+        ctx = CommContext.world(machine)
+        broadcast_binomial(ctx, 0, np.ones(3))
+        before = machine.report()
+        with pytest.raises(MachineError):
+            call(ctx)
+        assert machine.report() == before
+        assert machine.words_by_label == {"bcast_binomial": 21}
+        assert len(machine.trace) == 14

@@ -64,6 +64,8 @@ MODULE_MAP: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
         ("tests/test_collectives.py", "tests/test_collective_costs.py"), ("T1", "A2")),
     "repro/collectives/bounds.py": (("tests/test_collective_costs.py",), ("T1",)),
     "repro/collectives/context.py": (("tests/test_collectives.py",), ()),
+    "repro/collectives/schedule.py": (
+        ("tests/test_collective_oracle.py", "tests/test_collective_schedule.py"), ("T1", "A2")),
     "repro/collectives/dispatch.py": (("tests/test_collectives.py",), ("A2",)),
     "repro/collectives/rendezvous.py": (
         ("tests/test_engine.py", "tests/test_faults.py"), ("E1", "E4")),
