@@ -151,7 +151,10 @@ def _int(v: int):
 
 
 def _ptr(a: np.ndarray):
-    return a.ctypes.data_as(_DBL_P)
+    # Not ``a.ctypes.data_as``: the pointer it makes keeps ``a`` alive
+    # through a reference cycle, so every operand would wait for the GC.
+    # The caller holds ``a`` for the call.
+    return ctypes.cast(a.ctypes.data, _DBL_P)
 
 
 def geqrt(a: np.ndarray) -> np.ndarray:

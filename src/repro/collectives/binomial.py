@@ -98,10 +98,13 @@ def combine_arrays(order, *blocks):
     [7.0, 7.0]
     """
 
-    def total(o):
-        return total(o[0]) + total(o[1]) if isinstance(o, tuple) else blocks[o]
+    return _total(order, blocks)
 
-    return total(order)
+
+def _total(order, blocks):
+    if isinstance(order, tuple):
+        return _total(order[0], blocks) + _total(order[1], blocks)
+    return blocks[order]
 
 
 def combine(ctx: CommContext, p: int, kernel, blocks: Sequence[Any], label: str) -> Any:

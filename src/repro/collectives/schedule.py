@@ -225,21 +225,22 @@ def all_gather_rounds(size: int) -> Schedule:
     larger-half member stays silent while ``s2[0]`` "sends to both of q,
     q' but receives from one".
     """
-    rounds = []
-
-    def rec(lo: int, hi: int) -> None:
-        if hi - lo == 1:
-            return
-        mid = lo + (hi - lo + 1) // 2
-        rec(lo, mid)
-        rec(mid, hi)
-        sends = [m for a, b in _pairs(lo, mid, hi) for m in ((a, b, lo, mid), (b, a, mid, hi))]
-        if mid - lo > hi - mid:
-            sends.append((mid, mid - 1, mid, hi))
-        rounds.append((tuple(sends), ()))
-
-    rec(0, size)
+    rounds: list = []
+    _all_gather(0, size, rounds)
     return Schedule(tuple(rounds))
+
+
+def _all_gather(lo: int, hi: int, rounds: list) -> None:
+    """Append group ``[lo, hi)``'s rounds to ``rounds``, its halves' first."""
+    if hi - lo == 1:
+        return
+    mid = lo + (hi - lo + 1) // 2
+    _all_gather(lo, mid, rounds)
+    _all_gather(mid, hi, rounds)
+    sends = [m for a, b in _pairs(lo, mid, hi) for m in ((a, b, lo, mid), (b, a, mid, hi))]
+    if mid - lo > hi - mid:
+        sends.append((mid, mid - 1, mid, hi))
+    rounds.append((tuple(sends), ()))
 
 
 @_memoized
@@ -254,27 +255,28 @@ def reduce_scatter_rounds(size: int, pattern: bytes | None) -> Schedule:
     """
     if pattern is not None:
         return _sparse_reduce_scatter(size, pattern)
-    rounds = []
+    rounds: list = []
     # Every member of a full group holds one partial sum for each of
     # the group's destinations, all in the same order: one per rank.
     order: list[Any] = list(range(size))
-
-    def rec(lo: int, hi: int) -> None:
-        if hi - lo == 1:
-            return
-        mid = lo + (hi - lo + 1) // 2
-        sends = [m for a, b in _pairs(lo, mid, hi) for m in ((a, b, mid, hi), (b, a, lo, mid))]
-        if mid - lo > hi - mid:
-            sends.append((mid - 1, mid, mid, hi))
-        before = order[lo:hi]
-        for s, d, _, _ in sends:
-            order[d] = (order[d], before[s - lo])
-        rounds.append((tuple(sends), tuple((d, l, h) for _, d, l, h in sends)))
-        rec(lo, mid)
-        rec(mid, hi)
-
-    rec(0, size)
+    _reduce_scatter(0, size, order, rounds)
     return Schedule(tuple(rounds), tuple(order))
+
+
+def _reduce_scatter(lo: int, hi: int, order: list, rounds: list) -> None:
+    """Append group ``[lo, hi)``'s rounds, its halves' after; nest ``order``."""
+    if hi - lo == 1:
+        return
+    mid = lo + (hi - lo + 1) // 2
+    sends = [m for a, b in _pairs(lo, mid, hi) for m in ((a, b, mid, hi), (b, a, lo, mid))]
+    if mid - lo > hi - mid:
+        sends.append((mid - 1, mid, mid, hi))
+    before = order[lo:hi]
+    for s, d, _, _ in sends:
+        order[d] = (order[d], before[s - lo])
+    rounds.append((tuple(sends), tuple((d, l, h) for _, d, l, h in sends)))
+    _reduce_scatter(lo, mid, order, rounds)
+    _reduce_scatter(mid, hi, order, rounds)
 
 
 def _sparse_reduce_scatter(size: int, pattern: bytes) -> Schedule:
@@ -286,42 +288,47 @@ def _sparse_reduce_scatter(size: int, pattern: bytes) -> Schedule:
     """
     held = [{q: p for q in range(size) if pattern[p * size + q]} for p in range(size)]
     index: list[int] = []
-    rounds = []
-
-    def run(qs) -> tuple[int, int]:
-        lo = len(index)
-        index.extend(qs)
-        return lo, len(index)
-
-    def shed(p: int, dests: range) -> dict[int, Any]:
-        mine = held[p]
-        return {q: mine.pop(q) for q in dests if q in mine}
-
-    def rec(lo: int, hi: int) -> None:
-        if hi - lo == 1:
-            return
-        mid = lo + (hi - lo + 1) // 2
-        s1, s2 = range(lo, mid), range(mid, hi)
-        plan = [m for a, b in zip(s1, s2) for m in ((a, b, shed(a, s2)), (b, a, shed(b, s1)))]
-        if len(s1) > len(s2):
-            plan.append((s1[-1], s2[0], shed(s1[-1], s2)))
-        sends = tuple((s, d, *run(send)) for s, d, send in plan)
-        combines = []
-        for _s, d, send in plan:
-            mine, added = held[d], []
-            for q, order in send.items():
-                if q in mine:
-                    mine[q] = (mine[q], order)
-                    added.append(q)
-                else:
-                    mine[q] = order
-            combines.append((d, *run(added)))
-        rounds.append((sends, tuple(combines)))
-        rec(lo, mid)
-        rec(mid, hi)
-
-    rec(0, size)
+    rounds: list = []
+    _sparse(0, size, held, index, rounds)
     return Schedule(tuple(rounds), tuple(held[q].get(q) for q in range(size)), tuple(index))
+
+
+def _run(index: list, qs) -> tuple[int, int]:
+    """Append ``qs`` to ``index``; the run they occupy."""
+    lo = len(index)
+    index.extend(qs)
+    return lo, len(index)
+
+
+def _shed(mine: dict, dests: range) -> dict[int, Any]:
+    """Take the partials for ``dests`` out of ``mine``."""
+    return {q: mine.pop(q) for q in dests if q in mine}
+
+
+def _sparse(lo: int, hi: int, held: list, index: list, rounds: list) -> None:
+    """:func:`_reduce_scatter` over the partials each rank ``held``."""
+    if hi - lo == 1:
+        return
+    mid = lo + (hi - lo + 1) // 2
+    s1, s2 = range(lo, mid), range(mid, hi)
+    plan = [m for a, b in zip(s1, s2)
+            for m in ((a, b, _shed(held[a], s2)), (b, a, _shed(held[b], s1)))]
+    if len(s1) > len(s2):
+        plan.append((s1[-1], s2[0], _shed(held[s1[-1]], s2)))
+    sends = tuple((s, d, *_run(index, send)) for s, d, send in plan)
+    combines = []
+    for _s, d, send in plan:
+        mine, added = held[d], []
+        for q, order in send.items():
+            if q in mine:
+                mine[q] = (mine[q], order)
+                added.append(q)
+            else:
+                mine[q] = order
+        combines.append((d, *_run(index, added)))
+    rounds.append((sends, tuple(combines)))
+    _sparse(lo, mid, held, index, rounds)
+    _sparse(mid, hi, held, index, rounds)
 
 
 # ----------------------------------------------------------------------

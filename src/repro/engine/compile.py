@@ -39,22 +39,26 @@ outputs -- and derives the rest from it:
    *after* the writer, which no record-time test can.  Sound because a
    lane walks its tasks in tid order, so a same-worker reader with a
    lower tid has finished before ``W`` starts.
-3. **Argument pre-resolution** -- each task's arguments are walked
-   once at bind time into one :class:`BoundTask` record: the recorded
-   ``args`` tuple, a ``(position, producer, index)`` entry per top-level
-   ``Ref`` the lane reads straight off ``producer.value``, and a
-   zero-argument maker only for an argument that needs more (a remote
-   fetch, an mp input fetch, a nested container holding Refs).  The
-   per-execution hot path is ``fn(*make_args())`` with no dict lookups,
-   no isinstance chains and no closure per argument; an ``updates=``
-   task copies its compiled :attr:`CompiledPlan.copies` positions into
-   the argument list that call builds.
+3. **Argument pre-resolution** -- a task's ``Ref`` handles are always
+   top-level arguments (:meth:`Plan.add <repro.engine.plan.Plan.add>`
+   rejects a nested one), so binding walks each task's arguments once
+   into one :class:`BoundTask` record of plain data: the recorded
+   ``args`` tuple and one ``(position, producer, index)`` triple per
+   ``Ref`` -- in ``reads`` when the lane reads ``producer.value``
+   straight off the task, in ``fetches`` when the value comes through
+   the lane's fetch (a remote producer, an mp input leaf).  The
+   per-execution hot path is :meth:`BoundTask.run` with the lane's
+   fetch passed in at call time: no dict lookups, no isinstance chains
+   and no closure, so a binding holds no reference to its engine.  An
+   ``updates=`` task copies its compiled :attr:`CompiledPlan.copies`
+   positions into the argument list that call builds.
 
 None of the three changes a computed value.  The compiled artifact is
 engine-agnostic: the thread :class:`~repro.engine.executor.Engine`
-binds streams with an in-process rendezvous fetch, and
+runs bound streams with an in-process rendezvous fetch, and
 :class:`~repro.engine.mp.MpEngine`'s forked workers bind the same
-streams with ``replicate_rankless=True`` and an inbox-queue fetch.
+streams with ``replicate_rankless=True`` and run them with an
+inbox-queue fetch.
 
 Paper anchor: Section 3 (the execution DAG; compilation only places
 its tasks on lanes, never changes its dataflow); Section 8.4
@@ -66,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from repro.engine.plan import Plan, Ref, Task, _scan_refs
+from repro.engine.plan import Plan, Ref, Task
 
 __all__ = ["REPLICATED", "BoundTask", "CompiledPlan", "Publisher",
            "bind_stream", "compile_plan", "grain", "rearm"]
@@ -121,9 +125,10 @@ def _consumers_by_tid(plan: Plan) -> dict[int, list[Task]]:
     for task in plan.tasks:
         if task.is_input:
             continue
-        producers: list[Task] = []
-        _scan_refs(task.args, producers)
-        for dep in producers:
+        for a in task.args:
+            if type(a) is not Ref:
+                continue
+            dep = a.task
             readers = cons.get(dep.tid)
             if readers is None:
                 cons[dep.tid] = [task]
@@ -132,20 +137,16 @@ def _consumers_by_tid(plan: Plan) -> dict[int, list[Task]]:
     return cons
 
 
-def _reads(obj: Any, ref: Ref) -> bool:
-    """True when ``obj`` holds a :class:`Ref` to the output ``ref`` names.
+def _reads(args: tuple, ref: Ref) -> bool:
+    """True when ``args`` hold a :class:`Ref` to the output ``ref`` names.
 
     An index of ``None`` (a whole value) on either side overlaps all.
     """
-    if isinstance(obj, Ref):
-        return obj.task is ref.task and (
-            obj.index is None or ref.index is None or obj.index == ref.index
-        )
-    if isinstance(obj, (list, tuple)):
-        return any(_reads(o, ref) for o in obj)
-    if isinstance(obj, dict):
-        return any(_reads(o, ref) for o in obj.values())
-    return False
+    return any(
+        type(a) is Ref and a.task is ref.task
+        and (a.index is None or ref.index is None or a.index == ref.index)
+        for a in args
+    )
 
 
 def _ran_before(reader: Task, writer: Task, ref: Ref, owner: list) -> bool:
@@ -205,9 +206,10 @@ def rearm(plan: Plan, tasks: Iterable[Task]) -> None:
     todo = list(tasks)
     while todo:
         task = todo.pop()
-        producers: list[Task] = []
-        _scan_refs(task.args, producers)
-        todo.extend(dep for dep in producers if dep.done and dep.tid in written)
+        todo.extend(
+            a.task for a in task.args
+            if type(a) is Ref and a.task.done and a.task.tid in written
+        )
         task.done = False
         task.value = None
         task.rendezvous = None
@@ -346,52 +348,53 @@ def compile_plan(plan: Plan, workers: int, replicate_rankless: bool = False) -> 
 # ----------------------------------------------------------------------
 
 class BoundTask:
-    """A task bound to one lane: ``run()`` is ``fn(*make_args())``.
+    """A task bound to one lane: ``run(fetch)`` computes its value.
 
-    ``args`` is the recorded argument tuple.  ``reads`` holds one
-    ``(position, producer, index)`` per top-level :class:`Ref` this lane
-    reads straight off ``producer.value``; ``makers`` one ``(position,
-    maker)`` per argument that needs more -- a remote fetch, an input
-    fetch, a nested container holding Refs.  ``reads is None`` marks a
-    constant-only task.  ``copies`` is ``None`` unless the task writes
-    in place (:attr:`CompiledPlan.copies` of its tid).
+    Plain data: ``args`` is the recorded argument tuple; ``reads`` holds
+    one ``(position, producer, index)`` per :class:`Ref` this lane reads
+    straight off ``producer.value``, ``fetches`` one per Ref whose value
+    comes through the lane's ``fetch(producer, consumer)`` -- a remote
+    producer, or an input leaf in an mp worker.  ``reads is None`` marks
+    a task with no Ref argument.  ``copies`` is ``None`` unless the task
+    writes in place (:attr:`CompiledPlan.copies` of its tid).
     """
 
-    __slots__ = ("task", "fn", "args", "reads", "makers", "copies")
+    __slots__ = ("task", "fn", "args", "reads", "fetches", "copies")
 
-    def __init__(self, task: Task, reads: tuple | None, makers: tuple,
+    def __init__(self, task: Task, reads: tuple | None, fetches: tuple,
                  copies: tuple | None) -> None:
         self.task = task
         self.fn = task.fn
         self.args = task.args
         self.reads = reads
-        self.makers = makers
+        self.fetches = fetches
         self.copies = copies
 
-    def make_args(self) -> tuple | list:
-        """The task's argument values, read now (so replays see new ones)."""
+    def run(self, fetch: Callable[[Task, Task], Any]) -> Any:
+        """Compute the task's value, reading its arguments now.
+
+        Producer values are read at call time, so one binding serves
+        every replay of the plan.
+        """
         reads = self.reads
         if reads is None:
-            return self.args
+            return self.fn(*self.args)
         vals = list(self.args)
         for i, dep, sel in reads:
             vals[i] = dep.value if sel is None else dep.value[sel]
-        for i, make in self.makers:
-            vals[i] = make()
-        return vals
-
-    def run(self) -> Any:
-        """Compute the task's value."""
+        for i, dep, sel in self.fetches:
+            value = fetch(dep, self.task)
+            vals[i] = value if sel is None else value[sel]
         if self.copies is None:
-            return self.fn(*self.make_args())
-        return _run_updating(self.fn, self.task.writes, self.copies, self.make_args())
+            return self.fn(*vals)
+        return _run_updating(self.fn, self.task.writes, self.copies, vals)
 
 
 def _run_updating(fn, writes, copies, vals):
     """Run an ``updates=`` task: copy shared targets, run, re-emit.
 
-    ``vals`` is the argument list :meth:`BoundTask.make_args` built;
-    the copies go into it.  The task's value is ``(*written arrays,
+    ``vals`` is the argument list :meth:`BoundTask.run` built; the
+    copies go into it.  The task's value is ``(*written arrays,
     *outputs)``; the written arrays are the new values of the lazy
     arguments ``defer`` rebound.  A kernel that only writes (it returns
     ``None``) has no outputs.
@@ -407,98 +410,47 @@ def _run_updating(fn, writes, copies, vals):
     return written + (tuple(out) if writes.splat else (out,))
 
 
-def _direct(dep: Task, widx: int, owner: list, input_fetch) -> bool:
+def _direct(dep: Task, widx: int, owner: list, fetch_inputs: bool) -> bool:
     """True when lane ``widx`` reads ``dep.value`` straight off ``dep``.
 
-    An input leaf does in thread mode (no ``input_fetch``: leaves live in
-    this address space, read at call time so ``Plan.rebind`` is honored
-    on replays); a task does when this lane owns it or every lane runs it.
+    An input leaf does unless ``fetch_inputs`` (an mp worker reads its
+    leaves from shared memory; a thread lane reads ``leaf.value`` at call
+    time, so ``Plan.rebind`` is honored on replays); a task does when
+    this lane owns it or every lane runs it.
     """
     if dep.is_input:
-        return input_fetch is None
+        return not fetch_inputs
     o = owner[dep.tid]
     return o == widx or o == REPLICATED
 
 
-def _maker(
-    obj: Any,
-    consumer: Task,
-    widx: int,
-    owner: list,
-    input_fetch: Callable[[Task], Any] | None,
-    remote_fetch: Callable[[Task, Task], Any],
-) -> Callable[[], Any] | None:
-    """A zero-arg value maker for ``obj``, or ``None`` when constant."""
-    if isinstance(obj, Ref):
-        dep, sel = obj.task, obj.index
-        if _direct(dep, widx, owner, input_fetch):
-            if sel is None:
-                return lambda: dep.value
-            return lambda: dep.value[sel]
-        if dep.is_input:
-            if sel is None:
-                return lambda: input_fetch(dep)
-            return lambda: input_fetch(dep)[sel]
-        if sel is None:
-            return lambda: remote_fetch(dep, consumer)
-        return lambda: remote_fetch(dep, consumer)[sel]
-    if isinstance(obj, (list, tuple)):
-        subs = [_maker(o, consumer, widx, owner, input_fetch, remote_fetch)
-                for o in obj]
-        if all(s is None for s in subs):
-            return None
-        fns = [s if s is not None else (lambda v=v: v)
-               for s, v in zip(subs, obj)]
-        if isinstance(obj, list):
-            return lambda: [f() for f in fns]
-        return lambda: tuple(f() for f in fns)
-    if isinstance(obj, dict):
-        subs = {k: _maker(v, consumer, widx, owner, input_fetch, remote_fetch)
-                for k, v in obj.items()}
-        if all(s is None for s in subs.values()):
-            return None
-        pairs = [(k, s if s is not None else (lambda v=obj[k]: v))
-                 for k, s in subs.items()]
-        return lambda: {k: f() for k, f in pairs}
-    return None
+def bind_stream(cplan: CompiledPlan, widx: int, fetch_inputs: bool = False) -> list[BoundTask]:
+    """Bind worker ``widx``'s stream: one :class:`BoundTask` per task.
 
-
-def bind_stream(
-    cplan: CompiledPlan,
-    widx: int,
-    input_fetch: Callable[[Task], Any] | None,
-    remote_fetch: Callable[[Task, Task], Any],
-) -> list[BoundTask]:
-    """Bind worker ``widx``'s stream to an engine's fetch primitives.
-
-    ``input_fetch(leaf)`` materializes an input leaf's current value
-    (``None`` means "read ``leaf.value`` directly" -- the thread mode);
-    ``remote_fetch(dep, consumer)`` blocks on a cross-worker producer.
-    A top-level :class:`Ref` this lane can read directly becomes a
-    ``reads`` entry, anything else that holds a Ref a maker; both read
-    producer values at *call* time, so one binding is reused across
-    every replay of the plan.
+    Each :class:`Ref` argument becomes a ``reads`` triple when this lane
+    can read the producer's value directly, else a ``fetches`` triple
+    for the fetch the lane passes to :meth:`BoundTask.run`;
+    ``fetch_inputs`` sends input leaves through the fetch too (the mp
+    workers').  Both read producer values at *call* time, so one binding
+    is reused across every replay of the plan.
     """
     owner = cplan.owner
     copies = cplan.copies
     bound = []
     for t in cplan.streams[widx]:
         reads = []
-        makers = []
+        fetches = []
         for i, a in enumerate(t.args):
             if type(a) is Ref:
-                if _direct(a.task, widx, owner, input_fetch):
-                    reads.append((i, a.task, a.index))
-                    continue
-            elif not isinstance(a, (list, tuple, dict)):
-                continue
-            make = _maker(a, t, widx, owner, input_fetch, remote_fetch)
-            if make is not None:
-                makers.append((i, make))
+                entry = (i, a.task, a.index)
+                if _direct(a.task, widx, owner, fetch_inputs):
+                    reads.append(entry)
+                else:
+                    fetches.append(entry)
         bound.append(BoundTask(
             t,
-            tuple(reads) if reads or makers else None,
-            tuple(makers),
+            tuple(reads) if reads or fetches else None,
+            tuple(fetches),
             copies[t.tid] if t.writes is not None else None,
         ))
     return bound

@@ -13,7 +13,10 @@ LAPACK factorizations, BLAS multiplies -- release the GIL, so with
 ``workers > 1`` on a multi-core host the lanes execute genuinely in
 parallel, which is the machine model's DAG semantics made physical.
 The schedule is compiled and bound once per plan and reused by every
-replay.
+replay.  A bound lane is plain data (:class:`~repro.engine.compile.BoundTask`):
+the fetch a cross-lane read goes through is :meth:`Engine._fetch`,
+passed in when a task runs, so nothing the engine keeps points back at
+it, and a dropped engine and its plan are freed by reference counting.
 
 Cross-lane dependencies are *rendezvous* edges: the producer publishes
 its value through a one-shot blocking
@@ -68,7 +71,7 @@ from typing import Any, Callable
 # The engine guard shares the rendezvous consumer timeout: one value,
 # one diagnostic story.
 from repro.collectives.rendezvous import DEFAULT_TIMEOUT, RendezvousGroup
-from repro.engine.compile import CompiledPlan, bind_stream, compile_plan, grain
+from repro.engine.compile import BoundTask, CompiledPlan, bind_stream, compile_plan, grain
 from repro.engine.plan import EngineError, Plan, Task
 from repro.machine.exceptions import RankFailure
 from repro.telemetry.recorder import NULL_RECORDER
@@ -222,14 +225,21 @@ class Engine(EngineBase):
         # and with it the lane count.
         self._cplan: CompiledPlan | None = None
         self._cplan_for: Plan | None = None
-        self._bound: list[_BoundStream] = []
-        # Mutable cells shared with the bound fetch closures (the
-        # binding outlives any single execute() call).
-        self._ctimeout = [self.timeout]
-        self._progress = [0]
-        # Set when the caller is interrupted mid-execute: every stream
-        # stops at its next task boundary.
-        self._halt = [False]
+        #: Per lane, its bound tasks.  They hold no reference to this
+        #: engine: a lane passes :meth:`_fetch` to each task it runs.
+        self._bound: list[list[BoundTask]] = []
+        #: Per lane, the seconds its current task waited in rendezvous
+        #: fetches (read by telemetry).
+        self._waits: list[float] = []
+        #: The rendezvous timeout of the execute in progress.
+        self._fetch_timeout = self.timeout
+        #: Tasks completed, watched by the multi-lane deadlock guard.
+        #: Lanes bump it without a lock: an update lost to a race still
+        #: moves it, and a move is all the guard reads.
+        self._progress = 0
+        #: Set when the caller is interrupted mid-execute: every lane
+        #: stops at its next task boundary.
+        self._halt = False
 
     # ------------------------------------------------------------------
     # Execution
@@ -309,9 +319,8 @@ class Engine(EngineBase):
         fine = grain(plan)
         lanes = 1 if fine is not None and fine < TWO_LANE_FLOPS else self.workers
         cplan = compile_plan(plan, lanes)
-        self._bound = [
-            _BoundStream(self, cplan, widx) for widx in range(cplan.workers)
-        ]
+        self._bound = [bind_stream(cplan, widx) for widx in range(cplan.workers)]
+        self._waits = [0.0] * cplan.workers
         self._cplan = cplan
         self._cplan_for = plan
         return cplan
@@ -343,12 +352,12 @@ class Engine(EngineBase):
 
     def _execute_compiled(self, pending: list[Task], timeout: float) -> None:
         """Run the not-done remainder on the compiled worker streams."""
-        self._ctimeout[0] = timeout
-        self._halt[0] = False
+        self._fetch_timeout = timeout
+        self._halt = False
         if self._cplan.workers == 1:
             # One lane, zero rendezvous: run in the caller's thread
             # (nothing can block, so no guard).
-            self._run_stream(self._bound[0].tasks, self._bound[0].waits, None)
+            self._run_stream(0)
             return
         # The one wiring site: every cross-worker producer that has yet
         # to run gets a *fresh* slot per attempt (whatever an aborted
@@ -365,14 +374,17 @@ class Engine(EngineBase):
                 ),
                 producer=f"t{task.tid}:{task.label} (rank {task.rank})",
             )
-        live = [bs for bs in self._bound if any(not bt.task.done for bt in bs.tasks)]
+        live = [
+            widx for widx, lane in enumerate(self._bound)
+            if any(not bt.task.done for bt in lane)
+        ]
         if live:
             self._execute_compiled_pool(live, pending, timeout)
 
     def _execute_compiled_pool(
-        self, live: list["_BoundStream"], pending: list[Task], timeout: float
+        self, live: list[int], pending: list[Task], timeout: float
     ) -> None:
-        """One pool job per live stream, with a progress-based guard.
+        """One pool job per live lane, with a progress-based guard.
 
         Streams block *inside* rendezvous fetches rather than parking in
         the scheduler, so the deadlock guard watches a per-task progress
@@ -386,13 +398,11 @@ class Engine(EngineBase):
         interrupt while the streams wind down after a failure is caught
         the same way.
         """
-        progress = self._progress
-        halt = self._halt
         done_q: "queue.SimpleQueue[BaseException | None]" = queue.SimpleQueue()
 
-        def run(bs: "_BoundStream") -> None:
+        def run(widx: int) -> None:
             try:
-                self._run_stream(bs.tasks, bs.waits, progress)
+                self._run_stream(widx)
                 done_q.put(None)
             except BaseException as exc:  # noqa: BLE001 - reported to the driver
                 done_q.put(exc)
@@ -404,9 +414,9 @@ class Engine(EngineBase):
         poll = min(timeout, 0.25)
         with ThreadPoolExecutor(max_workers=min(self.workers, len(live))) as pool:
             try:
-                for bs in live:
-                    pool.submit(run, bs)
-                last = progress[0]
+                for widx in live:
+                    pool.submit(run, widx)
+                last = self._progress
                 stall = 0.0
                 while remaining:
                     try:
@@ -414,8 +424,8 @@ class Engine(EngineBase):
                     except queue.Empty:
                         if failure is not None or deadlock is not None:
                             continue  # joining: the slots are already poisoned
-                        if progress[0] != last:
-                            last = progress[0]
+                        if self._progress != last:
+                            last = self._progress
                             stall = 0.0
                             continue
                         stall += poll
@@ -428,14 +438,14 @@ class Engine(EngineBase):
                             self._abort(pending, deadlock)
                         continue
                     remaining -= 1
-                    last = progress[0]
+                    last = self._progress
                     stall = 0.0
                     if exc is not None and failure is None and deadlock is None:
                         failure = exc
                         self._abort(pending, exc)
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 interrupt = exc
-                halt[0] = True
+                self._halt = True
                 self._abort(pending, exc)
         # Every stream has reported or (after an interrupt) the `with`
         # block joined it: poisoned slots release blocked streams in
@@ -447,42 +457,40 @@ class Engine(EngineBase):
         if deadlock is not None:
             raise deadlock
 
-    def _run_stream(
-        self, tasks: list, waits: list[float], progress: list[int] | None
-    ) -> None:
-        """Walk bound tasks in order, skipping done ones.
+    def _run_stream(self, widx: int) -> None:
+        """Walk lane ``widx``'s bound tasks in order, skipping done ones.
 
-        The per-task ``done`` flags are the resume points: a stream
+        The per-task ``done`` flags are the resume points: a lane
         interrupted by a failure picks up at its first not-done task on
         the next attempt, and a rank's fault-injection step counter
         advances once per task run.  One telemetry span per task.
         """
         fp = self.fault_plan
-        halt = self._halt
+        fetch = self._fetch
+        waits = self._waits
         try:
-            for bt in tasks:
+            for bt in self._bound[widx]:
                 task = bt.task
                 if task.done:
                     continue
-                if halt[0]:
+                if self._halt:
                     return
                 rec = self.telemetry
                 enabled = rec.enabled
                 if enabled:
                     t0 = rec.now()
-                    waits[0] = 0.0
+                    waits[widx] = 0.0
                 if fp is not None and task.rank is not None:
                     fp.on_task(task.rank, task.label, telemetry=rec)
-                task.value = bt.run()
+                task.value = bt.run(fetch)
                 rv = task.rendezvous
                 if rv is not None:
                     rv.put(task.value)
                 task.done = True
-                if progress is not None:
-                    progress[0] += 1
+                self._progress += 1
                 if enabled:
                     rec.task_span(
-                        task.label, task.tid, task.rank, t0, rec.now() - t0, waits[0]
+                        task.label, task.tid, task.rank, t0, rec.now() - t0, waits[widx]
                     )
         except RankFailure:
             raise
@@ -491,46 +499,35 @@ class Engine(EngineBase):
                 f"task t{task.tid} ({task.label!r}, rank={task.rank}) failed: {exc}"
             ) from exc
 
+    def _fetch(self, dep: Task, consumer: Task) -> Any:
+        """A cross-lane producer's value, taken from its rendezvous slot.
+
+        The fetch every lane passes to :meth:`BoundTask.run
+        <repro.engine.compile.BoundTask.run>`.  Reads the timeout and
+        ``self.telemetry`` at call time, so a binding is valid across
+        replays even as ``run_many`` re-points the recorder.
+        """
+        if dep.done:
+            return dep.value
+        rv = dep.rendezvous
+        if rv is None:
+            # The producer finished between the two reads above.
+            if dep.done:  # pragma: no cover - narrow race
+                return dep.value
+            raise EngineError(
+                f"compiled fetch: producer t{dep.tid} ({dep.label!r}) "
+                "has no rendezvous and is not done"
+            )
+        rec = self.telemetry
+        if not rec.enabled:
+            return rv.get(self._fetch_timeout, consumer=consumer.rank)
+        t0 = time.perf_counter()
+        value = rv.get(self._fetch_timeout, consumer=consumer.rank)
+        waited = time.perf_counter() - t0
+        self._waits[self._cplan.owner[consumer.tid]] += waited
+        rec.rendezvous_wait(dep.label, consumer.rank, waited)
+        return value
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Engine(workers={self.workers}, lanes={self.lanes})"
 
-
-class _BoundStream:
-    """One worker's bound tasks plus its rendezvous-wait accumulator.
-
-    The remote fetch closes over the owning engine's mutable timeout
-    cell and reads ``engine.telemetry`` at call time, so a binding is
-    valid across replays even as ``run_many`` re-points the recorder.
-    """
-
-    __slots__ = ("tasks", "waits")
-
-    def __init__(self, engine: Engine, cplan: CompiledPlan, widx: int) -> None:
-        waits = [0.0]
-        ctimeout = engine._ctimeout
-
-        def remote_fetch(dep: Task, consumer: Task) -> Any:
-            if dep.done:
-                return dep.value
-            rv = dep.rendezvous
-            if rv is None:
-                # The producer finished between the two reads above.
-                if dep.done:  # pragma: no cover - narrow race
-                    return dep.value
-                raise EngineError(
-                    f"compiled fetch: producer t{dep.tid} ({dep.label!r}) "
-                    "has no rendezvous and is not done"
-                )
-            rec = engine.telemetry
-            if rec.enabled:
-                t0 = time.perf_counter()
-                value = rv.get(ctimeout[0], consumer=consumer.rank)
-                waited = time.perf_counter() - t0
-                waits[0] += waited
-                rec.rendezvous_wait(dep.label, consumer.rank, waited)
-            else:
-                value = rv.get(ctimeout[0], consumer=consumer.rank)
-            return value
-
-        self.waits = waits
-        self.tasks = bind_stream(cplan, widx, None, remote_fetch)

@@ -38,6 +38,7 @@ Paper anchor: Section 3 (deferred construction of the execution DAG).
 from __future__ import annotations
 
 import operator
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -82,24 +83,20 @@ def _scan_lazies(obj: Any, out: list["LazyArray"]) -> None:
             _scan_lazies(o, out)
 
 
-def _refs(obj: Any, lazies: list["LazyArray"]) -> Any:
-    """``obj`` with each lazy swapped for its ``Ref``, in one walk.
+def _refs(args: tuple, lazies: list["LazyArray"]) -> tuple:
+    """``args`` with each lazy swapped for its ``Ref``, in one loop.
 
-    Appends the lazies to ``lazies`` in order and recurses only into
-    nested lists, tuples and dicts (rebuilt as plain ones), so a flat
-    argument tuple is one loop.
+    Appends the lazies to ``lazies`` in order.  Only top-level arguments
+    are swapped: a lazy inside a container stays, and
+    :meth:`~repro.engine.plan.Plan.add` rejects it.
     """
-    if isinstance(obj, dict):
-        return dict(zip(obj, _refs(tuple(obj.values()), lazies)))
     out = []
-    for a in obj:
+    for a in args:
         if isinstance(a, LazyArray):
             lazies.append(a)
             a = a.ref
-        elif isinstance(a, (list, tuple, dict)):
-            a = _refs(a, lazies)
         out.append(a)
-    return out if isinstance(obj, list) else tuple(out)
+    return tuple(out)
 
 
 def _rank_hint(lazies: list["LazyArray"]) -> int | None:
@@ -122,11 +119,15 @@ def defer(
 ) -> Any:
     """Append ``fn(*args)`` to ``plan`` and wrap its output(s) lazily.
 
-    ``args`` may mix eager values and :class:`LazyArray` operands (also
-    nested in lists/tuples/dicts); the executor materializes the lazy
-    ones before calling ``fn``.  ``meta`` is the symbolic result: one
-    :class:`SymbolicArray` for a single output, or a tuple of them for
-    a multi-output task (``fn`` must then return a matching tuple).
+    ``args`` may mix eager values and :class:`LazyArray` operands; the
+    executor materializes the lazy ones before calling ``fn``.  A lazy
+    operand must be a top-level argument: one inside a list, tuple or
+    dict raises :class:`~repro.engine.plan.EngineError`.  ``fn`` must
+    not close over a lazy array (that would tie the plan into a
+    reference cycle): pass lazies as arguments.  ``meta`` is the
+    symbolic result: one :class:`SymbolicArray` for a single output, or
+    a tuple of them for a multi-output task (``fn`` must then return a
+    matching tuple).
     When ``rank`` is ``None`` it is inherited from the first lazy
     operand that carries one.
 
@@ -196,6 +197,30 @@ def resolve(obj: Any) -> Any:
     if isinstance(obj, dict):
         return {k: resolve(v) for k, v in obj.items()}
     return obj
+
+
+def _apply_function(func: Callable[..., Any], spec: tuple, kwnames: tuple, *vals: Any) -> Any:
+    """``func(*args, **kwargs)`` from the flat values a task was handed.
+
+    ``spec`` has one entry per positional argument: ``None`` takes one
+    value, ``(kind, count)`` regroups the next ``count`` values into a
+    ``kind`` (a list or a tuple); the values left over are the keyword
+    arguments named ``kwnames``.
+
+    >>> _apply_function(np.concatenate, ((list, 2),), ("axis",), np.ones(1), np.zeros(1), 0).tolist()
+    [1.0, 0.0]
+    """
+    args = []
+    i = 0
+    for s in spec:
+        if s is None:
+            args.append(vals[i])
+            i += 1
+        else:
+            kind, count = s
+            args.append(kind(vals[i:i + count]))
+            i += count
+    return func(*args, **dict(zip(kwnames, vals[i:])))
 
 
 class LazyArray:
@@ -405,10 +430,10 @@ class LazyArray:
         if not isinstance(meta, SymbolicArray):  # symbolic layer declined
             return NotImplemented
 
-        def run(*vals):
-            return getattr(ufunc, method)(*vals, **kwargs)
-
-        result = defer(self.plan, run, tuple(inputs), meta, label=ufunc.__name__)
+        fn = ufunc if method == "__call__" else getattr(ufunc, method)
+        if kwargs:
+            fn = partial(fn, **kwargs)
+        result = defer(self.plan, fn, tuple(inputs), meta, label=ufunc.__name__)
         if out is not None:
             target = out[0] if isinstance(out, tuple) else out
             if isinstance(target, LazyArray):
@@ -427,12 +452,20 @@ class LazyArray:
             # Shape-only query (np.shape, np.ndim): already answerable.
             return meta
 
-        def run(*vals):
-            n = len(args)
-            return func(*vals[:n], **dict(zip(kwargs, vals[n:])))
-
-        flat_args = tuple(args) + tuple(kwargs.values())
-        return defer(self.plan, run, flat_args, meta, label=func.__name__)
+        # A sequence of arrays (np.vstack([...]), np.concatenate((...)))
+        # is spread into top-level arguments, so each lazy is an edge.
+        flat: list[Any] = []
+        spec = []
+        for a in args:
+            if isinstance(a, (list, tuple)) and any(isinstance(x, LazyArray) for x in a):
+                spec.append((type(a), len(a)))
+                flat.extend(a)
+            else:
+                spec.append(None)
+                flat.append(a)
+        flat.extend(kwargs.values())
+        fn = partial(_apply_function, func, tuple(spec), tuple(kwargs))
+        return defer(self.plan, fn, tuple(flat), meta, label=func.__name__)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

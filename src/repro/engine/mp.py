@@ -9,8 +9,8 @@ GIL in the way.
 
 The design, end to end:
 
-* **Plan shipping** -- the plan's thunks close over lambdas and bound
-  methods, which do not pickle; the pool therefore uses the ``fork``
+* **Plan shipping** -- the plan's tasks hold lambdas (``lambda a:
+  a[idx]``), which do not pickle; the pool therefore uses the ``fork``
   start method and ships the fully-recorded plan *once* by
   address-space inheritance.  :func:`mp_supported` reports whether the
   platform offers fork + POSIX shared memory (Linux/macOS do,
@@ -102,8 +102,8 @@ __all__ = ["MpEngine", "mp_supported"]
 def mp_supported() -> bool:
     """True when this platform can run the ``parallel-mp`` backend.
 
-    Requires the ``fork`` start method (plan thunks close over lambdas
-    and bound methods, so the plan ships by address-space inheritance,
+    Requires the ``fork`` start method (plan tasks hold lambdas, which
+    do not pickle, so the plan ships by address-space inheritance,
     never by pickle) and POSIX shared memory for the input leaves.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -166,9 +166,11 @@ def _worker_main(
 
     The stream is compiled and bound exactly once per pool lifetime;
     each epoch re-runs every task (the plan's per-task ``done`` flags
-    live in the parent -- workers own no retry state) with the epoch's
-    leaves, timeout, and mailbox threaded through a mutable ``state``
-    dict the bound closures read at call time.  Values persist on the
+    live in the parent -- workers own no retry state).  The bound tasks
+    are plain data; each gets the worker's one ``fetch`` when it runs,
+    which serves an input leaf from shared memory (or the epoch's
+    non-array leaves) and any other value from the inbox, reading the
+    epoch's leaves, timeout and mailbox at call time.  Values persist on the
     (copy-on-write private) ``task.value`` slots; tid order guarantees a
     consumer's same-worker producers re-ran earlier in the same epoch.
     """
@@ -179,25 +181,18 @@ def _worker_main(
     }
     cplan = compile_plan(plan, W, replicate_rankless=True)
     my_inbox = inboxes[idx]
-    state: dict[str, Any] = {
-        "extra": {}, "epoch": 0, "timeout": DEFAULT_TIMEOUT,
-        "mailbox": {}, "wait_events": [],
-    }
-    waited = [0.0]  # seconds the current task spent blocked in fetches
+    # The current epoch's command, read by fetch at call time.
+    epoch, timeout, extra, mailbox = 0, DEFAULT_TIMEOUT, {}, {}
+    wait_events: list[tuple] = []
+    waited = 0.0  # seconds the current task spent blocked in fetches
 
-    def leaf_fetch(leaf: Task) -> Any:
-        extra = state["extra"]
-        if leaf.tid in extra:
-            return extra[leaf.tid]
-        return leaf_views[leaf.tid]
-
-    def remote_fetch(dep: Task, consumer: Task) -> Any:
-        """Blocking take of a cross-worker value (process rendezvous)."""
-        mailbox = state["mailbox"]
+    def fetch(dep: Task, consumer: Task) -> Any:
+        """An input leaf's value, or a blocking take of a cross-worker one."""
+        nonlocal waited
+        if dep.is_input:
+            return extra[dep.tid] if dep.tid in extra else leaf_views[dep.tid]
         if dep.tid in mailbox:
             return mailbox[dep.tid]
-        epoch = state["epoch"]
-        timeout = state["timeout"]
         producer = f"t{dep.tid}:{dep.label} (rank {dep.rank})"
         label = f"t{dep.tid}:{dep.label} rank{dep.rank}->worker{idx}"
         start = time.perf_counter()
@@ -231,11 +226,11 @@ def _worker_main(
             mailbox[tid] = value
             if tid == dep.tid:
                 elapsed = time.perf_counter() - start
-                waited[0] += elapsed
-                state["wait_events"].append((dep.label, consumer.rank, elapsed))
+                waited += elapsed
+                wait_events.append((dep.label, consumer.rank, elapsed))
                 return value
 
-    bound = bind_stream(cplan, idx, leaf_fetch, remote_fetch)
+    bound = bind_stream(cplan, idx, fetch_inputs=True)
     my_sends = {
         pub.task.tid: tuple(sorted(pub.dest_workers))
         for pub in cplan.publishers
@@ -247,13 +242,9 @@ def _worker_main(
         cmd = cmd_q.get()
         if cmd[0] == "stop":
             break
-        _, epoch, output_tids, telem_on, extra_leaves, timeout = cmd
-        state["extra"] = extra_leaves
-        state["epoch"] = epoch
-        state["timeout"] = timeout
-        state["mailbox"] = {}
-        wait_events: list[tuple] = []
-        state["wait_events"] = wait_events
+        _, epoch, output_tids, telem_on, extra, timeout = cmd
+        mailbox = {}
+        wait_events = []
         spans: list[tuple] = []
         n_run = 0
         current: Task | None = None
@@ -261,10 +252,10 @@ def _worker_main(
             for bt in bound:
                 task = current = bt.task
                 t0 = time.perf_counter() if telem_on else 0.0
-                waited[0] = 0.0
+                waited = 0.0
                 if fault_plan is not None and task.rank is not None:
                     fault_plan.on_task(task.rank, task.label)
-                value = bt.run()
+                value = bt.run(fetch)
                 task.value = value
                 n_run += 1
                 for j in my_sends.get(task.tid, ()):
@@ -272,7 +263,7 @@ def _worker_main(
                 if telem_on:
                     spans.append((
                         task.label, task.tid, task.rank,
-                        t0, time.perf_counter() - t0, waited[0],
+                        t0, time.perf_counter() - t0, waited,
                     ))
         except BaseException as exc:  # noqa: BLE001 - reported to the parent
             enc = _encode_exc(exc, current)

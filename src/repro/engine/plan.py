@@ -9,10 +9,12 @@ appended here as a :class:`Task` instead of being computed.  A task is
 * **rank-tagged**: the simulated processor whose program order it
   belongs to (``None`` for harness-side work such as buffer
   allocation), so the plan decomposes into per-rank task streams;
-* **dataflow-linked**: its arguments may contain :class:`Ref` handles
-  to earlier tasks' results, which are the DAG edges the executor
-  honors (cross-rank edges additionally pass through a blocking
-  :class:`~repro.collectives.rendezvous.Rendezvous` at run time).
+* **dataflow-linked**: its top-level arguments may be :class:`Ref`
+  handles to earlier tasks' results, which are the DAG edges the
+  executor honors (cross-rank edges additionally pass through a blocking
+  :class:`~repro.collectives.rendezvous.Rendezvous` at run time).  A
+  ``Ref`` never sits inside a container argument, so an edge is one
+  argument position.
 
 Tasks within one rank's stream execute in program order (the engine
 walks each stream in recording order); tasks of different ranks run
@@ -26,6 +28,12 @@ known.  A task that writes arguments in place says so in
 :attr:`Task.writes`; whether a write may touch the producer's buffer is
 the compiler's decision.  :meth:`repro.machine.Machine.barrier` records
 nothing here: it joins the simulated clocks only.
+
+A plan is plain data: a task's ``fn`` is a module-level function, a
+``functools.partial`` of one, or a closure over constants -- never over
+a lazy array, the plan or an engine -- so the only references between
+tasks are ``Ref -> Task``, and a plan nobody holds is freed by
+reference counting, without waiting for the cyclic garbage collector.
 
 Input leaves (:meth:`Plan.add_input`) hold the distributed input blocks
 and are the replay boundary: :meth:`Plan.rebind` swaps in a new job's
@@ -86,10 +94,10 @@ class Writes(NamedTuple):
 class Task:
     """One deferred unit of work: ``value = fn(*resolved_args)``.
 
-    ``args`` may contain :class:`Ref` handles (also nested inside
-    lists/tuples/dicts); the executor resolves them to the producing
-    tasks' values before calling ``fn``.  Input leaves have ``fn=None``
-    and carry their value directly.  ``writes`` is ``None`` unless the
+    ``args`` may hold :class:`Ref` handles as top-level arguments (never
+    inside a list, tuple or dict); the executor resolves them to the
+    producing tasks' values before calling ``fn``.  Input leaves have
+    ``fn=None`` and carry their value directly.  ``writes`` is ``None`` unless the
     task writes arguments in place (:class:`Writes`).  ``fresh`` says
     the task's results (the outputs after any written arrays) are new
     arrays sharing memory with no argument and with each other -- the
@@ -129,16 +137,15 @@ class Task:
         return f"Task(t{self.tid}, rank={self.rank}, {self.label!r})"
 
 
-def _scan_refs(obj: Any, out: list[Task]) -> None:
-    """Collect the producing tasks of every :class:`Ref` inside ``obj``."""
-    if isinstance(obj, Ref):
-        out.append(obj.task)
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            _scan_refs(item, out)
-    elif isinstance(obj, dict):
-        for item in obj.values():
-            _scan_refs(item, out)
+def _nests_handle(obj: Any) -> bool:
+    """True when container ``obj`` holds a :class:`Ref` or a lazy array."""
+    items = obj.values() if isinstance(obj, dict) else obj
+    for item in items:
+        if isinstance(item, Ref) or getattr(item, "_repro_lazy_", False):
+            return True
+        if isinstance(item, (list, tuple, dict)) and _nests_handle(item):
+            return True
+    return False
 
 
 class Plan:
@@ -164,11 +171,19 @@ class Plan:
     ) -> Task:
         """Append a task computing ``fn(*args)`` on ``rank``'s stream.
 
-        Dataflow edges are the :class:`Ref` handles inside ``args``,
+        Dataflow edges are the :class:`Ref` handles among ``args``,
         which the plan compiler reads off the arguments; program order
         within a rank is the order of its stream.  ``rank=None`` is
-        harness-side work (constants such as ``zeros``, joins).
+        harness-side work (constants such as ``zeros``, joins).  A
+        ``Ref`` or lazy array inside a list, tuple or dict argument
+        raises :class:`EngineError`: spread it into top-level arguments.
         """
+        for a in args:
+            if isinstance(a, (list, tuple, dict)) and _nests_handle(a):
+                raise EngineError(
+                    f"task {label!r}: a Ref or lazy array inside a "
+                    f"{type(a).__name__} argument; pass it as a top-level argument"
+                )
         task = Task(len(self.tasks), rank, label, fn, args)
         self.tasks.append(task)
         return task

@@ -162,23 +162,24 @@ class TestArgPreResolution:
         plan = Plan()
         t = plan.add(lambda a, b: a + b, (2.0, 3.0), rank=0, label="add")
         cp = compile_plan(plan, workers=1)
-        (bt,) = bind_stream(cp, 0, None, None)
+        (bt,) = bind_stream(cp, 0)
         assert bt.task is t and bt.fn is t.fn
-        assert bt.make_args() is t.args
+        assert bt.reads is None and bt.args is t.args
+        assert bt.run(None) == 5.0
 
-    def test_nested_containers_and_index_refs_resolve(self):
+    def test_index_refs_resolve(self):
         plan = Plan()
         pair = plan.add(lambda: (10.0, 20.0), rank=0, label="pair")
         t = plan.add(
-            lambda xs, d: xs[0] + xs[1] + d["k"],
-            ([Ref(pair, 0), Ref(pair, 1)], {"k": 5.0}),
+            lambda x, y, k: x + y + k,
+            (Ref(pair, 0), Ref(pair, 1), 5.0),
             rank=0, label="mix",
         )
         Engine(workers=1).execute(plan, timeout=GUARD)
         assert t.value == 35.0
 
-    def test_makers_read_values_at_call_time(self):
-        # Replay safety: rebind + reset must flow into bound closures.
+    def test_bound_tasks_read_values_at_call_time(self):
+        # Replay safety: rebind + reset must flow into bound tasks.
         plan = Plan()
         leaf = plan.add_input(np.array([1.0, 2.0]))
         t = plan.add(lambda v: float(np.sum(v)), (Ref(leaf),), rank=0, label="sum")
