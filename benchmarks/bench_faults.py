@@ -25,7 +25,10 @@ from repro.faults import CodedRecovery, predict_overhead, run_coded_qr
 from repro.workloads import format_run_table, gaussian, run_qr
 
 ALG, M, N, P, F = "tsqr", 4096, 32, 8, 1
-FAULT = "3@4"  # kill rank 3 at its 5th task-step: mid-upsweep
+# Kill rank 3 at its 2nd task-step, the pack_triu that ships its R up
+# the tree: mid-upsweep.  Its stream is geqrt, pack_triu, apply_wy,
+# tsqr_V (a transfer is an edge, not a step).
+FAULT = "3@1"
 
 
 def test_fault_tolerance_overhead():

@@ -115,54 +115,47 @@ def _print_telemetry(args, rec) -> None:
 
 
 def cmd_run(args) -> int:
+    from repro.faults import CodedRecovery, FaultPlan, parse_policy, run_coded_qr
     from repro.machine import ParameterError, RankFailure
 
     A = _make_input(args)
     fault = getattr(args, "inject_fault", None)
-    recovery = getattr(args, "recovery", None)
-    if recovery is not None and recovery.startswith("coded"):
-        # Checksum-protected run: spare ranks, XOR parity, engine-side
-        # recovery (see repro.faults and docs/fault_tolerance.md).
-        from repro.faults import parse_policy, run_coded_qr
-
-        policy = parse_policy(recovery)
-        try:
-            with _maybe_telemetry(args) as rec:
+    policy = parse_policy(getattr(args, "recovery", None))
+    # A coded policy makes a checksum-protected run: spare ranks, XOR
+    # parity, engine-side recovery (see docs/fault_tolerance.md).
+    coded = isinstance(policy, CodedRecovery)
+    try:
+        with _maybe_telemetry(args) as rec:
+            if coded:
                 r = run_coded_qr(args.alg, A, P=args.P, f=policy.f,
                                  fault=fault, recovery=policy,
                                  backend=args.backend, workers=args.workers,
                                  **_params_from(args))
-        except (ParameterError, RankFailure) as exc:
-            print(f"run failed: {exc}")
-            return 1
+            else:
+                r = run_qr(args.alg, A, P=args.P, validate=not args.no_validate,
+                           backend=args.backend, workers=args.workers,
+                           fault_plan=FaultPlan.parse(fault),
+                           recovery=policy, **_params_from(args))
+    except (ParameterError, RankFailure) as exc:
+        print(f"run failed: {exc}")
+        return 1
+    if coded:
         print(format_run_table([{"algorithm": f"{args.alg}+coded:{r.f}",
                                  **r.report.as_row()}]))
         print(f"checksum overhead (exact): flops={r.predicted.flops} "
               f"words={r.predicted.words} messages={r.predicted.messages}")
         print(f"faults fired: {len(r.fired)}; recoveries: {r.recoveries}")
-        _print_telemetry(args, rec)
-        return 0
-    try:
-        with _maybe_telemetry(args) as rec:
-            from repro.faults import FaultPlan, parse_policy
-
-            r = run_qr(args.alg, A, P=args.P, validate=not args.no_validate,
-                       backend=args.backend, workers=args.workers,
-                       fault_plan=FaultPlan.parse(fault),
-                       recovery=parse_policy(recovery), **_params_from(args))
-    except RankFailure as exc:
-        print(f"run failed: {exc}")
-        return 1
-    print(format_run_table([r.row()]))
-    ph = r.words_by_phase()
-    if ph["alltoall"] or ph["dmm"]:
-        print(f"word volume by phase: base/1d={ph['other']:.0f} "
-              f"dmm={ph['dmm']:.0f} all-to-all={ph['alltoall']:.0f}")
-    print("modeled time by machine profile:")
-    for name, prof in MACHINE_PROFILES.items():
-        if name == "unit":
-            continue
-        print(f"  {name:<16} {r.report.time_under(prof):.3e} s")
+    else:
+        print(format_run_table([r.row()]))
+        ph = r.words_by_phase()
+        if ph["alltoall"] or ph["dmm"]:
+            print(f"word volume by phase: base/1d={ph['other']:.0f} "
+                  f"dmm={ph['dmm']:.0f} all-to-all={ph['alltoall']:.0f}")
+        print("modeled time by machine profile:")
+        for name, prof in MACHINE_PROFILES.items():
+            if name == "unit":
+                continue
+            print(f"  {name:<16} {r.report.time_under(prof):.3e} s")
     _print_telemetry(args, rec)
     return 0
 

@@ -167,13 +167,10 @@ class EngineBase:
         #: once per ranked task-step.
         self.fault_plan = fault_plan
         #: Recovery policy (duck-typed; see repro.faults.policy).  When a
-        #: RankFailure escapes an attempt, ``handle(failure, plan, self,
+        #: RankFailure escapes an attempt, ``handle(failure, plan,
         #: attempt)`` may repair the plan and request a re-execution of
         #: whatever is no longer done.
         self.recovery = recovery
-        #: Checksum context installed by repro.faults.coded.run_coded_qr;
-        #: CodedRecovery reads it to reconstruct a dead rank's block.
-        self.coded_ctx = None
 
     def close(self) -> None:
         """Release what outlives an execute (nothing, in process)."""
@@ -199,7 +196,7 @@ class EngineBase:
                 if policy is None:
                     raise
                 t0 = rec.now() if rec.enabled else 0.0
-                if not policy.handle(failure, plan, self, attempt):
+                if not policy.handle(failure, plan, attempt):
                     raise
                 if rec.enabled:
                     rec.fault_recovered(

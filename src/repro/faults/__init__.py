@@ -12,17 +12,17 @@ event instead of a rendezvous timeout:
   :class:`RetryTask`, and :class:`CodedRecovery` decide what the
   engine's retry loop does with the failure.
 * :mod:`repro.faults.coded` -- XOR-parity checksum blocks on spare
-  ranks (:func:`encode_checksums` / :func:`run_coded_qr`): exactly
-  invertible over raw bytes, so a dead rank's panel is reconstructed
-  bit-identically and the finished factors match the no-fault run to
-  the last bit, with the redundancy metered exactly in the
-  :class:`~repro.machine.CostReport`.
+  ranks (:func:`encode_checksums`, a step of the one job path;
+  :func:`run_coded_qr` runs such a job): exactly invertible over raw
+  bytes, so a dead rank's panel is reconstructed bit-identically and
+  the finished factors match the no-fault run to the last bit, with the
+  redundancy metered exactly in the :class:`~repro.machine.CostReport`.
 
 A fault-free coded run, a killed-and-recovered run, and the recovery
 evidence, end to end:
 
 >>> import numpy as np
->>> from repro.faults import run_coded_qr   # lazy: pulls in the QR stack
+>>> from repro.faults import run_coded_qr
 >>> rng = np.random.default_rng(0)
 >>> A = rng.standard_normal((8, 2))
 >>> plain = run_coded_qr("tsqr", A, P=2, f=1, workers=1)
@@ -38,6 +38,16 @@ cost model the redundancy is accounted in); arXiv 2311.11943 (coded
 computing for fault-tolerant parallel QR).
 """
 
+from repro.faults.coded import (
+    CODED_ALGORITHMS,
+    CodedContext,
+    CodedOverhead,
+    CodedRunResult,
+    encode_checksums,
+    predict_overhead,
+    recover_from_failure,
+    run_coded_qr,
+)
 from repro.faults.inject import FaultPlan, RankFault, parse_fault
 from repro.faults.policy import (
     CodedRecovery,
@@ -68,31 +78,3 @@ __all__ = [
     "recover_from_failure",
     "run_coded_qr",
 ]
-
-#: Names resolved lazily from repro.faults.coded -- it imports the QR
-#: algorithm stack, which is heavier than the injection/policy layer
-#: most consumers (the engine, the CLI's FailFast path) need.
-_CODED_NAMES = frozenset(
-    [
-        "CODED_ALGORITHMS",
-        "CodedContext",
-        "CodedOverhead",
-        "CodedRunResult",
-        "encode_checksums",
-        "predict_overhead",
-        "recover_from_failure",
-        "run_coded_qr",
-    ]
-)
-
-
-def __getattr__(name: str):
-    if name in _CODED_NAMES:
-        from repro.faults import coded
-
-        return getattr(coded, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | _CODED_NAMES)

@@ -26,14 +26,18 @@ CodedOverhead(flops=12, words=16, messages=4)
 >>> predict_overhead(8, 2, P=4, f=2)
 CodedOverhead(flops=8, words=16, messages=4)
 
-Recovery (:func:`recover_from_failure`, invoked by
-:class:`~repro.faults.policy.CodedRecovery`) runs harness-side on the
-already-failed attempt: it overwrites the dead rank's *input leaf* with
-the reconstructed block and re-arms the victim's tasks -- together
-with every buffer they had written in place
-(:func:`repro.engine.compile.rearm`) -- so the engine's retry replays
-only the victim's stream (plus whatever was still pending) against
-survivors' already-computed values.
+Encoding is a step of the one job path: :func:`run_coded_qr` is a
+:func:`repro.workloads.sweeps.build` with ``f`` spare ranks, whose
+``drive`` calls :func:`encode_checksums` right after distributing the
+input and keeps the :class:`CodedContext` on the build.  Recovery
+(:func:`recover_from_failure`, invoked by a
+:class:`~repro.faults.policy.CodedRecovery` the build bound to that
+context) runs harness-side on the already-failed attempt: it
+overwrites the dead rank's *input leaf* with the reconstructed block
+and re-arms the victim's tasks -- together with every buffer they had
+written in place (:func:`repro.engine.compile.rearm`) -- so the
+engine's retry replays only the victim's stream (plus whatever was
+still pending) against survivors' already-computed values.
 
 Paper anchor: Section 5 (the 1D block-row algorithms being protected);
 Section 3 (the cost model the redundancy is accounted in); arXiv
@@ -50,15 +54,12 @@ import numpy as np
 
 from repro.backend.registry import resolve_backend
 from repro.backend.symbolic import SymbolicArray
-from repro.dist import BlockRowLayout, DistMatrix
+from repro.dist import DistMatrix
 from repro.faults.inject import FaultPlan
 from repro.faults.policy import CodedRecovery, parse_policy
 from repro.machine import CostReport, Machine
 from repro.machine.exceptions import FaultRecoveryError, ParameterError
-from repro.qr.caqr1d import qr_1d_caqr_eg
-from repro.qr.tsqr import tsqr
 from repro.util import balanced_sizes
-from repro.workloads.sweeps import check_knobs
 
 __all__ = [
     "CODED_ALGORITHMS",
@@ -135,7 +136,6 @@ class CodedContext:
     checksums: dict[int, Any]
     blocks: dict[int, Any]
     row_counts: dict[int, int]
-    predicted: CodedOverhead
     recovered_groups: set = field(default_factory=set)
 
 
@@ -209,7 +209,6 @@ def encode_checksums(machine: Machine, dA: DistMatrix, f: int = 1) -> CodedConte
         )
         machine.compute(spare, (len(members) - 1) * rows_g * n, label="coded_xor")
     machine.barrier()
-    m = dA.m
     return CodedContext(
         f=f,
         ncols=n,
@@ -220,7 +219,6 @@ def encode_checksums(machine: Machine, dA: DistMatrix, f: int = 1) -> CodedConte
         checksums=checksums,
         blocks={p: dA.local(p) for p in parts},
         row_counts={p: dA.layout.count(p) for p in parts},
-        predicted=predict_overhead(m, n, len(parts), f),
     )
 
 
@@ -243,7 +241,7 @@ def _materialized(handle: Any, what: str, failure) -> np.ndarray:
     ) from failure
 
 
-def recover_from_failure(ctx: CodedContext, failure, plan) -> np.ndarray:
+def recover_from_failure(ctx: CodedContext | None, failure, plan) -> np.ndarray:
     """Reconstruct the dead rank's block and reset its tasks for replay.
 
     Reads only the group's checksum and the *surviving* members' input
@@ -254,7 +252,7 @@ def recover_from_failure(ctx: CodedContext, failure, plan) -> np.ndarray:
     filled must be zeros again).  Returns the reconstructed block.
     """
     victim = failure.rank
-    if victim not in ctx.group_of:
+    if ctx is None or victim not in ctx.group_of:
         raise FaultRecoveryError(
             f"rank {victim} holds no coded data block (a spare or an "
             "uncoded rank died); cannot reconstruct"
@@ -324,43 +322,27 @@ def run_coded_qr(
     :class:`~repro.faults.inject.FaultPlan` or a CLI spec
     (``"rank@step"``); ``recovery`` a policy instance or spec
     (``"coded:1"``, ``"failfast"``, ``"retry:2"``) -- with an injected
-    fault and no explicit policy, ``CodedRecovery(f)`` is assumed.
+    fault and no explicit policy, ``CodedRecovery(f)`` is assumed; a
+    ``CodedRecovery`` with another ``f`` raises ``ParameterError``.
     Returns the factors ``(V, T, R)`` plus the machine's exact
     :class:`~repro.machine.CostReport` (checksum overhead included) and
     the recovery evidence (triggers fired, groups recovered).  ``params``
     takes the harness knobs (:data:`repro.workloads.sweeps.KNOBS`; caqr1d
     reads ``b`` and ``eps``); any other name raises ``ParameterError``.
+    The run is one :func:`repro.workloads.sweeps.build` with ``f`` spares.
     """
-    check_knobs(params)
-    if algorithm not in CODED_ALGORITHMS:
-        raise ParameterError(
-            f"run_coded_qr supports {CODED_ALGORITHMS}, got {algorithm!r}"
-        )
+    from repro.workloads.sweeps import build  # sweeps imports this module
+
     impl = resolve_backend(backend)
     A = impl.coerce_global(A)
+    m, n = A.shape
+    predicted = predict_overhead(m, n, P, f)   # rejects f outside 1..P
     fault_plan = FaultPlan.parse(fault)
     policy = parse_policy(recovery)
     if fault_plan is not None and policy is None:
         policy = CodedRecovery(f)
-    m, n = A.shape
-    machine = Machine(
-        P + f,
-        params=cost_params,
-        backend=backend,
-        workers=workers,
-        fault_plan=fault_plan,
-        recovery=policy,
-    )
-    layout = BlockRowLayout(balanced_sizes(m, P))
-    dA = DistMatrix.from_global(machine, A, layout)
-    ctx = encode_checksums(machine, dA, f)
-    if machine.engine is not None:
-        machine.engine.coded_ctx = ctx
-    if algorithm == "tsqr":
-        res = tsqr(dA, root=0)
-    else:
-        res = qr_1d_caqr_eg(dA, root=0, b=params.get("b"), eps=params.get("eps", 1.0))
-    factors = machine.materialize((res.V.to_global(), res.T, res.R))
+    built, factors = build(algorithm, A, P, params, False, impl, workers, cost_params,
+                           fault_plan=fault_plan, recovery=policy, f=f)
     return CodedRunResult(
         algorithm=algorithm,
         m=m,
@@ -368,9 +350,9 @@ def run_coded_qr(
         P=P,
         f=f,
         factors=factors,
-        report=machine.report(),
-        predicted=ctx.predicted,
-        recoveries=len(ctx.recovered_groups),
+        report=built.report,
+        predicted=predicted,
+        recoveries=len(built.coded.recovered_groups),
         fired=fault_plan.fired if fault_plan is not None else (),
-        machine=machine,
+        machine=built.machine,
     )

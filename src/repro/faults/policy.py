@@ -14,10 +14,11 @@ plan (the engine then re-executes whatever is no longer ``done``) or
   fire-once :class:`~repro.faults.inject.FaultPlan` trigger does not
   re-fire, and the simulated input blocks are still in place).
 * :class:`CodedRecovery` -- reconstructs the dead rank's input block
-  from the XOR checksum installed by
-  :func:`repro.faults.coded.run_coded_qr`, resets exactly the victim's
-  tasks, and lets the engine replay them; the completed factors are
-  bit-identical to the no-fault run.
+  from its group's XOR checksum, resets exactly the victim's tasks,
+  and lets the engine replay them; the completed factors are
+  bit-identical to the no-fault run.  The checksums are encoded by a
+  coded build (:func:`repro.faults.coded.run_coded_qr`), which binds
+  the policy to them for that run (:meth:`CodedRecovery.bind`).
 
 >>> parse_policy("failfast")
 FailFast()
@@ -25,7 +26,7 @@ FailFast()
 RetryTask(n=2, backoff=0.0)
 >>> parse_policy("coded:1")
 CodedRecovery(f=1)
->>> FailFast().handle(None, None, None, 0)
+>>> FailFast().handle(None, None, 0)
 False
 
 Paper anchor: Section 3 (re-executing subgraphs of the task DAG);
@@ -35,9 +36,8 @@ arXiv 2311.11943 (checksum-coded recovery policy for parallel QR).
 from __future__ import annotations
 
 import time
-from typing import Any
 
-from repro.machine.exceptions import FaultRecoveryError, ParameterError
+from repro.machine.exceptions import ParameterError
 
 __all__ = [
     "CodedRecovery",
@@ -55,7 +55,7 @@ class RecoveryPolicy:
     #: (``faults == "recover"``): it needs the executor's retry loop.
     needs_engine = False
 
-    def handle(self, failure, plan, engine, attempt: int) -> bool:
+    def handle(self, failure, plan, attempt: int) -> bool:
         """Repair ``plan`` after ``failure``; True to re-execute it.
 
         ``attempt`` is the number of recoveries already performed for
@@ -70,7 +70,7 @@ class RecoveryPolicy:
 class FailFast(RecoveryPolicy):
     """Do not recover: the typed ``RankFailure`` reaches the caller."""
 
-    def handle(self, failure, plan, engine, attempt: int) -> bool:
+    def handle(self, failure, plan, attempt: int) -> bool:
         return False
 
 
@@ -94,7 +94,7 @@ class RetryTask(RecoveryPolicy):
         self.n = int(n)
         self.backoff = float(backoff)
 
-    def handle(self, failure, plan, engine, attempt: int) -> bool:
+    def handle(self, failure, plan, attempt: int) -> bool:
         if attempt >= self.n:
             return False
         if self.backoff:
@@ -108,35 +108,35 @@ class RetryTask(RecoveryPolicy):
 class CodedRecovery(RecoveryPolicy):
     """Reconstruct the dead rank's block from its group's XOR checksum.
 
-    Requires the checksum context installed by
-    :func:`repro.faults.coded.run_coded_qr` (or a manual
-    :func:`repro.faults.coded.encode_checksums` +
-    ``engine.coded_ctx = ctx``).  Tolerates one failure per checksum
-    group -- up to ``f`` failures total when they hit distinct groups;
-    anything beyond raises
+    Recovers from the checksum context ``ctx`` of a run encoded with
+    ``f`` spares (:func:`repro.faults.coded.encode_checksums`); a coded
+    build installs :meth:`bind`'s copy, so the policy a caller passes
+    stays unbound and can serve many runs.  Tolerates one failure per
+    checksum group -- up to ``f`` failures total when they hit distinct
+    groups; anything beyond, or a failure with no context, raises
     :class:`~repro.machine.exceptions.FaultRecoveryError` with the
     triggering failure chained.
     """
 
     needs_engine = True
+    #: The run's checksum context, set on :meth:`bind`'s copy only.
+    ctx = None
 
     def __init__(self, f: int = 1) -> None:
         if f < 1:
             raise ParameterError(f"CodedRecovery requires f >= 1, got {f}")
         self.f = int(f)
 
-    def handle(self, failure, plan, engine, attempt: int) -> bool:
+    def bind(self, ctx) -> "CodedRecovery":
+        """This policy for one run, recovering from checksum context ``ctx``."""
+        bound = CodedRecovery(self.f)
+        bound.ctx = ctx
+        return bound
+
+    def handle(self, failure, plan, attempt: int) -> bool:
         from repro.faults.coded import recover_from_failure
 
-        ctx = getattr(engine, "coded_ctx", None)
-        if ctx is None:
-            raise FaultRecoveryError(
-                "CodedRecovery needs a checksum context, but none is "
-                "installed on the engine; run through "
-                "repro.faults.coded.run_coded_qr (or call "
-                "encode_checksums and set engine.coded_ctx)"
-            ) from failure
-        recover_from_failure(ctx, failure, plan)
+        recover_from_failure(self.ctx, failure, plan)
         return True
 
     def __repr__(self) -> str:

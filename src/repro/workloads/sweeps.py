@@ -29,6 +29,7 @@ from repro.dist import (
     head_layout,
 )
 from repro.dist.blockcyclic import BlockCyclic2D, choose_grid_2d
+from repro.faults import CODED_ALGORITHMS, CodedRecovery, encode_checksums
 from repro.machine import CostParams, CostReport, Machine, ParameterError
 from repro.matmul import Operand, mm1d_broadcast, mm1d_reduce, mm3d
 from repro.qr import (
@@ -200,20 +201,31 @@ def drive(algorithm: str, machine: Machine, A, params: dict, validate: bool):
     (the replay boundary).  A ``params`` name outside :data:`KNOBS`
     raises :class:`~repro.machine.ParameterError`.
     """
+    return _drive(algorithm, machine, A, params, validate, 0)[:3]
+
+
+def _drive(algorithm: str, machine: Machine, A, params: dict, validate: bool, f: int):
+    """:func:`drive` on ``machine.P - f`` data ranks and ``f`` spares.
+
+    The input's checksums are encoded onto the spares right after it is
+    distributed; the fourth result is their
+    :class:`~repro.faults.coded.CodedContext` (``None`` when ``f == 0``).
+    """
     check_knobs(params)
     m, n = A.shape
-    P = machine.P
+    P = machine.P - f
 
     if algorithm in ("tsqr", "house1d", "caqr1d"):
         layout = BlockRowLayout(balanced_sizes(m, P))
         dA = DistMatrix.from_global(machine, A, layout)
+        coded = encode_checksums(machine, dA, f) if f else None
         if algorithm == "tsqr":
             res = tsqr(dA, root=0)
         elif algorithm == "house1d":
             res = qr_house_1d(dA, root=0)
         else:
             res = qr_1d_caqr_eg(dA, root=0, b=params.get("b"), eps=params.get("eps", 1.0))
-        return (res.V.to_global(), res.T, res.R), _qr_diag, _row_slicer(layout)
+        return (res.V.to_global(), res.T, res.R), _qr_diag, _row_slicer(layout), coded
 
     if algorithm == "caqr3d":
         layout = CyclicRowLayout(m, P)
@@ -229,7 +241,7 @@ def drive(algorithm: str, machine: Machine, A, params: dict, validate: bool):
         params.setdefault("b", res.b)
         params.setdefault("bstar", res.bstar)
         factors = (res.V.to_global(), res.T.to_global(), res.R.to_global())
-        return factors, _qr_diag, _row_slicer(layout)
+        return factors, _qr_diag, _row_slicer(layout), None
 
     if algorithm in ("house2d", "caqr2d"):
         from repro.qr.baselines.caqr2d import caqr2d_default_bb
@@ -250,7 +262,7 @@ def drive(algorithm: str, machine: Machine, A, params: dict, validate: bool):
             T = machine.kernel(None, reconstruct_t_arrays, (V,), nn, label="reconstruct_t")
         else:
             T = np.eye(n)
-        return (V, T, R), _qr_diag, _grid_slicer(A_bc)
+        return (V, T, R), _qr_diag, _grid_slicer(A_bc), None
 
     if algorithm == "wide":
         layout = CyclicRowLayout(m, P)
@@ -264,7 +276,7 @@ def drive(algorithm: str, machine: Machine, A, params: dict, validate: bool):
             method=params.get("method", "two_phase"),
         )
         factors = (res.V.to_global(), res.T.to_global(), res.R.to_global())
-        return factors, _qr_diag, _row_slicer(layout)
+        return factors, _qr_diag, _row_slicer(layout), None
 
     if algorithm == "applyq":
         layout = BlockRowLayout(balanced_sizes(m, P))
@@ -273,14 +285,14 @@ def drive(algorithm: str, machine: Machine, A, params: dict, validate: bool):
         Y = apply_q_1d(res.V, res.T, dA, 0, adjoint=True)   # Q^H A
         Z = apply_q_1d(res.V, res.T, Y, 0)                  # Q Q^H A = A
         factors = (res.V.to_global(), res.T, res.R, Z.to_global())
-        return factors, _applyq_diag, _row_slicer(layout)
+        return factors, _applyq_diag, _row_slicer(layout), None
 
     if algorithm == "mm1d":
         layout = BlockRowLayout(balanced_sizes(m, P))
         dA = DistMatrix.from_global(machine, A, layout)
         M = mm1d_reduce(dA, dA, 0, conj_a=True)             # A^H A on root
         C = mm1d_broadcast(dA, M, 0)                        # A (A^H A)
-        return (M, C.to_global()), _mm1d_diag, _row_slicer(layout)
+        return (M, C.to_global()), _mm1d_diag, _row_slicer(layout), None
 
     if algorithm == "mm3d":
         layout = CyclicRowLayout(m, P)
@@ -289,7 +301,7 @@ def drive(algorithm: str, machine: Machine, A, params: dict, validate: bool):
             Operand(dA, "H"), dA, head_layout(layout, n),
             method=params.get("method", "two_phase"),
         )
-        return (C.to_global(),), _mm3d_diag, _row_slicer(layout)
+        return (C.to_global(),), _mm3d_diag, _row_slicer(layout), None
 
     raise KeyError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
 
@@ -301,7 +313,9 @@ class Build:
     ``lazy_factors`` are :func:`drive`'s results as recorded (lazy on an
     engine machine, whose plan a replay re-executes); ``report`` and
     ``words_by_label`` are the machine's metering, which a replay of
-    the same shape would repeat exactly, so it keeps them.
+    the same shape would repeat exactly, so it keeps them.  ``coded`` is
+    the :class:`~repro.faults.coded.CodedContext` of a checksum-coded
+    build (``None`` otherwise).
     """
 
     algorithm: str
@@ -312,6 +326,7 @@ class Build:
     params: dict
     report: CostReport
     words_by_label: dict
+    coded: Any = None
 
     def result(self, A, factors, validate: bool) -> RunResult:
         """The :class:`RunResult` of a job on input ``A`` with computed ``factors``."""
@@ -331,26 +346,40 @@ def build(
     algorithm: str, A, P: int, params: dict, validate: bool, backend: Backend,
     workers: int | None = None, cost_params: CostParams | None = None,
     fault_plan=None, recovery=None, keep: Callable[[Build], None] | None = None,
+    f: int = 0,
 ) -> tuple[Build, Any]:
     """Record ``algorithm`` on a fresh machine, then execute it once.
 
     The one place a job's machine is made, driven and materialized:
-    :func:`run_qr`, :func:`repro.engine.run_many` and ``repro trace``
-    all come here.  ``materialize`` runs the recorded plan on an engine
-    machine and returns ``lazy_factors`` unchanged on an eager one.
-    ``keep`` receives the :class:`Build` after that first execute, also
-    when it raises, so a plan cache holds the plan either way (the next
-    job of the shape replays it).  Returns the build and the computed
-    factors.
+    :func:`run_qr`, :func:`repro.engine.run_many`, ``repro trace`` and
+    :func:`repro.faults.run_coded_qr` all come here.  ``materialize``
+    runs the recorded plan on an engine machine and returns
+    ``lazy_factors`` unchanged on an eager one.  ``keep`` receives the
+    :class:`Build` after that first execute, also when it raises, so a
+    plan cache holds the plan either way (the next job of the shape
+    replays it).  Returns the build and the computed factors.
+
+    ``f > 0`` adds ``f`` spares holding the input's checksums
+    (``Build.coded``, :data:`~repro.faults.CODED_ALGORITHMS` only); a
+    :class:`~repro.faults.CodedRecovery` must name the same ``f`` (else
+    ``ParameterError``, before any machine) and is bound to the context
+    for this run alone.
     """
+    if f and algorithm not in CODED_ALGORITHMS:
+        raise ParameterError(f"checksum coding supports {CODED_ALGORITHMS}, got {algorithm!r}")
+    if isinstance(recovery, CodedRecovery) and recovery.f != f:
+        raise ParameterError(f"{recovery!r} needs a run coded with f={recovery.f}, got "
+                             f"f={f}; repro.faults.run_coded_qr runs coded jobs")
     machine = Machine(
-        P, params=cost_params, backend=backend, workers=workers,
+        P + f, params=cost_params, backend=backend, workers=workers,
         fault_plan=fault_plan, recovery=recovery,
     )
     params = dict(params)
-    lazy_factors, diag_fn, slicer = drive(algorithm, machine, A, params, validate)
+    lazy_factors, diag_fn, slicer, coded = _drive(algorithm, machine, A, params, validate, f)
+    if isinstance(recovery, CodedRecovery):
+        machine.recovery = machine.engine.recovery = recovery.bind(coded)
     built = Build(algorithm, machine, lazy_factors, diag_fn, slicer, params,
-                  machine.report(), machine.words_by_label)
+                  machine.report(), machine.words_by_label, coded)
     try:
         factors = machine.materialize(lazy_factors)
     finally:

@@ -51,6 +51,21 @@ class TestMainInProcess:
         out = capsys.readouterr().out
         assert "tsqr" in out and "residual" in out
 
+    def test_run_coded_recovers_an_injected_fault(self, capsys):
+        rc = main(["run", "--alg", "tsqr", "--m", "256", "--n", "16", "--P", "4",
+                   "--backend", "parallel", "--workers", "2",
+                   "--inject-fault", "1@2", "--recovery", "coded:1"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "tsqr+coded:1" in out
+        assert "faults fired: 1; recoveries: 1" in out
+
+    def test_run_coded_on_an_unprotected_algorithm_fails_cleanly(self, capsys):
+        rc = main(["run", "--alg", "caqr3d", "--m", "64", "--n", "8", "--P", "4",
+                   "--backend", "parallel", "--recovery", "coded:1"])
+        assert rc == 1
+        assert "run failed: checksum coding supports" in capsys.readouterr().out
+
     def test_run_caqr3d_reports_phase_volume(self, capsys):
         # b < n forces the inductive case, whose dmm redistributions
         # produce the all-to-all phase traffic the CLI reports.

@@ -14,6 +14,9 @@ Contracts pinned here:
 * **exact redundancy accounting** -- the coded run's CostReport excess
   over the plain run equals ``predict_overhead`` exactly, identically
   on the numeric, symbolic, and parallel backends.
+* **support matrix** -- every (algorithm, backend, failure pattern) of
+  a coded run either recovers bit-identically or raises a typed error;
+  none is silently wrong or unprotected.
 """
 
 from __future__ import annotations
@@ -71,6 +74,17 @@ def _numeric_factors(alg, A):
 
 def _coded_kwargs(alg):
     return {"b": B} if alg == "caqr1d" else {}
+
+
+@pytest.fixture
+def no_machine(monkeypatch):
+    """Fail the test if a job builds a machine (a rejection came late)."""
+    from repro.workloads import sweeps
+
+    def machine(*args, **kwargs):
+        raise AssertionError("a machine was built before the rejection")
+
+    monkeypatch.setattr(sweeps, "Machine", machine)
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +175,66 @@ class TestChaosGrid:
 
 
 # ----------------------------------------------------------------------
+# Support matrix
+# ----------------------------------------------------------------------
+
+#: Failure patterns of a coded run: name -> (f, fault spec).
+SCENARIOS = {
+    "no fault": (1, None),
+    "one fault": (1, "1@2"),
+    "two faults, two groups": (2, "0@1,1@1"),
+    "two faults, one group": (1, "0@1,1@1"),
+    "a spare dies": (1, f"{P}@0"),
+}
+
+#: A coded tsqr / caqr1d run's answer per backend, in SCENARIOS order:
+#: an int is the recoveries of a run whose factors are bit-identical to
+#: the fault-free numeric ones (symbolic has no values: its report is
+#: the numeric run's), an exception the typed refusal.  Faults need an
+#: engine that repairs plans (only ``parallel``); a second fault in one
+#: group, or a dead spare, leaves nothing to reconstruct from.
+SUPPORT = {
+    "numeric": [0] + [ParameterError] * 4,
+    "symbolic": [0] + [ParameterError] * 4,
+    "parallel": [0, 1, 2, FaultRecoveryError, FaultRecoveryError],
+    "parallel-mp": [0] + [ParameterError] * 4,
+}
+
+SUPPORT_MATRIX = [
+    pytest.param(alg, backend, scenario, ParameterError if alg == "caqr3d" else want,
+                 marks=[pytest.mark.mp] if backend == "parallel-mp" else [])
+    for alg in ("tsqr", "caqr1d", "caqr3d")
+    for backend, answers in SUPPORT.items()
+    for scenario, want in zip(SCENARIOS, answers)
+]
+
+
+@pytest.mark.parametrize("alg,backend,scenario,want", SUPPORT_MATRIX)
+def test_support_matrix(alg, backend, scenario, want):
+    f, fault = SCENARIOS[scenario]
+    A = _input()
+
+    def run(X, backend):
+        return run_coded_qr(alg, X, P=P, f=f, fault=fault, backend=backend,
+                            workers=2, **_coded_kwargs(alg))
+
+    if not isinstance(want, int):
+        with pytest.raises(want):
+            run((M, N) if backend == "symbolic" else A, backend)
+        return
+    if backend == "symbolic":
+        r = run((M, N), backend)
+        assert r.report == run(A, "numeric").report
+    else:
+        r = run(A, backend)
+        for got, ref in zip(r.factors, _numeric_factors(alg, A), strict=True):
+            assert np.array_equal(got, ref)
+        if r.machine.engine is not None:
+            r.machine.engine.close()
+    assert r.recoveries == want
+
+
+# ----------------------------------------------------------------------
 # Faults in the middle of a compiled stream
 # ----------------------------------------------------------------------
 
@@ -240,11 +314,13 @@ class TestMidStreamFaults:
 
         A = _input()
         layout = BlockRowLayout(balanced_sizes(M, P))
+        recovery = parse_policy(policy)
         machine = Machine(P + 1, backend="parallel", workers=1,
-                          fault_plan=FaultPlan.kill(1, kill_step),
-                          recovery=parse_policy(policy))
+                          fault_plan=FaultPlan.kill(1, kill_step), recovery=recovery)
         dA = DistMatrix.from_global(machine, A, layout)
-        machine.engine.coded_ctx = encode_checksums(machine, dA, 1)
+        ctx = encode_checksums(machine, dA, 1)
+        if isinstance(recovery, CodedRecovery):   # as a coded build binds it
+            machine.engine.recovery = recovery.bind(ctx)
         z = machine.ops.zeros((N,))
         zeros_task = z.ref.task
         machine.kernel(1, accumulate, (z, dA.local(1)), None, updates=(0,),
@@ -514,13 +590,32 @@ class TestCodedLayer:
         with pytest.raises(FaultRecoveryError, match="no coded data block"):
             recover_from_failure(ctx, RankFailure(P, 0), machine.plan)
 
-    def test_coded_recovery_without_context_raises(self):
-        with pytest.raises(FaultRecoveryError, match="no.*context|none is"):
+    @pytest.mark.parametrize("backend", ["numeric", "parallel"])
+    @pytest.mark.parametrize("fault", [None, "1@0"])
+    def test_coded_recovery_without_context_raises(self, backend, fault, no_machine):
+        # An uncoded run has no checksums to recover from: with or
+        # without a fault, the policy is refused before any machine.
+        with pytest.raises(ParameterError, match="run_coded_qr"):
             run_qr(
-                "tsqr", _input(), P=P, validate=False, backend="parallel",
-                workers=1, fault_plan=FaultPlan.kill(1, 0),
+                "tsqr", _input(), P=P, validate=False, backend=backend,
+                workers=1, fault_plan=FaultPlan.parse(fault),
                 recovery=CodedRecovery(1),
             )
+
+    @pytest.mark.parametrize("f,fault,policy_f", [(2, "0@1,1@1", 1), (1, None, 2)])
+    def test_a_policy_f_other_than_the_runs_f_is_rejected(
+            self, f, fault, policy_f, no_machine):
+        with pytest.raises(ParameterError, match=f"CodedRecovery\\(f={policy_f}\\).*f={f}"):
+            run_coded_qr("tsqr", _input(), P=P, f=f, fault=fault,
+                         recovery=CodedRecovery(policy_f), workers=1)
+
+    def test_one_policy_serves_many_runs(self):
+        policy = CodedRecovery(1)
+        for rank in (1, 2):
+            r = run_coded_qr("tsqr", _input(), P=P, f=1, fault=f"{rank}@1",
+                             recovery=policy, workers=1)
+            assert r.recoveries == 1
+        assert policy.ctx is None
 
     @pytest.mark.parametrize("f", [1, 2])
     def test_overhead_matches_closed_form(self, f):

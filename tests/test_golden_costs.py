@@ -4,7 +4,8 @@
 ``words_by_label`` of each QR algorithm (and the harness extensions) at
 one small shape -- numeric, symbolic, and numeric under the non-unit
 ``cluster`` profile -- plus the end-to-end benchmark's three shapes and
-their symbolic siblings, recorded before the collectives charged
+their symbolic siblings and the checksum-coded tsqr / caqr1d runs (with
+the recoveries a faulted one spent), recorded before the collectives charged
 memoized schedules (floats as ``float.hex``).  ``test_backend_equivalence``
 only compares backends with each other, so a change both make together
 (they share the machine's charge loop) shows up here and nowhere else.

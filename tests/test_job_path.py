@@ -13,7 +13,8 @@ Contracts pinned here:
   leaves no worker process and no shared-memory segment behind;
 * every job is coerced by its backend once, so ``run_many`` takes what
   ``run_qr`` takes and rejects what it rejects;
-* a job's machine is made, driven and materialized at one site.
+* a job's machine is made, driven and materialized at one site, a
+  checksum-coded run's included.
 
 The cache is process-global state, so CI also runs this file alone.
 """
@@ -274,17 +275,19 @@ class TestCoercion:
 class TestOneBuildSite:
     def test_materialize_is_called_at_one_site(self):
         """Acceptance pin: a job's machine is made, driven and
-        materialized in ``workloads.sweeps.build`` alone; checksum-coded
-        runs (``faults/coded.py``) keep their own driver."""
+        materialized in ``workloads.sweeps.build`` alone, checksum-coded
+        runs included: the fault layer makes no machine of its own."""
         calls = [
             f"{path.relative_to(SRC)}:{n}"
             for path in sorted(SRC.rglob("*.py"))
-            if path.relative_to(SRC).as_posix() != "faults/coded.py"
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if ".materialize(" in line and not line.lstrip().startswith(("#", "``", ">>>"))
         ]
         assert len(calls) == 1 and calls[0].startswith("workloads/sweeps.py:"), calls
         text = (SRC / "workloads" / "sweeps.py").read_text()
         body = text[text.index("def build("):text.index("def run_qr(")]
-        assert re.search(r"\bMachine\(", body) and re.search(r"\bdrive\(", body)
+        assert re.search(r"\bMachine\(", body) and re.search(r"\b_?drive\(", body)
         assert ".materialize(" in body
+        faults = [path.name for path in sorted((SRC / "faults").glob("*.py"))
+                  if re.search(r"\bMachine\(", path.read_text())]
+        assert faults == []

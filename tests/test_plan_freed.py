@@ -13,6 +13,9 @@ and asserts:
   ``clear_plan_cache()``, nor after a warm job, for every algorithm on
   every backend (a job's LAPACK operands, collective schedules and
   combine kernels included);
+* a checksum-coded run that recovered from a fault is freed once its
+  result is dropped: the recovery policy bound to the run's checksums
+  adds no cycle;
 * ``defer`` and ``Plan.add`` reject a lazy array or ``Ref`` nested in a
   container argument, which a binding could not see.
 
@@ -30,6 +33,7 @@ import pytest
 
 from repro.engine import EngineError, Plan, Ref, batch, defer
 from repro.engine.batch import _PLAN_CACHE, clear_plan_cache
+from repro.faults import run_coded_qr
 from repro.machine import Machine
 from repro.workloads import ALGORITHMS, gaussian, run_qr
 
@@ -128,6 +132,19 @@ def test_an_evicted_entry_is_freed_when_it_is_evicted(backend, monkeypatch):
         run_qr("tsqr", gaussian(72, 4, seed=0), 4, backend=backend, workers=2)
         assert len(_PLAN_CACHE) == 1
         assert machine() is None and plan() is None
+
+
+@pytest.mark.parametrize("alg", ["tsqr", "caqr1d"])
+def test_a_recovered_coded_run_is_freed_when_its_result_is_dropped(alg):
+    m, n, P, knobs = SHAPES[alg]
+    with collector_off():
+        res = run_coded_qr(alg, gaussian(m, n, seed=0), P, f=1, fault="1@2",
+                           workers=2, **knobs)
+        assert res.recoveries == 1
+        machine, plan = weakref.ref(res.machine), weakref.ref(res.machine.plan)
+        del res
+        assert machine() is None and plan() is None
+        assert gc.collect() == 0
 
 
 class TestArgumentsAreFlat:

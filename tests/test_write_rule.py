@@ -439,7 +439,7 @@ class TestRecoveryRearm:
         m = Machine(5, backend="parallel", workers=1,
                     fault_plan=FaultPlan.kill(1, 1), recovery=CodedRecovery(1))
         dA = DistMatrix.from_global(m, A, layout)
-        m.engine.coded_ctx = encode_checksums(m, dA, 1)
+        m.engine.recovery = m.recovery.bind(encode_checksums(m, dA, 1))
         vec = SymbolicArray((3,))
         x = m.kernel(0, counted("x", lambda b: b.sum(axis=0)), (dA.local(0),), vec)
         r = m.kernel(2, counted("r", np.negative), (x,), vec)       # earlier reader

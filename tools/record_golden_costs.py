@@ -5,8 +5,9 @@ Runs each QR algorithm (and the harness extensions) at one small shape
 on the numeric and the symbolic backend and, numeric again, under the
 non-unit ``cluster`` profile (so ``modeled_time`` pins the rounding order
 of its float sums, not just integers), the three end-to-end benchmark
-shapes on numeric and their paper-scale siblings on symbolic, and
-writes every :class:`~repro.machine.CostReport` field plus
+shapes on numeric and their paper-scale siblings on symbolic, the
+checksum-coded runs of the 1D algorithms (:func:`repro.faults.run_coded_qr`),
+and writes every :class:`~repro.machine.CostReport` field plus
 ``words_by_label`` to ``tests/data/golden_costs.json``.  Floats are
 stored with :meth:`float.hex`, so the file pins them bit for bit;
 ``tests/test_golden_costs.py`` re-runs every case and asserts equality.
@@ -52,6 +53,16 @@ BENCH = [
     ("house2d", 1024, 64, 64, {}, "symbolic"),
 ]
 
+#: Checksum-coded cases: the SMALL tsqr / caqr1d shapes with ``f`` spare
+#: ranks, fault-free on numeric and symbolic, and on parallel with one
+#: fault that the checksums recover.
+CODED = [
+    (alg, m, n, P, {"f": f, **extra}, backend)
+    for alg, m, n, P, _ in SMALL if alg in ("tsqr", "caqr1d")
+    for f in (1, 2)
+    for backend, extra in (("numeric", {}), ("symbolic", {}), ("parallel", {"fault": "1@2"}))
+]
+
 REPORT_FIELDS = (
     "processors", "critical_flops", "critical_words", "critical_messages",
     "total_flops", "total_words_sent", "total_messages_sent", "modeled_time",
@@ -64,7 +75,7 @@ def cases() -> list[tuple[str, int, int, int, dict, str, str]]:
         (a, m, n, P, k, b, prof) for a, m, n, P, k in SMALL
         for b, prof in (("numeric", "unit"), ("symbolic", "unit"), ("numeric", "cluster"))
     ]
-    return small + [(*c, "unit") for c in BENCH]
+    return small + [(*c, "unit") for c in BENCH + CODED]
 
 
 def case_id(alg: str, m: int, n: int, P: int, knobs: dict, backend: str, profile: str) -> str:
@@ -80,15 +91,29 @@ def encode(value):
 def measure(
     alg: str, m: int, n: int, P: int, knobs: dict, backend: str, profile: str
 ) -> dict:
-    """One case's pinned metering, JSON-ready."""
+    """One case's pinned metering, JSON-ready.
+
+    A case whose knobs name ``f`` is a coded run; it also pins how many
+    checksum groups its recovery spent.
+    """
+    from repro.faults import run_coded_qr
     from repro.machine import MACHINE_PROFILES
     from repro.workloads import gaussian, run_qr
 
     A = (m, n) if backend == "symbolic" else gaussian(m, n, seed=11)
-    res = run_qr(alg, A, P, cost_params=MACHINE_PROFILES[profile], validate=False,
-                 backend=backend, **knobs)
+    knobs = dict(knobs)
+    f, fault = knobs.pop("f", 0), knobs.pop("fault", None)
+    cost_params = MACHINE_PROFILES[profile]
+    if not f:
+        res = run_qr(alg, A, P, cost_params=cost_params, validate=False,
+                     backend=backend, **knobs)
+        words, extra = res.words_by_label, {}
+    else:
+        res = run_coded_qr(alg, A, P, f=f, fault=fault, cost_params=cost_params,
+                           backend=backend, **knobs)
+        words, extra = res.machine.words_by_label, {"recoveries": res.recoveries}
     report = {f: encode(getattr(res.report, f)) for f in REPORT_FIELDS}
-    return {"report": report, "words_by_label": dict(sorted(res.words_by_label.items()))}
+    return {"report": report, "words_by_label": dict(sorted(words.items())), **extra}
 
 
 def main() -> int:
