@@ -245,11 +245,8 @@ class ParallelBackend(Backend):
         return ParallelOps(plan)
 
     def run_kernel(self, machine, p, fn, args, meta, label="", updates=()):
-        from repro.engine import defer
-
-        # Kernel results are fresh by contract (Machine.kernel).
-        return defer(machine.plan, fn, args, meta, rank=p, label=label,
-                     fresh=True, updates=updates)
+        # The plan-bound ops table records it: no engine import per call.
+        return machine.ops.kernel(p, fn, args, meta, label, updates)
 
 
 class MpBackend(ParallelBackend):

@@ -280,8 +280,10 @@ def cmd_trace(args) -> int:
     tasks = rec.metrics.counter("engine.tasks")
     print(f"[{tasks:.0f} engine tasks, {waits:.0f} rendezvous waits, "
           f"workers={args.workers or 'auto'}]")
-    print(built.machine.engine.lanes_line())
-    print(built.machine.engine.writes_line())
+    engine = built.machine.engine
+    print(engine.lanes_line())
+    print(engine.writes_line())
+    print(engine.build_line(built.record_s, built.materialize_s))
     return 0
 
 

@@ -6,9 +6,13 @@ on every task and a blocking rendezvous on every cross-rank edge.  So
 no engine interprets a plan: both execute the schedule compiled here.
 
 :func:`compile_plan` runs **once** between recording and execution (every
-replay reuses it).  It builds the engine's one dataflow analysis -- the
-**consumer map**, producer tid -> the tasks that read any of its
-outputs -- and derives the rest from it:
+replay reuses it).  It reads the engine's one dataflow analysis -- the
+**consumer map**, producer tid -> the tids of the tasks that read any of
+its outputs -- which recording already kept
+(:attr:`Plan.consumers <repro.engine.plan.Plan.consumers>`, filled by
+:meth:`Plan.add <repro.engine.plan.Plan.add>` as each task is appended,
+along with the task's ``Ref`` positions and the plan's cross-rank edge
+count), and derives the rest from it:
 
 1. **Worker-affinity scheduling** -- rank ``r``'s stream is owned by
    worker ``r % W`` (the partition :mod:`repro.engine.mp` already uses),
@@ -21,6 +25,10 @@ outputs -- and derives the rest from it:
    consumer land on the **same worker** becomes a plain ``task.value``
    read (program order within the worker's walk); only genuinely
    cross-worker edges keep a rendezvous slot (:class:`Publisher`).
+   A **one-lane** compile skips everything that only sorts out
+   cross-lane edges: every task is the lane's, there is no publisher,
+   and every cross-rank edge is elided, so it walks no edge outside the
+   write rule below.
 2. **The write rule** -- an ``updates=`` task ``W`` (``lazy[idx] =
    value`` is one) is handed the producer's own buffer at position
    ``i`` **iff** (a) the array there is *fresh* (allocated for its
@@ -41,8 +49,10 @@ outputs -- and derives the rest from it:
    lower tid has finished before ``W`` starts.
 3. **Argument pre-resolution** -- a task's ``Ref`` handles are always
    top-level arguments (:meth:`Plan.add <repro.engine.plan.Plan.add>`
-   rejects a nested one), so binding walks each task's arguments once
-   into one :class:`BoundTask` record of plain data: the recorded
+   rejects a nested one) at the positions recording noted
+   (:attr:`Task.refs <repro.engine.plan.Task.refs>`), so binding
+   visits only those positions of each task, never its constants, into
+   one :class:`BoundTask` record of plain data: the recorded
    ``args`` tuple and one ``(position, producer, index)`` triple per
    ``Ref`` -- in ``reads`` when the lane reads ``producer.value``
    straight off the task, in ``fetches`` when the value comes through
@@ -119,60 +129,45 @@ class CompiledPlan:
     stats: dict
 
 
-def _consumers_by_tid(plan: Plan) -> dict[int, list[Task]]:
-    """Producer tid -> consumer tasks (via Ref edges), in tid order."""
-    cons: dict[int, list[Task]] = {}
-    for task in plan.tasks:
-        if task.is_input:
-            continue
-        for a in task.args:
-            if type(a) is not Ref:
-                continue
-            dep = a.task
-            readers = cons.get(dep.tid)
-            if readers is None:
-                cons[dep.tid] = [task]
-            elif readers[-1] is not task:  # one consumer counts once per producer
-                readers.append(task)
-    return cons
-
-
-def _reads(args: tuple, ref: Ref) -> bool:
-    """True when ``args`` hold a :class:`Ref` to the output ``ref`` names.
+def _reads(reader: Task, ref: Ref) -> bool:
+    """True when ``reader`` holds a :class:`Ref` to the output ``ref`` names.
 
     An index of ``None`` (a whole value) on either side overlaps all.
     """
-    return any(
-        type(a) is Ref and a.task is ref.task
-        and (a.index is None or ref.index is None or a.index == ref.index)
-        for a in args
-    )
+    args = reader.args
+    for i in reader.refs:
+        a = args[i]
+        if a.task is ref.task and (a.index is None or ref.index is None or a.index == ref.index):
+            return True
+    return False
 
 
-def _ran_before(reader: Task, writer: Task, ref: Ref, owner: list) -> bool:
-    """Condition (c) for one reader: it cannot see ``writer`` write ``ref``.
+def _in_place(task: Task, plan: Plan, owner: list) -> set[int]:
+    """The ``updates`` positions ``task`` writes in the producer's buffer.
 
-    True when ``reader`` does not read that output at all, or is a
-    fresh-result task that ``writer``'s lane runs first (same owner,
-    lower tid).  A reader that *writes* the output is no exception: only
-    a version's last reader may write it in place, so an earlier one
-    copied, and what it hands on aliases nothing either.
+    Condition (c), per reader of the output: it does not read that
+    output at all, or it is a fresh-result task that ``task``'s lane
+    runs first (same owner, lower tid).  A reader that *writes* the
+    output is no exception: only a version's last reader may write it in
+    place, so an earlier one copied, and what it hands on aliases
+    nothing either.
     """
-    if reader.fresh and reader.tid < writer.tid and owner[reader.tid] == owner[writer.tid]:
-        return True
-    return not _reads(reader.args, ref)
-
-
-def _in_place(task: Task, cons: dict[int, list[Task]], owner: list) -> set[int]:
-    """The ``updates`` positions ``task`` writes in the producer's buffer."""
+    tasks, consumers = plan.tasks, plan.consumers
+    tid = task.tid
+    lane = owner[tid]
     out = set()
     for i in task.writes.fresh:
         ref = task.args[i]
         dep = ref.task
         if dep.is_input or dep.done:
             continue
-        for r in cons[dep.tid]:
-            if r is not task and not _ran_before(r, task, ref, owner):
+        for r in consumers[dep.tid]:
+            if r == tid:
+                continue
+            reader = tasks[r]
+            if reader.fresh and r < tid and owner[r] == lane:
+                continue  # ran before the write
+            if _reads(reader, ref):
                 break
         else:
             out.add(i)
@@ -206,42 +201,44 @@ def rearm(plan: Plan, tasks: Iterable[Task]) -> None:
     todo = list(tasks)
     while todo:
         task = todo.pop()
-        todo.extend(
-            a.task for a in task.args
-            if type(a) is Ref and a.task.done and a.task.tid in written
-        )
+        deps = (task.args[i].task for i in task.refs)
+        todo.extend(dep for dep in deps if dep.done and dep.tid in written)
         task.done = False
         task.value = None
         task.rendezvous = None
 
 
-def _assign_owners(
-    plan: Plan, W: int, replicate_rankless: bool,
-    cons: dict[int, list[Task]],
-) -> list:
+def _assign_owners(plan: Plan, W: int, replicate_rankless: bool) -> list:
     """tid -> owner worker (REPLICATED for mp-style rankless tasks).
 
     Ranked tasks go to ``rank % W``.  In thread mode a rankless task is
     single-owned by its first consumer's worker (resolved in reverse tid
     order -- consumers always have higher tids), defaulting to worker 0,
     so it runs exactly once and ``Engine.tasks_run`` counts each
-    recorded task once.
+    recorded task once.  On one lane every owner is that lane.
     """
-    owner: list = [None] * len(plan.tasks)
-    for task in plan.tasks:
+    tasks = plan.tasks
+    if W == 1:
+        rankless = REPLICATED if replicate_rankless else 0
+        return [
+            None if t.is_input else (rankless if t.rank is None else 0) for t in tasks
+        ]
+    owner: list = [None] * len(tasks)
+    unowned = []
+    for task in tasks:
         if task.is_input:
             continue
         if task.rank is not None:
             owner[task.tid] = task.rank % W
         elif replicate_rankless:
             owner[task.tid] = REPLICATED
-    if not replicate_rankless:
-        for task in reversed(plan.tasks):
-            if task.is_input or task.rank is not None:
-                continue
-            first = next(iter(cons.get(task.tid, ())), None)
-            o = owner[first.tid] if first is not None else 0
-            owner[task.tid] = 0 if o is None else o
+        else:
+            unowned.append(task.tid)
+    consumers = plan.consumers
+    for tid in reversed(unowned):
+        readers = consumers[tid]
+        o = owner[readers[0]] if readers else 0
+        owner[tid] = 0 if o is None else o
     return owner
 
 
@@ -252,8 +249,46 @@ def grain(plan: Plan) -> float | None:
     or has no task.  The thread engine picks a plan's lanes from it, and
     :func:`compile_plan` reports it as ``stats["flops_per_task"]``.
     """
-    tasks = sum(1 for t in plan.tasks if not t.is_input)
+    tasks = len(plan.tasks) - len(plan.inputs)
     return plan.flops / tasks if plan.flops is not None and tasks else None
+
+
+def _publishers(plan: Plan, W: int, owner: list) -> tuple[list, int]:
+    """The cross-worker producers, and the cross-rank edges kept on one worker.
+
+    Walks the consumer map once; a one-lane plan has neither publishers
+    nor any edge it does not elide, so :func:`compile_plan` skips this.
+    """
+    tasks = plan.tasks
+    everyone = frozenset(range(W))
+    elided = 0
+    pubs: dict[int, tuple[set[int], set[int]]] = {}  # tid -> (ranks, workers)
+    for dep_tid, readers in enumerate(plan.consumers):
+        if not readers:
+            continue
+        dep = tasks[dep_tid]
+        d_owner = owner[dep_tid]
+        if dep.is_input or d_owner == REPLICATED:
+            continue  # leaves and replicated values are everywhere-local
+        for c in readers:
+            consumer = tasks[c]
+            c_owner = owner[c]
+            if c_owner == d_owner:
+                if (dep.rank is not None and consumer.rank is not None
+                        and dep.rank != consumer.rank):
+                    elided += 1
+                continue
+            ranks, dests = pubs.setdefault(dep_tid, (set(), set()))
+            ranks.add(-1 if consumer.rank is None else consumer.rank)
+            if c_owner == REPLICATED:
+                dests.update(everyone - {d_owner})
+            else:
+                dests.add(c_owner)
+    publishers = [
+        Publisher(tasks[tid], frozenset(ranks), frozenset(dests))
+        for tid, (ranks, dests) in sorted(pubs.items())
+    ]
+    return publishers, elided
 
 
 def compile_plan(plan: Plan, workers: int, replicate_rankless: bool = False) -> CompiledPlan:
@@ -266,71 +301,50 @@ def compile_plan(plan: Plan, workers: int, replicate_rankless: bool = False) -> 
     ``replicate_rankless`` selects the mp ownership convention (rankless
     tasks run in every worker, so their values never cross a process
     boundary); thread engines leave it off and single-own them.
+
+    Reads the consumer map and the cross-rank edge count that recording
+    kept (:attr:`Plan.consumers <repro.engine.plan.Plan.consumers>`).
+    One lane owns every task and elides every cross-rank edge, so a
+    one-lane compile walks no edge outside the write rule.
     """
     W = max(1, int(workers))
-    cons = _consumers_by_tid(plan)
-    owner = _assign_owners(plan, W, replicate_rankless, cons)
+    tasks = plan.tasks
+    owner = _assign_owners(plan, W, replicate_rankless)
 
     # Streams: each worker's owned (or replicated) tasks in tid order.
-    streams: list[list[Task]] = [[] for _ in range(W)]
-    for task in plan.tasks:
-        o = owner[task.tid]
-        if o is None:
-            continue
-        if o == REPLICATED:
-            for lane in streams:
-                lane.append(task)
-        else:
-            streams[o].append(task)
+    if W == 1:
+        streams = [[t for t in tasks if not t.is_input]]
+    else:
+        streams = [[] for _ in range(W)]
+        for task in tasks:
+            o = owner[task.tid]
+            if o is None:
+                continue
+            if o == REPLICATED:
+                for lane in streams:
+                    lane.append(task)
+            else:
+                streams[o].append(task)
 
     # The write rule: (a) from the record, (b) and (d) from the producer,
     # (c) from the consumer map and the lanes.
     copies: dict[int, tuple[int, ...]] = {}
     in_place = 0
-    for task in plan.tasks:
+    for task in tasks:
         if task.writes is not None:
-            inplace = _in_place(task, cons, owner)
+            inplace = _in_place(task, plan, owner)
             in_place += len(inplace)
             copies[task.tid] = tuple(i for i in task.writes.updates if i not in inplace)
 
-    # Edge analysis: classify every Ref edge between non-input tasks.
-    cross_rank = 0
-    elided = 0
-    pubs: dict[int, tuple[set[int], set[int]]] = {}  # tid -> (ranks, workers)
-    for dep_tid, consumers in cons.items():
-        dep = plan.tasks[dep_tid]
-        if dep.is_input:
-            continue
-        d_owner = owner[dep_tid]
-        for consumer in consumers:
-            c_owner = owner[consumer.tid]
-            is_cross_rank = (
-                dep.rank is not None
-                and consumer.rank is not None
-                and dep.rank != consumer.rank
-            )
-            if is_cross_rank:
-                cross_rank += 1
-            if d_owner == REPLICATED:
-                continue  # replicated values are everywhere-local
-            dest = set(range(W)) if c_owner == REPLICATED else {c_owner}
-            dest.discard(d_owner)
-            if not dest:
-                if is_cross_rank:
-                    elided += 1
-                continue
-            ranks, dests = pubs.setdefault(dep_tid, (set(), set()))
-            ranks.add(-1 if consumer.rank is None else consumer.rank)
-            dests.update(dest)
-    publishers = [
-        Publisher(plan.tasks[tid], frozenset(ranks), frozenset(dests))
-        for tid, (ranks, dests) in sorted(pubs.items())
-    ]
+    cross_rank = plan.cross_rank_edges
+    if W == 1:
+        publishers, elided = [], cross_rank
+    else:
+        publishers, elided = _publishers(plan, W, owner)
 
-    tasks = sum(1 for t in plan.tasks if not t.is_input)
     stats = {
         "workers": W,
-        "tasks": tasks,
+        "tasks": len(tasks) - len(plan.inputs),
         "flops_per_task": grain(plan),
         # One step per lane entry (a replicated task counts once a lane).
         "steps": sum(len(lane) for lane in streams),
@@ -340,7 +354,7 @@ def compile_plan(plan: Plan, workers: int, replicate_rankless: bool = False) -> 
         "writes_in_place": in_place,
         "writes_copied": sum(len(c) for c in copies.values()),
     }
-    return CompiledPlan(W, len(plan.tasks), owner, streams, publishers, copies, stats)
+    return CompiledPlan(W, len(tasks), owner, streams, publishers, copies, stats)
 
 
 # ----------------------------------------------------------------------
@@ -410,47 +424,51 @@ def _run_updating(fn, writes, copies, vals):
     return written + (tuple(out) if writes.splat else (out,))
 
 
-def _direct(dep: Task, widx: int, owner: list, fetch_inputs: bool) -> bool:
-    """True when lane ``widx`` reads ``dep.value`` straight off ``dep``.
-
-    An input leaf does unless ``fetch_inputs`` (an mp worker reads its
-    leaves from shared memory; a thread lane reads ``leaf.value`` at call
-    time, so ``Plan.rebind`` is honored on replays); a task does when
-    this lane owns it or every lane runs it.
-    """
-    if dep.is_input:
-        return not fetch_inputs
-    o = owner[dep.tid]
-    return o == widx or o == REPLICATED
-
-
 def bind_stream(cplan: CompiledPlan, widx: int, fetch_inputs: bool = False) -> list[BoundTask]:
     """Bind worker ``widx``'s stream: one :class:`BoundTask` per task.
 
-    Each :class:`Ref` argument becomes a ``reads`` triple when this lane
-    can read the producer's value directly, else a ``fetches`` triple
-    for the fetch the lane passes to :meth:`BoundTask.run`;
-    ``fetch_inputs`` sends input leaves through the fetch too (the mp
-    workers').  Both read producer values at *call* time, so one binding
-    is reused across every replay of the plan.
+    Each :class:`Ref` argument -- at the positions recording noted in
+    :attr:`Task.refs <repro.engine.plan.Task.refs>` -- becomes a
+    ``reads`` triple when this lane can read the producer's value
+    directly, else a ``fetches`` triple for the fetch the lane passes to
+    :meth:`BoundTask.run`.  An input leaf is read directly unless
+    ``fetch_inputs`` (an mp worker reads its leaves from shared memory;
+    a thread lane reads ``leaf.value`` at call time, so ``Plan.rebind``
+    is honored on replays); a task is when this lane owns it or every
+    lane runs it, as on a thread engine's one lane.  Both read producer
+    values at *call* time, so one binding is reused across every replay
+    of the plan.
     """
     owner = cplan.owner
     copies = cplan.copies
+    one_lane = cplan.workers == 1 and not fetch_inputs
     bound = []
     for t in cplan.streams[widx]:
-        reads = []
-        fetches = []
-        for i, a in enumerate(t.args):
-            if type(a) is Ref:
-                entry = (i, a.task, a.index)
-                if _direct(a.task, widx, owner, fetch_inputs):
-                    reads.append(entry)
+        refs = t.refs
+        if not refs:
+            bound.append(BoundTask(t, None, (), None))
+            continue
+        args = t.args
+        if one_lane:
+            direct = []
+            for i in refs:
+                a = args[i]
+                direct.append((i, a.task, a.index))
+            reads, fetches = tuple(direct), ()
+        else:
+            direct = []
+            fetched = []
+            for i in refs:
+                a = args[i]
+                dep = a.task
+                if dep.is_input:
+                    local = not fetch_inputs
                 else:
-                    fetches.append(entry)
+                    o = owner[dep.tid]
+                    local = o == widx or o == REPLICATED
+                (direct if local else fetched).append((i, dep, a.index))
+            reads, fetches = tuple(direct), tuple(fetched)
         bound.append(BoundTask(
-            t,
-            tuple(reads) if reads or fetches else None,
-            tuple(fetches),
-            copies[t.tid] if t.writes is not None else None,
+            t, reads, fetches, copies[t.tid] if t.writes is not None else None,
         ))
     return bound

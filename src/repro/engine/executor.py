@@ -4,7 +4,9 @@
 worker streams.  Before a plan first runs,
 :func:`~repro.engine.compile.compile_plan` partitions its tasks over
 its lanes (rank ``r`` belongs to lane ``r % lanes``), decides
-which writes may go in place and pre-resolves every argument; each lane
+which writes may go in place and pre-resolves every argument, from the
+consumer map and ``Ref`` positions recording kept (a one-lane compile
+walks no edge outside the write rule); each lane
 is a flat list of bound tasks, walked in tid order -- a topological
 order, so the walk is deadlock-free by construction -- on a
 ``ThreadPoolExecutor`` thread (a one-lane plan on the caller's
@@ -38,7 +40,9 @@ So each compiled plan gets one lane count, set once from its **grain**
 **one lane** that the caller's thread walks -- no pool, no rendezvous.
 A plan with no metered flops (built by hand) gets ``workers`` lanes.
 A plan that grows is recompiled, and the rule is applied again.
-``Engine.lanes`` is the compiled plan's lane count.
+``Engine.lanes`` is the compiled plan's lane count, and
+``Engine.compile_s`` / ``Engine.bind_s`` what its last compile and bind
+took (``repro trace`` prints them in its ``build:`` line).
 
 **Failure semantics.**  When any task raises, the engine *aborts* the
 attempt: every wired-but-unpublished rendezvous is poisoned with the
@@ -237,6 +241,9 @@ class Engine(EngineBase):
         #: Set when the caller is interrupted mid-execute: every lane
         #: stops at its next task boundary.
         self._halt = False
+        #: Wall seconds the last compile and bind of a plan took.
+        self.compile_s = 0.0
+        self.bind_s = 0.0
 
     # ------------------------------------------------------------------
     # Execution
@@ -315,8 +322,11 @@ class Engine(EngineBase):
             return self._cplan
         fine = grain(plan)
         lanes = 1 if fine is not None and fine < TWO_LANE_FLOPS else self.workers
+        t0 = time.perf_counter()
         cplan = compile_plan(plan, lanes)
+        t1 = time.perf_counter()
         self._bound = [bind_stream(cplan, widx) for widx in range(cplan.workers)]
+        self.compile_s, self.bind_s = t1 - t0, time.perf_counter() - t1
         self._waits = [0.0] * cplan.workers
         self._cplan = cplan
         self._cplan_for = plan
@@ -334,6 +344,22 @@ class Engine(EngineBase):
             return f"{head} (no metered flops)"
         side = "<" if fine < TWO_LANE_FLOPS else ">="
         return f"{head} (grain {_sci(fine, 1)} flops/task {side} {_sci(TWO_LANE_FLOPS, 0)})"
+
+    def build_line(self, record_s: float, materialize_s: float) -> str:
+        """One line for reports: where a plan's first job spent its time.
+
+        ``record_s`` and ``materialize_s`` are the recording and the
+        first ``materialize`` (compile + bind + first execute) as the
+        caller timed them; the compile and bind are this engine's last.
+
+        >>> Engine(workers=1).build_line(0.0412, 0.0345)
+        'build: record 41.2 ms, compile 0.0 ms, bind 0.0 ms, first execute 34.5 ms'
+        """
+        execute_s = materialize_s - self.compile_s - self.bind_s
+        return (
+            f"build: record {record_s * 1e3:.1f} ms, compile {self.compile_s * 1e3:.1f} ms, "
+            f"bind {self.bind_s * 1e3:.1f} ms, first execute {execute_s * 1e3:.1f} ms"
+        )
 
     def writes_line(self) -> str:
         """One line for reports: how the compiled plan hands over block writes.

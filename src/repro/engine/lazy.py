@@ -44,7 +44,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.backend.symbolic import SymbolicArray, dtype_of
-from repro.engine.plan import EngineError, Plan, Ref, Writes
+from repro.engine.plan import CONTAINERS, EngineError, Plan, Ref, check_flat
 
 __all__ = [
     "LazyArray",
@@ -83,30 +83,6 @@ def _scan_lazies(obj: Any, out: list["LazyArray"]) -> None:
             _scan_lazies(o, out)
 
 
-def _refs(args: tuple, lazies: list["LazyArray"]) -> tuple:
-    """``args`` with each lazy swapped for its ``Ref``, in one loop.
-
-    Appends the lazies to ``lazies`` in order.  Only top-level arguments
-    are swapped: a lazy inside a container stays, and
-    :meth:`~repro.engine.plan.Plan.add` rejects it.
-    """
-    out = []
-    for a in args:
-        if isinstance(a, LazyArray):
-            lazies.append(a)
-            a = a.ref
-        out.append(a)
-    return tuple(out)
-
-
-def _rank_hint(lazies: list["LazyArray"]) -> int | None:
-    """Best-effort rank tag: the first operand that carries one."""
-    for la in lazies:
-        if la.ref.task.rank is not None:
-            return la.ref.task.rank
-    return None
-
-
 def defer(
     plan: Plan,
     fn: Callable[..., Any],
@@ -131,6 +107,12 @@ def defer(
     When ``rank`` is ``None`` it is inherited from the first lazy
     operand that carries one.
 
+    ``args`` are walked once: each lazy is swapped for its ``Ref``, the
+    first ranked one lends its rank, a handle inside a container is
+    rejected and each ``Ref``'s position is noted for
+    :meth:`Plan.add <repro.engine.plan.Plan.add>`, which then scans
+    nothing.
+
     ``updates`` lists the positions in ``args`` of lazy arrays ``fn``
     writes in place (``meta`` may then be ``None``: nothing but the
     writes).  Each is rebound to the task's written output, so the
@@ -141,32 +123,43 @@ def defer(
     memory with no argument and no other result (:attr:`Task.fresh
     <repro.engine.plan.Task>`; the ``machine.kernel`` contract).
     """
-    lazies: list[LazyArray] = []
-    exec_args = _refs(args, lazies)
-    if rank is None:
-        rank = _rank_hint(lazies)
-    targets = [args[i] for i in updates]
-    if not all(isinstance(la, LazyArray) for la in targets):
-        raise EngineError("defer(updates=...) positions must hold lazy arrays")
-    task = plan.add(fn, exec_args, rank=rank, label=label)
-    task.fresh = fresh
-    if updates:
-        task.writes = Writes(
-            tuple(updates),
-            tuple(i for i, la in zip(updates, targets) if la._fresh),
-            isinstance(meta, tuple),
-        )
-    for k, la in enumerate(targets):
+    exec_args = []
+    positions = []
+    for a in args:
+        if isinstance(a, LazyArray):
+            a = a.ref
+            if rank is None:
+                rank = a.task.rank
+            positions.append(len(exec_args))
+        elif type(a) is Ref:
+            positions.append(len(exec_args))
+        elif isinstance(a, CONTAINERS):
+            check_flat(label, a)
+        exec_args.append(a)
+    if not updates:
+        task = plan.add(fn, tuple(exec_args), rank, label, tuple(positions), None, fresh)
+        if isinstance(meta, tuple):
+            return tuple([LazyArray(plan, m, Ref(task, k), fresh) for k, m in enumerate(meta)])
+        return LazyArray(plan, meta, Ref(task), fresh)
+
+    fresh_targets = ()
+    for i in updates:
+        la = args[i]
+        if not isinstance(la, LazyArray):
+            raise EngineError("defer(updates=...) positions must hold lazy arrays")
+        if la._fresh:
+            fresh_targets += (i,)
+    writes = plan.writes(tuple(updates), fresh_targets, isinstance(meta, tuple))
+    task = plan.add(fn, tuple(exec_args), rank, label, tuple(positions), writes, fresh)
+    k = 0  # an updating task's outputs follow its written arrays
+    for i in updates:
+        la = args[i]
         la.ref = Ref(task, k)
         la._fresh = True
-    k = len(targets)  # an updating task's outputs follow its written arrays
+        k += 1
     if isinstance(meta, tuple):
-        return tuple(
-            LazyArray(plan, m, Ref(task, k + i), fresh=fresh) for i, m in enumerate(meta)
-        )
-    if not updates:
-        return LazyArray(plan, meta, Ref(task), fresh=fresh)
-    return None if meta is None else LazyArray(plan, meta, Ref(task, k), fresh=fresh)
+        return tuple([LazyArray(plan, m, Ref(task, k + j), fresh) for j, m in enumerate(meta)])
+    return None if meta is None else LazyArray(plan, meta, Ref(task, k), fresh)
 
 
 def output_tids(obj: Any) -> tuple[int, ...]:
@@ -221,6 +214,26 @@ def _apply_function(func: Callable[..., Any], spec: tuple, kwnames: tuple, *vals
             args.append(kind(vals[i:i + count]))
             i += count
     return func(*args, **dict(zip(kwnames, vals[i:])))
+
+
+# The structural ops' task functions: module-level, so recording one
+# allocates no function object (and no cell) per task.
+_T = operator.attrgetter("T")
+_REAL = operator.attrgetter("real")
+_IMAG = operator.attrgetter("imag")
+_COPY = operator.methodcaller("copy")
+
+
+def _reshape(a, *shape):
+    return a.reshape(*shape)
+
+
+def _transpose(a, *axes):
+    return a.transpose(*axes)
+
+
+def _astype(a, dtype, copy):
+    return a.astype(dtype, copy=copy)
 
 
 class LazyArray:
@@ -285,19 +298,19 @@ class LazyArray:
     # ------------------------------------------------------------------
     @property
     def T(self) -> "LazyArray":
-        return self._defer(lambda a: a.T, (self,), self.meta.T, label="T")
+        return self._defer(_T, (self,), self.meta.T, label="T")
 
     @property
     def real(self) -> "LazyArray":
-        return self._defer(lambda a: a.real, (self,), self.meta.real, label="real")
+        return self._defer(_REAL, (self,), self.meta.real, label="real")
 
     @property
     def imag(self) -> "LazyArray":
-        return self._defer(lambda a: a.imag, (self,), self.meta.imag, label="imag")
+        return self._defer(_IMAG, (self,), self.meta.imag, label="imag")
 
     def reshape(self, *shape) -> "LazyArray":
         return self._defer(
-            lambda a: a.reshape(*shape), (self,), self.meta.reshape(*shape),
+            _reshape, (self, *shape), self.meta.reshape(*shape),
             label="reshape",
         )
 
@@ -306,7 +319,7 @@ class LazyArray:
 
     def transpose(self, *axes) -> "LazyArray":
         return self._defer(
-            lambda a: a.transpose(*axes), (self,), self.meta.transpose(*axes),
+            _transpose, (self, *axes), self.meta.transpose(*axes),
             label="transpose",
         )
 
@@ -319,7 +332,7 @@ class LazyArray:
 
     def copy(self) -> "LazyArray":
         return self._defer(
-            lambda a: a.copy(), (self,), self.meta, label="copy", fresh=True
+            _COPY, (self,), self.meta, label="copy", fresh=True
         )
 
     def astype(self, dtype, copy: bool = True) -> "LazyArray":
@@ -327,7 +340,7 @@ class LazyArray:
         if dtype == self.dtype and not copy:
             return self
         return self._defer(
-            lambda a: a.astype(dtype, copy=copy), (self,),
+            _astype, (self, dtype, copy),
             SymbolicArray(self.shape, dtype), label="astype", fresh=copy,
         )
 
@@ -336,7 +349,7 @@ class LazyArray:
     # ------------------------------------------------------------------
     def __getitem__(self, idx) -> "LazyArray":
         meta = self.meta[idx]  # validates and computes the result shape
-        return self._defer(lambda a: a[idx], (self,), meta, label="getitem")
+        return self._defer(operator.getitem, (self, idx), meta, label="getitem")
 
     def __setitem__(self, idx, value) -> None:
         self.meta[idx]  # validate the index shape eagerly
@@ -489,15 +502,19 @@ class ParallelOps:
     def __init__(self, plan: Plan) -> None:
         self.plan = plan
 
+    def kernel(self, p, fn, args: tuple, meta: Any, label: str, updates: tuple) -> Any:
+        """:meth:`repro.machine.Machine.kernel` on this plan: one rank-``p``
+        task whose results are fresh by contract."""
+        return defer(self.plan, fn, args, meta, p, label, True, updates)
+
     def _leaf(self, fn, meta: SymbolicArray, label: str) -> LazyArray:
         """A rankless constant task whose result is a fresh allocation."""
-        task = self.plan.add(fn, label=label)
-        task.fresh = True
+        task = self.plan.add(fn, (), None, label, (), None, True)
         return LazyArray(self.plan, meta, Ref(task), fresh=True)
 
     def zeros(self, shape, dtype=np.float64):
         meta = SymbolicArray(shape, dtype)
-        return self._leaf(lambda: np.zeros(meta.shape, dtype=meta.dtype), meta, "zeros")
+        return self._leaf(partial(np.zeros, meta.shape, meta.dtype), meta, "zeros")
 
     def empty(self, shape, dtype=np.float64):
         # Engine buffers are always fully written before use (the
@@ -507,7 +524,7 @@ class ParallelOps:
 
     def eye(self, n, dtype=np.float64):
         meta = SymbolicArray((int(n), int(n)), dtype)
-        return self._leaf(lambda: np.eye(meta.shape[0], dtype=meta.dtype), meta, "eye")
+        return self._leaf(partial(np.eye, meta.shape[0], dtype=meta.dtype), meta, "eye")
 
     def asarray(self, x, dtype=None):
         if isinstance(x, LazyArray):

@@ -21,19 +21,22 @@ walks each stream in recording order); tasks of different ranks run
 concurrently whenever their dataflow allows -- which is the paper's DAG
 semantics executed for real instead of simulated.
 
-Recording keeps no dataflow state: :meth:`Plan.add` appends and
-returns, and who reads what is analysed once, by the plan compiler's
-consumer map (:mod:`repro.engine.compile`), when every consumer is
-known.  A task that writes arguments in place says so in
-:attr:`Task.writes`; whether a write may touch the producer's buffer is
-the compiler's decision.  :meth:`repro.machine.Machine.barrier` records
+Recording notes the dataflow as it appends, in plain ints: each task's
+:attr:`Task.refs` (the positions of its ``Ref`` arguments) and the
+plan's **consumer map** (:attr:`Plan.consumers`, producer tid -> the
+tids that read it, in tid order), which the plan compiler
+(:mod:`repro.engine.compile`) reads once every consumer is known.  A
+task that writes arguments in place says so in :attr:`Task.writes`;
+whether a write may touch the producer's buffer is the compiler's
+decision.  :meth:`repro.machine.Machine.barrier` records
 nothing here: it joins the simulated clocks only.
 
 A plan is plain data: a task's ``fn`` is a module-level function, a
 ``functools.partial`` of one, or a closure over constants -- never over
 a lazy array, the plan or an engine -- so the only references between
 tasks are ``Ref -> Task``, and a plan nobody holds is freed by
-reference counting, without waiting for the cyclic garbage collector.
+reference counting, without waiting for the cyclic garbage collector
+(the consumer map holds tids, not tasks, for the same reason).
 
 Input leaves (:meth:`Plan.add_input`) hold the distributed input blocks
 and are the replay boundary: :meth:`Plan.rebind` swaps in a new job's
@@ -91,13 +94,15 @@ class Writes(NamedTuple):
     splat: bool
 
 
+
 class Task:
     """One deferred unit of work: ``value = fn(*resolved_args)``.
 
     ``args`` may hold :class:`Ref` handles as top-level arguments (never
-    inside a list, tuple or dict); the executor resolves them to the
-    producing tasks' values before calling ``fn``.  Input leaves have
-    ``fn=None`` and carry their value directly.  ``writes`` is ``None`` unless the
+    inside a list, tuple or dict), at the positions ``refs`` lists; the
+    executor resolves them to the producing tasks' values before calling
+    ``fn``.  Input leaves have ``fn=None`` and carry their value
+    directly.  ``writes`` is ``None`` unless the
     task writes arguments in place (:class:`Writes`).  ``fresh`` says
     the task's results (the outputs after any written arrays) are new
     arrays sharing memory with no argument and with each other -- the
@@ -106,7 +111,7 @@ class Task:
     """
 
     __slots__ = (
-        "tid", "rank", "label", "fn", "args",
+        "tid", "rank", "label", "fn", "args", "refs",
         "value", "done", "is_input", "rendezvous", "writes", "fresh",
     )
 
@@ -117,12 +122,16 @@ class Task:
         label: str,
         fn: Callable[..., Any] | None,
         args: tuple,
+        refs: tuple[int, ...] = (),
+        writes: Writes | None = None,
+        fresh: bool = False,
     ) -> None:
         self.tid = tid
         self.rank = rank
         self.label = label
         self.fn = fn
         self.args = args
+        self.refs = refs
         self.value: Any = None
         self.done = False
         self.is_input = False
@@ -130,11 +139,15 @@ class Task:
         #: another worker; the value handoff then goes through this
         #: blocking slot.
         self.rendezvous = None
-        self.writes: Writes | None = None
-        self.fresh = False
+        self.writes = writes
+        self.fresh = fresh
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Task(t{self.tid}, rank={self.rank}, {self.label!r})"
+
+
+#: The argument types a handle may not hide in.
+CONTAINERS = (list, tuple, dict)
 
 
 def _nests_handle(obj: Any) -> bool:
@@ -143,9 +156,29 @@ def _nests_handle(obj: Any) -> bool:
     for item in items:
         if isinstance(item, Ref) or getattr(item, "_repro_lazy_", False):
             return True
-        if isinstance(item, (list, tuple, dict)) and _nests_handle(item):
+        if isinstance(item, CONTAINERS) and _nests_handle(item):
             return True
     return False
+
+
+def check_flat(label: str, arg: Any) -> None:
+    """Raise :class:`EngineError` when container ``arg`` holds a handle."""
+    if _nests_handle(arg):
+        raise EngineError(
+            f"task {label!r}: a Ref or lazy array inside a "
+            f"{type(arg).__name__} argument; pass it as a top-level argument"
+        )
+
+
+def _scan_refs(args: tuple, label: str) -> tuple[int, ...]:
+    """The positions of the :class:`Ref` arguments; rejects nested handles."""
+    positions = []
+    for i, a in enumerate(args):
+        if type(a) is Ref:
+            positions.append(i)
+        elif isinstance(a, CONTAINERS):
+            check_flat(label, a)
+    return tuple(positions)
 
 
 class Plan:
@@ -154,6 +187,16 @@ class Plan:
     def __init__(self) -> None:
         self.tasks: list[Task] = []
         self.inputs: list[Task] = []
+        #: The consumer map, kept by :meth:`add`: per producer tid, the
+        #: tids of the tasks with a ``Ref`` to any of its outputs, each
+        #: once, in tid order (``()`` while nothing reads it).  Ints, not
+        #: tasks, so the map ties no task to a later one.
+        self.consumers: list = []
+        #: Consumer-map edges between two ranked tasks of different ranks.
+        self.cross_rank_edges = 0
+        #: One object per distinct ``refs`` tuple and :class:`Writes`
+        #: (:meth:`writes`), shared by the tasks instead of one each.
+        self._shared: dict = {}
         #: Flops the recording machine metered for these tasks (set by
         #: :meth:`repro.machine.Machine.materialize`); ``None`` for a
         #: plan built by hand.  The compiler reports the grain from it.
@@ -168,25 +211,55 @@ class Plan:
         args: tuple = (),
         rank: int | None = None,
         label: str = "",
+        refs: tuple[int, ...] | None = None,
+        writes: Writes | None = None,
+        fresh: bool = False,
     ) -> Task:
         """Append a task computing ``fn(*args)`` on ``rank``'s stream.
 
-        Dataflow edges are the :class:`Ref` handles among ``args``,
-        which the plan compiler reads off the arguments; program order
-        within a rank is the order of its stream.  ``rank=None`` is
-        harness-side work (constants such as ``zeros``, joins).  A
-        ``Ref`` or lazy array inside a list, tuple or dict argument
-        raises :class:`EngineError`: spread it into top-level arguments.
+        Dataflow edges are the :class:`Ref` handles among ``args``;
+        program order within a rank is the order of its stream.
+        ``rank=None`` is harness-side work (constants such as ``zeros``,
+        joins).  ``refs`` are the positions of the ``Ref`` arguments
+        when the caller already knows them (:func:`repro.engine.defer`
+        does, from its own walk of the arguments); otherwise ``args``
+        are scanned here, and a ``Ref`` or lazy array inside a list,
+        tuple or dict argument raises :class:`EngineError`: spread it
+        into top-level arguments.  Each edge is noted in
+        :attr:`consumers` as the task is appended.  ``writes`` and
+        ``fresh`` become the task's :attr:`Task.writes` /
+        :attr:`Task.fresh`.
         """
-        for a in args:
-            if isinstance(a, (list, tuple, dict)) and _nests_handle(a):
-                raise EngineError(
-                    f"task {label!r}: a Ref or lazy array inside a "
-                    f"{type(a).__name__} argument; pass it as a top-level argument"
-                )
-        task = Task(len(self.tasks), rank, label, fn, args)
-        self.tasks.append(task)
+        if refs is None:
+            refs = _scan_refs(args, label)
+        refs = self._shared.setdefault(refs, refs)  # one tuple per distinct value
+        tasks = self.tasks
+        tid = len(tasks)
+        task = Task(tid, rank, label, fn, args, refs, writes, fresh)
+        tasks.append(task)
+        consumers = self.consumers
+        consumers.append(())
+        for i in refs:
+            dep = args[i].task
+            readers = consumers[dep.tid]
+            if not readers:
+                consumers[dep.tid] = [tid]
+            elif readers[-1] != tid:  # one consumer counts once per producer
+                readers.append(tid)
+            else:
+                continue
+            if rank is not None and dep.rank is not None and dep.rank != rank:
+                self.cross_rank_edges += 1
         return task
+
+    def writes(self, updates: tuple[int, ...], fresh: tuple[int, ...], splat: bool) -> Writes:
+        """The plan's one :class:`Writes` of these fields, shared by the
+        tasks that write alike."""
+        key = (updates, fresh, splat)
+        writes = self._shared.get(key)
+        if writes is None:
+            writes = self._shared[key] = Writes(updates, fresh, splat)
+        return writes
 
     def add_input(self, value: Any, label: str = "input") -> Task:
         """Append an input leaf holding ``value`` (the replay boundary)."""
@@ -195,6 +268,7 @@ class Plan:
         task.done = True
         task.is_input = True
         self.tasks.append(task)
+        self.consumers.append(())
         self.inputs.append(task)
         return task
 

@@ -173,6 +173,36 @@ class FaultPlan:
         with self._lock:
             return tuple(self.faults[i] for i in sorted(self._fired))
 
+    def check_fired(self) -> None:
+        """Raise :class:`ParameterError` naming each trigger that never fired.
+
+        Called once a run has finished: a trigger whose victim never
+        reached the named step (a step past the end of its stream, or a
+        ``where`` the backend has no counter for) would otherwise leave
+        a run that reports success with nothing injected.
+
+        >>> fp = FaultPlan.kill(0, 2)
+        >>> fp.on_task(0, "geqrt"); fp.on_task(0, "apply_wy")
+        >>> fp.check_fired()
+        Traceback (most recent call last):
+            ...
+        repro.machine.exceptions.ParameterError: fault 0@2 never fired: rank 0 ran 2 task-steps (0..1)
+        """
+        with self._lock:
+            missed = [
+                (flt, self._counts.get((flt.rank, flt.where), 0))
+                for i, flt in enumerate(self.faults) if i not in self._fired
+            ]
+        if not missed:
+            return
+        notes = []
+        for flt, ran in missed:
+            kind = "task-steps" if flt.where == "step" else "kernel dispatches"
+            spec = f"{flt.rank}@{flt.step}" + ("" if flt.where == "step" else ":dispatch")
+            steps = f" (0..{ran - 1})" if ran else ""
+            notes.append(f"fault {spec} never fired: rank {flt.rank} ran {ran} {kind}{steps}")
+        raise ParameterError("; ".join(notes))
+
     def snapshot(self) -> tuple[dict, frozenset]:
         """Picklable copy of the counters + fired set (state transport).
 

@@ -278,13 +278,11 @@ class Machine:
         rec = self.telemetry
         if rec.enabled:
             t0 = rec.now()
-            out = self.backend_impl.run_kernel(
-                self, p, fn, args, meta, label=label, updates=updates
-            )
+            out = self.backend_impl.run_kernel(self, p, fn, args, meta, label, updates)
             rec.kernel_dispatch(label or "kernel", p, rec.now() - t0, self.backend)
             return out
         return self.backend_impl.run_kernel(
-            self, p, fn, args, meta, label=label, updates=updates
+            self, p, fn, args, meta, label, updates
         )
 
     def materialize(self, obj: Any = None, timeout: float | None = None) -> Any:

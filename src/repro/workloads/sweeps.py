@@ -16,6 +16,7 @@ Paper anchor: Section 8 (the evaluation run harness).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -315,7 +316,10 @@ class Build:
     ``words_by_label`` are the machine's metering, which a replay of
     the same shape would repeat exactly, so it keeps them.  ``coded`` is
     the :class:`~repro.faults.coded.CodedContext` of a checksum-coded
-    build (``None`` otherwise).
+    build (``None`` otherwise).  ``record_s`` and ``materialize_s`` are
+    the wall seconds the build spent driving the algorithm (recording,
+    on an engine machine) and in its first ``materialize`` (compile,
+    bind and first execute, on an engine machine).
     """
 
     algorithm: str
@@ -327,6 +331,8 @@ class Build:
     report: CostReport
     words_by_label: dict
     coded: Any = None
+    record_s: float = 0.0
+    materialize_s: float = 0.0
 
     def result(self, A, factors, validate: bool) -> RunResult:
         """The :class:`RunResult` of a job on input ``A`` with computed ``factors``."""
@@ -359,6 +365,9 @@ def build(
     plan cache holds the plan either way (the next job of the shape
     replays it).  Returns the build and the computed factors.
 
+    A ``fault_plan`` trigger that did not fire by the end of the run
+    (its victim never reached the step) raises ``ParameterError``.
+
     ``f > 0`` adds ``f`` spares holding the input's checksums
     (``Build.coded``, :data:`~repro.faults.CODED_ALGORITHMS` only); a
     :class:`~repro.faults.CodedRecovery` must name the same ``f`` (else
@@ -375,16 +384,22 @@ def build(
         fault_plan=fault_plan, recovery=recovery,
     )
     params = dict(params)
+    t0 = time.perf_counter()
     lazy_factors, diag_fn, slicer, coded = _drive(algorithm, machine, A, params, validate, f)
+    t1 = time.perf_counter()
     if isinstance(recovery, CodedRecovery):
         machine.recovery = machine.engine.recovery = recovery.bind(coded)
     built = Build(algorithm, machine, lazy_factors, diag_fn, slicer, params,
-                  machine.report(), machine.words_by_label, coded)
+                  machine.report(), machine.words_by_label, coded, t1 - t0)
     try:
+        t0 = time.perf_counter()
         factors = machine.materialize(lazy_factors)
+        built.materialize_s = time.perf_counter() - t0
     finally:
         if keep is not None:
             keep(built)
+    if fault_plan is not None:
+        fault_plan.check_fired()
     return built, factors
 
 

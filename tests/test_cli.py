@@ -208,6 +208,19 @@ class TestTraceCommand:
             capsys.readouterr().out, re.M,
         )
 
+    def test_trace_prints_where_the_first_job_spent_its_time(self, capsys, tmp_path):
+        rc = main(["trace", "house2d", "--m", "96", "--n", "24", "--P", "4",
+                   "--workers", "2", "--out", str(tmp_path / "t.json")])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        (i,) = [k for k, ln in enumerate(lines) if ln.startswith("lanes: ")]
+        (build,) = [ln for ln in lines[i + 1:] if ln.startswith("build: ")]
+        ms = r"(\d+\.\d) ms"
+        got = re.fullmatch(
+            rf"build: record {ms}, compile {ms}, bind {ms}, first execute {ms}", build)
+        assert got, build
+        assert float(got.group(1)) > 0.0 and float(got.group(4)) > 0.0
+
     def test_trace_executes_the_plan_once(self, capsys, tmp_path, monkeypatch):
         from repro.machine import Machine
 

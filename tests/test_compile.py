@@ -1,18 +1,23 @@
 """Unit tests for the plan compiler (repro.engine.compile).
 
-Covers what the compiler derives from its consumer map -- flat tid-order
-lanes, worker-affinity ownership with same-worker edge elision, the
-compiled copy map of ``updates=`` tasks -- and argument pre-resolution,
-plus the engine-level contracts: every lane count computes the same
-(pinned) values, the compiled schedule cache invalidates when a plan
-grows, one telemetry span per task, a compiled plan takes its lane
-count from the plan's grain, and no second
-execution path, ``compile`` switch or record-time dataflow analysis
-grows back.  (The write rule itself is pinned in
-``tests/test_write_rule.py``.)
+Covers what the compiler derives from the consumer map recording keeps
+-- flat tid-order lanes, worker-affinity ownership with same-worker edge
+elision, the compiled copy map of ``updates=`` tasks -- and argument
+pre-resolution, plus the engine-level contracts: every lane count
+computes the same (pinned) values, the compiled schedule cache
+invalidates when a plan grows, one telemetry span per task, a compiled
+plan takes its lane count from the plan's grain, and no second
+execution path, ``compile`` switch or record-time decision (frontier,
+exclusivity test, fused step) grows back.  At the end, the multi-pass
+compiler and binder that rebuilt the consumer map after recording are
+kept as an oracle the single-pass code must equal, field for field.
+(The write rule itself is pinned in ``tests/test_write_rule.py``.)
 """
 
 import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 import pytest
@@ -498,9 +503,9 @@ class TestOneExecutionPath:
         assert exc.value.code == 2
 
     def test_no_record_time_dataflow_or_fusion_grows_back(self):
-        """Acceptance pin: the compiler's consumer map is the engine's
-        only dataflow analysis -- no frontier, no exclusivity test at
-        record time, no fused steps."""
+        """Acceptance pin: the consumer map (kept by ``Plan.add``, read
+        by the compiler) is the engine's only dataflow analysis -- no
+        frontier, no exclusivity test at record time, no fused steps."""
         import pathlib
         import re
 
@@ -671,3 +676,276 @@ class TestCollectivesRecordOnlyTheirCombine:
         machine = Machine(8, backend="parallel", workers=2)
         drive(alg, machine, gaussian(m, n, seed=0), dict(knobs), validate=False)
         assert recorded == Counter(COMBINE_TASKS[alg])
+
+
+# ----------------------------------------------------------------------
+# The oracle: the multi-pass compiler and binder that analysed a plan
+# only after recording it (consumer map rebuilt from every task's
+# arguments, every edge walked on every lane count, each argument
+# scanned again at bind time).  Kept verbatim, apart from names, as the
+# reference the single-pass code must equal.
+# ----------------------------------------------------------------------
+
+def _oracle_consumers_by_tid(plan):
+    """Producer tid -> consumer tasks (via Ref edges), in tid order."""
+    cons = {}
+    for task in plan.tasks:
+        if task.is_input:
+            continue
+        for a in task.args:
+            if type(a) is not Ref:
+                continue
+            dep = a.task
+            readers = cons.get(dep.tid)
+            if readers is None:
+                cons[dep.tid] = [task]
+            elif readers[-1] is not task:  # one consumer counts once per producer
+                readers.append(task)
+    return cons
+
+
+def _oracle_reads(args, ref):
+    return any(
+        type(a) is Ref and a.task is ref.task
+        and (a.index is None or ref.index is None or a.index == ref.index)
+        for a in args
+    )
+
+
+def _oracle_ran_before(reader, writer, ref, owner):
+    if reader.fresh and reader.tid < writer.tid and owner[reader.tid] == owner[writer.tid]:
+        return True
+    return not _oracle_reads(reader.args, ref)
+
+
+def _oracle_in_place(task, cons, owner):
+    out = set()
+    for i in task.writes.fresh:
+        ref = task.args[i]
+        dep = ref.task
+        if dep.is_input or dep.done:
+            continue
+        for r in cons[dep.tid]:
+            if r is not task and not _oracle_ran_before(r, task, ref, owner):
+                break
+        else:
+            out.add(i)
+    return out
+
+
+def _oracle_assign_owners(plan, W, replicate_rankless, cons):
+    owner = [None] * len(plan.tasks)
+    for task in plan.tasks:
+        if task.is_input:
+            continue
+        if task.rank is not None:
+            owner[task.tid] = task.rank % W
+        elif replicate_rankless:
+            owner[task.tid] = REPLICATED
+    if not replicate_rankless:
+        for task in reversed(plan.tasks):
+            if task.is_input or task.rank is not None:
+                continue
+            first = next(iter(cons.get(task.tid, ())), None)
+            o = owner[first.tid] if first is not None else 0
+            owner[task.tid] = 0 if o is None else o
+    return owner
+
+
+def _oracle_compile(plan, workers, replicate_rankless=False):
+    from repro.engine.compile import CompiledPlan, Publisher
+
+    W = max(1, int(workers))
+    cons = _oracle_consumers_by_tid(plan)
+    owner = _oracle_assign_owners(plan, W, replicate_rankless, cons)
+    streams = [[] for _ in range(W)]
+    for task in plan.tasks:
+        o = owner[task.tid]
+        if o is None:
+            continue
+        if o == REPLICATED:
+            for lane in streams:
+                lane.append(task)
+        else:
+            streams[o].append(task)
+    copies = {}
+    in_place = 0
+    for task in plan.tasks:
+        if task.writes is not None:
+            inplace = _oracle_in_place(task, cons, owner)
+            in_place += len(inplace)
+            copies[task.tid] = tuple(i for i in task.writes.updates if i not in inplace)
+    cross_rank = 0
+    elided = 0
+    pubs = {}
+    for dep_tid, consumers in cons.items():
+        dep = plan.tasks[dep_tid]
+        if dep.is_input:
+            continue
+        d_owner = owner[dep_tid]
+        for consumer in consumers:
+            c_owner = owner[consumer.tid]
+            is_cross_rank = (
+                dep.rank is not None
+                and consumer.rank is not None
+                and dep.rank != consumer.rank
+            )
+            if is_cross_rank:
+                cross_rank += 1
+            if d_owner == REPLICATED:
+                continue
+            dest = set(range(W)) if c_owner == REPLICATED else {c_owner}
+            dest.discard(d_owner)
+            if not dest:
+                if is_cross_rank:
+                    elided += 1
+                continue
+            ranks, dests = pubs.setdefault(dep_tid, (set(), set()))
+            ranks.add(-1 if consumer.rank is None else consumer.rank)
+            dests.update(dest)
+    publishers = [
+        Publisher(plan.tasks[tid], frozenset(ranks), frozenset(dests))
+        for tid, (ranks, dests) in sorted(pubs.items())
+    ]
+    tasks = sum(1 for t in plan.tasks if not t.is_input)
+    flops = plan.flops / tasks if plan.flops is not None and tasks else None
+    stats = {
+        "workers": W,
+        "tasks": tasks,
+        "flops_per_task": flops,
+        "steps": sum(len(lane) for lane in streams),
+        "cross_rank_edges": cross_rank,
+        "rendezvous_edges": len(publishers),
+        "elided_edges": elided,
+        "writes_in_place": in_place,
+        "writes_copied": sum(len(c) for c in copies.values()),
+    }
+    return CompiledPlan(W, len(plan.tasks), owner, streams, publishers, copies, stats), cons
+
+
+def _oracle_direct(dep, widx, owner, fetch_inputs):
+    if dep.is_input:
+        return not fetch_inputs
+    o = owner[dep.tid]
+    return o == widx or o == REPLICATED
+
+
+def _oracle_bind(cplan, widx, fetch_inputs=False):
+    """Per task: (task, reads, fetches, copies), scanning every argument."""
+    bound = []
+    for t in cplan.streams[widx]:
+        reads = []
+        fetches = []
+        for i, a in enumerate(t.args):
+            if type(a) is Ref:
+                entry = (i, a.task, a.index)
+                if _oracle_direct(a.task, widx, cplan.owner, fetch_inputs):
+                    reads.append(entry)
+                else:
+                    fetches.append(entry)
+        bound.append((
+            t,
+            tuple(reads) if reads or fetches else None,
+            tuple(fetches),
+            cplan.copies[t.tid] if t.writes is not None else None,
+        ))
+    return bound
+
+
+def _same_as_oracle(plan, workers, replicate_rankless):
+    """Compile and bind ``plan`` both ways; assert every field is equal."""
+    want, cons = _oracle_compile(plan, workers, replicate_rankless)
+    got = compile_plan(plan, workers, replicate_rankless)
+    recorded = {tid: list(readers) for tid, readers in enumerate(plan.consumers) if readers}
+    assert recorded == {tid: [t.tid for t in readers] for tid, readers in cons.items()}
+    assert len(plan.consumers) == len(plan.tasks)
+    assert got.workers == want.workers and got.n_tasks == want.n_tasks
+    assert got.owner == want.owner
+    assert [[t.tid for t in lane] for lane in got.streams] == \
+        [[t.tid for t in lane] for lane in want.streams]
+    assert all(a is b for g, w in zip(got.streams, want.streams) for a, b in zip(g, w))
+    assert got.copies == want.copies
+    assert [(p.task, p.consumers, p.dest_workers) for p in got.publishers] == \
+        [(p.task, p.consumers, p.dest_workers) for p in want.publishers]
+    assert got.stats == want.stats
+    for fetch_inputs in {replicate_rankless, False}:
+        for widx in range(got.workers):
+            bound = bind_stream(got, widx, fetch_inputs)
+            oracle = _oracle_bind(want, widx, fetch_inputs)
+            assert len(bound) == len(oracle)
+            for bt, (task, reads, fetches, copies) in zip(bound, oracle):
+                assert bt.task is task and bt.fn is task.fn and bt.args is task.args
+                assert bt.reads == reads and bt.fetches == fetches
+                assert bt.copies == copies
+    return got
+
+
+class TestSinglePassEqualsTheOracle:
+    """The consumer map kept by ``Plan.add``, the one-lane compile that
+    skips the edge passes, and binding from the recorded Ref positions
+    equal the multi-pass compiler and binder they replaced."""
+
+    @pytest.mark.parametrize("replicate_rankless", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("alg,m,n,knobs", list(PARENT_TASKS), ids=str)
+    def test_every_algorithm(self, alg, m, n, knobs, workers, replicate_rankless):
+        from repro.machine import Machine
+        from repro.workloads import drive, gaussian
+
+        machine = Machine(8, backend="parallel", workers=2)
+        drive(alg, machine, gaussian(m, n, seed=0), dict(knobs), validate=False)
+        plan = machine.plan
+        assert len(plan.tasks) == PARENT_TASKS[alg, m, n, knobs][0]
+        plan.flops = machine.total_flops
+        _same_as_oracle(plan, workers, replicate_rankless)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), workers=st.integers(1, 3), replicate_rankless=st.booleans())
+    def test_random_plans(self, data, workers, replicate_rankless):
+        """Random plans recorded through ``defer`` (lazies, constants,
+        ``updates=`` rebinds, multi-output tasks, input leaves) and
+        ``Plan.add`` (raw ``Ref``s, hand-set writes), some tasks done."""
+        from repro.backend import SymbolicArray
+        from repro.engine import ParallelOps, defer
+        from repro.engine.plan import Writes
+
+        plan = Plan()
+        ops = ParallelOps(plan)
+        meta = SymbolicArray((2,), np.float64)
+        lazies = [ops.asarray(np.zeros(2)), ops.zeros((2,))]
+        ranks = st.sampled_from([None, 0, 1, 2, 3])
+        for _ in range(data.draw(st.integers(1, 25), label="tasks")):
+            kind = data.draw(st.sampled_from(["defer", "update", "pair", "add", "leaf"]))
+            picks = data.draw(st.lists(st.sampled_from(lazies), min_size=1, max_size=4))
+            args = tuple(picks) + tuple(data.draw(st.lists(st.integers(0, 3), max_size=2)))
+            rank = data.draw(ranks)
+            fresh = data.draw(st.booleans())
+            if kind == "defer":
+                if data.draw(st.booleans(), label="raw ref"):
+                    args = (picks[0].ref,) + args[1:]   # a Ref passed as is is an edge too
+                lazies.append(defer(plan, _echo, args, meta, rank, "d", fresh))
+            elif kind == "update":
+                updates = tuple(sorted(set(data.draw(
+                    st.lists(st.integers(0, len(picks) - 1), min_size=1, max_size=3)))))
+                out = defer(plan, _echo, args, data.draw(st.sampled_from([None, meta])),
+                            rank, "u", fresh, updates)
+                if out is not None:
+                    lazies.append(out)
+            elif kind == "pair":
+                lazies.extend(defer(plan, _echo, args, (meta, meta), rank, "p", fresh))
+            elif kind == "add":
+                refs = tuple(la.ref for la in picks)
+                task = plan.add(_echo, refs + (7,), rank, "a")
+                if data.draw(st.booleans()):
+                    task.writes = Writes((0,), (0,), False)
+            else:
+                lazies.append(ops.asarray(np.ones(2)))
+        for task in plan.tasks:
+            if not task.is_input and data.draw(st.booleans(), label="done"):
+                task.done = True
+        plan.flops = data.draw(st.one_of(st.none(), st.floats(0, 1e7)))
+        _same_as_oracle(plan, workers, replicate_rankless)
+
+
+def _echo(*args):
+    return args

@@ -21,6 +21,7 @@ Contracts pinned here:
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 
@@ -689,3 +690,47 @@ class TestSurfaces:
         out = capsys.readouterr().out
         assert code == 1
         assert "rank 1 died at task-step 0" in out
+
+
+class TestUnfiredTriggers:
+    """A trigger whose victim never reaches the named step is an error,
+    not a silent success: rank 3's tsqr stream at P = 8 is four
+    task-steps (geqrt, pack_triu, apply_wy, tsqr_V), so ``3@4`` never
+    fires."""
+
+    SPEC = "fault 3@4 never fired: rank 3 ran 4 task-steps (0..3)"
+
+    @pytest.mark.parametrize("backend", ["parallel", "parallel-mp"])
+    def test_run_qr_names_the_trigger_and_the_steps_run(self, backend):
+        with pytest.raises(ParameterError, match=re.escape(self.SPEC)):
+            run_qr("tsqr", gaussian(256, 16, seed=0), 8, backend=backend, workers=2,
+                   fault_plan=FaultPlan.parse("3@4"), recovery=FailFast())
+
+    @pytest.mark.parametrize("backend,recovery,ran", [
+        ("parallel", None, "4 task-steps (0..3)"),       # CodedRecovery(1) assumed
+        ("numeric", "failfast", "0 task-steps"),         # eager: no task-steps at all
+    ])
+    def test_run_coded_qr_names_the_trigger_and_the_steps_run(self, backend, recovery, ran):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"fault 3@4 never fired: rank 3 ran {ran}")):
+            run_coded_qr("tsqr", gaussian(256, 16, seed=0), 8, f=1, fault="3@4",
+                         recovery=recovery, backend=backend, workers=2)
+
+    def test_a_reachable_step_still_fires(self):
+        res = run_coded_qr("tsqr", gaussian(256, 16, seed=0), 8, f=1, fault="3@3",
+                           backend="parallel", workers=2)
+        assert res.fired == (RankFault(3, 3),) and res.recoveries == 1
+
+    def test_dispatch_trigger_counts_dispatches(self):
+        with pytest.raises(ParameterError, match=re.escape(
+                "fault 3@9:dispatch never fired: rank 3 ran 4 kernel dispatches (0..3)")):
+            run_qr("tsqr", gaussian(256, 16, seed=0), 8,
+                   fault_plan=FaultPlan.parse("3@9:dispatch"))
+
+    def test_cli_run_fails(self, capsys):
+        from repro.cli import main
+
+        code = main(["run", "--alg", "tsqr", "--m", "256", "--n", "16", "--P", "8",
+                     "--backend", "parallel", "--workers", "2", "--inject-fault", "3@4"])
+        assert code == 1
+        assert f"run failed: {self.SPEC}" in capsys.readouterr().out
