@@ -79,8 +79,6 @@ class Backend:
 
     #: Registry key; also ``machine.backend`` after construction.
     name: str = ""
-    #: True when arrays are shape-only stand-ins (no arithmetic happens).
-    symbolic: bool = False
     #: True when array work is deferred into an execution plan.
     parallel: bool = False
     #: True when real element values exist *during* plan recording, so
@@ -191,7 +189,6 @@ class SymbolicBackend(Backend):
     """Cost-only execution over shape/dtype stand-ins."""
 
     name = "symbolic"
-    symbolic = True
     concrete = False
     validates = False
     telemetry = "simulated"

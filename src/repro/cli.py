@@ -193,8 +193,7 @@ def cmd_plan(args) -> int:
     if args.top is not None:
         config = PlannerConfig(max_measured=args.top)
     budget = args.budget if args.budget > 0 else None
-    kw = dict(profile=profile, config=config, measure_budget=budget,
-              use_cache=not args.no_cache)
+    kw = dict(profile=profile, config=config, measure_budget=budget)
     with _maybe_telemetry(args) as rec:
         if args.run:
             from repro.machine import ParameterError
@@ -348,7 +347,6 @@ def main(argv=None) -> int:
     p_plan.add_argument("--run", action="store_true",
                         help="execute the winner on --backend (generates a test matrix)")
     p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument("--no-cache", action="store_true")
     _backend_args(p_plan)
     p_plan.set_defaults(fn=cmd_plan)
 

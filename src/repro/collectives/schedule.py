@@ -20,9 +20,10 @@ once per shape, not once per call.
 >>> reduce_tree(3, 0).orders
 ((0, 1), 2)
 
-The memo is an LRU under one byte budget, :data:`SCHEDULE_MEMO_BYTES`,
-that counts every object an entry keeps alive; a lock guards it because
-``run_many`` callers record concurrently.  It is process-global, like
+The memo is a :class:`~repro.util.memo.Memo` (an LRU, guarded by a lock
+because ``run_many`` callers record concurrently) under one byte budget,
+:data:`SCHEDULE_MEMO_BYTES`, that counts every object an entry keeps
+alive.  It is process-global, like
 :data:`repro.matmul.mm3d.route_memo`, and ``clear_plan_cache`` leaves it
 alone.
 
@@ -32,17 +33,16 @@ Paper anchor: Appendix A.1 / A.2 (binomial-tree and bidirectional-exchange sched
 from __future__ import annotations
 
 import sys
-import threading
-from collections import OrderedDict
 from itertools import accumulate
 from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.collectives.context import CommContext
+from repro.util.memo import Memo
 
-#: Byte budget of :data:`schedule_memo`.  Its largest entry at a group
-#: of 512 is a full reduce-scatter's (1.1 MB; a binomial tree's is
-#: 0.1-0.2 MB); the benchmark's three workloads and their symbolic
-#: siblings keep 40 entries, 0.33 MB, alive.
+#: Byte budget of :data:`schedule_memo` (its initial ``budget``).  Its
+#: largest entry at a group of 512 is a full reduce-scatter's (1.1 MB; a
+#: binomial tree's is 0.1-0.2 MB); the benchmark's three workloads and
+#: their symbolic siblings keep 40 entries, 0.33 MB, alive.
 SCHEDULE_MEMO_BYTES = 8 << 20
 
 
@@ -85,65 +85,27 @@ def nbytes(obj: Any) -> int:
     return total
 
 
-class _ScheduleMemo:
-    """LRU of :class:`Schedule` entries under :data:`SCHEDULE_MEMO_BYTES`.
-
-    A miss builds outside the lock (builders are pure, so two callers
-    racing on one key build equal schedules and the first one stored
-    wins); inserting trims the least recently used entries until the
-    total is within the budget, never the entry just stored.
-    """
-
-    def __init__(self) -> None:
-        self._entries: OrderedDict[tuple, tuple[Schedule, int]] = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple, build: Callable[..., Schedule]) -> Schedule:
-        """The schedule for ``key = (build, *args)``; ``build(*args)`` on a miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                return entry[0]
-        schedule = build(*key[1:])
-        size = nbytes(schedule)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                return entry[0]
-            self._entries[key] = (schedule, size)
-            self._bytes += size
-            while self._bytes > SCHEDULE_MEMO_BYTES and len(self._entries) > 1:
-                _key, (_old, old_size) = self._entries.popitem(last=False)
-                self._bytes -= old_size
-        return schedule
-
-    def nbytes(self) -> int:
-        """Bytes all entries keep alive."""
-        with self._lock:
-            return self._bytes
-
-    def entries(self) -> list[tuple[str, tuple, int]]:
-        """``(builder name, arguments, bytes)`` per entry, least recently used first."""
-        with self._lock:
-            return [(key[0].__name__, key[1:], size) for key, (_s, size) in self._entries.items()]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-
-
-#: The process's schedule memo (see the module docstring).
-schedule_memo = _ScheduleMemo()
+#: The process's schedule memo (see the module docstring), keyed by
+#: ``(builder, *arguments)``; an entry counts :func:`nbytes` of its
+#: schedule.
+schedule_memo = Memo(SCHEDULE_MEMO_BYTES)
 
 
 def _memoized(build: Callable[..., Schedule]) -> Callable[..., Schedule]:
-    """``build`` looked up in :data:`schedule_memo` by its arguments."""
+    """``build`` looked up in :data:`schedule_memo` by its arguments.
+
+    A miss builds outside the memo's lock: builders are pure, so two
+    callers racing on one key build equal schedules, and the later
+    ``put`` replaces the earlier one.
+    """
 
     def get(*args) -> Schedule:
-        return schedule_memo.get((build, *args), build)
+        key = (build, *args)
+        schedule = schedule_memo.get(key)
+        if schedule is None:
+            schedule = build(*args)
+            schedule_memo.put(key, schedule, nbytes(schedule))
+        return schedule
 
     get.__name__ = build.__name__
     get.__doc__ = build.__doc__

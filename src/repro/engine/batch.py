@@ -37,7 +37,8 @@ and caches the plan, a repeat replays it.  A build -- machine, record,
 first execute -- happens in one place,
 :func:`repro.workloads.sweeps.build`, for cached jobs, for jobs that
 bypass the cache (eager backends, fault runs) and for ``repro trace``.
-The cache is an LRU under one byte budget, :data:`PLAN_CACHE_BYTES`.
+The cache is a :class:`~repro.util.memo.Memo` (an LRU) under one byte
+budget, :data:`PLAN_CACHE_BYTES`.
 
 >>> import numpy as np
 >>> from repro.engine.batch import QRJob, run_many
@@ -56,7 +57,6 @@ shapes); Section 3 (replaying the execution DAG).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -66,6 +66,7 @@ from repro.backend import Backend, resolve_backend
 from repro.engine.lazy import output_tids, resolve
 from repro.machine import CostParams, ParameterError
 from repro.telemetry.recorder import current_recorder
+from repro.util.memo import Memo
 from repro.workloads.sweeps import Build, RunResult, build
 
 __all__ = ["QRJob", "clear_plan_cache", "run_many"]
@@ -85,12 +86,13 @@ class QRJob:
     params: dict = field(default_factory=dict)
 
 
-#: Byte budget of the plan cache: the task values its entries keep
-#: alive.  It holds the four engine entries of any one benchmark
-#: workload (``parallel`` and ``parallel-mp``, validating or not):
-#: ``tallskinny``'s count 206 MiB (71 MiB per thread-engine entry),
-#: ``squarish3d``'s 138 MiB, ``grid2d-percolumn``'s 6 MiB.  A stream of
-#: many shapes evicts the least recently used plans instead of growing.
+#: Byte budget of the plan cache (``_PLAN_CACHE.budget``): the task
+#: values its entries keep alive.  It holds the four engine entries of
+#: any one benchmark workload (``parallel`` and ``parallel-mp``,
+#: validating or not): ``tallskinny``'s count 206 MiB (71 MiB per
+#: thread-engine entry), ``squarish3d``'s 138 MiB, ``grid2d-percolumn``'s
+#: 6 MiB.  A stream of many shapes evicts the least recently used plans
+#: instead of growing.
 PLAN_CACHE_BYTES = 256 << 20
 
 
@@ -112,76 +114,15 @@ def _value_bytes(plan) -> int:
     return sum(bases.values())
 
 
-class _PlanCache:
-    """LRU of built plans under :data:`PLAN_CACHE_BYTES`.
-
-    An entry keeps its machine, its compiled plan and the task values
-    of its last execute: replays only rebind the input leaves, and a
-    recovery's ``rearm`` reads executed values, so nothing is released
-    between jobs.  An entry's bytes are counted once, when it is
-    inserted after its first execute, and never on a hit.  Inserting
-    evicts the least recently used entries until the total is within
-    the budget, never the one inserted, so the cache holds at most the
-    budget plus that entry.  The caller closes what was evicted
-    (:func:`_close`).
-    """
-
-    def __init__(self) -> None:
-        #: key -> (build, bytes counted at insert), least recent first.
-        self._entries: OrderedDict[tuple, tuple[Build, int]] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> Build | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            return entry[0]
-
-    def put(self, key: tuple, built: Build) -> list[tuple[tuple, Build]]:
-        """Insert ``built`` (its values counted now); return the evicted entries."""
-        nbytes = _value_bytes(built.machine.plan)
-        evicted = []
-        with self._lock:
-            self._entries[key] = (built, nbytes)
-            self._entries.move_to_end(key)
-            total = sum(b for _, b in self._entries.values())
-            while total > PLAN_CACHE_BYTES and next(iter(self._entries)) != key:
-                old, (victim, old_bytes) = self._entries.popitem(last=False)
-                total -= old_bytes
-                evicted.append((old, victim))
-        return evicted
-
-    def pop_all(self) -> list[tuple[tuple, Build]]:
-        with self._lock:
-            entries = [(key, built) for key, (built, _) in self._entries.items()]
-            self._entries.clear()
-        return entries
-
-    def nbytes(self) -> int:
-        """Bytes counted for the entries held now."""
-        with self._lock:
-            return sum(b for _, b in self._entries.values())
-
-    def keys(self) -> list[tuple]:
-        """The keys, least recently used first."""
-        with self._lock:
-            return list(self._entries)
-
-    def values(self) -> list[Build]:
-        """The builds, least recently used first."""
-        with self._lock:
-            return [built for built, _ in self._entries.values()]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-#: The process's plan cache, keyed by :func:`_job_key`.  Entries hold
-#: their machine (and its engine), so replays across run_many calls in
-#: one process also hit.
-_PLAN_CACHE = _PlanCache()
+#: The process's plan cache, keyed by :func:`_job_key`.  An entry is a
+#: :class:`~repro.workloads.sweeps.Build`: its machine (and engine), its
+#: compiled plan and the task values of its last execute.  Replays only
+#: rebind the input leaves, and a recovery's ``rearm`` reads executed
+#: values, so nothing is released between jobs, and replays across
+#: run_many calls in one process also hit.  An entry's bytes are counted
+#: once, by :func:`_admit` after its first execute, never on a hit; the
+#: caller closes what an admission evicts (:func:`_close`).
+_PLAN_CACHE = Memo(PLAN_CACHE_BYTES)
 #: shape key -> the lock serializing that entry's build and replays: a
 #: replay rebinds, resets and executes the one shared plan, so two
 #: callers of one shape take turns; different shapes run concurrently.
@@ -211,7 +152,7 @@ def _close(entries: list[tuple[tuple, Build]]) -> None:
 
 def clear_plan_cache() -> None:
     """Drop every cached execution plan and close its engine."""
-    _close(_PLAN_CACHE.pop_all())
+    _close(_PLAN_CACHE.clear())
 
 
 def _job_key(
@@ -241,7 +182,7 @@ def _admit(key: tuple, A: np.ndarray, built: Build) -> list[tuple[tuple, Build]]
             f"plan registered {inputs} input leaves for {blocks} blocks; "
             "replay would be unsafe"
         )
-    return _PLAN_CACHE.put(key, built)
+    return _PLAN_CACHE.put(key, built, _value_bytes(built.machine.plan))
 
 
 def _replay(cached: Build, A: np.ndarray) -> tuple:

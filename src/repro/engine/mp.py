@@ -9,10 +9,14 @@ GIL in the way.
 
 The design, end to end:
 
-* **Plan shipping** -- the plan's tasks hold lambdas (``lambda a:
-  a[idx]``), which do not pickle; the pool therefore uses the ``fork``
-  start method and ships the fully-recorded plan *once* by
-  address-space inheritance.  :func:`mp_supported` reports whether the
+* **Plan shipping** -- each task's function and constant arguments
+  pickle, but a task reaches its producers through its
+  :class:`~repro.engine.plan.Ref` arguments, each holding the producing
+  :class:`~repro.engine.plan.Task`, so pickling one task walks the
+  ``Ref -> Task`` chain back through the plan, one recursion level per
+  link (a ``house2d`` 384x96 task raises ``RecursionError``).  The pool
+  therefore uses the ``fork`` start method and ships the fully-recorded
+  plan *once* by address-space inheritance.  :func:`mp_supported` reports whether the
   platform offers fork + POSIX shared memory (Linux/macOS do,
   spawn-only platforms do not); the conformance suite skips cleanly
   elsewhere.
@@ -102,9 +106,11 @@ __all__ = ["MpEngine", "mp_supported"]
 def mp_supported() -> bool:
     """True when this platform can run the ``parallel-mp`` backend.
 
-    Requires the ``fork`` start method (plan tasks hold lambdas, which
-    do not pickle, so the plan ships by address-space inheritance,
-    never by pickle) and POSIX shared memory for the input leaves.
+    Requires the ``fork`` start method (a task pickles only together
+    with the ``Ref -> Task`` chain back to the plan's inputs, which
+    overflows the recursion limit, so the plan ships by address-space
+    inheritance, never by pickle) and POSIX shared memory for the input
+    leaves.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         return False
@@ -410,8 +416,9 @@ class MpEngine(EngineBase):
         if not mp_supported():
             raise EngineError(
                 "backend 'parallel-mp' requires the fork start method and "
-                "POSIX shared memory (plan thunks do not pickle, so spawn "
-                "cannot ship them); use backend='parallel' on this platform"
+                "POSIX shared memory (a task pickles only with its Ref -> Task "
+                "chain back through the plan, so spawn cannot ship the plan); "
+                "use backend='parallel' on this platform"
             )
         self.close()
         from multiprocessing import shared_memory

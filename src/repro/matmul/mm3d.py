@@ -52,11 +52,11 @@ everything that touches values or clocks: the kernels, every
 round's :meth:`~repro.machine.Machine.charge`, the fiber collectives and the local
 multiplications -- so reports, ``words_by_label``, factors and recorded
 plans are the same whether the entry was just built or found.  The
-memo is an LRU under one byte budget, :data:`ROUTE_MEMO_BYTES`, which
-counts everything an entry keeps alive, including the
-:class:`~repro.matmul.operands.Lattice` index vectors kernels expand
-after it was stored; a lock guards it, because ``run_many`` callers
-record concurrently.  ``clear_plan_cache`` leaves it alone.
+memo is a :class:`~repro.util.memo.Memo` (an LRU, guarded by a lock
+because ``run_many`` callers record concurrently) under one byte budget,
+:data:`ROUTE_MEMO_BYTES`, which counts everything an entry keeps alive,
+including the :class:`~repro.matmul.operands.Lattice` index vectors
+kernels expand after it was stored.  ``clear_plan_cache`` leaves it alone.
 
 Paper anchor: Section 4, Lemma 4, Appendix B (3D brick multiplication).
 """
@@ -64,8 +64,6 @@ Paper anchor: Section 4, Lemma 4, Appendix B (3D brick multiplication).
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from functools import partial
 from typing import Any, Callable, NamedTuple
 
@@ -80,11 +78,13 @@ from repro.matmul.grid import Grid3D, make_grid
 from repro.matmul.local import local_mm
 from repro.matmul.operands import BlockRange, Lattice, Operand, check_conformable, route_faces
 from repro.util import balanced_partition, balanced_sizes
+from repro.util.memo import Memo
 
 #: method -> pure ``(P, source, dest, size) -> rounds`` schedule.
 _ALLTOALL = {"two_phase": two_phase_rounds, "index": index_rounds}
 
-#: Byte budget of :data:`route_memo`: what all its entries keep alive.
+#: Byte budget of :data:`route_memo` (its initial ``budget``): what all
+#: its entries keep alive.
 #: ``squarish3d`` needs ~16.5 MB (numeric and symbolic sibling); a larger
 #: budget makes runs that never repeat a shape pay more cyclic-GC time
 #: for the objects kept.
@@ -298,60 +298,10 @@ class _Route:
         return self._bytes
 
 
-class _RouteMemo:
-    """LRU of :class:`_Route` entries under :data:`ROUTE_MEMO_BYTES`.
-
-    Every lookup first trims the least recently used entries until the
-    total is within the budget, never evicting the entry it returns, so
-    the memo holds at most the budget plus that one entry (plus what
-    kernels expand into it afterwards).
-    """
-
-    def __init__(self) -> None:
-        self._entries: OrderedDict[tuple, _Route] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple, owners: tuple, build: Callable[[], _Route]) -> _Route:
-        """The entry for ``key`` whose ownership vectors equal ``owners``; built on a miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.matches(owners):
-                self._entries.move_to_end(key)
-                self._trim(entry)
-                return entry
-        entry = build()
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            self._trim(entry)
-        return entry
-
-    def _trim(self, keep: _Route) -> None:
-        total = sum(e.nbytes() for e in self._entries.values())
-        while total > ROUTE_MEMO_BYTES:
-            key, oldest = next(iter(self._entries.items()))
-            if oldest is keep:
-                break
-            del self._entries[key]
-            total -= oldest.nbytes()
-
-    def nbytes(self) -> int:
-        """Bytes all entries keep alive now."""
-        with self._lock:
-            return sum(e.nbytes() for e in self._entries.values())
-
-    def entries(self) -> list[_Route]:
-        """The entries, least recently used first."""
-        with self._lock:
-            return list(self._entries.values())
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
-#: The process's route memo (see the module docstring).
-route_memo = _RouteMemo()
+#: The process's route memo (see the module docstring).  An entry counts
+#: its :meth:`_Route.nbytes`, re-read whenever the memo totals its
+#: entries, since kernels expand index vectors into it after it is stored.
+route_memo = Memo(ROUTE_MEMO_BYTES)
 
 
 def _digest(owners: np.ndarray) -> bytes:
@@ -403,9 +353,14 @@ def mm3d(
         tuple(_digest(o) for o in owners), A.op, B.op, (I, J, K),
         (Q, R, S, grid.ranks), tuple(all_ranks), A.dm.dtype, B.dm.dtype, dtype, method,
     )
-    route = route_memo.get(key, owners, lambda: _route(
-        ctx, _ALLTOALL[method], A, B, out_layout, grid, Iparts, Jparts, Kparts, dtype, owners,
-    ))
+    route = route_memo.get(key)
+    if route is None or not route.matches(owners):
+        route = _route(
+            ctx, _ALLTOALL[method], A, B, out_layout, grid, Iparts, Jparts, Kparts, dtype, owners,
+        )
+    # Put on a hit too: the memo trims its other entries, every size
+    # re-read, so it holds at most the budget plus the entry in use.
+    route_memo.put(key, route, route.nbytes)
 
     # ------------------------------------------------------------------
     # Phase 1: both operands -> dmm layout, in ONE all-to-all.

@@ -32,12 +32,11 @@ from repro.planner.candidates import (
     Rejection,
     enumerate_candidates,
 )
-from repro.planner.measure import clear_measure_cache, measure
+from repro.planner.measure import measure
 from repro.planner.plan import (
     Plan,
     PlanResult,
     clear_caches,
-    clear_plan_cache,
     plan,
     plan_and_run,
     resolve_profile,
@@ -53,8 +52,6 @@ __all__ = [
     "Prediction",
     "Rejection",
     "clear_caches",
-    "clear_measure_cache",
-    "clear_plan_cache",
     "enumerate_candidates",
     "measure",
     "plan",

@@ -52,12 +52,7 @@ def cache_key(c: Candidate, m: int, n: int) -> tuple:
     return (c.algorithm, c.P, c.params, m, n)
 
 
-def clear_measure_cache() -> None:
-    """Drop all cached measurements (tests and long-lived processes)."""
-    _MEASURE_CACHE.clear()
-
-
-def measure(c: Candidate, m: int, n: int, use_cache: bool = True) -> dict[str, float]:
+def measure(c: Candidate, m: int, n: int) -> dict[str, float]:
     """Measured critical-path ``{flops, words, messages}`` for a candidate.
 
     Raises a :class:`~repro.machine.ReproError` subclass if the
@@ -68,7 +63,7 @@ def measure(c: Candidate, m: int, n: int, use_cache: bool = True) -> dict[str, f
 
     rec = current_recorder()
     key = cache_key(c, m, n)
-    if use_cache and key in _MEASURE_CACHE:
+    if key in _MEASURE_CACHE:
         stats.cache_hits += 1
         if rec.enabled:
             rec.metrics.inc("planner.measure_cache.hits")
@@ -91,11 +86,11 @@ def measure(c: Candidate, m: int, n: int, use_cache: bool = True) -> dict[str, f
 
 
 def try_measure(
-    c: Candidate, m: int, n: int, use_cache: bool = True
+    c: Candidate, m: int, n: int
 ) -> tuple[dict[str, float] | None, Rejection | None]:
     """Like :func:`measure`, but turns construction failures into rejections."""
     try:
-        return measure(c, m, n, use_cache=use_cache), None
+        return measure(c, m, n), None
     except ReproError as exc:
         stats.errors += 1
         rec = current_recorder()

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.machine import MACHINE_PROFILES, CostParams, ParameterError
-from repro.planner.measure import clear_measure_cache, try_measure
+from repro.planner.measure import _MEASURE_CACHE, try_measure
 from repro.planner.measure import stats as _measure_stats
 from repro.planner.candidates import (
     DEFAULT_CONFIG,
@@ -129,18 +129,12 @@ class PlanResult:
 
 #: Ranked-plan cache: (m, n, P_grid, profile triple, config, budget) -> PlanResult.
 _PLAN_CACHE: dict[tuple, PlanResult] = {}
-plan_cache_stats = {"hits": 0, "misses": 0}
-
-
-def clear_plan_cache() -> None:
-    """Drop cached rankings (the measurement cache is separate)."""
-    _PLAN_CACHE.clear()
 
 
 def clear_caches() -> None:
     """Drop both the ranked-plan cache and the measurement cache."""
-    clear_plan_cache()
-    clear_measure_cache()
+    _PLAN_CACHE.clear()
+    _MEASURE_CACHE.clear()
 
 
 def resolve_profile(profile: str | CostParams) -> CostParams:
@@ -198,7 +192,6 @@ def plan(
     profile: str | CostParams = "cluster",
     config: PlannerConfig = DEFAULT_CONFIG,
     measure_budget: float | None = None,
-    use_cache: bool = True,
 ) -> PlanResult:
     """Rank every feasible (algorithm, knobs, P) for a problem on a machine.
 
@@ -222,17 +215,17 @@ def plan(
         measurements start only while the elapsed time plus a safety
         multiple of the longest measurement so far fits the budget.
         ``None`` measures every survivor.
-    use_cache:
-        Reuse cached rankings and measurements.
+
+    Rankings and measurements are cached per process (a symbolic
+    measurement is exact, so re-measuring returns the same triple);
+    :func:`clear_caches` drops both.
     """
     prof = resolve_profile(profile)
     grid = _p_grid(P, P_budget)
     key = (m, n, grid, (prof.alpha, prof.beta, prof.gamma, prof.name),
            config, measure_budget)
-    if use_cache and key in _PLAN_CACHE:
-        plan_cache_stats["hits"] += 1
+    if key in _PLAN_CACHE:
         return _PLAN_CACHE[key]
-    plan_cache_stats["misses"] += 1
 
     t0 = _time.perf_counter()
     measure_before = _measure_stats.snapshot()
@@ -264,7 +257,7 @@ def plan(
             plans.append(Plan(pred.candidate, pred.triple, pred.time))
             continue
         t_run = _time.perf_counter()
-        triple, rej = try_measure(pred.candidate, m, n, use_cache=use_cache)
+        triple, rej = try_measure(pred.candidate, m, n)
         longest = max(longest, _time.perf_counter() - t_run)
         if triple is None:
             rejected.append(rej)
@@ -292,8 +285,7 @@ def plan(
             },
         },
     )
-    if use_cache:
-        _PLAN_CACHE[key] = result
+    _PLAN_CACHE[key] = result
     return result
 
 
@@ -307,7 +299,6 @@ def plan_and_run(
     profile: str | CostParams = "cluster",
     config: PlannerConfig = DEFAULT_CONFIG,
     measure_budget: float | None = None,
-    use_cache: bool = True,
     seed: int = 0,
     validate: bool = True,
     backend: str = "numeric",
@@ -341,7 +332,7 @@ def plan_and_run(
     elif m is None or n is None:
         raise ParameterError("pass either A or both m and n")
     result = plan(m, n, P, P_budget=P_budget, profile=profile,
-                  config=config, measure_budget=measure_budget, use_cache=use_cache)
+                  config=config, measure_budget=measure_budget)
     best = result.best()
     if best is None:
         raise ParameterError(

@@ -77,18 +77,18 @@ class TestMemo:
             broadcast(ctx, 2, np.ones(width))
             all_reduce(ctx, [np.ones(width)] * 5)
             reduce_scatter(ctx, [[np.ones(width)] * 5] * 5)
-        assert sorted((name, args) for name, args, _ in memo.entries()) == [
+        assert sorted((key[0].__name__, key[1:]) for key in memo.keys()) == [
             ("broadcast_tree", (5, 0)), ("broadcast_tree", (5, 2)),
             ("reduce_scatter_rounds", (5, None)), ("reduce_tree", (5, 0)),
         ]
 
     def test_a_repeated_job_builds_nothing(self, memo):
         first = run_qr("house2d", (96, 24), 8, backend="symbolic")
-        entries = memo.entries()
-        assert entries
+        keys = memo.keys()
+        assert keys
         again = run_qr("house2d", (96, 24), 8, backend="symbolic")
         assert again.report == first.report
-        assert memo.entries() == entries
+        assert memo.keys() == keys
 
     def test_byte_meter_matches_tracemalloc(self, memo):
         # The largest entry at a group of 512: the full reduce-scatter.
@@ -110,19 +110,19 @@ class TestMemo:
 
     def test_budget_evicts_least_recently_used(self, memo, monkeypatch):
         sizes = {P: schedule.nbytes(schedule.broadcast_tree.build(P, 0)) for P in (40, 50, 60)}
-        monkeypatch.setattr(schedule, "SCHEDULE_MEMO_BYTES", sizes[40] + sizes[50] + sizes[60] - 1)
+        monkeypatch.setattr(memo, "budget", sizes[40] + sizes[50] + sizes[60] - 1)
         for P in (40, 50):
             schedule.broadcast_tree(P, 0)
         schedule.broadcast_tree(40, 0)  # now 50 is the least recently used
         schedule.broadcast_tree(60, 0)
-        assert [args for _, args, _ in memo.entries()] == [(40, 0), (60, 0)]
+        assert [key[1:] for key in memo.keys()] == [(40, 0), (60, 0)]
         assert memo.nbytes() == sizes[40] + sizes[60]
 
     def test_an_entry_over_budget_is_still_kept(self, memo, monkeypatch):
-        monkeypatch.setattr(schedule, "SCHEDULE_MEMO_BYTES", 1)
+        monkeypatch.setattr(memo, "budget", 1)
         schedule.broadcast_tree(9, 0)
         schedule.gather_tree(9, 0)
-        assert [name for name, _, _ in memo.entries()] == ["gather_tree"]
+        assert [key[0].__name__ for key in memo.keys()] == ["gather_tree"]
 
     def test_concurrent_recorders_meter_like_serial(self, memo):
         # More recorders than cores, switching threads every microsecond:
@@ -149,6 +149,6 @@ class TestMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == serial
-        entries = memo.entries()
-        assert len({(name, args) for name, args, _ in entries}) == len(entries)
-        assert memo.nbytes() == sum(size for _, _, size in entries)
+        keys = memo.keys()
+        assert len(set(keys)) == len(keys)
+        assert memo.nbytes() == sum(schedule.nbytes(s) for s in memo.entries())

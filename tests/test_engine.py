@@ -611,7 +611,7 @@ class TestRunMany:
 
         rng = np.random.default_rng(16)
         run_many([QRJob("tsqr", rng.standard_normal((64, 4)))], P=4, workers=1)
-        (cached,) = _PLAN_CACHE.values()
+        (cached,) = _PLAN_CACHE.entries()
         wrong = cached.slicer(rng.standard_normal((64, 4)))
         wrong[0] = rng.standard_normal((40, 4))  # a 96-row job's block
         with pytest.raises(EngineError, match="rebind shape mismatch"):
@@ -724,7 +724,7 @@ class TestKeyboardInterrupt:
             run_many(jobs[:1], P=4, workers=2, validate=True)
         assert type(exc.value) is KeyboardInterrupt and not armed[0]
         assert [t for t in threading.enumerate() if t.ident not in before] == []
-        (cached,) = _PLAN_CACHE.values()
+        (cached,) = _PLAN_CACHE.entries()
         assert cached.machine.engine.lanes == (2 if two_lanes else 1)
         if two_lanes:
             assert lanes == [2]
@@ -824,7 +824,7 @@ class TestKeyboardInterrupt:
         want = run_qr("tsqr", jobs[1].A, P=8, validate=True)
         assert isinstance(res.report, CostReport) and res.report == want.report
         assert res.diagnostics == want.diagnostics
-        (cached,) = _PLAN_CACHE.values()
+        (cached,) = _PLAN_CACHE.entries()
         serial = drive("tsqr", Machine(8), jobs[1].A, {}, validate=False)[0]
         for got, ref in zip(resolve(cached.lazy_factors), serial):
             np.testing.assert_array_equal(got, ref)

@@ -39,7 +39,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def _factors():
-    (cached,) = _PLAN_CACHE.values()
+    (cached,) = _PLAN_CACHE.entries()
     return [np.array(f) for f in resolve(cached.lazy_factors)]
 
 
@@ -113,44 +113,44 @@ class TestByteBudget:
     ):
         shapes = range(64, 64 + 8 * 50, 8)
         _stream([shapes[-1]])
-        monkeypatch.setattr(batch, "PLAN_CACHE_BYTES", 3 * _PLAN_CACHE.nbytes())
+        monkeypatch.setattr(_PLAN_CACHE, "budget", 3 * _PLAN_CACHE.nbytes())
         batch.clear_plan_cache()
         for m in shapes:
             _stream([m])
-            newest = _PLAN_CACHE.values()[-1]
-            assert _PLAN_CACHE.nbytes() <= batch.PLAN_CACHE_BYTES + _value_bytes(
+            newest = _PLAN_CACHE.entries()[-1]
+            assert _PLAN_CACHE.nbytes() <= _PLAN_CACHE.budget + _value_bytes(
                 newest.machine.plan)
         assert 3 <= len(_PLAN_CACHE) < 50
         assert _rows()[-1] == shapes[-1]
 
     def test_the_least_recently_used_entry_goes_first(self, monkeypatch):
         _jobs("ab")
-        monkeypatch.setattr(batch, "PLAN_CACHE_BYTES", _PLAN_CACHE.nbytes())
+        monkeypatch.setattr(_PLAN_CACHE, "budget", _PLAN_CACHE.nbytes())
         _jobs("c")
         assert _names() == ["b", "c"]
 
     def test_a_hit_refreshes_recency(self, monkeypatch):
         _jobs("ab")
-        monkeypatch.setattr(batch, "PLAN_CACHE_BYTES", _PLAN_CACHE.nbytes())
+        monkeypatch.setattr(_PLAN_CACHE, "budget", _PLAN_CACHE.nbytes())
         _jobs("a")                         # a hit: "a" is now the newest
         assert _names() == ["b", "a"]
         _jobs("c")
         assert _names() == ["a", "c"]
 
     def test_the_newest_entry_is_kept_alone_over_the_budget(self, monkeypatch):
-        monkeypatch.setattr(batch, "PLAN_CACHE_BYTES", 1)
+        monkeypatch.setattr(_PLAN_CACHE, "budget", 1)
         _stream([64, 72])
         assert _rows() == [72]
-        assert _PLAN_CACHE.nbytes() > batch.PLAN_CACHE_BYTES
+        assert _PLAN_CACHE.nbytes() > _PLAN_CACHE.budget
 
     def test_an_evicted_entry_in_use_is_closed_when_its_job_is_done(self, monkeypatch):
         import threading
         import time
 
-        monkeypatch.setattr(batch, "PLAN_CACHE_BYTES", 1)
+        monkeypatch.setattr(_PLAN_CACHE, "budget", 1)
         _stream([64])
         (key,) = _PLAN_CACHE.keys()
-        (first,) = _PLAN_CACHE.values()
+        (first,) = _PLAN_CACHE.entries()
         closed = []
         monkeypatch.setattr(first.machine.engine, "close", lambda: closed.append(key))
         with _entry_lock(key):             # a job is replaying it
@@ -174,7 +174,7 @@ class TestByteBudget:
         import threading
 
         _stream([64])
-        monkeypatch.setattr(batch, "PLAN_CACHE_BYTES", 2 * _PLAN_CACHE.nbytes())
+        monkeypatch.setattr(_PLAN_CACHE, "budget", 2 * _PLAN_CACHE.nbytes())
         batch.clear_plan_cache()
         shapes = (64, 72, 80)
         jobs = [[QRJob("tsqr", gaussian(shapes[(t + j) % 3], 4, seed=10 * t + j))
@@ -206,9 +206,9 @@ class TestByteBudget:
         for t, stream in enumerate(jobs):
             for job, res in zip(stream, got[t]):
                 assert res.diagnostics == run_qr("tsqr", job.A, P=4).diagnostics
-        held = _PLAN_CACHE.values()
+        held = _PLAN_CACHE.entries()
         assert _PLAN_CACHE.nbytes() == sum(_value_bytes(b.machine.plan) for b in held)
-        assert _PLAN_CACHE.nbytes() <= batch.PLAN_CACHE_BYTES + max(
+        assert _PLAN_CACHE.nbytes() <= _PLAN_CACHE.budget + max(
             _value_bytes(b.machine.plan) for b in held)
 
     def test_a_buffer_is_counted_once(self):
@@ -227,7 +227,7 @@ class TestByteBudget:
         monkeypatch.setattr(batch, "_value_bytes",
                             lambda plan: counted.append(plan) or _value_bytes(plan))
         _jobs("aaa")
-        (cached,) = _PLAN_CACHE.values()
+        (cached,) = _PLAN_CACHE.entries()
         assert counted == [cached.machine.plan]
         assert _PLAN_CACHE.nbytes() == _value_bytes(cached.machine.plan) > 0
 
@@ -239,10 +239,10 @@ def _segments():
 @pytest.mark.mp
 class TestEvictedPool:
     def test_an_evicted_pool_leaves_no_child_and_no_segment(self, monkeypatch):
-        monkeypatch.setattr(batch, "PLAN_CACHE_BYTES", 1)
+        monkeypatch.setattr(_PLAN_CACHE, "budget", 1)
         before = _segments()
         _stream([64], backend="parallel-mp")
-        (cached,) = _PLAN_CACHE.values()
+        (cached,) = _PLAN_CACHE.entries()
         engine = cached.machine.engine
         pids = {p.pid for p in engine._pool}
         names = {seg.name.lstrip("/") for seg, _, _ in engine._shm.values()}

@@ -36,7 +36,6 @@ The memo is process-global, so CI also runs this file on its own.
 from __future__ import annotations
 
 import gc
-import importlib
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -501,9 +500,6 @@ def test_symbolic_mm3d_allocates_nothing_operand_sized():
 # The route memo: invisible, bounded, safe under concurrent callers
 # ----------------------------------------------------------------------
 
-_MM3D = importlib.import_module("repro.matmul.mm3d")   # the module, not the function
-
-
 def _same_descriptor(a, b):
     if isinstance(a, Lattice):
         return isinstance(b, Lattice) and (a.W, a.lo, a.hi, a.start) == (b.W, b.lo, b.hi, b.start) \
@@ -667,14 +663,14 @@ def _mm3d_job(m, n, P, seed=0):
 
 
 def test_a_stream_of_shapes_stays_within_budget_plus_one_entry(monkeypatch):
-    monkeypatch.setattr(_MM3D, "ROUTE_MEMO_BYTES", 400_000)
+    monkeypatch.setattr(route_memo, "budget", 400_000)
     route_memo.clear()
     stream = _shape_stream(56)
     assert len(set(stream)) == len(stream) >= 50
     for shape in stream:
         _mm3d_job(*shape)
         newest = route_memo.entries()[-1]
-        assert route_memo.nbytes() <= _MM3D.ROUTE_MEMO_BYTES + newest.nbytes()
+        assert route_memo.nbytes() <= route_memo.budget + newest.nbytes()
     assert 1 < len(route_memo.entries()) < len(stream)      # evictions happened
 
 
@@ -694,14 +690,14 @@ def test_eviction_is_least_recently_used(monkeypatch):
     route_memo.clear()
     e0, e1, e2 = job(0), job(1), job(2)
     assert e0.nbytes() == e1.nbytes() == e2.nbytes()
-    monkeypatch.setattr(_MM3D, "ROUTE_MEMO_BYTES", 3 * e0.nbytes())
+    monkeypatch.setattr(route_memo, "budget", 3 * e0.nbytes())
     assert job(0) is e0                                         # a hit refreshes e0
     e3 = job(3)
     assert route_memo.entries() == [e2, e0, e3]                 # e1 was the oldest
 
 
 def test_an_evicted_shape_rebuilds_an_identical_entry(monkeypatch):
-    monkeypatch.setattr(_MM3D, "ROUTE_MEMO_BYTES", 1)           # keep only the newest
+    monkeypatch.setattr(route_memo, "budget", 1)           # keep only the newest
     route_memo.clear()
     first = _mm3d_job(50, 7, 5)
     [before] = route_memo.entries()
@@ -751,7 +747,7 @@ def test_concurrent_callers_under_a_tiny_budget_equal_serial(monkeypatch):
     for s, X in inputs.items():
         machine, factors, diag = _caqr3d("numeric", X, "two_phase")
         want[s] = (machine.report(), factors)
-    monkeypatch.setattr(_MM3D, "ROUTE_MEMO_BYTES", 1)
+    monkeypatch.setattr(route_memo, "budget", 1)
     jobs = [(backend, s) for s in shapes + [shapes[0]] * 3 for backend in ("numeric", "parallel")]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

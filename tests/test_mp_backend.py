@@ -285,7 +285,7 @@ class TestPoolLifecycle:
         result = run_qr("tsqr", gaussian(96, 8, seed=2), P=4,
                         backend="parallel-mp", workers=2)
         assert result.diagnostics is not None
-        (cached,) = _PLAN_CACHE.values()
+        (cached,) = _PLAN_CACHE.entries()
         assert cached.machine.engine.alive
         clear_plan_cache()
         gc.collect()

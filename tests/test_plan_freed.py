@@ -122,10 +122,10 @@ def test_two_lanes_leave_no_cyclic_garbage(alg, first_execute_on_workers):
                                      pytest.param("parallel-mp", marks=pytest.mark.mp)])
 def test_an_evicted_entry_is_freed_when_it_is_evicted(backend, monkeypatch):
     # Every insert evicts whatever else the cache holds.
-    monkeypatch.setattr(batch, "PLAN_CACHE_BYTES", 1)
+    monkeypatch.setattr(_PLAN_CACHE, "budget", 1)
     with collector_off():
         run_qr("tsqr", gaussian(64, 4, seed=0), 4, backend=backend, workers=2)
-        (built,) = _PLAN_CACHE.values()
+        (built,) = _PLAN_CACHE.entries()
         machine, plan = weakref.ref(built.machine), weakref.ref(built.machine.plan)
         del built
         assert machine() is not None and plan() is not None

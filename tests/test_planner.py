@@ -195,12 +195,6 @@ class TestPlan:
         assert measure_stats.runs == runs_after_first
         assert res2.plans
 
-    def test_no_cache_bypasses_plan_cache(self):
-        first = plan(512, 16, 8, profile="cluster", use_cache=False)
-        second = plan(512, 16, 8, profile="cluster", use_cache=False)
-        assert second is not first
-        assert [p.candidate for p in second.plans] == [p.candidate for p in first.plans]
-
     def test_measure_budget_still_measures_predicted_best(self):
         res = plan(512, 16, 8, profile="cluster", measure_budget=1e-9)
         assert res.plans

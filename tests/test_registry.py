@@ -34,12 +34,9 @@ class TestBuiltins:
         num = get_backend("numeric")
         sym = get_backend("symbolic")
         par = get_backend("parallel")
-        assert (num.symbolic, num.parallel, num.concrete, num.validates) == (
-            False, False, True, True)
-        assert (sym.symbolic, sym.parallel, sym.concrete, sym.validates) == (
-            True, False, False, False)
-        assert (par.symbolic, par.parallel, par.concrete, par.validates) == (
-            False, True, False, True)
+        assert (num.parallel, num.concrete, num.validates) == (False, True, True)
+        assert (sym.parallel, sym.concrete, sym.validates) == (False, False, False)
+        assert (par.parallel, par.concrete, par.validates) == (True, False, True)
 
     def test_unknown_backend_name(self):
         with pytest.raises(ValueError, match="unknown backend 'bogus'"):

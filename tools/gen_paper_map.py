@@ -151,6 +151,7 @@ MODULE_MAP: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "repro/qr/wide.py": (
         ("tests/test_extensions.py", "tests/test_property_extensions.py"), ()),
     "repro/util/__init__.py": (("tests/test_util.py",), ()),
+    "repro/util/memo.py": (("tests/test_memo.py",), ()),
     "repro/util/partition.py": (("tests/test_util.py",), ()),
     "repro/workloads/__init__.py": (("tests/test_workloads.py",), ()),
     "repro/workloads/matrices.py": (("tests/test_workloads.py",), ()),
