@@ -142,10 +142,18 @@ class DistMatrix:
         """Distribute a global array into ``layout`` (free: harness-side).
 
         Models the benchmark harness placing the input on the machine;
-        no simulated communication is charged.  Blocks are copies, so
-        later mutation of ``A`` does not alias the distributed matrix.
+        no simulated communication is charged.  A rank whose rows are
+        one contiguous run (:meth:`RowLayout.cut_of
+        <repro.dist.layouts.RowLayout.cut_of>`: every block-row layout)
+        gets a row-slice *view* of a C-contiguous ``A``, not a copy; other
+        layouts' blocks, and a non-C-contiguous ``A``'s, are C-contiguous
+        copies.  So
+        the distributed matrix may share memory with ``A``: mutating
+        ``A`` afterwards changes it, and no algorithm writes an input
+        block in place (a read-only ``A`` runs unchanged).
         """
         from repro.backend import asarray as _backend_asarray
+        from repro.backend import ascontiguousarray
 
         A = _backend_asarray(A)
         if A.ndim != 2:
@@ -154,7 +162,7 @@ class DistMatrix:
             raise DistributionError(
                 f"array has {A.shape[0]} rows but layout distributes {layout.m}"
             )
-        blocks = {p: A[layout.rows_of(p), :] for p in layout.participants()}
+        blocks = {p: ascontiguousarray(A[layout.cut_of(p)]) for p in layout.participants()}
         return cls(machine, layout, A.shape[1], blocks, dtype=dtype or A.dtype)
 
     @classmethod

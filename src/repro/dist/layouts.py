@@ -111,6 +111,21 @@ class RowLayout:
             self._rows_cache[p] = got
         return got
 
+    def cut_of(self, p: int) -> slice | np.ndarray:
+        """The index that takes rank ``p``'s rows out of a global array.
+
+        A slice when they are one contiguous run (every block-row
+        layout), so the rows come out as a view; else :meth:`rows_of`,
+        which gathers them into a copy.
+
+        >>> BlockRowLayout([2, 3]).cut_of(1), CyclicRowLayout(4, 2).cut_of(1)
+        (slice(2, 5, None), array([1, 3]))
+        """
+        rows = self.rows_of(p)
+        if not rows.size or rows[-1] - rows[0] + 1 != rows.size:
+            return rows
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+
     def _rows(self, p: int) -> np.ndarray:
         """Rows of an owning rank ``p``, read off one sort of the owners.
 

@@ -63,6 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.backend import Backend, resolve_backend
+from repro.engine.compile import buffers
 from repro.engine.lazy import output_tids, resolve
 from repro.machine import CostParams, ParameterError
 from repro.telemetry.recorder import current_recorder
@@ -103,22 +104,17 @@ def _value_bytes(plan) -> int:
     array it wrote, so one buffer is the value of many tasks (and a
     view's bytes are its base's).
     """
-    bases: dict[int, int] = {}
-    for task in plan.tasks:
-        value = task.value
-        for a in value if isinstance(value, tuple) else (value,):
-            if isinstance(a, np.ndarray):
-                while isinstance(a.base, np.ndarray):
-                    a = a.base
-                bases[id(a)] = a.nbytes
+    bases = {id(b): b.nbytes for task in plan.tasks for b in buffers(task.value)}
     return sum(bases.values())
 
 
 #: The process's plan cache, keyed by :func:`_job_key`.  An entry is a
 #: :class:`~repro.workloads.sweeps.Build`: its machine (and engine), its
 #: compiled plan and the task values of its last execute.  Replays only
-#: rebind the input leaves, and a recovery's ``rearm`` reads executed
-#: values, so nothing is released between jobs, and replays across
+#: rebind the input leaves, a recovery's ``rearm`` reads executed values
+#: and a slotted task writes its next value into its last one
+#: (:func:`repro.engine.compile.assign_slots`), so nothing is released
+#: between jobs, and replays across
 #: run_many calls in one process also hit.  An entry's bytes are counted
 #: once, by :func:`_admit` after its first execute, never on a hit; the
 #: caller closes what an admission evicts (:func:`_close`).

@@ -63,7 +63,17 @@ count), and derives the rest from it:
    ``updates=`` task copies its compiled :attr:`CompiledPlan.copies`
    positions into the argument list that call builds.
 
-None of the three changes a computed value.  The compiled artifact is
+After a plan's first execute, :func:`assign_slots` gives a task a
+**slot** -- a replay hands it its own last value to write into, so a
+warm job allocates (and page-faults in) almost nothing -- where that
+value is a buffer the task owns and nothing outside the plan can hold:
+a fresh-result kernel that takes ``out=``
+(:func:`repro.machine.takes_out`) or the write rule's copies of an
+``updates=`` task, unless one of its arrays shares a base buffer with
+the outputs the caller resolves (the escape rule).  Every reader of a
+task's last value ran in the last execute, before the replay writes it.
+
+None of this changes a computed value.  The compiled artifact is
 engine-agnostic: the thread :class:`~repro.engine.executor.Engine`
 runs bound streams with an in-process rendezvous fetch, and
 :class:`~repro.engine.mp.MpEngine`'s forked workers bind the same
@@ -78,12 +88,15 @@ its tasks on lanes, never changes its dataflow); Section 8.4
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.engine.plan import Plan, Ref, Task
 
-__all__ = ["REPLICATED", "BoundTask", "CompiledPlan", "Publisher",
-           "bind_stream", "compile_plan", "grain", "rearm"]
+__all__ = ["REPLICATED", "BoundTask", "CompiledPlan", "Publisher", "assign_slots",
+           "bind_stream", "buffers", "compile_plan", "grain", "rearm"]
 
 #: Owner sentinel for rankless tasks replicated in every worker (the
 #: multiprocessing engine's convention; threads single-own them instead).
@@ -401,27 +414,112 @@ class BoundTask:
             vals[i] = value if sel is None else value[sel]
         if self.copies is None:
             return self.fn(*vals)
-        return _run_updating(self.fn, self.task.writes, self.copies, vals)
+        return _run_updating(self.fn, self.task, self.copies, vals)
 
 
-def _run_updating(fn, writes, copies, vals):
+def _run_updating(fn, task, copies, vals):
     """Run an ``updates=`` task: copy shared targets, run, re-emit.
 
     ``vals`` is the argument list :meth:`BoundTask.run` built; the
-    copies go into it.  The task's value is ``(*written arrays,
-    *outputs)``; the written arrays are the new values of the lazy
-    arguments ``defer`` rebound.  A kernel that only writes (it returns
-    ``None``) has no outputs.
+    copies go into it -- into the task's last written arrays when it has
+    a slot.  The task's value is ``(*written arrays, *outputs)``; the
+    written arrays are the new values of the lazy arguments ``defer``
+    rebound.  A kernel that only writes (it returns ``None``) has no
+    outputs.
     """
+    writes = task.writes
+    last = task.value if task.slot else None
     for i in copies:
-        # order="K": the kernel sees the memory order it would have been
-        # handed in place (a column-major buffer stays column-major).
-        vals[i] = vals[i].copy(order="K")
+        src = vals[i]
+        buf = None if last is None else last[writes.updates.index(i)]
+        if buf is not None and _same_k_layout(buf, src):
+            np.copyto(buf, src)
+            vals[i] = buf
+        else:
+            # order="K": the kernel sees the memory order it would have
+            # been handed in place (a column-major buffer stays so).
+            vals[i] = src.copy(order="K")
     out = fn(*vals)
     written = tuple(vals[i] for i in writes.updates)
     if out is None:
         return written
     return written + (tuple(out) if writes.splat else (out,))
+
+
+def _same_k_layout(buf: np.ndarray, src: np.ndarray) -> bool:
+    """True when ``buf`` has the strides ``src.copy(order="K")`` would get.
+
+    For one- and two-dimensional arrays: a K copy is C-ordered unless
+    ``src`` is F-contiguous or strides farther along its second axis.
+    """
+    if buf.shape != src.shape or buf.dtype != src.dtype or src.ndim not in (1, 2):
+        return False
+    size = buf.itemsize
+    if src.ndim == 1:
+        return buf.strides == (size,)
+    rows, cols = src.shape
+    fortran = not src.flags.c_contiguous and (
+        src.flags.f_contiguous or abs(src.strides[0]) < abs(src.strides[1])
+    )
+    return buf.strides == ((size, rows * size) if fortran else (cols * size, size))
+
+
+def buffers(value: Any) -> Iterator[np.ndarray]:
+    """The base buffer of each array in a task value (an array or a tuple)."""
+    for a in value if isinstance(value, tuple) else (value,):
+        if isinstance(a, np.ndarray):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            yield a
+
+
+def _takes_out(fn: Any) -> bool:
+    while isinstance(fn, partial):
+        fn = fn.func
+    return getattr(fn, "takes_out", False)
+
+
+def _into_slot(fn: Callable[..., Any], task: Task, *args: Any) -> Any:
+    """``fn(*args)`` writing into ``task``'s last value: a slotted kernel."""
+    return fn(*args, out=task.value)
+
+
+def assign_slots(
+    plan: Plan, cplan: CompiledPlan, lanes: list[list[BoundTask]], outputs: Iterable[int]
+) -> list[Task]:
+    """Give the tasks of an executed plan their slots; return the slotted tasks.
+
+    Called once per compiled plan, after an execute that ran all of it.
+    A task gets a slot (:attr:`Task.slot <repro.engine.plan.Task>`, kept
+    by :meth:`Plan.reset <repro.engine.plan.Plan.reset>`) when
+
+    (a) it is a fresh-result task whose kernel takes ``out=``
+        (:func:`repro.machine.takes_out`), which its binding in ``lanes``
+        is then handed, or an ``updates=`` task the write rule copies
+        for (``cplan.copies``), whose copies go into its last ones; and
+    (b) none of its arrays shares a base buffer with the values of
+        ``outputs``, the tids the caller resolves: those arrays have
+        escaped the plan, and a replay must not write them.
+    """
+    tasks = plan.tasks
+    escaped = {id(b) for tid in outputs for b in buffers(tasks[tid].value)}
+    copies = cplan.copies
+    slotted = []
+    for task in tasks:
+        if task.writes is None:
+            if not task.fresh or task.is_input or not _takes_out(task.fn):
+                continue
+        elif not copies[task.tid]:
+            continue
+        if task.value is None or any(id(b) in escaped for b in buffers(task.value)):
+            continue
+        task.slot = True
+        slotted.append(task)
+    for lane in lanes:
+        for bt in lane:
+            if bt.task.slot and bt.copies is None:
+                bt.fn = partial(_into_slot, bt.fn, bt.task)
+    return slotted
 
 
 def bind_stream(cplan: CompiledPlan, widx: int, fetch_inputs: bool = False) -> list[BoundTask]:

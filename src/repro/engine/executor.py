@@ -75,7 +75,14 @@ from typing import Any, Callable
 # The engine guard shares the rendezvous consumer timeout: one value,
 # one diagnostic story.
 from repro.collectives.rendezvous import DEFAULT_TIMEOUT, RendezvousGroup
-from repro.engine.compile import BoundTask, CompiledPlan, bind_stream, compile_plan, grain
+from repro.engine.compile import (
+    BoundTask,
+    CompiledPlan,
+    assign_slots,
+    bind_stream,
+    compile_plan,
+    grain,
+)
 from repro.engine.plan import EngineError, Plan, Task
 from repro.machine.exceptions import RankFailure
 from repro.telemetry.recorder import NULL_RECORDER
@@ -244,6 +251,9 @@ class Engine(EngineBase):
         #: Wall seconds the last compile and bind of a plan took.
         self.compile_s = 0.0
         self.bind_s = 0.0
+        #: The tasks :func:`~repro.engine.compile.assign_slots` gave a
+        #: slot, unslotted again when a plan is (re)compiled.
+        self._slotted: list[Task] = []
 
     # ------------------------------------------------------------------
     # Execution
@@ -260,27 +270,31 @@ class Engine(EngineBase):
         ``RankFailure`` reaches the recovery policy, and a repaired plan
         re-executes only its not-done remainder.
 
-        ``outputs`` is an optional hint naming the tids the caller will
-        resolve afterwards.  The in-process engine ignores it (every
-        task's value already lives in this address space); out-of-process
-        engines (:class:`repro.engine.mp.MpEngine`) use it to ship only
-        the needed values back.
+        ``outputs`` names the tids the caller will resolve afterwards.
+        Out-of-process engines (:class:`repro.engine.mp.MpEngine`) ship
+        only those values back; this one gives slots by it: after the
+        first execute of a compiled plan that ran all of it, with no
+        fault plan or recovery installed, every task whose value shares
+        no buffer with ``outputs`` and whose kernel can write into its
+        last value gets a slot (:func:`~repro.engine.compile.assign_slots`).
+        So a replay may overwrite any value outside ``outputs``; with
+        ``outputs=None`` no slot is given.
         """
-        del outputs  # every value is local; nothing to ship
         timeout = self.timeout if timeout is None else float(timeout)
-        self._recovering(plan, lambda: self._attempt(plan, timeout))
+        self._recovering(plan, lambda: self._attempt(plan, timeout, outputs))
 
     @property
     def lanes(self) -> int:
         """Lanes of the compiled plan (``workers`` before any compile)."""
         return self._cplan.workers if self._cplan is not None else self.workers
 
-    def _attempt(self, plan: Plan, timeout: float) -> None:
-        """One pass over the not-done remainder: compile, then run."""
+    def _attempt(self, plan: Plan, timeout: float, outputs: Any) -> None:
+        """One pass over the not-done remainder: compile, run, give slots."""
         pending = [t for t in plan.tasks if not t.done]
         if not pending:
             return
-        self._compiled(plan)
+        before = self._cplan
+        cplan = self._compiled(plan)
         rec = self.telemetry
         if rec.enabled:
             rec.metrics.gauge("engine.lanes", self.lanes)
@@ -292,6 +306,10 @@ class Engine(EngineBase):
             self.tasks_run += sum(1 for t in pending if t.done)
             raise
         self.tasks_run += len(pending)
+        if (cplan is not before and len(pending) == cplan.stats["tasks"]
+                and outputs is not None and self.fault_plan is None and self.recovery is None):
+            self._slotted = assign_slots(plan, cplan, self._bound, outputs)
+            cplan.stats["slots"] = len(self._slotted)
 
     @staticmethod
     def _abort(pending: list[Task], cause: BaseException) -> None:
@@ -320,6 +338,9 @@ class Engine(EngineBase):
         """
         if self._cplan_for is plan and self._cplan.n_tasks == len(plan.tasks):
             return self._cplan
+        for task in self._slotted:
+            task.slot = False
+        self._slotted = []
         fine = grain(plan)
         lanes = 1 if fine is not None and fine < TWO_LANE_FLOPS else self.workers
         t0 = time.perf_counter()

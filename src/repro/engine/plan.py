@@ -43,6 +43,8 @@ and are the replay boundary: :meth:`Plan.rebind` swaps in a new job's
 blocks and :meth:`Plan.reset` re-arms every task, so a stream of
 same-shape QR jobs re-executes only the array kernels while skipping
 all of the Python-side simulation (see :func:`repro.engine.run_many`).
+A task with a *slot* keeps its value across the reset and writes its
+next result into it (:func:`repro.engine.compile.assign_slots`).
 
 Paper anchor: Section 3 (the execution DAG of tasks and happens-before
 edges).
@@ -107,12 +109,14 @@ class Task:
     the task's results (the outputs after any written arrays) are new
     arrays sharing memory with no argument and with each other -- the
     contract of every ``machine.kernel`` and of ``zeros`` / ``eye`` /
-    ``copy``.
+    ``copy``.  ``slot`` says a replay hands the task its last value to
+    write into (:func:`repro.engine.compile.assign_slots`), so
+    :meth:`Plan.reset` keeps that value.
     """
 
     __slots__ = (
         "tid", "rank", "label", "fn", "args", "refs",
-        "value", "done", "is_input", "rendezvous", "writes", "fresh",
+        "value", "done", "is_input", "rendezvous", "writes", "fresh", "slot",
     )
 
     def __init__(
@@ -141,6 +145,7 @@ class Task:
         self.rendezvous = None
         self.writes = writes
         self.fresh = fresh
+        self.slot = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Task(t{self.tid}, rank={self.rank}, {self.label!r})"
@@ -291,11 +296,16 @@ class Plan:
             leaf.value = value
 
     def reset(self) -> None:
-        """Re-arm every non-input task for re-execution (plan replay)."""
+        """Re-arm every non-input task for re-execution (plan replay).
+
+        A task with a :attr:`Task.slot` keeps its value: its next run
+        writes into those buffers instead of allocating new ones.
+        """
         for task in self.tasks:
             if not task.is_input:
                 task.done = False
-                task.value = None
+                if not task.slot:
+                    task.value = None
                 task.rendezvous = None
 
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.machine.exceptions import (
     RankFailure,
     ReproError,
 )
-from repro.machine.machine import Counted, Machine, Meta, transfer_list, words_of
+from repro.machine.machine import Counted, Machine, Meta, takes_out, transfer_list, words_of
 from repro.machine.tracing import Trace, TraceEvent
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "ReproError",
     "Trace",
     "TraceEvent",
+    "takes_out",
     "transfer_list",
     "words_of",
 ]

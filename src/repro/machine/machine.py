@@ -112,6 +112,22 @@ def words_of(payload: Any) -> int:
     raise MachineError(f"cannot count words of payload type {type(payload).__name__}")
 
 
+def takes_out(fn):
+    """Mark kernel ``fn`` as taking ``out=``, its own result of the last run.
+
+    A replayed engine plan hands such a kernel the value it returned the
+    last time its task ran, once nothing can read that value any more
+    (:func:`repro.engine.compile.assign_slots`), so the kernel writes
+    into buffers it already owns instead of allocating.  ``out`` is
+    ``None`` on every other call.  The kernel must return bit for bit
+    what it returns without ``out`` and must not rely on ``out``'s
+    contents; it reuses whichever of ``out``'s arrays match the result in
+    shape, dtype and memory order and allocates the rest.
+    """
+    fn.takes_out = True
+    return fn
+
+
 class Machine:
     """``P`` processors, point-to-point messages, alpha-beta-gamma costs.
 
@@ -244,7 +260,8 @@ class Machine:
         **Results are fresh.**  Every array ``fn`` returns is a new
         allocation: it shares memory with no argument -- the written
         ones included -- and with no other result (return
-        ``view.copy()``, never a view).  The engines rely on it: a
+        ``view.copy()``, never a view); a kernel marked :func:`takes_out`
+        may instead return the buffers of its own previous result.  The engines rely on it: a
         kernel result may be written in place later, and a kernel that
         read a block before someone writes it holds nothing the write
         can reach (``tests/test_kernel_seam.py`` checks every dispatch).

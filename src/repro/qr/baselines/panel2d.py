@@ -107,7 +107,9 @@ def column_scale(blk, Vblk, coeffs, r0, nd, c) -> np.ndarray:
 
     Updates ``blk`` and ``Vblk`` in place (``updates=(0, 1)``) and
     returns the rank's slice ``v`` of the reflector, unit on the
-    diagonal.
+    diagonal.  A ``tau = 0`` column (exactly zero) is left as it is,
+    with ``V``'s column zero, and ``v`` is zero: the identity reflector
+    a concrete machine never forms.
 
     >>> blk = np.array([[3.0, 1.0], [4.0, 1.0]])
     >>> Vblk = np.zeros((2, 2))
@@ -116,6 +118,8 @@ def column_scale(blk, Vblk, coeffs, r0, nd, c) -> np.ndarray:
     >>> blk[:, 0].tolist(), Vblk[:, 0].tolist()
     ([-5.0, 0.0], [1.0, 0.5])
     """
+    if coeffs[2] == 0:
+        return np.zeros(blk.shape[0] - r0, dtype=np.result_type(blk, coeffs))
     v = blk[r0:, c] / coeffs[0]
     v[:nd] = 1.0
     Vblk[r0:, c] = v
@@ -137,13 +141,17 @@ def column_dot(blk, v, r0, c0, c1) -> np.ndarray:
 def column_rank1(blk, v, w, coeffs, r0, c0, c1) -> None:
     """``A[r0:, c0:c1] -= tau v w`` in place (``updates=(0,)``).
 
+    Nothing at all for ``tau = 0``: subtracting a zero product could
+    still flip the sign of a zero entry.
+
     >>> blk = np.ones((2, 2))
     >>> column_rank1(blk, np.array([1.0]), np.array([2.0, 3.0]),
     ...              np.array([0.0, 0.0, 0.5]), 1, 0, 2)
     >>> blk.tolist()
     [[1.0, 1.0], [0.0, -0.5]]
     """
-    blk[r0:, c0:c1] -= np.multiply.outer(coeffs[2] * v, w)
+    if coeffs[2] != 0:
+        blk[r0:, c0:c1] -= np.multiply.outer(coeffs[2] * v, w)
 
 
 def panel_rows(Vblk, r0, c0, c1) -> np.ndarray:
@@ -218,8 +226,9 @@ def householder_column(machine, ctx, locs, g, c, c1, dtype, tag) -> None:
     )
     if machine.concrete and coeffs[2] == 0.0:
         # Exactly-zero column: identity reflector, nothing to update.
-        # Non-concrete backends take the generic-data path (the
-        # deferred kernel yields tau = 0 and the updates vanish).
+        # Non-concrete backends record (and charge) the generic-data
+        # path; its kernels leave a tau = 0 column exactly as this
+        # branch does, so every backend returns the same bits.
         return
 
     # Scale v locally; the diagonal owner writes beta into the column.

@@ -52,7 +52,7 @@ from functools import partial
 import numpy as np
 
 from repro.backend import SymbolicArray, dtype_of, lapack
-from repro.machine import Machine
+from repro.machine import Machine, takes_out
 
 
 def sgn(z) -> complex | float:
@@ -239,13 +239,16 @@ def local_geqrt(
     return PanelQR(V=V, T=T, R=R)
 
 
+@takes_out
 def _geqrt_arrays(
-    A: np.ndarray, blocked: bool | None
+    A: np.ndarray, blocked: bool | None, out: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pure panel factorization ``(V, T, R, taus != 0)``: the ``geqrt`` kernel.
 
     ``blocked=None`` picks LAPACK for real panels of width
-    ``>= _BLOCKED_MIN_N`` and the reference loop otherwise.
+    ``>= _BLOCKED_MIN_N`` and the reference loop otherwise.  The LAPACK
+    path factors in place in ``out``'s ``V`` when it fits (``out`` is
+    the kernel's last result; :func:`~repro.machine.takes_out`).
     """
     A = np.asarray(A)
     m, n = A.shape
@@ -256,7 +259,7 @@ def _geqrt_arrays(
         # reference loop (Hermitian-reflector convention).
         blocked = dtype == np.float64 and n >= _BLOCKED_MIN_N
     if blocked:
-        V, T, R, taus = _geqrt_blocked(A)
+        V, T, R, taus = _geqrt_blocked(A, None if out is None else out[0])
     else:
         work = A.astype(dtype, copy=True)
         V = np.zeros((m, n), dtype=dtype)
@@ -278,8 +281,22 @@ def _geqrt_arrays(
     return V, T, R, taus != 0
 
 
-def _column_major_copy(A: np.ndarray) -> np.ndarray:
-    """``A`` as a fresh column-major float64 array.
+def _reuse(out: np.ndarray | None, shape: tuple, dtype, order: str) -> np.ndarray:
+    """``out`` when it is an ``order`` array of ``shape`` and ``dtype``, else a new one.
+
+    How a :func:`~repro.machine.takes_out` kernel takes a buffer of its
+    last result: one that does not match is left alone.
+    """
+    if (
+        out is not None and out.shape == shape and out.dtype == dtype
+        and (out.flags.f_contiguous if order == "F" else out.flags.c_contiguous)
+    ):
+        return out
+    return np.empty(shape, dtype=dtype, order=order)
+
+
+def _column_major_copy(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``A`` as a column-major float64 array: ``out`` if it fits, else a new one.
 
     A tall row-major source is transposed strip by strip.  numpy's
     one-shot strided copy writes one element into each of the ``n``
@@ -290,18 +307,22 @@ def _column_major_copy(A: np.ndarray) -> np.ndarray:
     0.62 ms); below 16 columns or 256 rows the one-shot copy is faster.
     """
     m, n = A.shape
+    out = _reuse(out, (m, n), np.dtype(np.float64), "F")
     if n < 16 or m < 4 * _COPY_STRIP or not A.flags.c_contiguous:
-        return np.array(A, dtype=np.float64, order="F")
-    out = np.empty((m, n), dtype=np.float64, order="F")
+        out[...] = A
+        return out
     for i in range(0, m, _COPY_STRIP):
         out[i : i + _COPY_STRIP] = A[i : i + _COPY_STRIP]
     return out
 
 
-def _geqrt_blocked(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _geqrt_blocked(
+    A: np.ndarray, V: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """LAPACK-backed real panel factorization: ``(V, T, R, taus)``.
 
-    One column-major copy of the panel, ``dgeqrt`` in place with a
+    One column-major copy of the panel (into ``V`` when it fits),
+    ``dgeqrt`` in place with a
     single block (``nb = n``, i.e. the recursive ``dgeqrt3``: BLAS-3 all
     the way down, where ``geqrf`` below its crossover ``NX = 128`` is
     the BLAS-2 ``geqr2`` sweep), and the copy *is* ``V`` once ``R`` has
@@ -323,7 +344,7 @@ def _geqrt_blocked(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     conventions.
     """
     n = A.shape[1]
-    V = _column_major_copy(A)
+    V = _column_major_copy(A, V)
     t = lapack.geqrt(V)
     top = V[:n]
     upper = ~np.tri(n, n, -1, dtype=bool)  # one mask for the three triangles
@@ -388,12 +409,27 @@ def t_from_v(machine: Machine, p: int, V: np.ndarray, taus: np.ndarray) -> np.nd
 def t_from_gram(G: np.ndarray) -> np.ndarray:
     """``T = (triu(G, 1) + diag(diag(G)) / 2)^(-1)`` from the Gram matrix ``G = V^H V`` (Puglisi).
 
+    A zero column of ``V`` (a ``tau = 0`` reflector, left zero by the
+    unblocked kernels) has a zero Gram diagonal, where the formula is
+    singular; it gets a zero row and column of ``T``, as LAPACK's
+    ``dlarft`` gives a ``tau = 0`` column, and the other reflectors the
+    formula on their own Gram block.
+
     >>> t_from_gram(np.array([[2.0, 1.0], [1.0, 2.0]])).tolist()
     [[1.0, -1.0], [0.0, 1.0]]
+    >>> t_from_gram(np.array([[2.0, 0.0], [0.0, 0.0]])).tolist()
+    [[1.0, 0.0], [0.0, 0.0]]
     """
     from scipy.linalg import solve_triangular
 
-    Tinv = np.triu(G, 1) + np.diag(np.diag(G).real) / 2.0
+    d = np.diag(G).real
+    keep = d != 0
+    if not keep.all():
+        T = np.zeros_like(G)
+        sub = np.ix_(keep, keep)
+        T[sub] = t_from_gram(G[sub]) if keep.any() else 0.0
+        return T
+    Tinv = np.triu(G, 1) + np.diag(d) / 2.0
     return solve_triangular(Tinv, np.eye(G.shape[0], dtype=G.dtype), lower=False)
 
 
@@ -425,11 +461,20 @@ def _apply_wy_flops(m: int, n: int, k: int) -> float:
     )
 
 
-def _apply_wy_arrays(V: np.ndarray, T: np.ndarray, C: np.ndarray, adjoint: bool) -> np.ndarray:
-    """``C - V (T (V^H C))`` (``T^H`` when ``adjoint``): :func:`apply_wy`'s kernel."""
+@takes_out
+def _apply_wy_arrays(
+    V: np.ndarray, T: np.ndarray, C: np.ndarray, adjoint: bool,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``C - V (T (V^H C))`` (``T^H`` when ``adjoint``): :func:`apply_wy`'s kernel.
+
+    The product lands in ``out`` when it fits, and the difference too.
+    """
     M1 = V.conj().T @ C
     M2 = (T.conj().T if adjoint else T) @ M1
-    return C - V @ M2
+    VM = np.matmul(V, M2, out=_reuse(out, (V.shape[0], M2.shape[1]),
+                                     np.result_type(V, M2), "C"))
+    return np.subtract(C, VM, out=VM)
 
 
 def apply_wy(
@@ -454,10 +499,12 @@ def apply_wy(
     )
 
 
+@takes_out
 def _apply_wy_padded_arrays(
-    V: np.ndarray, T: np.ndarray, B: np.ndarray, adjoint: bool
+    V: np.ndarray, T: np.ndarray, B: np.ndarray, adjoint: bool,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``(I - V T V^H) [B; 0]`` into one fresh array, zeros never formed.
+    """``(I - V T V^H) [B; 0]`` into one array (``out`` if it fits), zeros never formed.
 
     With ``k = B.shape[0]`` only ``V[:k]`` meets ``B``:
     ``out = -V (T (V[:k]^H B))``, then ``out[:k] += B``.  ``matmul``
@@ -468,7 +515,7 @@ def _apply_wy_padded_arrays(
     k = B.shape[0]
     M = (T.conj().T if adjoint else T) @ (V[:k].conj().T @ B)
     np.negative(M, out=M)
-    out = np.empty((V.shape[0], B.shape[1]), dtype=M.dtype, order="F")
+    out = _reuse(out, (V.shape[0], B.shape[1]), M.dtype, "F")
     np.matmul(V, M, out=out)
     out[:k] += B
     return out

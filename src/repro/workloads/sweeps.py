@@ -145,12 +145,17 @@ def _mm3d_diag(A, factors) -> QRDiagnostics:
 # ----------------------------------------------------------------------
 
 def _row_slicer(layout):
-    """Blocks of a global array in the layout's leaf-registration order."""
-    parts = layout.participants()
+    """Blocks of a global array in the layout's leaf-registration order.
+
+    As :meth:`DistMatrix.from_global <repro.dist.DistMatrix.from_global>`
+    cuts them: a rank's contiguous run of rows is a view of a
+    C-contiguous ``X``, other rows are gathered into a copy.
+    """
+    cuts = [layout.cut_of(p) for p in layout.participants()]
 
     def slicer(X: np.ndarray) -> list[np.ndarray]:
         X = np.asarray(X)
-        return [np.ascontiguousarray(X[layout.rows_of(p), :]) for p in parts]
+        return [np.ascontiguousarray(X[cut]) for cut in cuts]
 
     return slicer
 
@@ -196,25 +201,30 @@ def drive(algorithm: str, machine: Machine, A, params: dict, validate: bool):
     The harness core shared by :func:`run_qr` and the batched driver
     :func:`repro.engine.run_many`.  ``params`` may be updated in place
     with chosen knob defaults (caqr3d's ``b``/``bstar``).  Returns
-    ``(factors, diag_fn, slicer)``: the result arrays (lazy on a
+    ``(factors, diag_fn, slicer)``: the global result arrays (lazy on a
     parallel machine), a ``diag_fn(A, factors)`` validation closure,
     and a ``slicer(X)`` producing the input blocks in plan-leaf order
     (the replay boundary).  A ``params`` name outside :data:`KNOBS`
     raises :class:`~repro.machine.ParameterError`.
     """
-    return _drive(algorithm, machine, A, params, validate, 0)[:3]
+    return _drive(algorithm, machine, A, params, validate, 0, True)[:3]
 
 
-def _drive(algorithm: str, machine: Machine, A, params: dict, validate: bool, f: int):
+def _drive(algorithm: str, machine: Machine, A, params: dict, validate: bool, f: int,
+           assemble: bool):
     """:func:`drive` on ``machine.P - f`` data ranks and ``f`` spares.
 
     The input's checksums are encoded onto the spares right after it is
     distributed; the fourth result is their
     :class:`~repro.faults.coded.CodedContext` (``None`` when ``f == 0``).
+    Without ``assemble`` the global factors are not assembled (assembly
+    is free, harness-side, so no count moves) and the first result is
+    ``None``: the job path assembles only what something reads.
     """
     check_knobs(params)
     m, n = A.shape
     P = machine.P - f
+    coded = None
 
     if algorithm in ("tsqr", "house1d", "caqr1d"):
         layout = BlockRowLayout(balanced_sizes(m, P))
@@ -226,12 +236,16 @@ def _drive(algorithm: str, machine: Machine, A, params: dict, validate: bool, f:
             res = qr_house_1d(dA, root=0)
         else:
             res = qr_1d_caqr_eg(dA, root=0, b=params.get("b"), eps=params.get("eps", 1.0))
-        return (res.V.to_global(), res.T, res.R), _qr_diag, _row_slicer(layout), coded
 
-    if algorithm == "caqr3d":
+        def factors():
+            return (res.V.to_global(), res.T, res.R)
+
+        diag_fn, slicer = _qr_diag, _row_slicer(layout)
+
+    elif algorithm in ("caqr3d", "wide"):
         layout = CyclicRowLayout(m, P)
         dA = DistMatrix.from_global(machine, A, layout)
-        res = qr_3d_caqr_eg(
+        res = (qr_3d_caqr_eg if algorithm == "caqr3d" else qr_wide_3d)(
             dA,
             b=params.get("b"),
             bstar=params.get("bstar"),
@@ -239,12 +253,16 @@ def _drive(algorithm: str, machine: Machine, A, params: dict, validate: bool, f:
             eps=params.get("eps", 1.0),
             method=params.get("method", "two_phase"),
         )
-        params.setdefault("b", res.b)
-        params.setdefault("bstar", res.bstar)
-        factors = (res.V.to_global(), res.T.to_global(), res.R.to_global())
-        return factors, _qr_diag, _row_slicer(layout), None
+        if algorithm == "caqr3d":
+            params.setdefault("b", res.b)
+            params.setdefault("bstar", res.bstar)
 
-    if algorithm in ("house2d", "caqr2d"):
+        def factors():
+            return (res.V.to_global(), res.T.to_global(), res.R.to_global())
+
+        diag_fn, slicer = _qr_diag, _row_slicer(layout)
+
+    elif algorithm in ("house2d", "caqr2d"):
         from repro.qr.baselines.caqr2d import caqr2d_default_bb
         from repro.qr.baselines.house2d import HOUSE2D_DEFAULT_BB
 
@@ -255,56 +273,58 @@ def _drive(algorithm: str, machine: Machine, A, params: dict, validate: bool, f:
         if bb is None:
             bb = HOUSE2D_DEFAULT_BB if algorithm == "house2d" else caqr2d_default_bb(m, n, P)
         A_bc = BlockCyclic2D.from_global(machine, A, pr, pc, bb)
-        fn = qr_house_2d if algorithm == "house2d" else qr_caqr_2d
-        res = fn(A_bc)
-        V, R = res.V_global(), res.R_global()
-        if validate:  # T exists only to be validated: one unmetered, rankless kernel
-            nn = SymbolicArray((n, n), dtype_of(V))
-            T = machine.kernel(None, reconstruct_t_arrays, (V,), nn, label="reconstruct_t")
-        else:
-            T = np.eye(n)
-        return (V, T, R), _qr_diag, _grid_slicer(A_bc), None
+        res = (qr_house_2d if algorithm == "house2d" else qr_caqr_2d)(A_bc)
 
-    if algorithm == "wide":
-        layout = CyclicRowLayout(m, P)
-        dA = DistMatrix.from_global(machine, A, layout)
-        res = qr_wide_3d(
-            dA,
-            b=params.get("b"),
-            bstar=params.get("bstar"),
-            delta=params.get("delta", 0.5),
-            eps=params.get("eps", 1.0),
-            method=params.get("method", "two_phase"),
-        )
-        factors = (res.V.to_global(), res.T.to_global(), res.R.to_global())
-        return factors, _qr_diag, _row_slicer(layout), None
+        def factors():
+            V, R = res.V_global(), res.R_global()
+            if validate:  # T exists only to be validated: one unmetered, rankless kernel
+                nn = SymbolicArray((n, n), dtype_of(V))
+                T = machine.kernel(None, reconstruct_t_arrays, (V,), nn, label="reconstruct_t")
+            else:
+                T = np.eye(n)
+            return V, T, R
 
-    if algorithm == "applyq":
+        diag_fn, slicer = _qr_diag, _grid_slicer(A_bc)
+
+    elif algorithm == "applyq":
         layout = BlockRowLayout(balanced_sizes(m, P))
         dA = DistMatrix.from_global(machine, A, layout)
         res = tsqr(dA, root=0)
         Y = apply_q_1d(res.V, res.T, dA, 0, adjoint=True)   # Q^H A
         Z = apply_q_1d(res.V, res.T, Y, 0)                  # Q Q^H A = A
-        factors = (res.V.to_global(), res.T, res.R, Z.to_global())
-        return factors, _applyq_diag, _row_slicer(layout), None
 
-    if algorithm == "mm1d":
+        def factors():
+            return (res.V.to_global(), res.T, res.R, Z.to_global())
+
+        diag_fn, slicer = _applyq_diag, _row_slicer(layout)
+
+    elif algorithm == "mm1d":
         layout = BlockRowLayout(balanced_sizes(m, P))
         dA = DistMatrix.from_global(machine, A, layout)
         M = mm1d_reduce(dA, dA, 0, conj_a=True)             # A^H A on root
         C = mm1d_broadcast(dA, M, 0)                        # A (A^H A)
-        return (M, C.to_global()), _mm1d_diag, _row_slicer(layout), None
 
-    if algorithm == "mm3d":
+        def factors():
+            return (M, C.to_global())
+
+        diag_fn, slicer = _mm1d_diag, _row_slicer(layout)
+
+    elif algorithm == "mm3d":
         layout = CyclicRowLayout(m, P)
         dA = DistMatrix.from_global(machine, A, layout)
         C = mm3d(
             Operand(dA, "H"), dA, head_layout(layout, n),
             method=params.get("method", "two_phase"),
         )
-        return (C.to_global(),), _mm3d_diag, _row_slicer(layout), None
 
-    raise KeyError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+        def factors():
+            return (C.to_global(),)
+
+        diag_fn, slicer = _mm3d_diag, _row_slicer(layout)
+
+    else:
+        raise KeyError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    return (factors() if assemble else None), diag_fn, slicer, coded
 
 
 @dataclass
@@ -312,7 +332,8 @@ class Build:
     """One job's recorded plan: what a replay of its shape needs.
 
     ``lazy_factors`` are :func:`drive`'s results as recorded (lazy on an
-    engine machine, whose plan a replay re-executes); ``report`` and
+    engine machine, whose plan a replay re-executes), or ``None`` when
+    the job assembles none (nothing reads them); ``report`` and
     ``words_by_label`` are the machine's metering, which a replay of
     the same shape would repeat exactly, so it keeps them.  ``coded`` is
     the :class:`~repro.faults.coded.CodedContext` of a checksum-coded
@@ -363,7 +384,11 @@ def build(
     ``lazy_factors`` unchanged on an eager one.  ``keep`` receives the
     :class:`Build` after that first execute, also when it raises, so a
     plan cache holds the plan either way (the next job of the shape
-    replays it).  Returns the build and the computed factors.
+    replays it).  Returns the build and the computed factors.  The
+    global factors are assembled only when something reads them: for
+    validation, or for a coded run's result (``f > 0``); otherwise the
+    factors are ``None``, and the plan runs every task but assembles
+    nothing.
 
     A ``fault_plan`` trigger that did not fire by the end of the run
     (its victim never reached the step) raises ``ParameterError``.
@@ -385,7 +410,8 @@ def build(
     )
     params = dict(params)
     t0 = time.perf_counter()
-    lazy_factors, diag_fn, slicer, coded = _drive(algorithm, machine, A, params, validate, f)
+    lazy_factors, diag_fn, slicer, coded = _drive(algorithm, machine, A, params, validate, f,
+                                                  assemble=validate or f > 0)
     t1 = time.perf_counter()
     if isinstance(recovery, CodedRecovery):
         machine.recovery = machine.engine.recovery = recovery.bind(coded)
