@@ -47,7 +47,7 @@ Paper anchor: Section 2.3 (Householder kernels).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -183,7 +183,8 @@ def _t_from_v_flops(m: int, n: int, mask: np.ndarray | None = None) -> float:
 
 
 def local_geqrt(
-    machine: Machine, p: int, A: np.ndarray, blocked: bool | None = None
+    machine: Machine, p: int, A: np.ndarray, blocked: bool | None = None,
+    below: np.ndarray | None = None,
 ) -> PanelQR:
     """Householder QR of a local ``m x n`` (``m >= n``) panel.
 
@@ -203,6 +204,10 @@ def local_geqrt(
     test oracle, and the only path for complex panels, whose
     Hermitian-reflector convention LAPACK does not share).
 
+    ``below`` stacks a second block under ``A`` -- TSQR's merge factors
+    two triangles -- inside the kernel, which copies both straight into
+    the buffer it factors; no stacked operand is formed first.
+
     A panel holding a NaN or an infinity raises ``ValueError`` (on an
     engine: from inside the panel's task): a non-finite entry always
     reaches a ``tau``, so the ``n x n`` kernel ``T`` is what is checked.
@@ -220,10 +225,11 @@ def local_geqrt(
     >>> pan.V.shape, pan.T.shape, pan.R.shape
     ((6, 2), (2, 2), (2, 2))
     """
-    m, n = A.shape
+    blocks = (A,) if below is None else (A, below)
+    m, n = sum(b.shape[0] for b in blocks), A.shape[1]
     if m < n:
-        raise ValueError(f"local_geqrt requires m >= n, got {A.shape}")
-    dtype = np.result_type(dtype_of(A), np.float64)
+        raise ValueError(f"local_geqrt requires m >= n, got {(m, n)}")
+    dtype = np.result_type(*(dtype_of(b) for b in blocks), np.float64)
     if blocked and dtype != np.float64:
         raise TypeError(
             f"the LAPACK kernel (blocked=True) factors float64 panels only, got {dtype}"
@@ -231,7 +237,7 @@ def local_geqrt(
     nn = SymbolicArray((n, n), dtype)
     metas = (SymbolicArray((m, n), dtype), nn, nn, SymbolicArray((n,), np.bool_))
     V, T, R, reflected = machine.kernel(
-        p, partial(_geqrt_arrays, blocked=blocked), (A,), metas, label="geqrt"
+        p, partial(_geqrt_arrays, blocked=blocked), blocks, metas, label="geqrt"
     )
     mask = reflected if machine.concrete else None  # tau = 0 columns, where known
     machine.compute(p, _geqrt_factor_flops(m, n, update_mask=mask), label="geqrt_factor")
@@ -241,27 +247,28 @@ def local_geqrt(
 
 @takes_out
 def _geqrt_arrays(
-    A: np.ndarray, blocked: bool | None, out: tuple | None = None
+    *blocks: np.ndarray, blocked: bool | None = None, out: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pure panel factorization ``(V, T, R, taus != 0)``: the ``geqrt`` kernel.
+    """Pure factorization ``(V, T, R, taus != 0)`` of the stacked ``blocks``: the ``geqrt`` kernel.
 
     ``blocked=None`` picks LAPACK for real panels of width
     ``>= _BLOCKED_MIN_N`` and the reference loop otherwise.  The LAPACK
-    path factors in place in ``out``'s ``V`` when it fits (``out`` is
-    the kernel's last result; :func:`~repro.machine.takes_out`).
+    path copies the blocks into ``out``'s ``V`` and factors it there,
+    and writes ``T`` and ``R`` into ``out``'s, where they fit (``out``
+    is the kernel's last result; :func:`~repro.machine.takes_out`).
     """
-    A = np.asarray(A)
-    m, n = A.shape
-    dtype = np.result_type(A.dtype, np.float64)
+    blocks = tuple(np.asarray(b) for b in blocks)
+    m, n = sum(b.shape[0] for b in blocks), blocks[0].shape[1]
+    dtype = np.result_type(*blocks, np.float64)
     if blocked is None:
         # LAPACK's kernel is float64 (every real input dtype the library
         # meets promotes to it); complex panels always take the
         # reference loop (Hermitian-reflector convention).
         blocked = dtype == np.float64 and n >= _BLOCKED_MIN_N
     if blocked:
-        V, T, R, taus = _geqrt_blocked(A, None if out is None else out[0])
+        V, T, R, taus = _geqrt_blocked(blocks, out)
     else:
-        work = A.astype(dtype, copy=True)
+        work = np.concatenate(blocks, dtype=dtype)
         V = np.zeros((m, n), dtype=dtype)
         taus = np.zeros(n, dtype=dtype)
         for j in range(n):
@@ -277,7 +284,7 @@ def _geqrt_arrays(
         T = t_from_v_arrays(V, taus)
         R = np.triu(work[:n, :])
     if not np.isfinite(T).all():  # a non-finite entry always reaches a tau
-        raise ValueError(f"array must not contain infs or NaNs (panel of shape {A.shape})")
+        raise ValueError(f"array must not contain infs or NaNs (panel of shape {(m, n)})")
     return V, T, R, taus != 0
 
 
@@ -295,10 +302,10 @@ def _reuse(out: np.ndarray | None, shape: tuple, dtype, order: str) -> np.ndarra
     return np.empty(shape, dtype=dtype, order=order)
 
 
-def _column_major_copy(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``A`` as a column-major float64 array: ``out`` if it fits, else a new one.
+def _column_major_copy(blocks: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """The ``blocks`` stacked as one column-major float64 array: ``out`` if it fits.
 
-    A tall row-major source is transposed strip by strip.  numpy's
+    A tall row-major block is transposed strip by strip.  numpy's
     one-shot strided copy writes one element into each of the ``n``
     destination columns per source row; once those ``n`` lines, ``8m``
     bytes apart, outgrow a cache set it misses on every write (0.91 ms
@@ -306,28 +313,51 @@ def _column_major_copy(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     ``_COPY_STRIP`` rows keep the destination lines resident (0.24 /
     0.62 ms); below 16 columns or 256 rows the one-shot copy is faster.
     """
-    m, n = A.shape
+    m, n = sum(b.shape[0] for b in blocks), blocks[0].shape[1]
     out = _reuse(out, (m, n), np.dtype(np.float64), "F")
-    if n < 16 or m < 4 * _COPY_STRIP or not A.flags.c_contiguous:
-        out[...] = A
-        return out
-    for i in range(0, m, _COPY_STRIP):
-        out[i : i + _COPY_STRIP] = A[i : i + _COPY_STRIP]
+    i = 0
+    for A in blocks:
+        k = A.shape[0]
+        dst = out[i : i + k]
+        if n < 16 or k < 4 * _COPY_STRIP or not A.flags.c_contiguous:
+            dst[...] = A
+        else:
+            for j in range(0, k, _COPY_STRIP):
+                dst[j : j + _COPY_STRIP] = A[j : j + _COPY_STRIP]
+        i += k
     return out
 
 
+@lru_cache(maxsize=64)
+def _lower_mask(n: int) -> np.ndarray:
+    """Read-only ``n x n`` mask of the strictly lower triangle (memoized)."""
+    mask = np.tri(n, n, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _upper_into(out: np.ndarray | None, a: np.ndarray) -> np.ndarray:
+    """``triu(a)`` as a row-major float64 array: ``out`` if it fits, else a new one."""
+    n = a.shape[0]
+    res = _reuse(out, (n, n), np.dtype(np.float64), "C")
+    np.copyto(res, a)
+    np.copyto(res, 0.0, where=_lower_mask(n))
+    return res
+
+
 def _geqrt_blocked(
-    A: np.ndarray, V: np.ndarray | None = None
+    blocks: tuple, out: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """LAPACK-backed real panel factorization: ``(V, T, R, taus)``.
 
-    One column-major copy of the panel (into ``V`` when it fits),
-    ``dgeqrt`` in place with a
+    One column-major copy of the stacked blocks (into ``out``'s ``V``
+    when it fits), ``dgeqrt`` in place with a
     single block (``nb = n``, i.e. the recursive ``dgeqrt3``: BLAS-3 all
     the way down, where ``geqrf`` below its crossover ``NX = 128`` is
     the BLAS-2 ``geqr2`` sweep), and the copy *is* ``V`` once ``R`` has
     been taken out of its top triangle; ``T`` comes back with the
-    factorization, so nothing is rebuilt from ``V``.
+    factorization, so nothing is rebuilt from ``V``.  ``T`` and ``R``
+    are written into ``out``'s when they fit.
 
     The output is converted to the always-reflect convention of
     :func:`larfg`: LAPACK skips the reflection of an already-reduced
@@ -343,14 +373,14 @@ def _geqrt_blocked(
     are entirely zero (``beta = 0``) keep ``tau = 0`` in both
     conventions.
     """
-    n = A.shape[1]
-    V = _column_major_copy(A, V)
+    n = blocks[0].shape[1]
+    last = (None, None, None) if out is None else out
+    V = _column_major_copy(blocks, last[0])
     t = lapack.geqrt(V)
     top = V[:n]
-    upper = ~np.tri(n, n, -1, dtype=bool)  # one mask for the three triangles
-    T = np.where(upper, t, 0.0)
-    R = np.where(upper, top, 0.0)
-    np.copyto(top, 0.0, where=upper)
+    T = _upper_into(last[1], t)
+    R = _upper_into(last[2], top)
+    np.copyto(top, 0.0, where=~_lower_mask(n))
     np.fill_diagonal(top, 1.0)
 
     taus = np.diag(T).copy()

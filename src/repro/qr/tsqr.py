@@ -20,18 +20,23 @@ Costs (Lemma 5): ``gamma (max_p m_p n^2 + n^3 log P) + beta n^2 log P +
 alpha log P``.
 
 The ``max_p m_p n^2`` term is three local kernels per processor, and on
-real data they stay in one memory order with one allocation each: the
-leaf QR is LAPACK's ``dgeqrt`` on a column-major copy of the block
-(:func:`repro.qr.householder.local_geqrt`), the downsweep applies each
-node to ``[B; 0]`` without forming the zeros, into a column-major
-``W_p`` (:func:`repro.qr.householder.apply_wy_padded`), and
-``V_p = W_p U^{-1}`` is a right-side ``dtrsm`` in place on ``W_p``
-(:func:`_solve_upper_inplace`).  The flops charged are those of the
-straightforward formulation -- Lemma 5 fixes no constant.
+real data they stay in one memory order and allocate one ``m_p x n``
+block between them: the leaf QR is LAPACK's ``dgeqrt`` on a
+column-major copy of the block (:func:`repro.qr.householder.local_geqrt`);
+the downsweep's leaf apply computes only the ``n x n`` ``M_p = T_p
+V_p[:n]^H B_p`` and ``X_p = B_p - V_p[:n] M_p``, the leading rows of
+``W_p = [B_p; 0] - V_p M_p`` (:func:`_leaf_m_arrays`), so ``W_p`` is
+never formed; and after the broadcast ``V_p = W_p U^{-1} = [X_p U^{-1};
+-V_p[n:] (M_p U^{-1})]`` is one ``dtrsm`` on the stacked ``2n x n``
+``[M_p; X_p]`` plus a strip-wise product written in place over the
+leaf's own ``geqrt`` basis (:func:`_tsqr_v_arrays`).  The flops charged
+are those of the straightforward formulation -- Lemma 5 fixes no
+constant.
 
-Every local step -- the QRs, the free :func:`pack_triu` /
-:func:`unpack_triu` around each upsweep message, the applications, the
-root's reconstruction, the solves -- is a pure function of real arrays
+Every local step -- the QRs (a merge's two triangles are stacked inside
+its ``geqrt``), the free :func:`pack_triu` / :func:`unpack_triu` around
+each upsweep message, the applications, the root's reconstruction, the
+solves -- is a pure function of real arrays
 dispatched through ``machine.kernel``; this module never asks which
 backend runs it.
 
@@ -55,8 +60,10 @@ import numpy as np
 from repro.backend import SymbolicArray, lapack
 from repro.collectives.schedule import tree_edges
 from repro.dist import DistMatrix
-from repro.machine import DistributionError
-from repro.qr.householder import PanelQR, apply_wy_padded, local_geqrt, sgn
+from repro.machine import DistributionError, takes_out
+from repro.qr.householder import (
+    PanelQR, _apply_wy_flops, _reuse, apply_wy_padded, local_geqrt, sgn,
+)
 
 
 @dataclass
@@ -138,21 +145,94 @@ def _reconstruct_arrays(
     return U, Lfac, T, R
 
 
-def _solve_upper_inplace(W: np.ndarray, U: np.ndarray) -> None:
-    """``W <- W U^-1`` in place (``U`` upper triangular): the ``tsqr_V`` kernel.
+@takes_out
+def _leaf_m_arrays(
+    V: np.ndarray, T: np.ndarray, B: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``G = [M; X]``: a leaf's ``apply_wy`` kernel.
 
-    Real data: a right-side ``dtrsm`` on the column-major ``W`` the
-    downsweep produced, against ``U^T`` read through the column-major
-    view ``U.T`` of the row-major ``U`` -- no transposed copy going in,
-    none coming out, GIL released.  Complex data keeps scipy's solver
-    and writes its result back.
+    ``M = T V[:n]^H B`` and ``X = B - V[:n] M``, so the leaf's slice of
+    ``W`` is ``[X; -V[n:] M]``; it is never formed, :func:`_tsqr_v_arrays`
+    solves ``G`` in place instead.  ``G`` is column-major, the layout
+    that solve runs in, and lands in ``out`` when it fits.
     """
-    if W.dtype == np.float64 and U.dtype == np.float64:
-        lapack.trsm(np.asfortranarray(U.T), W, trans=True, lower=True)
+    n = B.shape[0]
+    G = _reuse(out, (2 * n, n), np.result_type(V, T, B), "F")
+    M, X = G[:n], G[n:]
+    np.matmul(T, V[:n].conj().T @ B, out=M)
+    np.matmul(V[:n], M, out=X)
+    np.subtract(B, X, out=X)
+    return G
+
+
+def _root_m_arrays(
+    V: np.ndarray, T: np.ndarray, B: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(M, X)``: the root's ``apply_wy`` kernel, :func:`_leaf_m_arrays` in two.
+
+    ``X``, the leading ``n x n`` of ``W``, is a result of its own: the
+    reconstruction factors it, and only ``M`` is solved.
+    """
+    G = _leaf_m_arrays(V, T, B)
+    n = B.shape[0]
+    return G[:n], G[n:].copy()
+
+
+def _solve_upper_inplace(G: np.ndarray, U: np.ndarray) -> None:
+    """``G <- G U^-1`` in place (``U`` upper triangular).
+
+    Real data: a right-side ``dtrsm`` on the column-major ``G``, against
+    ``U^T`` read through the column-major view ``U.T`` of the row-major
+    ``U`` -- no transposed copy going in, none coming out, GIL released.
+    Complex data keeps scipy's solver and writes its result back.
+    """
+    if G.dtype == np.float64 and U.dtype == np.float64:
+        lapack.trsm(np.asfortranarray(U.T), G, trans=True, lower=True)
     else:
         from scipy.linalg import solve_triangular
 
-        W[...] = solve_triangular(U, W.T, trans="T", lower=False).T
+        G[...] = solve_triangular(U, G.T, trans="T", lower=False).T
+
+
+#: Bytes of :func:`_tsqr_v_arrays`'s strip scratch (64 rows at n = 64).
+#: Under 64 KiB, so that freeing it never has a thread arena trim its
+#: heap, which glibc checks on every free of 64 KiB or more: with a
+#: 128 KiB scratch a warm two-lane ``tallskinny`` job took ~140 minor
+#: page faults, with this one ~7.  A 4096 x 64 leaf's ``apply_wy`` plus
+#: ``tsqr_V`` take 1.21 ms with it, 1.12 ms with 128-row strips and
+#: 2.14 ms as the two-step ``W_p``, ``W_p U^-1`` they replaced (sizing
+#: host, BLAS pinned to 1, p10 over eight leaves in turn).
+_STRIP_BYTES = 32 * 1024
+
+
+def _tsqr_v_arrays(
+    V: np.ndarray, G: np.ndarray, U: np.ndarray, L: np.ndarray | None = None
+) -> None:
+    """``V <- W U^-1`` and ``G <- G U^-1`` in place: the ``tsqr_V`` kernel.
+
+    ``V`` is the leaf's ``geqrt`` basis and ``G = [M; X]`` its
+    :func:`_leaf_m_arrays`, so ``W = [X; -V[n:] M]``.  One triangular
+    solve of ``G`` gives ``M U^-1`` and ``X U^-1``; the rows below ``n``
+    are ``-V[n:] (M U^-1)``, taken strip by strip into a small scratch
+    and written back over the rows they were read from, which nothing
+    reads again; the top ``n`` rows become ``X U^-1``.  On the root ``G``
+    is ``M`` alone and ``L``, the reconstruction's, becomes the top rows.
+    """
+    n = U.shape[0]
+    _solve_upper_inplace(G, U)
+    K = G[:n]
+    m = V.shape[0]
+    step = max(1, _STRIP_BYTES // max(1, n * V.itemsize))
+    rows = min(step, m - n)
+    if rows > 0:
+        order = "F" if V.flags.f_contiguous else "C"
+        scratch = np.empty((rows, n), dtype=V.dtype, order=order)
+        for i in range(n, m, step):
+            strip = V[i : i + step]
+            buf = scratch[: strip.shape[0]]
+            np.matmul(strip, K, out=buf)
+            np.negative(buf, out=strip)
+    V[:n] = G[n:] if L is None else L
 
 
 def check_tsqr_distribution(A: DistMatrix, root: int) -> list[int]:
@@ -194,6 +274,7 @@ def tsqr(A: DistMatrix, root: int = 0) -> TSQRResult:
     Rcur: dict[int, np.ndarray] = {p: panels[p].R for p in parts}
     merges: list[tuple[int, int, PanelQR]] = []  # (receiver, sender, merge QR)
     nn = SymbolicArray((n, n), dtype)
+    mx = SymbolicArray((2 * n, n), dtype)  # a leaf's [M; X]
     tri = SymbolicArray((n * (n + 1) // 2,), dtype)  # what travels: packed triangles
 
     for r, r2, _ in tree_edges(0, len(parts), parts.index(root), post=True):
@@ -201,8 +282,7 @@ def tsqr(A: DistMatrix, root: int = 0) -> TSQRResult:
         packed = machine.kernel(r2, pack_triu, (Rcur.pop(r2),), tri, label="pack_triu")
         packed = machine.transfer(r2, r, packed, label="tsqr_up")
         R2 = machine.kernel(r, partial(unpack_triu, n=n), (packed,), nn, label="unpack_triu")
-        stacked = np.vstack([Rcur[r], R2])
-        pan = local_geqrt(machine, r, stacked)
+        pan = local_geqrt(machine, r, Rcur[r], below=R2)
         merges.append((r, r2, pan))
         Rcur[r] = pan.R
     R_tree = Rcur[root]
@@ -220,14 +300,21 @@ def tsqr(A: DistMatrix, root: int = 0) -> TSQRResult:
         # on every backend (a process boundary would compact it anyway).
         B[r2] = machine.transfer(r, r2, out[n:].copy(), label="tsqr_down")
 
-    W: dict[int, np.ndarray] = {
-        p: apply_wy_padded(machine, p, panels[p].V, panels[p].T, B[p]) for p in parts
-    }
+    # The leaves: each computes only the ``n x n`` ``M_p`` and ``X_p``
+    # of its slice ``W_p = [B_p; 0] - V_p M_p`` (``X_p`` its leading
+    # rows); the root's ``X`` is the block the reconstruction factors.
+    G: dict[int, np.ndarray] = {}
+    for p in parts:
+        machine.compute(p, _apply_wy_flops(panels[p].V.shape[0], n, n), label="apply_wy")
+        args = (panels[p].V, panels[p].T, B[p])
+        if p == root:
+            G[p], X = machine.kernel(p, _root_m_arrays, args, (nn, nn), label="apply_wy")
+        else:
+            G[p] = machine.kernel(p, _leaf_m_arrays, args, mx, label="apply_wy")
 
     # ------------------------------------------------------------------
     # Householder reconstruction on the root ([BDG+15]).
     # ------------------------------------------------------------------
-    X = W[root][:n]  # rows of W at global indices 0..n-1 (root owns them)
     # Closed-form charges (exact integers); the value-dependent LU loop
     # itself is one root kernel -- its branches run on concrete data.
     machine.compute(root, _lu_flops(n), label="tsqr_lu")
@@ -248,22 +335,20 @@ def tsqr(A: DistMatrix, root: int = 0) -> TSQRResult:
         ctx = CommContext(machine, parts)
         broadcast_binomial(ctx, parts.index(root), U)
 
-    # The solve runs in place (``updates=``): a numeric machine writes
-    # the buffer the downsweep allocated; an engine hands it over when it
-    # is exclusively held and an order-preserving copy otherwise.  The
-    # root solves only the rows below X, which stays as the
-    # reconstruction read it.
+    # ``V_p`` is written in place (``updates=``) over the leaf's own
+    # ``geqrt`` basis, and ``G_p`` solved where it lies: a numeric
+    # machine writes those buffers; an engine hands them over when they
+    # are exclusively held and order-preserving copies otherwise.  A root
+    # that owns only the ``n`` leading rows has ``V = L``.
     Vblocks: dict[int, np.ndarray] = {}
     for p in parts:
-        rows = W[p][n:] if p == root else W[p]
-        if rows.shape[0]:
-            machine.kernel(
-                p, _solve_upper_inplace, (rows, U), None, label="tsqr_V", updates=(0,)
-            )
-            machine.compute(p, float(rows.shape[0]) * n * n, label="tsqr_V")
-        Vblocks[p] = rows
-    below = Vblocks[root]
-    Vblocks[root] = np.vstack([Lfac, below]) if below.shape[0] else Lfac
+        Vp = panels[p].V
+        rows = Vp.shape[0] - (n if p == root else 0)
+        if rows:
+            args = (Vp, G[p], U) + ((Lfac,) if p == root else ())
+            machine.kernel(p, _tsqr_v_arrays, args, None, label="tsqr_V", updates=(0, 1))
+            machine.compute(p, float(rows) * n * n, label="tsqr_V")
+        Vblocks[p] = Vp if rows else Lfac
 
     V = DistMatrix(machine, A.layout, n, Vblocks, dtype=dtype)
     return TSQRResult(V=V, T=T, R=R, root=root)

@@ -312,6 +312,28 @@ class TestBlockedKernelConformance:
         assert_same_factorization(A.astype(np.float32))
         assert_same_factorization(rng.integers(-5, 6, size=(m, n)))
 
+    @pytest.mark.parametrize("blocked", [True, False])
+    @pytest.mark.parametrize("n", [2, 5, 32])
+    def test_a_block_stacked_below_factors_as_the_stacked_panel(self, n, blocked, rng):
+        # TSQR's merge hands its two triangles over unstacked; the kernel
+        # stacks them into the buffer it factors, bit for bit the same.
+        top, low = (np.triu(rng.standard_normal((n, n))) for _ in range(2))
+        machines = Machine(1, trace=True), Machine(1, trace=True)
+        got = local_geqrt(machines[0], 0, top, blocked=blocked, below=low)
+        want = local_geqrt(machines[1], 0, np.vstack([top, low]), blocked=blocked)
+        for k in "VTR":
+            np.testing.assert_array_equal(getattr(got, k), getattr(want, k))
+        assert machines[0].report() == machines[1].report()
+
+    def test_out_buffers_are_reused_and_give_the_same_bits(self, rng):
+        A, B = rng.standard_normal((300, 16)), rng.standard_normal((300, 16))
+        last = householder._geqrt_arrays(A)
+        ids = [id(x) for x in last[:3]]
+        got = householder._geqrt_arrays(B, out=last)
+        assert [id(x) for x in got[:3]] == ids           # V, T and R written in place
+        for g, w in zip(got, householder._geqrt_arrays(B)):
+            np.testing.assert_array_equal(g, w)
+
     def test_already_reduced_columns_are_reflected_not_skipped(self, rng):
         # LAPACK leaves tau = 0 here; the library's convention is tau = 2.
         A = make_panel("R_over_zero", 9, 4, rng)
@@ -477,13 +499,13 @@ class TestLapackBinding:
         # T or workspace (both are allocated per call).
         rng = np.random.default_rng(7)
         leaves = [rng.standard_normal((384, 24)) for _ in range(8)]
-        want = [householder._geqrt_arrays(A, None) for A in leaves]
+        want = [householder._geqrt_arrays(A) for A in leaves]
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 for _ in range(5):
-                    got = list(pool.map(lambda A: householder._geqrt_arrays(A, None), leaves))
+                    got = list(pool.map(lambda A: householder._geqrt_arrays(A), leaves))
                     for g, w in zip(got, want):
                         for x, y in zip(g, w):
                             np.testing.assert_array_equal(x, y)

@@ -5,8 +5,8 @@ kernel can write into its own last value (and the write rule's copies)
 a slot, unless that value shares a buffer with what the caller resolves
 (:func:`repro.engine.compile.assign_slots`).  Pinned here:
 
-* the leaf ``V`` / ``W`` buffers of a two-lane tsqr plan keep their
-  addresses from replay to replay;
+* the leaf ``V`` buffers of a two-lane tsqr plan, which ``tsqr_V``
+  overwrites in place, keep their addresses from replay to replay;
 * factors resolved from one validating replay are not touched by the
   next, and equal serial numeric's, for every algorithm;
 * a warm replay's traced allocation peak is a small fraction of the
@@ -60,16 +60,17 @@ def _cached():
 
 
 def _leaf_buffers(plan, rows: int, n: int) -> dict[int, int]:
-    """tid -> address of each leaf ``geqrt`` V and leaf ``apply_wy`` W."""
+    """tid -> address of each leaf ``geqrt`` V and of each ``tsqr_V`` write."""
     out = {}
     for t in plan.tasks:
-        value = t.value[0] if t.label == "geqrt" else t.value
-        if t.label in ("geqrt", "apply_wy") and value.shape == (rows, n):
-            out[t.tid] = value.ctypes.data
+        if t.label in ("geqrt", "tsqr_V") and t.value[0].shape == (rows, n):
+            out[t.tid] = t.value[0].ctypes.data
     return out
 
 
 def test_two_lane_tsqr_leaf_buffers_keep_their_addresses():
+    # Each leaf's V_p is written in place over its geqrt basis, so the
+    # tsqr_V writes land at the geqrt slots' addresses, job after job.
     m, n, P = 8192, 64, 8
     jobs = [QRJob("tsqr", gaussian(m, n, seed=s)) for s in range(5)]
     run_many(jobs[:1], P, workers=2)
@@ -85,6 +86,10 @@ def test_two_lane_tsqr_leaf_buffers_keep_their_addresses():
         seen.append(_leaf_buffers(plan, m // P, n))
     assert len(seen[0]) == 2 * P
     assert all(addrs == seen[0] for addrs in seen[1:])
+    labels = {t.tid: t.label for t in plan.tasks}
+    by_label = {lab: {a for tid, a in seen[0].items() if labels[tid] == lab}
+                for lab in ("geqrt", "tsqr_V")}
+    assert len(by_label["geqrt"]) == P and by_label["tsqr_V"] == by_label["geqrt"]
 
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
@@ -123,9 +128,11 @@ def test_an_escaped_kernel_result_gets_no_slot():
 
 
 #: A warm replay of the tsqr plan below still allocates what no slot
-#: covers: the ``n x n`` tree and reconstruction arrays and the
-#: ``vstack``s (the root's ``V`` among them).  Measured: 16.5 % of the
-#: value bytes; without slots every value is allocated again (100 %).
+#: covers: the ``n x n`` tree and reconstruction arrays and each
+#: ``tsqr_V``'s strip scratch.  Measured: 8.5 % of the value bytes
+#: (16.5 % while the root's ``V`` and the merges' stacked triangles
+#: were ``vstack``s and ``T`` / ``R`` fresh ``np.where`` copies);
+#: without slots every value is allocated again (100 %).
 PEAK_FRACTION = 0.25
 
 

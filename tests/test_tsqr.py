@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.backend import SymbolicArray
 from repro.dist import BlockRowLayout, CyclicRowLayout, DistMatrix
 from repro.machine import DistributionError, Machine
-from repro.qr.tsqr import _solve_upper_inplace, pack_triu, tsqr, unpack_triu
+from repro.qr.householder import apply_wy_padded, local_geqrt
+from repro.qr.tsqr import (
+    _STRIP_BYTES, _leaf_m_arrays, _root_m_arrays, _solve_upper_inplace, _tsqr_v_arrays,
+    pack_triu, tsqr, unpack_triu,
+)
 from repro.qr.validate import qr_diagnostics
 from repro.util import balanced_sizes, ilog2
 from repro.workloads import gaussian, graded, near_rank_deficient, run_qr
@@ -159,7 +164,7 @@ class TestTSQRCosts:
 
 
 # ----------------------------------------------------------------------
-# The in-place reconstruction solve  V_p = W_p U^-1
+# The in-place solve  G <- G U^-1
 # ----------------------------------------------------------------------
 
 def _solve_case(rng, complex_=False, rows=20, n=4):
@@ -184,7 +189,7 @@ class TestInPlaceSolve:
             np.testing.assert_array_equal(W, want)
 
     def test_row_slice_is_solved_where_it_lies(self, rng):
-        # The root solves W[n:] only; X = W[:n] stays as reconstruction read it.
+        # A row slice of a column-major array (leading dimension > rows).
         W, U, want = _solve_case(rng)
         head = W[:4].copy()
         _solve_upper_inplace(W[4:], U)
@@ -210,6 +215,164 @@ class TestInPlaceSolve:
         machine = Machine(2, backend="symbolic")
         W, U = SymbolicArray((20, 4)), SymbolicArray((4, 4))
         assert machine.kernel(1, _solve_upper_inplace, (W, U), None, updates=(0,)) is None
+
+
+# ----------------------------------------------------------------------
+# The folded downsweep: V_p = W_p U^-1 written over the geqrt basis
+# ----------------------------------------------------------------------
+
+#: Entrywise bound on the folded kernels' distance from the two-step
+#: form they replaced (``W = apply_wy_padded``, then ``W U^-1``), for
+#: O(1) entries and ``U`` with diagonal >= 4: the two round differently,
+#: by a few ulps of the largest intermediate.
+FOLD_ATOL = 1e-12
+
+
+def _fold_case(rng, rows, n=4, complex_=False):
+    """A leaf's ``(V, T, B, U)``: a ``geqrt`` basis and random blocks."""
+    A = rng.standard_normal((rows, n))
+    B = rng.standard_normal((n, n))
+    U = np.triu(rng.standard_normal((n, n))) + 4 * np.eye(n)
+    if complex_:
+        A = A + 1j * rng.standard_normal((rows, n))
+        B = B + 1j * rng.standard_normal((n, n))
+        U = U + 1j * np.triu(rng.standard_normal((n, n)))
+    pan = local_geqrt(Machine(1), 0, A)
+    return pan.V, pan.T, B, U
+
+
+def _two_step(V, T, B, U):
+    """The replaced pair: ``W = (I - V T V^H) [B; 0]``, then ``W U^-1``."""
+    from scipy.linalg import solve_triangular
+
+    W = apply_wy_padded(Machine(1), 0, V, T, B)
+    return solve_triangular(U, W.T, trans="T", lower=False).T
+
+
+def _fold(machine, V, T, B, U, L=None):
+    """The new pair on ``machine``: ``apply_wy``, then ``tsqr_V`` on ``V``.
+
+    A leaf without ``L``, the root with it; returns ``tsqr_V``'s result
+    and the root's ``X``.
+    """
+    n = B.shape[0]
+    dtype = np.result_type(V.dtype, T.dtype, B.dtype)
+    nn = SymbolicArray((n, n), dtype)
+    if L is None:
+        G = machine.kernel(0, _leaf_m_arrays, (V, T, B), SymbolicArray((2 * n, n), dtype))
+        X, args = None, (V, G, U)
+    else:
+        G, X = machine.kernel(0, _root_m_arrays, (V, T, B), (nn, nn))
+        args = (V, G, U, L)
+    out = machine.kernel(0, _tsqr_v_arrays, args, None, label="tsqr_V", updates=(0, 1))
+    return out, X
+
+
+#: Leaf heights: below one strip, one strip, and strips plus a remainder
+#: (a strip is 32 KiB of rows: 1024 at n = 4).
+STRIP = _STRIP_BYTES // (4 * 8)
+FOLD_ROWS = [20, STRIP + 4, 2 * STRIP + 37]
+
+
+class TestFoldedSolve:
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("rows", [4, *FOLD_ROWS])
+    def test_numeric_machine_writes_the_buffer_it_is_given(self, rows, complex_, rng):
+        V, T, B, U = _fold_case(rng, rows, complex_=complex_)
+        want = _two_step(V, T, B, U)
+        buf = V
+        out, _ = _fold(Machine(2), V, T, B, U)
+        assert out is None and V is buf
+        np.testing.assert_allclose(V, want, rtol=0, atol=FOLD_ATOL)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("rows", [4, *FOLD_ROWS])
+    def test_the_root_writes_l_over_its_leading_rows(self, rows, complex_, rng):
+        # The root's W starts with X, which the reconstruction factors
+        # as X + S = L U; its V is L over the solved rows below X.
+        V, T, B, U = _fold_case(rng, rows, complex_=complex_)
+        W = apply_wy_padded(Machine(1), 0, V, T, B)
+        want = _two_step(V, T, B, U)
+        L = np.tril(rng.standard_normal((4, 4)), -1) + np.eye(4)
+        _, X = _fold(Machine(1), V, T, B, U, L=L)
+        np.testing.assert_allclose(X, W[:4], rtol=0, atol=FOLD_ATOL)
+        np.testing.assert_array_equal(V[:4], L)
+        np.testing.assert_allclose(V[4:], want[4:], rtol=0, atol=FOLD_ATOL)
+
+    def test_engine_leaves_a_shared_buffer_untouched(self, rng):
+        V, T, B, U = _fold_case(rng, 2 * STRIP + 37)
+        before = V.copy(order="F")
+        machine = Machine(2, backend="parallel", workers=1)
+        lazy = machine.ops.asarray(V)          # an input leaf is never exclusively held
+        _fold(machine, lazy, *(machine.ops.asarray(x) for x in (T, B, U)))
+        (got,) = machine.materialize((lazy,))
+        np.testing.assert_array_equal(V, before)
+        assert got.flags.f_contiguous          # the engine's copy kept the memory order
+        serial = before.copy(order="F")
+        _fold(Machine(1), serial, T, B, U)
+        np.testing.assert_array_equal(got, serial)
+
+    def test_symbolic_machine_has_nothing_to_write(self):
+        machine = Machine(2, backend="symbolic")
+        V, G, U = SymbolicArray((20, 4)), SymbolicArray((8, 4)), SymbolicArray((4, 4))
+        assert machine.kernel(1, _tsqr_v_arrays, (V, G, U), None, updates=(0, 1)) is None
+
+    @pytest.mark.parametrize("backend", ["numeric", "parallel"])
+    def test_a_root_owning_only_the_leading_rows_returns_l(self, backend):
+        # V's root block is L alone: no tsqr_V runs there.
+        A = gaussian(40, 4, seed=11)
+        machine = Machine(3, backend=backend, workers=1)
+        dA = DistMatrix.from_global(machine, A, BlockRowLayout([4, 18, 18]))
+        res = tsqr(dA, root=0)
+        labels = [t.label for t in machine.plan.tasks] if machine.plan else []
+        V, T, R = machine.materialize((res.V.to_global(), res.T, res.R))
+        d = qr_diagnostics(A, V, T, R)
+        assert d.ok(1e-13), d
+        assert np.array_equal(np.diag(V[:4]), np.ones(4))
+        if labels:
+            assert labels.count("tsqr_V") == 2
+
+
+# ----------------------------------------------------------------------
+# Stability on hard inputs (the grid rows for tsqr)
+# ----------------------------------------------------------------------
+
+#: Residual and orthogonality bound, in units of float64 epsilon: the
+#: folded downsweep reads <= 10 eps on these cells (<= 19 eps at
+#: 32768 x 64, P = 8), as the two-step form it replaced did.
+STABILITY_C = 50
+
+
+def _duplicate_columns(m, n):
+    A = gaussian(m, n, seed=12)
+    A[:, n // 2] = A[:, 0]
+    return A
+
+
+def _zero_column(m, n):
+    A = gaussian(m, n, seed=13)
+    A[:, n // 2] = 0.0
+    return A
+
+
+STABILITY_INPUTS = {
+    "cond 1": lambda m, n: np.linalg.qr(gaussian(m, n, seed=14))[0],
+    "cond 1e8": lambda m, n: graded(m, n, cond=1e8, seed=15),
+    "cond 1e15": lambda m, n: graded(m, n, cond=1e15, seed=16),
+    "zero column": _zero_column,
+    "duplicate columns": _duplicate_columns,
+}
+
+
+@pytest.mark.parametrize("backend", ["numeric", "parallel"])
+@pytest.mark.parametrize("kind", list(STABILITY_INPUTS))
+def test_stability_cells(kind, backend):
+    m, n, P = 1024, 16, 8
+    A = STABILITY_INPUTS[kind](m, n)
+    d = run_qr("tsqr", A, P, backend=backend, workers=2).diagnostics
+    eps = np.finfo(np.float64).eps
+    assert d.residual <= STABILITY_C * eps, d
+    assert d.orthogonality <= STABILITY_C * eps, d
 
 
 # ----------------------------------------------------------------------
